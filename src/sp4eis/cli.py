@@ -10,7 +10,10 @@ Subcommands:
 
 Identical inputs produce byte-identical output (keys sorted, no
 timestamps).  The exit code is 0 exactly when every requested check
-passed.  Numeric precision can be tuned with the environment variables
+passed, 1 when a check failed, and 2 when the input could not be
+answered: a usage error, or one of the typed errors in ``INPUT_ERRORS``,
+which is printed as one line ``sp4eis: <Class>: <message>`` on stderr.
+Numeric precision can be tuned with the environment variables
 SP4EIS_ZETA_N and SP4EIS_ZETA_M (Euler-Maclaurin term counts).
 """
 
@@ -22,14 +25,17 @@ import sys
 
 from .characters import lambda_for_case, parse_class, weyl_act
 from .checks import run_numeric_checks
-from .constant_term import coset_representatives, eisenstein_order
-from .localrules import load_rules
+from .constant_term import ProfileError, coset_representatives, eisenstein_order
+from .germs import IndeterminateLeading
+from .localrules import UncoveredKey, UnknownChoice, load_rules
 from .normfactor import canonicalize, inverse_norm_factor
 from .roots import CRootSystem
-from .scenario import Scenario, load_scenario, scenario_from_dict
+from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from .theorems import theorem_ids, verify_theorem
 
 JSON_KW = dict(indent=2, sort_keys=True)
+
+INPUT_ERRORS = (ScenarioError, ProfileError, UncoveredKey, UnknownChoice, IndeterminateLeading)
 
 
 def _emit(args, text: str) -> None:
@@ -103,7 +109,7 @@ def _scenario_from_args(args) -> Scenario:
         for item in args.place:
             bits = item.split(":")
             if len(bits) != 3:
-                raise SystemExit(f"bad --place {item!r}; expected KIND:CLASS:CHOICE")
+                raise ScenarioError(f"bad --place {item!r}; expected KIND:CLASS:CHOICE")
             places.append({"kind": bits[0], "class": bits[1], "choice": bits[2]})
         data["places"] = places
     return scenario_from_dict(data, source="<args>")
@@ -233,7 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        # args[0], not str(): str() of a KeyError subclass adds quotes
+        message = exc.args[0] if exc.args else ""
+        print(f"sp4eis: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cache
 
-from . import germs
 from .characters import (
     CharClass, TorusCharacter, lambda_for_case, power_class, weyl_act,
 )
 from .germs import (
-    GermSum, IndeterminateLeading, OrderValue, Series, StripDep,
-    known_part_series, order_at, split_expression, sum_series,
+    IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, split_expression, sum_germs,
 )
 from .localrules import (
     ARCH, ISO, KERNEL, NONARCH, LocalRuleKey, RuleTable, UncoveredKey, default_rules,
@@ -37,16 +36,12 @@ class ProfileError(ValueError):
 
 _SYSTEM = CRootSystem(2)
 
-_FACTOR_CACHE: dict[tuple[str, str, CharClass], LExpression] = {}
 
-
+@cache
 def factor_expression(case: str, w: WeylElement, cls: CharClass) -> LExpression:
     """Canonicalized inverse normalizing factor, memoized per (case, w, class)."""
-    key = (case, w.name, cls)
-    if key not in _FACTOR_CACHE:
-        lam, _ = lambda_for_case(case)
-        _FACTOR_CACHE[key] = canonicalize(inverse_norm_factor(lam, w, _SYSTEM), cls)
-    return _FACTOR_CACHE[key]
+    lam, _ = lambda_for_case(case)
+    return canonicalize(inverse_norm_factor(lam, w, _SYSTEM), cls)
 
 
 @dataclass(frozen=True)
@@ -260,7 +255,7 @@ def _common_factor(exprs: list[LExpression]) -> LExpression:
 
 
 def _group_weights(case: str, group: list[WeylElement], profile: PlaceProfile,
-                   s0: Q, cls: CharClass, rules: RuleTable):
+                   s0: Q, rules: RuleTable):
     """Per-member weights (+-1), base-kernel detection, and notes.
 
     The shortest member is the base; its action rows supply kernel
@@ -309,14 +304,13 @@ def _group_weights(case: str, group: list[WeylElement], profile: PlaceProfile,
 
 
 def evaluate_group(case: str, group: list[WeylElement], profile: PlaceProfile,
-                   s0: Q, cls: CharClass, rules: RuleTable,
-                   system: CRootSystem) -> GroupReport:
+                   s0: Q, cls: CharClass, rules: RuleTable) -> GroupReport:
     """Order (and leading, when certified) of one same-target group."""
     exprs = {w.name: factor_expression(case, w, cls) for w in group}
     locals_ = {w.name: local_order_sum(case, profile, w, s0, rules) for w in group}
     members = [w.name for w in group]
 
-    weights, kernel, notes = _group_weights(case, group, profile, s0, cls, rules)
+    weights, kernel, notes = _group_weights(case, group, profile, s0, rules)
     if kernel:
         return GroupReport(members, None, None, cancelled=False, kernel_killed=True,
                            weights={k: str(v) for k, v in weights.items()},
@@ -327,8 +321,7 @@ def evaluate_group(case: str, group: list[WeylElement], profile: PlaceProfile,
         ov = order_at(exprs[w.name], cls, s0).shifted(-locals_[w.name])
         leading = None
         if ov.is_known:
-            g = germs.germ_at(exprs[w.name], cls, s0)
-            leading = g.leading.render()
+            leading = germ_at(exprs[w.name], cls, s0).leading.render()
         return GroupReport(members, ov, leading, cancelled=False,
                            note="; ".join(notes))
 
@@ -340,16 +333,16 @@ def evaluate_group(case: str, group: list[WeylElement], profile: PlaceProfile,
     common = _common_factor(list(exprs.values()))
     common_order = order_at(common, cls, s0)
     inv = common.inverse()
-    series_terms: list[tuple[Series, Q]] = []
+    terms = []
     for w in group:
         rem = exprs[w.name] * inv
         _, deps = split_expression(rem, cls, s0)
         if deps:
             raise IndeterminateLeading(
                 "strip-order symbols differ within a same-target group")
-        series_terms.append((known_part_series(rem, cls, s0), weights[w.name]))
-    out: GermSum = sum_series(series_terms)
-    cancelled = out.order.base > min(s.ord for s, _ in series_terms)
+        terms.append((germ_at(rem, cls, s0), weights[w.name]))
+    out = sum_germs(terms, require_certified=False)
+    cancelled = out.order.base > min(g.order for g, _ in terms)
     total = (common_order + out.order).shifted(-shared_local)
     leading = out.leading.render() if out.leading is not None and out.order.is_known else None
     return GroupReport(members, total, leading, cancelled=cancelled,
@@ -477,20 +470,14 @@ def choice_label(case: str, place: Place, s0: Q, token: str, rules: RuleTable) -
     return res.carrier
 
 
-_LONGEST = {"heisenberg": None, "siegel": None}
-
-
+@cache
 def _longest(case: str) -> WeylElement:
-    if _LONGEST[case] is None:
-        reps = coset_representatives(case)
-        _LONGEST[case] = max(reps, key=lambda w: w.length)
-    return _LONGEST[case]
+    return max(coset_representatives(case), key=lambda w: w.length)
 
 
-def describe_image(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
+def describe_image(case: str, profile: PlaceProfile, s0: Q,
                    groups: list[GroupReport], group_elements: list[list[WeylElement]],
-                   combined: OrderValue, vanishes: bool,
-                   rules: RuleTable, system: CRootSystem) -> list[ImageEntry]:
+                   vanishes: bool, rules: RuleTable) -> list[ImageEntry]:
     """Label-level image description per ramified place.
 
     When the identity summand survives at the minimal order the map embeds
@@ -559,11 +546,9 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
         ))
 
     group_elements = same_target_groups(case, s0, cls, system)
-    groups = [evaluate_group(case, g, profile, s0, cls, rules, system)
-              for g in group_elements]
+    groups = [evaluate_group(case, g, profile, s0, cls, rules) for g in group_elements]
     combined, pole, deps, vanishes = _combine_orders(groups)
-    image = describe_image(case, profile, s0, cls, groups, group_elements,
-                           combined, vanishes, rules, system)
+    image = describe_image(case, profile, s0, groups, group_elements, vanishes, rules)
     notes = [g.note for g in groups if g.note]
     return ConstantTermReport(
         case=case, char_class=cls, s0=s0, profile=profile,

@@ -18,6 +18,13 @@ drive cancellation detection in sums of germs.  Two atoms that are not
 plainly nonzero carry a nonzeroness assertion that the numeric layer
 cross-checks: the shared constant Laurent coefficient of completed zeta
 at its poles, and the derivative of a quadratic completed L at 0.
+
+Series are expanded only as deep as the answer needs.  Every symbol's
+leading coefficient is a nonzero monomial, so the germ of a product is
+read off one coefficient per symbol.  A weighted sum of germs starts at
+one coefficient and adds one at a time until a formally nonzero leading
+term survives; ``SERIES_DEPTH`` caps that loop, and a sum that cancels
+through the cap is reported as a floor at the truncation order.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Iterable, Sequence
 from .characters import AffineForm, CharClass, power_class, reduce_power
 from .normfactor import EPS, L, LExpression, LSymbol
 
-SERIES_DEPTH = 5
+SERIES_DEPTH = 5  # most coefficients a germ sum examines before giving a floor
 
 # Knowledge base: facts about completed L-functions, by coarse class.
 COMPLETED_L_FACTS = {
@@ -333,11 +340,11 @@ class Series:
             self.coeffs = self.coeffs[: self.prec - self.ord]
 
     @staticmethod
-    def constant(c: FormalScalar, depth: int = SERIES_DEPTH) -> "Series":
+    def constant(c: FormalScalar, depth: int) -> "Series":
         return Series(0, [c] + [FormalScalar.zero()] * (depth - 1))
 
     @staticmethod
-    def exact_one(depth: int = SERIES_DEPTH) -> "Series":
+    def exact_one(depth: int) -> "Series":
         return Series.constant(FormalScalar.rational(1), depth)
 
     def __mul__(self, other: "Series") -> "Series":
@@ -571,7 +578,7 @@ def _eps_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
     return Series(0, coeffs)
 
 
-def classify_symbol(sym: LSymbol, cls: CharClass, s0: Q) -> str:
+def classify_symbol(sym: LSymbol, s0: Q) -> str:
     """One of "known", "strip" for the symbol at the given point.
 
     Epsilon factors are entire and nonvanishing, so always known; L-symbols
@@ -597,8 +604,9 @@ def symbol_order(sym: LSymbol, cls: CharClass, s0: Q) -> int:
     return 0
 
 
-def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int = SERIES_DEPTH) -> Series:
-    """Truncated Laurent expansion of one symbol around s0 (non-strip only)."""
+def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
+    """Laurent expansion of one symbol around s0 to ``depth`` coefficients
+    (non-strip only)."""
     eff = power_class(cls, sym.power)
     u0 = sym.arg.at(s0)
     a = sym.arg.a
@@ -632,7 +640,7 @@ def split_expression(expr: LExpression, cls: CharClass, s0: Q):
     known: list[tuple[LSymbol, int]] = []
     deps: list[StripDep] = []
     for sym, e in expr.factors:
-        if classify_symbol(sym, cls, s0) == "strip":
+        if classify_symbol(sym, s0) == "strip":
             deps.append(StripDep(_class_symbol_render(sym, cls), sym.arg.at(s0), e))
         else:
             known.append((sym, e))
@@ -648,41 +656,53 @@ def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
 
 @dataclass
 class Germ:
-    """Exact order plus formal leading coefficient (and its series)."""
+    """Exact order and formal leading coefficient of an expression at a point.
 
+    The expression is kept so that a sum of germs can expand it exactly as
+    deep as its cancellations need.
+    """
+
+    expr: LExpression
+    cls: CharClass
+    s0: Q
     order: int
     leading: FormalScalar
-    series: Series
     certified: bool = True
+
+    def series(self, depth: int) -> Series:
+        return known_part_series(self.expr, self.cls, self.s0, depth)
 
     def render(self) -> str:
         return f"order {self.order}, leading {self.leading.render()}"
 
 
-def known_part_series(expr: LExpression, cls: CharClass, s0: Q,
-                      depth: int = SERIES_DEPTH) -> Series:
+def known_part_series(expr: LExpression, cls: CharClass, s0: Q, depth: int) -> Series:
+    """Product of the non-strip symbols' series, ``depth`` coefficients deep."""
     out = Series.exact_one(depth).scale(expr.scalar)
     for sym, e in expr.factors:
-        if classify_symbol(sym, cls, s0) == "strip":
+        if classify_symbol(sym, s0) == "strip":
             continue
         out = out * symbol_series(sym, cls, s0, depth).power(e)
     return out
 
 
-def germ_at(expr: LExpression, cls: CharClass, s0: Q,
-            depth: int = SERIES_DEPTH) -> Germ:
-    """Germ of the expression at s0; refuses strip-unknown orders."""
+def germ_at(expr: LExpression, cls: CharClass, s0: Q, depth: int = 1) -> Germ:
+    """Germ of the expression at s0; refuses strip-unknown orders.
+
+    One coefficient per symbol suffices: each symbol's leading coefficient
+    is a nonzero monomial, so their product cannot cancel.  A larger
+    ``depth`` expands further and gives the same germ.
+    """
     known, deps = split_expression(expr, cls, s0)
     if deps:
         raise StripOrderUnknown(
             "order depends on unknown strip zeros: "
             + ", ".join(d.render() for d in deps))
-    series = known_part_series(expr, cls, s0, depth)
-    got = series.leading()
+    got = known_part_series(expr, cls, s0, depth).leading()
     if got is None:  # pragma: no cover - a product of nonzero leadings
         raise IndeterminateLeading("empty series")
     order, lead = got
-    return Germ(order, lead, series, certified=lead.certified_nonzero())
+    return Germ(expr, cls, s0, order, lead, certified=lead.certified_nonzero())
 
 
 @dataclass
@@ -713,12 +733,17 @@ def sum_series(terms: list[tuple[Series, Q]]) -> GermSum:
 def sum_germs(terms: list[tuple[Germ, Q]], require_certified: bool = True) -> GermSum:
     """Weighted sum of germs with exact cancellation detection.
 
-    The minimum order wins; when leading coefficients cancel formally the
-    next Laurent coefficient is consulted.  If the surviving coefficient
-    cannot be certified nonzero the result is only a floor; with
-    ``require_certified`` that situation raises ``IndeterminateLeading``.
+    The minimum order wins.  The sum starts from one Laurent coefficient
+    per germ; while its leading coefficients cancel formally, every germ
+    is expanded one coefficient deeper, up to ``SERIES_DEPTH``.  If the
+    surviving coefficient cannot be certified nonzero, or everything up to
+    the cap cancels, the result is only a floor; with ``require_certified``
+    that situation raises ``IndeterminateLeading``.
     """
-    out = sum_series([(g.series, w) for g, w in terms])
+    for depth in range(1, SERIES_DEPTH + 1):
+        out = sum_series([(g.series(depth), w) for g, w in terms])
+        if out.leading is not None:
+            break
     if require_certified and not out.exact:
         raise IndeterminateLeading(
             "indeterminate leading coefficient: "

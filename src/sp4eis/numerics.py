@@ -426,8 +426,3 @@ def estimate_order(expr: LExpression, cls: CharClass, s0: Q,
     fitted = round(slope)
     return OrderEstimate(slope, int(fitted), abs(slope - fitted))
 
-
-def limit_along(f, base: float, ks=(2, 3, 4, 5, 6)) -> complex:
-    """Richardson-free limit probe: f(base + 10^-k) for decreasing offsets."""
-    vals = [f(base + 10.0 ** (-k)) for k in ks]
-    return vals[-1]

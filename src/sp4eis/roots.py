@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Iterable
 
 RootVector = tuple[Q, ...]
 
@@ -141,11 +141,10 @@ class CRootSystem:
             v = [Q(0)] * n
             v[i] = Q(2)
             roots.append(tuple(v))
-        simple = self.simple_roots()
 
         def height(r: RootVector) -> Q:
             # expand in the simple-root basis; for type C this is integral
-            coeffs = self._simple_coords(r, simple)
+            coeffs = self._simple_coords(r)
             return sum(coeffs, Q(0))
 
         roots.sort(key=lambda r: (height(r), tuple(-c for c in r)))
@@ -153,7 +152,7 @@ class CRootSystem:
         return list(roots)
 
     @staticmethod
-    def _simple_coords(r: RootVector, simple: Sequence[RootVector]) -> list[Q]:
+    def _simple_coords(r: RootVector) -> list[Q]:
         # back-substitution: e_n = alpha_n / 2, e_i = alpha_i + e_{i+1}
         n = len(r)
         coeffs_e = list(r)

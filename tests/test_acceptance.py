@@ -171,11 +171,11 @@ def test_criterion_6_cancellations():
     groups = same_target_groups("siegel", Q(1, 2), QU)
     pair = [g for g in groups if len(g) == 2][0]
     odd = PlaceProfile((Place("arch", TR), Place("nonarch", QU, "t2")))
-    g_odd = evaluate_group("siegel", pair, odd, Q(1, 2), QU, rules, SYS)
+    g_odd = evaluate_group("siegel", pair, odd, Q(1, 2), QU, rules)
     assert g_odd.order == OrderValue.known(0) and g_odd.cancelled
     even = PlaceProfile((Place("arch", TR), Place("nonarch", QU, "t2"),
                          Place("nonarch", QU, "t2")))
-    g_even = evaluate_group("siegel", pair, even, Q(1, 2), QU, rules, SYS)
+    g_even = evaluate_group("siegel", pair, even, Q(1, 2), QU, rules)
     assert g_even.order == OrderValue.known(-1)
     # the vanishing of the bracket is exact of order one
     f = AffineForm.of

@@ -149,3 +149,40 @@ def test_scenario_default_profile():
     sc = scenario_from_dict({"case": "heisenberg", "char_class": "other"})
     assert sc.profile.places[0].kind == "arch"
     assert sc.profile.places[0].local_class.value == "other"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["poles", "--case", "siegel", "--char-class", "trivial", "--s0", "0",
+      "--place", "arch:trivial:steinberg"], "UncoveredKey"),
+    (["poles", "--case", "siegel", "--s0", "1/2", "--place", "arch:trivial:t1"],
+     "UnknownChoice"),
+    (["poles", "--char-class", "sgn"], "ScenarioError"),
+    (["poles", "--place", "arch:trivial"], "ScenarioError"),
+    (["poles", "--place", "nonarch:trivial:spherical"], "ProfileError"),
+])
+def test_typed_errors_one_line_exit_2(capsys, argv, error):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"sp4eis: {error}: "), lines[0]
+
+
+def test_indeterminate_leading_exit_2(tmp_path, capsys):
+    # a local pole on one member of the Siegel pair at 1/2 but not on the
+    # other leaves the pair's cancellation unanalyzed
+    import importlib.resources
+    text = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
+    catch_all = "pole|siegel|c2,sc2,c2sc2|*|*|always|0|||holomorphic otherwise\n"
+    assert catch_all in text
+    p = tmp_path / "uneven_rules.txt"
+    p.write_text(text.replace(
+        catch_all, "pole|siegel|c2sc2|arch|sgn|eq:1/2|1|st_sl2|t1|uneven\n" + catch_all),
+        encoding="utf-8")
+    code = main(["poles", "--case", "siegel", "--char-class", "quadratic", "--s0", "1/2",
+                 "--place", "arch:sgn:t1", "--rules", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sp4eis: IndeterminateLeading: ") and err.count("\n") == 1

@@ -1,13 +1,18 @@
 """Order arithmetic, germ sums with cancellation, functional-equation rewrites."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 
 from sp4eis.characters import AffineForm, CharClass, heisenberg_lambda, siegel_lambda
+from sp4eis.constant_term import (
+    _common_factor, coset_representatives, factor_expression, same_target_groups,
+)
 from sp4eis.germs import (
-    DegenerateSymbol, IndeterminateLeading, OrderValue, StripOrderUnknown,
-    apply_functional_equation, germ_at, order_at, sum_germs,
+    SERIES_DEPTH, DegenerateSymbol, IndeterminateLeading, OrderValue, StripOrderUnknown,
+    apply_functional_equation, germ_at, known_part_series, order_at, split_expression,
+    sum_germs, sum_series,
 )
 from sp4eis.normfactor import (
     EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor,
@@ -220,6 +225,67 @@ def test_double_pole_cancellation_siegel():
     # the double poles cancel, a simple pole with a nonzero coefficient remains
     assert out.order == OrderValue.known(-1)
     assert out.leading.render() == "Lam_c*Lam(2)^-2"
+
+
+def test_total_cancellation_floors_at_the_cap():
+    g = germ_at(_expr("heisenberg", "s", TR), TR, Q(0))
+    out = sum_germs([(g, Q(1)), (g, Q(-1))], require_certified=False)
+    assert out.leading is None
+    assert out.order == OrderValue.at_least(g.order + SERIES_DEPTH)
+    with pytest.raises(IndeterminateLeading, match="all examined terms cancel"):
+        sum_germs([(g, Q(1)), (g, Q(-1))])
+
+
+# ---------------------------------------------------------------------------
+# depth on demand gives the answers of a fixed depth
+# ---------------------------------------------------------------------------
+
+CASE_CLASSES = [(case, cls) for case in ("heisenberg", "siegel") for cls in (TR, QU, OT)]
+GRID = [Q(k, 8) for k in range(-48, 49)]
+
+
+def _render(x):
+    return None if x is None else x.render()
+
+
+@pytest.mark.parametrize("case, cls", CASE_CLASSES, ids=lambda x: getattr(x, "value", x))
+def test_singleton_germ_matches_full_depth(case, cls):
+    checked = 0
+    for w in coset_representatives(case):
+        expr = factor_expression(case, w, cls)
+        for s0 in GRID:
+            if split_expression(expr, cls, s0)[1]:
+                continue
+            lazy, full = germ_at(expr, cls, s0), germ_at(expr, cls, s0, depth=SERIES_DEPTH)
+            assert (lazy.order, lazy.leading.render(), lazy.certified) == \
+                (full.order, full.leading.render(), full.certified), (w.name, s0)
+            checked += 1
+    assert checked > 100
+
+
+def test_group_sum_matches_full_depth():
+    # every sign pattern, since the rule table weights members by +-1
+    checked = 0
+    for (case, cls), s0 in itertools.product(CASE_CLASSES, GRID):
+        for group in same_target_groups(case, s0, cls):
+            if len(group) == 1:
+                continue
+            exprs = [factor_expression(case, w, cls) for w in group]
+            inv = _common_factor(exprs).inverse()
+            rems = [e * inv for e in exprs]
+            germs = [germ_at(r, cls, s0) for r in rems]
+            series = [known_part_series(r, cls, s0, SERIES_DEPTH) for r in rems]
+            for signs in itertools.product((Q(1), Q(-1)), repeat=len(group) - 1):
+                weights = (Q(1),) + signs
+                lazy = sum_germs(list(zip(germs, weights)), require_certified=False)
+                full = sum_series(list(zip(series, weights)))
+                lazy_cancelled = lazy.order.base > min(g.order for g in germs)
+                full_cancelled = full.order.base > min(x.ord for x in series)
+                assert (lazy.order, _render(lazy.leading), lazy_cancelled) == \
+                    (full.order, _render(full.leading), full_cancelled), \
+                    ([w.name for w in group], s0, weights)
+                checked += 1
+    assert checked == 28  # 14 same-target pairs, two sign patterns each
 
 
 # ---------------------------------------------------------------------------
