@@ -27,15 +27,17 @@ from .characters import lambda_for_case, parse_class, weyl_act
 from .checks import run_numeric_checks
 from .constant_term import ProfileError, coset_representatives, eisenstein_order
 from .germs import IndeterminateLeading
-from .localrules import UncoveredKey, UnknownChoice, load_rules
+from .localrules import RuleTableError, UncoveredKey, UnknownChoice, load_rules
 from .normfactor import canonicalize, inverse_norm_factor
-from .roots import CRootSystem
+from .numerics import QUADRATIC_DISCRIMINANTS
+from .roots import CRootSystem, WeylElement
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from .theorems import theorem_ids, verify_theorem
 
 JSON_KW = dict(indent=2, sort_keys=True)
 
-INPUT_ERRORS = (ScenarioError, ProfileError, UncoveredKey, UnknownChoice, IndeterminateLeading)
+INPUT_ERRORS = (ScenarioError, ProfileError, RuleTableError, UncoveredKey, UnknownChoice,
+                IndeterminateLeading)
 
 
 def _emit(args, text: str) -> None:
@@ -77,11 +79,18 @@ def cmd_weyl(args) -> int:
     return 0
 
 
+def _weyl_element(name: str) -> WeylElement:
+    """argparse type for ``--w``: an unknown word is a usage error."""
+    try:
+        return CRootSystem(2).element_by_name(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def cmd_normfactor(args) -> int:
-    system = CRootSystem(2)
     lam, _ = lambda_for_case(args.case)
-    w = system.element_by_name(args.w)
-    expr = inverse_norm_factor(lam, w, system)
+    w = args.w  # parsed by _weyl_element
+    expr = inverse_norm_factor(lam, w, CRootSystem(2))
     cls = parse_class(args.char_class) if args.char_class else None
     rendered = canonicalize(expr, cls).render() if cls else expr.render()
     if args.json:
@@ -169,6 +178,8 @@ def cmd_numcheck(args) -> int:
     if args.scenario:
         scenario = load_scenario(args.scenario)
         modulus = scenario.modulus or modulus
+    if modulus not in QUADRATIC_DISCRIMINANTS:
+        raise ScenarioError(f"no built-in quadratic character of conductor {modulus}")
     rows = run_numeric_checks(modulus)
     ok = all(r.ok for r in rows)
     if args.json:
@@ -203,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normfactor", help="inverse normalizing factor of one element")
     p.add_argument("--case", choices=["heisenberg", "siegel"], required=True)
-    p.add_argument("--w", required=True, help="element name (id, s, c2s, sc2s / c1, sc1, c2, sc2, c2sc2)")
+    p.add_argument("--w", required=True, type=_weyl_element,
+                   help="element name (id, s, c2s, sc2s / c1, sc1, c2, sc2, c2sc2)")
     p.add_argument("--char-class", choices=["trivial", "quadratic", "other"],
                    help="reduce chi powers for this class")
     p.add_argument("--json", action="store_true")

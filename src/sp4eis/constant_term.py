@@ -19,7 +19,7 @@ from .characters import (
     CharClass, TorusCharacter, lambda_for_case, power_class, weyl_act,
 )
 from .germs import (
-    IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, split_expression, sum_germs,
+    IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, sum_germs,
 )
 from .localrules import (
     ARCH, ISO, KERNEL, NONARCH, LocalRuleKey, RuleTable, UncoveredKey, default_rules,
@@ -333,16 +333,13 @@ def evaluate_group(case: str, group: list[WeylElement], profile: PlaceProfile,
     common = _common_factor(list(exprs.values()))
     common_order = order_at(common, cls, s0)
     inv = common.inverse()
-    terms = []
-    for w in group:
-        rem = exprs[w.name] * inv
-        _, deps = split_expression(rem, cls, s0)
-        if deps:
-            raise IndeterminateLeading(
-                "strip-order symbols differ within a same-target group")
-        terms.append((germ_at(rem, cls, s0), weights[w.name]))
-    out = sum_germs(terms, require_certified=False)
-    cancelled = out.order.base > min(g.order for g, _ in terms)
+    terms = [(exprs[w.name] * inv, weights[w.name]) for w in group]
+    orders = [order_at(rem, cls, s0) for rem, _ in terms]
+    if not all(ov.is_known for ov in orders):
+        raise IndeterminateLeading(
+            "strip-order symbols differ within a same-target group")
+    out = sum_germs(terms, cls, s0)
+    cancelled = out.order.base > min(ov.base for ov in orders)
     total = (common_order + out.order).shifted(-shared_local)
     leading = out.leading.render() if out.leading is not None and out.order.is_known else None
     return GroupReport(members, total, leading, cancelled=cancelled,

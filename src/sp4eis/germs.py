@@ -19,12 +19,13 @@ plainly nonzero carry a nonzeroness assertion that the numeric layer
 cross-checks: the shared constant Laurent coefficient of completed zeta
 at its poles, and the derivative of a quadratic completed L at 0.
 
-Series are expanded only as deep as the answer needs.  Every symbol's
-leading coefficient is a nonzero monomial, so the germ of a product is
-read off one coefficient per symbol.  A weighted sum of germs starts at
-one coefficient and adds one at a time until a formally nonzero leading
-term survives; ``SERIES_DEPTH`` caps that loop, and a sum that cancels
-through the cap is reported as a floor at the truncation order.
+Series are expanded only as deep as the answer needs, all through
+``known_part_series``.  Every symbol's leading coefficient is a nonzero
+monomial, so ``germ_at`` reads a germ off one coefficient per symbol.
+``sum_germs`` expands weighted expressions from one coefficient, adding
+one at a time until a formally nonzero leading term survives, up to the
+``SERIES_DEPTH`` cap; a sum that cancels through it is a floor at the
+truncation order.  ``symbol_series`` refuses strip symbols.
 """
 
 from __future__ import annotations
@@ -340,12 +341,8 @@ class Series:
             self.coeffs = self.coeffs[: self.prec - self.ord]
 
     @staticmethod
-    def constant(c: FormalScalar, depth: int) -> "Series":
-        return Series(0, [c] + [FormalScalar.zero()] * (depth - 1))
-
-    @staticmethod
     def exact_one(depth: int) -> "Series":
-        return Series.constant(FormalScalar.rational(1), depth)
+        return Series(0, [FormalScalar.rational(1)] + [FormalScalar.zero()] * (depth - 1))
 
     def __mul__(self, other: "Series") -> "Series":
         n1, n2 = len(self.coeffs), len(other.coeffs)
@@ -377,8 +374,6 @@ class Series:
         return Series(-self.ord, out, -self.ord + n)
 
     def power(self, e: int) -> "Series":
-        if e == 0:
-            return Series.exact_one(len(self.coeffs))
         base = self if e > 0 else self.inverse()
         out = base
         for _ in range(abs(e) - 1):
@@ -656,66 +651,40 @@ def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
 
 @dataclass
 class Germ:
-    """Exact order and formal leading coefficient of an expression at a point.
+    """Exact order and formal leading coefficient of an expression at a point."""
 
-    The expression is kept so that a sum of germs can expand it exactly as
-    deep as its cancellations need.
-    """
-
-    expr: LExpression
-    cls: CharClass
-    s0: Q
     order: int
     leading: FormalScalar
     certified: bool = True
 
-    def series(self, depth: int) -> Series:
-        return known_part_series(self.expr, self.cls, self.s0, depth)
-
-    def render(self) -> str:
-        return f"order {self.order}, leading {self.leading.render()}"
-
 
 def known_part_series(expr: LExpression, cls: CharClass, s0: Q, depth: int) -> Series:
-    """Product of the non-strip symbols' series, ``depth`` coefficients deep."""
+    """Product of the symbols' series, ``depth`` coefficients deep."""
     out = Series.exact_one(depth).scale(expr.scalar)
     for sym, e in expr.factors:
-        if classify_symbol(sym, s0) == "strip":
-            continue
         out = out * symbol_series(sym, cls, s0, depth).power(e)
     return out
 
 
-def germ_at(expr: LExpression, cls: CharClass, s0: Q, depth: int = 1) -> Germ:
+def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> Germ:
     """Germ of the expression at s0; refuses strip-unknown orders.
 
     One coefficient per symbol suffices: each symbol's leading coefficient
-    is a nonzero monomial, so their product cannot cancel.  A larger
-    ``depth`` expands further and gives the same germ.
+    is a nonzero monomial, so their product cannot cancel.
     """
-    known, deps = split_expression(expr, cls, s0)
-    if deps:
-        raise StripOrderUnknown(
-            "order depends on unknown strip zeros: "
-            + ", ".join(d.render() for d in deps))
-    got = known_part_series(expr, cls, s0, depth).leading()
+    got = known_part_series(expr, cls, s0, 1).leading()
     if got is None:  # pragma: no cover - a product of nonzero leadings
         raise IndeterminateLeading("empty series")
     order, lead = got
-    return Germ(expr, cls, s0, order, lead, certified=lead.certified_nonzero())
+    return Germ(order, lead, certified=lead.certified_nonzero())
 
 
 @dataclass
 class GermSum:
-    """Result of summing germs: exact when certified, else a floor."""
+    """Result of a weighted sum: exact when certified, else a floor."""
 
     order: OrderValue
     leading: FormalScalar | None
-    series: Series
-
-    @property
-    def exact(self) -> bool:
-        return self.order.is_known
 
 
 def sum_series(terms: list[tuple[Series, Q]]) -> GermSum:
@@ -723,31 +692,27 @@ def sum_series(terms: list[tuple[Series, Q]]) -> GermSum:
         else Series(0, [FormalScalar.zero()], 1)
     got = total.leading()
     if got is None:
-        return GermSum(OrderValue.at_least(total.prec), None, total)
+        return GermSum(OrderValue.at_least(total.prec), None)
     order, lead = got
     if lead.certified_nonzero():
-        return GermSum(OrderValue.known(order), lead, total)
-    return GermSum(OrderValue.at_least(order), lead, total)
+        return GermSum(OrderValue.known(order), lead)
+    return GermSum(OrderValue.at_least(order), lead)
 
 
-def sum_germs(terms: list[tuple[Germ, Q]], require_certified: bool = True) -> GermSum:
-    """Weighted sum of germs with exact cancellation detection.
+def sum_germs(terms: list[tuple[LExpression, Q]], cls: CharClass, s0: Q) -> GermSum:
+    """Weighted sum of expressions at s0 with exact cancellation detection.
 
     The minimum order wins.  The sum starts from one Laurent coefficient
-    per germ; while its leading coefficients cancel formally, every germ
-    is expanded one coefficient deeper, up to ``SERIES_DEPTH``.  If the
-    surviving coefficient cannot be certified nonzero, or everything up to
-    the cap cancels, the result is only a floor; with ``require_certified``
-    that situation raises ``IndeterminateLeading``.
+    per expression; while its leading coefficients cancel formally, every
+    expression is expanded one coefficient deeper, up to ``SERIES_DEPTH``.
+    If the surviving coefficient cannot be certified nonzero, or everything
+    up to the cap cancels, the result is only a floor.  An expression with
+    a strip symbol raises ``StripOrderUnknown``.
     """
     for depth in range(1, SERIES_DEPTH + 1):
-        out = sum_series([(g.series(depth), w) for g, w in terms])
+        out = sum_series([(known_part_series(e, cls, s0, depth), w) for e, w in terms])
         if out.leading is not None:
             break
-    if require_certified and not out.exact:
-        raise IndeterminateLeading(
-            "indeterminate leading coefficient: "
-            + (out.leading.render() if out.leading is not None else "all examined terms cancel"))
     return out
 
 

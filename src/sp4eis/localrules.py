@@ -17,6 +17,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cache
 from pathlib import Path
 
 from .characters import CharClass
@@ -284,17 +285,16 @@ def load_rules(path: str | Path | None = None) -> RuleTable:
         res = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt")
         return parse_rules(res.read_text(encoding="utf-8"), source="data/local_rules.txt")
     p = Path(path)
-    return parse_rules(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise RuleTableError(f"{p}: {exc.strerror}") from None
+    return parse_rules(text, source=str(p))
 
 
-_DEFAULT: RuleTable | None = None
-
-
+@cache
 def default_rules() -> RuleTable:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_rules()
-    return _DEFAULT
+    return load_rules()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cache
 
 from .characters import CharClass, power_class
 from .normfactor import EPS, LExpression
@@ -107,14 +108,9 @@ def gamma(z: complex) -> complex:
 # Euler-Maclaurin zeta and Hurwitz zeta
 # ---------------------------------------------------------------------------
 
-_BERN_CACHE: list[Q] | None = None
-
-
-def _bernoulli(upto: int) -> list[Q]:
-    global _BERN_CACHE
-    if _BERN_CACHE is None or len(_BERN_CACHE) < upto:
-        _BERN_CACHE = bernoulli_numbers(upto)
-    return _BERN_CACHE
+@cache
+def _bernoulli(upto: int) -> tuple[Q, ...]:
+    return tuple(bernoulli_numbers(upto))
 
 
 def _phi_expm1(w: complex) -> complex:
@@ -307,12 +303,15 @@ def _squarefree(n: int) -> bool:
     return True
 
 
+# fundamental discriminant of the real primitive character of each built-in conductor
+QUADRATIC_DISCRIMINANTS = {3: -3, 4: -4, 5: 5, 7: -7, 8: 8, 11: -11, 12: 12}
+
+
 def table_for_modulus(q: int) -> DirichletTable:
     """The real primitive quadratic character of conductor q (small q)."""
-    discs = {3: -3, 4: -4, 5: 5, 7: -7, 8: 8, 11: -11, 12: 12}
-    if q not in discs:
+    if q not in QUADRATIC_DISCRIMINANTS:
         raise ValueError(f"no built-in quadratic character of conductor {q}")
-    return quadratic_table(discs[q])
+    return quadratic_table(QUADRATIC_DISCRIMINANTS[q])
 
 
 def dirichlet_l(tbl: DirichletTable, s: complex) -> complex:

@@ -106,6 +106,13 @@ class Scenario:
         }
 
 
+def _class(text: str, source: str) -> CharClass:
+    try:
+        return parse_class(text)
+    except ValueError as exc:
+        raise ScenarioError(f"{source}: {exc}") from None
+
+
 def default_arch_class(cls: CharClass) -> CharClass:
     return CharClass.OTHER if cls is CharClass.OTHER else CharClass.TRIVIAL
 
@@ -117,7 +124,7 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(f"{source}: missing required key 'case'") from None
     if case not in ("heisenberg", "siegel"):
         raise ScenarioError(f"{source}: unknown case {case!r}")
-    cls = parse_class(data.get("char_class", "trivial"))
+    cls = _class(data.get("char_class", "trivial"), source)
     if cls is CharClass.SGN:
         raise ScenarioError(f"{source}: 'sgn' is a local class; use char_class='quadratic'")
     try:
@@ -129,7 +136,7 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
         places = []
         for p in places_data:
             places.append(Place(p.get("kind", "nonarch"),
-                                parse_class(p.get("class", "trivial")),
+                                _class(p.get("class", "trivial"), source),
                                 p.get("choice", "spherical")))
         profile = PlaceProfile(tuple(places))
     else:
@@ -141,16 +148,25 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
     theorems = [str(t) for t in data.get("theorems", ["H+", "H-", "S+", "S-"])]
     modulus = data.get("modulus")
     if modulus is not None:
-        modulus = int(modulus)
+        try:
+            modulus = int(modulus)
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{source}: bad modulus {modulus!r}") from None
     return Scenario(case=case, char_class=cls, s0_list=s0_list, profile=profile,
                     modulus=modulus, checks=checks, theorems=theorems)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
-    if tomllib is not None:
-        with p.open("rb") as fh:
-            data = tomllib.load(fh)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"{p}: {exc.strerror}") from None
+    if tomllib is None:
+        data = parse_toml_subset(text, source=str(p))
     else:
-        data = parse_toml_subset(p.read_text(encoding="utf-8"), source=str(p))
+        try:
+            data = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise ScenarioError(f"{p}: {exc}") from None
     return scenario_from_dict(data, source=str(p))

@@ -152,9 +152,9 @@ def test_criterion_5_eps_identity():
 
 def test_criterion_6_cancellations():
     # short-element pair at the Heisenberg origin
-    rs = germ_at(_expr("heisenberg", "s", TR), TR, Q(0))
-    rsc1 = germ_at(_expr("heisenberg", "sc1", TR), TR, Q(0))
-    out = sum_germs([(rs, Q(1)), (rsc1, Q(1))])
+    rs = _expr("heisenberg", "s", TR)
+    rsc1 = _expr("heisenberg", "sc1", TR)
+    out = sum_germs([(rs, Q(1)), (rsc1, Q(1))], TR, Q(0))
     assert out.order == OrderValue.known(0)
     assert out.leading.render() == "2*Lam_c*Lam(2)^-1"
     assert out.leading.certified_nonzero()
@@ -180,9 +180,9 @@ def test_criterion_6_cancellations():
     # the vanishing of the bracket is exact of order one
     f = AffineForm.of
     bracket = sum_germs([
-        (germ_at(LExpression.build(Q(1), {LSymbol(L, f(-1, Q(1, 2)), 1): 1}), QU, Q(1, 2)), Q(1)),
-        (germ_at(LExpression.build(Q(1), {LSymbol(L, f(1, Q(-1, 2)), 1): 1}), QU, Q(1, 2)), Q(-1)),
-    ])
+        (LExpression.build(Q(1), {LSymbol(L, f(-1, Q(1, 2)), 1): 1}), Q(1)),
+        (LExpression.build(Q(1), {LSymbol(L, f(1, Q(-1, 2)), 1): 1}), Q(-1)),
+    ], QU, Q(1, 2))
     assert bracket.order == OrderValue.known(1)
     _report(6, "pole cancellations verified: short pair at the origin "
                "(order 0, nonzero), numeric limit nonzero, odd-parity "

@@ -143,6 +143,10 @@ def test_scenario_validation():
         scenario_from_dict({"case": "siegel", "checks": ["podium"]})
     with pytest.raises(ScenarioError):
         scenario_from_dict({"case": "siegel", "char_class": "sgn"})
+    with pytest.raises(ScenarioError):
+        scenario_from_dict({"case": "siegel", "places": [{"kind": "arch", "class": "bogus"}]})
+    with pytest.raises(ScenarioError):
+        scenario_from_dict({"case": "siegel", "modulus": "x"})
 
 
 def test_scenario_default_profile():
@@ -159,15 +163,30 @@ def test_scenario_default_profile():
     (["poles", "--char-class", "sgn"], "ScenarioError"),
     (["poles", "--place", "arch:trivial"], "ScenarioError"),
     (["poles", "--place", "nonarch:trivial:spherical"], "ProfileError"),
+    (["poles", "--char-class", "bogus"], "ScenarioError"),
+    (["poles", "--scenario", "{tmp}/missing.toml"], "ScenarioError"),
+    (["poles", "--scenario", "{tmp}/malformed.toml"], "ScenarioError"),
+    (["verify", "--rules", "{tmp}/missing.txt"], "RuleTableError"),
+    (["verify", "--rules", "{tmp}/malformed.txt"], "RuleTableError"),
+    (["numcheck", "--modulus", "6"], "ScenarioError"),
 ])
-def test_typed_errors_one_line_exit_2(capsys, argv, error):
-    code = main(argv)
+def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
+    (tmp_path / "malformed.toml").write_text("case = \n", encoding="utf-8")
+    (tmp_path / "malformed.txt").write_text("nonsense|row\n", encoding="utf-8")
+    code = main([a.format(tmp=tmp_path) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"sp4eis: {error}: "), lines[0]
+
+
+def test_unknown_weyl_word_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["normfactor", "--case", "heisenberg", "--w", "zz"])
+    assert exc.value.code == 2
+    assert "cannot parse Weyl word 'zz'" in capsys.readouterr().err
 
 
 def test_indeterminate_leading_exit_2(tmp_path, capsys):

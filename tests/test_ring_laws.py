@@ -1,0 +1,73 @@
+"""Ring laws of FormalScalar and identities of truncated Laurent Series."""
+
+from fractions import Fraction as Q
+from functools import reduce
+
+from hypothesis import given, strategies as st
+
+from sp4eis.germs import Atom, FormalScalar, Series
+
+# a few atoms of different kinds, including the self-dual eps(1/2) whose
+# square reduces to 1
+ATOMS = [
+    Atom("zval", (Q(2),)),
+    Atom("zder", (Q(1), 1)),
+    Atom("lval", ("quadratic", Q(1))),
+    Atom("epsv", ("quadratic", Q(1, 2))),
+]
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+monomials = st.dictionaries(st.sampled_from(ATOMS), st.integers(-2, 2), max_size=3) \
+    .map(lambda d: tuple(d.items()))
+scalars = st.dictionaries(monomials, coefficients, max_size=3).map(
+    lambda d: reduce(FormalScalar.__add__,
+                     (FormalScalar.monomial(m, c) for m, c in d.items()), FormalScalar.zero()))
+nonzero_monomials = st.builds(FormalScalar.monomial, monomials, coefficients.filter(bool))
+
+
+@st.composite
+def series(draw):
+    """A truncated series whose leading coefficient is an invertible monomial."""
+    head = draw(nonzero_monomials)
+    tail = draw(st.lists(scalars, max_size=3))
+    return Series(draw(st.integers(-2, 2)), [head] + tail)
+
+
+def same_series(a: Series, b: Series) -> bool:
+    return (a.ord, a.prec, [c.terms for c in a.coeffs]) == \
+        (b.ord, b.prec, [c.terms for c in b.coeffs])
+
+
+@given(scalars, scalars, scalars)
+def test_scalar_associativity(x, y, z):
+    assert ((x + y) + z).terms == (x + (y + z)).terms
+    assert ((x * y) * z).terms == (x * (y * z)).terms
+
+
+@given(scalars, scalars)
+def test_scalar_commutativity(x, y):
+    assert (x + y).terms == (y + x).terms
+    assert (x * y).terms == (y * x).terms
+
+
+@given(scalars, scalars, scalars)
+def test_scalar_distributivity(x, y, z):
+    assert (x * (y + z)).terms == (x * y + x * z).terms
+
+
+@given(series())
+def test_series_inverse_times_self_is_one(s):
+    assert same_series(s.inverse() * s, Series.exact_one(len(s.coeffs)))
+
+
+@given(series(), st.integers(-3, 3).filter(bool))
+def test_series_power_is_repeated_product(s, e):
+    base = s if e > 0 else s.inverse()
+    assert same_series(s.power(e), reduce(Series.__mul__, [base] * abs(e)))
+
+
+@given(st.lists(series(), min_size=1, max_size=4), st.randoms())
+def test_series_add_ignores_term_order(items, rnd):
+    shuffled = list(items)
+    rnd.shuffle(shuffled)
+    assert same_series(Series.add(items), Series.add(shuffled))
