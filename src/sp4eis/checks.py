@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .characters import CharClass, heisenberg_lambda, siegel_lambda
+from .characters import CharClass
+from .constant_term import factor_expression
 from .germs import order_at
-from .normfactor import LExpression, canonicalize, inverse_norm_factor
+from .normfactor import LExpression
 from .numerics import (
     completed_dirichlet, completed_zeta, estimate_order, eval_expression,
     table_for_modulus, zeta_direct, zeta_em,
@@ -26,6 +27,9 @@ from .roots import CRootSystem
 
 TR = CharClass.TRIVIAL
 QU = CharClass.QUADRATIC
+
+# element names of the oracle rows and the parity check are looked up here
+_SYSTEM = CRootSystem(2)
 
 
 @dataclass
@@ -145,10 +149,8 @@ def check_parity_cancellation(modulus: int = 4) -> list[CheckResult]:
     expression values are faithful.
     """
     tbl = table_for_modulus(modulus)
-    system = CRootSystem(2)
-    lam = siegel_lambda()
-    sc2 = canonicalize(inverse_norm_factor(lam, system.element_by_name("sc2"), system), QU)
-    c2sc2 = canonicalize(inverse_norm_factor(lam, system.element_by_name("c2sc2"), system), QU)
+    sc2 = _expression_for("siegel", "sc2", QU)
+    c2sc2 = _expression_for("siegel", "c2sc2", QU)
     vals = {}
     for d in (1e-3, 1e-4, 1e-5):
         a = eval_expression(sc2, QU, 0.5 + d, tbl)
@@ -199,9 +201,8 @@ def oracle_grid() -> list[tuple[str, str, CharClass, int | None, Q, int]]:
 
 
 def _expression_for(case: str, element: str, cls: CharClass) -> LExpression:
-    system = CRootSystem(2)
-    lam = heisenberg_lambda() if case == "heisenberg" else siegel_lambda()
-    return canonicalize(inverse_norm_factor(lam, system.element_by_name(element), system), cls)
+    """The engine's memoized canonical factor of the named element."""
+    return factor_expression(case, _SYSTEM.element_by_name(element), cls)
 
 
 def check_order_oracle() -> list[CheckResult]:

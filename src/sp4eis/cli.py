@@ -87,6 +87,20 @@ def _weyl_element(name: str) -> WeylElement:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _theorem_id(name: str) -> str:
+    """argparse type for ``verify``: an unknown theorem id is a usage error.
+
+    A type rather than ``choices``: with ``nargs="*"``, argparse on Python
+    3.10 and 3.11 checks the empty list itself against the choices and
+    would reject a bare ``verify``.
+    """
+    ids = theorem_ids()
+    if name not in ids:
+        raise argparse.ArgumentTypeError(
+            f"unknown theorem id {name!r} (choose from {', '.join(ids)})")
+    return name
+
+
 def cmd_normfactor(args) -> int:
     lam, _ = lambda_for_case(args.case)
     w = args.w  # parsed by _weyl_element
@@ -234,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poles)
 
     p = sub.add_parser("verify", help="run the theorem grids")
-    p.add_argument("theorem", nargs="*", help="H+ H- S+ S- (default: all)")
+    p.add_argument("theorem", nargs="*", type=_theorem_id, help="H+ H- S+ S- (default: all)")
     p.add_argument("--rules", help="override the local rule table file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")

@@ -289,6 +289,8 @@ def load_rules(path: str | Path | None = None) -> RuleTable:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise RuleTableError(f"{p}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise RuleTableError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     return parse_rules(text, source=str(p))
 
 

@@ -109,8 +109,10 @@ def gamma(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 @cache
-def _bernoulli(upto: int) -> tuple[Q, ...]:
-    return tuple(bernoulli_numbers(upto))
+def _em_coefficients(terms: int) -> tuple[float, ...]:
+    """float(B_2k) / (2k)! for k = 1..terms: the Euler-Maclaurin tail weights."""
+    bern = bernoulli_numbers(2 * terms + 1)
+    return tuple(float(bern[2 * k]) / math.factorial(2 * k) for k in range(1, terms + 1))
 
 
 def _phi_expm1(w: complex) -> complex:
@@ -139,7 +141,6 @@ def _hurwitz_parts(s: complex, a: float) -> tuple[complex, complex]:
         raise ValueError("shift must be positive")
     N = _env_int("SP4EIS_ZETA_N", 40)
     M = _env_int("SP4EIS_ZETA_M", 22)
-    bern = _bernoulli(2 * M + 2)
     total = complex(0.0)
     for n in range(N):
         total += (n + a) ** (-s)
@@ -149,8 +150,7 @@ def _hurwitz_parts(s: complex, a: float) -> tuple[complex, complex]:
     total += 0.5 * x ** (-s)
     rising = s  # (s)_(2k-1) built incrementally
     power = x ** (-s - 1.0)
-    for k in range(1, M + 1):
-        b = float(bern[2 * k]) / math.factorial(2 * k)
+    for k, b in enumerate(_em_coefficients(M), start=1):
         total += b * rising * power
         rising *= (s + 2 * k - 1) * (s + 2 * k)
         power /= x * x
@@ -307,6 +307,7 @@ def _squarefree(n: int) -> bool:
 QUADRATIC_DISCRIMINANTS = {3: -3, 4: -4, 5: 5, 7: -7, 8: 8, 11: -11, 12: 12}
 
 
+@cache
 def table_for_modulus(q: int) -> DirichletTable:
     """The real primitive quadratic character of conductor q (small q)."""
     if q not in QUADRATIC_DISCRIMINANTS:

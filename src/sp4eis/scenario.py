@@ -162,6 +162,8 @@ def load_scenario(path: str | Path) -> Scenario:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"{p}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     if tomllib is None:
         data = parse_toml_subset(text, source=str(p))
     else:

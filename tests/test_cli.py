@@ -169,10 +169,14 @@ def test_scenario_default_profile():
     (["verify", "--rules", "{tmp}/missing.txt"], "RuleTableError"),
     (["verify", "--rules", "{tmp}/malformed.txt"], "RuleTableError"),
     (["numcheck", "--modulus", "6"], "ScenarioError"),
+    (["poles", "--scenario", "{tmp}/latin1.toml"], "ScenarioError"),
+    (["verify", "--rules", "{tmp}/latin1.txt"], "RuleTableError"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     (tmp_path / "malformed.toml").write_text("case = \n", encoding="utf-8")
     (tmp_path / "malformed.txt").write_text("nonsense|row\n", encoding="utf-8")
+    (tmp_path / "latin1.toml").write_bytes(b"\xff\xfe")
+    (tmp_path / "latin1.txt").write_bytes(b"\xff\xfe")
     code = main([a.format(tmp=tmp_path) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -180,6 +184,13 @@ def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"sp4eis: {error}: "), lines[0]
+
+
+def test_unknown_theorem_id_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "X+"])
+    assert exc.value.code == 2
+    assert "unknown theorem id 'X+'" in capsys.readouterr().err
 
 
 def test_unknown_weyl_word_is_a_usage_error(capsys):

@@ -9,7 +9,7 @@ from sp4eis.characters import CharClass
 from sp4eis.normfactor import canonicalize, inverse_norm_factor
 from sp4eis.characters import heisenberg_lambda
 from sp4eis.numerics import (
-    DirichletTable, NotEvaluable, PoleProximity, bernoulli_numbers,
+    DirichletTable, NotEvaluable, PoleProximity, _em_coefficients, bernoulli_numbers,
     completed_dirichlet, completed_zeta, dirichlet_l, estimate_order,
     eval_expression, gamma, hurwitz_zeta, kronecker_symbol, quadratic_table,
     table_for_modulus, zeta_direct, zeta_em,
@@ -27,6 +27,25 @@ def test_bernoulli():
     assert b[0] == 1 and b[1] == Q(-1, 2) and b[2] == Q(1, 6)
     assert b[4] == Q(-1, 30) and b[6] == Q(1, 42) and b[8] == Q(-1, 30)
     assert b[3] == 0 and b[5] == 0
+
+
+def test_em_coefficients_are_the_bernoulli_weights():
+    # 22 is the default SP4EIS_ZETA_M
+    b = bernoulli_numbers(45)
+    coeffs = _em_coefficients(22)
+    assert len(coeffs) == 22
+    for k, c in enumerate(coeffs, start=1):
+        assert c == float(b[2 * k]) / math.factorial(2 * k)
+
+
+def test_zeta_m_override_is_part_of_the_cache_key(monkeypatch):
+    monkeypatch.delenv("SP4EIS_ZETA_M", raising=False)
+    default = zeta_em(3.0)
+    with monkeypatch.context() as m:
+        # M = 10 still agrees to the last bit at s = 3; one term does not
+        m.setenv("SP4EIS_ZETA_M", "1")
+        assert zeta_em(3.0) != default
+    assert zeta_em(3.0) == default
 
 
 def test_gamma_values():
