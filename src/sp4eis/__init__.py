@@ -1,37 +1,4 @@
 """Exact pole orders and constant-term images for the two degenerate
 Eisenstein families on Sp(4), with numeric cross-validation."""
 
-from .characters import (
-    AffineForm, CharClass, TorusCharacter, compose_coroot, heisenberg_lambda,
-    lambda_for_case, siegel_lambda, weyl_act,
-)
-from .constant_term import (
-    ConstantTermReport, Place, PlaceProfile, coset_representatives,
-    eisenstein_order, same_target_groups, term_order,
-)
-from .germs import (
-    Germ, OrderValue, apply_functional_equation, germ_at, order_at, sum_germs,
-)
-from .localrules import LocalRuleKey, default_rules, gl2_reducible, load_rules, sl2_reducible
-from .normfactor import LExpression, LSymbol, canonicalize, inverse_norm_factor
-from .numerics import (
-    DirichletTable, completed_dirichlet, completed_zeta, estimate_order,
-    quadratic_table, table_for_modulus,
-)
-from .roots import CRootSystem, WeylElement
-from .theorems import verify_theorem
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineForm", "CharClass", "ConstantTermReport", "CRootSystem",
-    "DirichletTable", "Germ", "LExpression", "LSymbol", "LocalRuleKey",
-    "OrderValue", "Place", "PlaceProfile", "TorusCharacter", "WeylElement",
-    "apply_functional_equation", "canonicalize", "completed_dirichlet",
-    "completed_zeta", "compose_coroot", "coset_representatives",
-    "default_rules", "eisenstein_order", "estimate_order", "germ_at",
-    "gl2_reducible", "heisenberg_lambda", "inverse_norm_factor",
-    "lambda_for_case", "load_rules", "order_at", "quadratic_table",
-    "same_target_groups", "siegel_lambda", "sl2_reducible", "sum_germs",
-    "table_for_modulus", "term_order", "verify_theorem", "weyl_act",
-]

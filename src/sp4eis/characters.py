@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .roots import CRootSystem, RootVector, WeylElement
+from .roots import SP4, RootVector, WeylElement
 
 
 class CharClass(enum.Enum):
@@ -191,16 +191,35 @@ def weyl_act(w: WeylElement, lam: TorusCharacter) -> TorusCharacter:
     return TorusCharacter(tuple(out))
 
 
-def lambda_for_case(case: str) -> tuple[TorusCharacter, RootVector]:
-    """Inducing character and the simple root kept positive, per case.
+_ALPHA1, _ALPHA2 = SP4.simple_roots()
 
-    The Heisenberg summation runs over w with w(2 e2) > 0, the Siegel one
-    over w with w(e1 - e2) > 0.
-    """
-    system = CRootSystem(2)
-    alpha1, alpha2 = system.simple_roots()
-    if case == "heisenberg":
-        return heisenberg_lambda(), alpha2
-    if case == "siegel":
-        return siegel_lambda(), alpha1
-    raise ValueError(f"unknown case {case!r} (expected 'heisenberg' or 'siegel')")
+# Per case: the inducing character and the simple root kept positive.  The
+# Heisenberg summation runs over w with w(2 e2) > 0, the Siegel one over w
+# with w(e1 - e2) > 0.
+_CASES = {
+    "heisenberg": (heisenberg_lambda(), _ALPHA2),
+    "siegel": (siegel_lambda(), _ALPHA1),
+}
+
+# the four Weyl elements of each case's constant term, by length
+COSET_REPS = {case: tuple(SP4.coset_reps([keep])) for case, (_, keep) in _CASES.items()}
+
+
+def _unknown_case(case: str) -> ValueError:
+    return ValueError(f"unknown case {case!r} (expected 'heisenberg' or 'siegel')")
+
+
+def lambda_for_case(case: str) -> tuple[TorusCharacter, RootVector]:
+    """Inducing character and the simple root kept positive, per case."""
+    try:
+        return _CASES[case]
+    except KeyError:
+        raise _unknown_case(case) from None
+
+
+def coset_representatives(case: str) -> tuple[WeylElement, ...]:
+    """The four Weyl elements appearing in the constant term of the case."""
+    try:
+        return COSET_REPS[case]
+    except KeyError:
+        raise _unknown_case(case) from None

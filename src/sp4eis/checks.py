@@ -23,13 +23,10 @@ from .numerics import (
     completed_dirichlet, completed_zeta, estimate_order, eval_expression,
     table_for_modulus, zeta_direct, zeta_em,
 )
-from .roots import CRootSystem
+from .roots import SP4
 
 TR = CharClass.TRIVIAL
 QU = CharClass.QUADRATIC
-
-# element names of the oracle rows and the parity check are looked up here
-_SYSTEM = CRootSystem(2)
 
 
 @dataclass
@@ -202,7 +199,7 @@ def oracle_grid() -> list[tuple[str, str, CharClass, int | None, Q, int]]:
 
 def _expression_for(case: str, element: str, cls: CharClass) -> LExpression:
     """The engine's memoized canonical factor of the named element."""
-    return factor_expression(case, _SYSTEM.element_by_name(element), cls)
+    return factor_expression(case, SP4.element_by_name(element), cls)
 
 
 def check_order_oracle() -> list[CheckResult]:

@@ -23,14 +23,14 @@ import argparse
 import json
 import sys
 
-from .characters import lambda_for_case, parse_class, weyl_act
+from .characters import coset_representatives, lambda_for_case, parse_class, weyl_act
 from .checks import run_numeric_checks
-from .constant_term import ProfileError, coset_representatives, eisenstein_order
+from .constant_term import ProfileError, eisenstein_order
 from .germs import IndeterminateLeading
 from .localrules import RuleTableError, UncoveredKey, UnknownChoice, load_rules
 from .normfactor import canonicalize, inverse_norm_factor
 from .numerics import QUADRATIC_DISCRIMINANTS
-from .roots import CRootSystem, WeylElement
+from .roots import SP4, WeylElement
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from .theorems import theorem_ids, verify_theorem
 
@@ -51,15 +51,14 @@ def _emit(args, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_weyl(args) -> int:
-    system = CRootSystem(2)
     cases = ["heisenberg", "siegel"] if args.case == "all" else [args.case]
     payload = {"schema": "sp4eis-weyl/1", "cases": {}}
     lines = []
     for case in cases:
-        lam, keep = lambda_for_case(case)
+        lam, _ = lambda_for_case(case)
         rows = []
-        for w in coset_representatives(case, system):
-            neg = [tuple(str(c) for c in a) for a in system.negative_set(w)]
+        for w in coset_representatives(case):
+            neg = [tuple(str(c) for c in a) for a in SP4.negative_set(w)]
             rows.append({
                 "name": w.name,
                 "word": list(w.word),
@@ -72,8 +71,8 @@ def cmd_weyl(args) -> int:
         payload["cases"][case] = rows
     if args.full:
         payload["group"] = [{"name": w.name, "word": list(w.word), "length": w.length}
-                            for w in system.elements()]
-        for w in system.elements():
+                            for w in SP4.elements()]
+        for w in SP4.elements():
             lines.append(f"{'group':11} {w.name:7} length={w.length}")
     _emit(args, json.dumps(payload, **JSON_KW) if args.json else "\n".join(lines))
     return 0
@@ -82,7 +81,7 @@ def cmd_weyl(args) -> int:
 def _weyl_element(name: str) -> WeylElement:
     """argparse type for ``--w``: an unknown word is a usage error."""
     try:
-        return CRootSystem(2).element_by_name(name)
+        return SP4.element_by_name(name)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -104,7 +103,7 @@ def _theorem_id(name: str) -> str:
 def cmd_normfactor(args) -> int:
     lam, _ = lambda_for_case(args.case)
     w = args.w  # parsed by _weyl_element
-    expr = inverse_norm_factor(lam, w, CRootSystem(2))
+    expr = inverse_norm_factor(lam, w)
     cls = parse_class(args.char_class) if args.char_class else None
     rendered = canonicalize(expr, cls).render() if cls else expr.render()
     if args.json:

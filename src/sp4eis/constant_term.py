@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 from functools import cache
 
 from .characters import (
-    CharClass, TorusCharacter, lambda_for_case, power_class, weyl_act,
+    CharClass, TorusCharacter, coset_representatives, lambda_for_case, power_class, weyl_act,
 )
 from .germs import (
     IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, sum_germs,
@@ -25,7 +25,7 @@ from .localrules import (
     ARCH, ISO, KERNEL, NONARCH, LocalRuleKey, RuleTable, UncoveredKey, default_rules,
 )
 from .normfactor import LExpression, canonicalize, inverse_norm_factor
-from .roots import CRootSystem, WeylElement
+from .roots import WeylElement
 
 CHOICES = ("spherical", "langlands", "steinberg", "t1", "t2", "carrier")
 
@@ -34,14 +34,11 @@ class ProfileError(ValueError):
     """Invalid place profile."""
 
 
-_SYSTEM = CRootSystem(2)
-
-
 @cache
 def factor_expression(case: str, w: WeylElement, cls: CharClass) -> LExpression:
     """Canonicalized inverse normalizing factor, memoized per (case, w, class)."""
     lam, _ = lambda_for_case(case)
-    return canonicalize(inverse_norm_factor(lam, w, _SYSTEM), cls)
+    return canonicalize(inverse_norm_factor(lam, w), cls)
 
 
 @dataclass(frozen=True)
@@ -92,25 +89,16 @@ class PlaceProfile:
 # coset representatives and grouping
 # ---------------------------------------------------------------------------
 
-def coset_representatives(case: str, system: CRootSystem | None = None) -> list[WeylElement]:
-    """The four Weyl elements appearing in the constant term of the case."""
-    system = system or _SYSTEM
-    _, keep = lambda_for_case(case)
-    return system.coset_reps([keep])
-
-
-def same_target_groups(case: str, s0: Q, cls: CharClass,
-                       system: CRootSystem | None = None) -> list[list[WeylElement]]:
+def same_target_groups(case: str, s0: Q, cls: CharClass) -> list[list[WeylElement]]:
     """Partition of the representatives by target character at s = s0.
 
     Two summands can only cancel when the Weyl images of the inducing
     character agree at the point (after class reduction of chi powers).
     Groups are ordered by their shortest member; members by length.
     """
-    system = system or _SYSTEM
     lam, _ = lambda_for_case(case)
     buckets: dict[tuple, list[WeylElement]] = {}
-    for w in coset_representatives(case, system):
+    for w in coset_representatives(case):
         key = weyl_act(w, lam).value_key(s0, cls)
         buckets.setdefault(key, []).append(w)
     groups = [sorted(ws, key=WeylElement.sort_key) for ws in buckets.values()]
@@ -467,9 +455,8 @@ def choice_label(case: str, place: Place, s0: Q, token: str, rules: RuleTable) -
     return res.carrier
 
 
-@cache
 def _longest(case: str) -> WeylElement:
-    return max(coset_representatives(case), key=lambda w: w.length)
+    return coset_representatives(case)[-1]  # sorted by length
 
 
 def describe_image(case: str, profile: PlaceProfile, s0: Q,
@@ -530,11 +517,10 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
                      rules: RuleTable | None = None) -> ConstantTermReport:
     """Full constant-term report at s = s0 for one section profile."""
     rules = rules or default_rules()
-    system = _SYSTEM
     lam, _ = lambda_for_case(case)
 
     terms: list[TermReport] = []
-    for w in coset_representatives(case, system):
+    for w in coset_representatives(case):
         expr = factor_expression(case, w, cls)
         terms.append(TermReport(
             w, expr, order_at(expr, cls, s0),
@@ -542,7 +528,7 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
             weyl_act(w, lam).render_at(s0, cls),
         ))
 
-    group_elements = same_target_groups(case, s0, cls, system)
+    group_elements = same_target_groups(case, s0, cls)
     groups = [evaluate_group(case, g, profile, s0, cls, rules) for g in group_elements]
     combined, pole, deps, vanishes = _combine_orders(groups)
     image = describe_image(case, profile, s0, groups, group_elements, vanishes, rules)

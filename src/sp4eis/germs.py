@@ -1,7 +1,8 @@
 """Meromorphic-germ calculus for canonical L/epsilon products.
 
 Orders of vanishing are computed exactly from a small knowledge base of
-completed-L facts (kept as data in ``COMPLETED_L_FACTS``):
+completed-L facts (the zeta poles, residues and strip are kept as data in
+``COMPLETED_L_FACTS``):
 
 * the completed zeta function has simple poles at arguments 0 and 1 with
   residues -1 and +1, no zeros outside the open strip (0,1), and unknown
@@ -44,14 +45,6 @@ COMPLETED_L_FACTS = {
     "trivial": {
         "pole_residues": {Q(0): Q(-1), Q(1): Q(1)},
         "open_strip": (Q(0), Q(1)),
-        "nonvanishing_outside_strip": True,  # includes edges via the poles
-        "reflection_exact": True,            # Lam(u) = Lam(1-u)
-    },
-    "nontrivial": {
-        "pole_residues": {},
-        "open_strip": (Q(0), Q(1)),
-        "nonvanishing_outside_strip": True,  # edge nonvanishing asserted
-        "reflection_exact": False,           # functional equation brings eps
     },
 }
 

@@ -20,7 +20,7 @@ from fractions import Fraction as Q
 from functools import cache
 from pathlib import Path
 
-from .characters import CharClass
+from .characters import COSET_REPS, CharClass
 
 NONARCH = "nonarch"
 ARCH = "arch"
@@ -28,7 +28,8 @@ ARCH = "arch"
 ISO = "iso"
 KERNEL = "kernel"
 
-CHOICE_TOKENS = ("spherical", "langlands", "steinberg", "t1", "t2", "carrier")
+# names of the four constant-term elements, per case
+_ELEMENT_NAMES = {case: tuple(w.name for w in reps) for case, reps in COSET_REPS.items()}
 
 
 class UncoveredKey(KeyError):
@@ -205,7 +206,7 @@ class RuleTable:
 
 
 def _validate_key(key: LocalRuleKey) -> None:
-    if key.case not in ("heisenberg", "siegel"):
+    if key.case not in _ELEMENT_NAMES:
         raise UncoveredKey(f"unknown case {key.case!r}")
     if key.place not in (NONARCH, ARCH):
         raise UncoveredKey(f"unknown place kind {key.place!r}")
@@ -213,11 +214,7 @@ def _validate_key(key: LocalRuleKey) -> None:
         raise UncoveredKey("sgn class only occurs at the archimedean place")
     if key.local_class is CharClass.QUADRATIC and key.place == ARCH:
         raise UncoveredKey("the archimedean quadratic class is called sgn")
-    allowed = {
-        "heisenberg": ("id", "s", "c2s", "sc2s"),
-        "siegel": ("id", "c2", "sc2", "c2sc2"),
-    }[key.case]
-    if key.element not in allowed:
+    if key.element not in _ELEMENT_NAMES[key.case]:
         raise UncoveredKey(
             f"element {key.element!r} does not occur in the {key.case} constant term")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .characters import AffineForm, CharClass, TorusCharacter, compose_coroot, reduce_power
-from .roots import CRootSystem, WeylElement
+from .roots import SP4, WeylElement
 
 L = "L"
 EPS = "eps"
@@ -105,30 +105,22 @@ def quotient_factor(power: int, form: AffineForm) -> LExpression:
     })
 
 
-def inverse_norm_factor(lam: TorusCharacter, w: WeylElement,
-                        system: CRootSystem | None = None) -> LExpression:
+def inverse_norm_factor(lam: TorusCharacter, w: WeylElement) -> LExpression:
     """Inverse normalizing factor r^-1 for the element w, canonicalized.
 
     Identical L-symbols occurring in both numerator and denominator cancel
     automatically through the exponent bookkeeping.
     """
-    system = system or CRootSystem(lam.rank)
     expr = LExpression.one()
-    for alpha in system.negative_set(w):
-        k, e = compose_coroot(lam, system.coroot(alpha))
-        expr = expr * quotient_factor(k, e)
+    for factor in raw_quotient_factors(lam, w):
+        expr = expr * factor
     return expr
 
 
-def raw_quotient_factors(lam: TorusCharacter, w: WeylElement,
-                         system: CRootSystem | None = None) -> list[LExpression]:
+def raw_quotient_factors(lam: TorusCharacter, w: WeylElement) -> list[LExpression]:
     """Per-root factors before any cancellation (one per negative root)."""
-    system = system or CRootSystem(lam.rank)
-    out = []
-    for alpha in system.negative_set(w):
-        k, e = compose_coroot(lam, system.coroot(alpha))
-        out.append(quotient_factor(k, e))
-    return out
+    return [quotient_factor(*compose_coroot(lam, SP4.coroot(alpha)))
+            for alpha in SP4.negative_set(w)]
 
 
 def canonicalize(expr: LExpression, cls: CharClass | None = None) -> LExpression:

@@ -7,10 +7,17 @@ of log|f| against log(delta) on a fixed ladder.  Everything the germ layer
 asserts symbolically (residues, cancellation limits, the epsilon-pair
 identity, nonzero atoms) is cross-checked here.
 
-Accuracy domain: |Im s| <= 20 and |Re s| <= 12 with the default term
-counts (overridable through the environment variables SP4EIS_ZETA_N and
-SP4EIS_ZETA_M); completed zeta is then good to at least 10 significant
-digits, completed Dirichlet values for moduli up to 12 to at least 8.
+Accuracy domain: |Im s| <= 20 and -2 <= Re s <= 12 for the
+Euler-Maclaurin sums (``hurwitz_zeta``, ``zeta_em``, ``dirichlet_l`` and
+so ``completed_dirichlet``), with the default term counts (overridable
+through the environment variables SP4EIS_ZETA_N and SP4EIS_ZETA_M).
+Outside it they raise :class:`NumericsError`: below Re s = -2 the partial
+sum and the x^(1-s) tail term grow together and cancel, so digits are
+lost fast (a relative error near 1e-6 at Re s = -3.5 for the built-in
+conductors).  ``completed_zeta`` reflects Re s < 1/2 to 1 - s, so it
+covers -11 <= Re s <= 12.  In the domain completed zeta is good to at
+least 10 significant digits, completed Dirichlet values for moduli up to
+12 to at least 8.
 
 Epsilon symbols are never evaluated standalone: they are entire and
 nonvanishing, so for order estimation they are replaced by 1, and epsilon
@@ -31,6 +38,7 @@ from .characters import CharClass, power_class
 from .normfactor import EPS, LExpression
 
 IM_LIMIT = 20.0
+RE_MIN = -2.0
 RE_LIMIT = 12.0
 POLE_TOL = 1e-8
 GAMMA_POLE_TOL = 1e-6
@@ -135,7 +143,7 @@ def _hurwitz_parts(s: complex, a: float) -> tuple[complex, complex]:
     including -log(x)*phi(w), coefficient-one pole term 1/(s-1)).
     """
     s = complex(s)
-    if abs(s.imag) > IM_LIMIT or abs(s.real) > RE_LIMIT:
+    if abs(s.imag) > IM_LIMIT or not RE_MIN <= s.real <= RE_LIMIT:
         raise NumericsError(f"s={s} outside the documented accuracy domain")
     if a <= 0:
         raise ValueError("shift must be positive")

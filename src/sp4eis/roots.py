@@ -1,11 +1,11 @@
-"""Type-C root systems and their Weyl groups as signed permutations.
+"""The type-C2 root system of Sp(4) and its Weyl group as signed permutations.
 
 Everything here is exact: root coordinates are :class:`fractions.Fraction`
 tuples, Weyl elements are stored both in normal form (permutation, signs)
-and as a reduced word over the simple reflections.  The constructions are
-generic in the rank, but rank 2 is the case exercised downstream, with the
-traditional generator names ``s`` (swap of the two coordinates) and ``c2``
-(sign flip of the second coordinate).
+and as a reduced word over the simple reflections, with the traditional
+generator names ``s`` (swap of the two coordinates) and ``c2`` (sign flip
+of the second coordinate).  The group has eight elements and is built
+once, as the shared instance :data:`SP4`.
 """
 
 from __future__ import annotations
@@ -91,88 +91,56 @@ class WeylElement:
         return f"WeylElement({self.name})"
 
 
-class CRootSystem:
-    """Root system of type C with its hyperoctahedral Weyl group.
+ALIASES = {
+    # traditional names used for the sign flips, and for the identity
+    "c1": "sc2s",
+    "sc1": "c2s",
+    "c1s": "sc2",  # (sc2s)s = sc2
+    "1": "id",
+    "e": "id",
+}
 
-    The positive roots are ``e_i - e_j`` and ``e_i + e_j`` for ``i < j``
-    together with the long roots ``2 e_i``; the simple roots are
-    ``e_i - e_{i+1}`` and ``2 e_n``.  Enumeration orders are fixed
-    (height, then reverse-lexicographic coordinates) so output is
-    reproducible.
+
+class CRootSystem:
+    """Root system of type C2 with its Weyl group of order 8.
+
+    The positive roots, in height order, are ``e1 - e2``, ``2 e2``,
+    ``e1 + e2`` and ``2 e1``; the first two are simple, with reflections
+    ``s`` and ``c2``.  Elements are sorted by (length, word), so output
+    is reproducible.  Roots, elements and the name table are built once
+    in the constructor.
     """
 
-    def __init__(self, rank: int = 2):
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        self.rank = rank
-        self._elements: list[WeylElement] | None = None
-        self._positive: list[RootVector] | None = None
-        self._by_name: dict[str, WeylElement] = {}
+    def __init__(self):
+        self._simple = [vector(1, -1), vector(0, 2)]
+        self._positive = self._simple + [vector(1, 1), vector(2, 0)]
+        self._roots = set(self._positive) | {tuple(-c for c in a) for a in self._positive}
+        self._generators = {
+            "s": WeylElement((1, 0), (1, 1), ("s",)),
+            "c2": WeylElement((0, 1), (1, -1), ("c2",)),
+        }
+        self._elements = sorted(
+            (self._with_reduced_word(perm, signs)
+             for perm in itertools.permutations(range(2))
+             for signs in itertools.product((1, -1), repeat=2)),
+            key=WeylElement.sort_key)
+        self._by_form = {(w.perm, w.signs): w for w in self._elements}
+        by_name = {w.name: w for w in self._elements}
+        self._by_name = by_name | {a: by_name[name] for a, name in ALIASES.items()}
 
     # ----- roots -------------------------------------------------------
 
-    def basis(self, i: int) -> RootVector:
-        return tuple(Q(1) if j == i else Q(0) for j in range(self.rank))
-
     def simple_roots(self) -> list[RootVector]:
-        """Simple roots: e_i - e_{i+1} for i < rank, then 2 e_rank."""
-        out = []
-        for i in range(self.rank - 1):
-            v = [Q(0)] * self.rank
-            v[i], v[i + 1] = Q(1), Q(-1)
-            out.append(tuple(v))
-        v = [Q(0)] * self.rank
-        v[-1] = Q(2)
-        out.append(tuple(v))
-        return out
+        """Simple roots: e1 - e2, then 2 e2."""
+        return list(self._simple)
 
     def positive_roots(self) -> list[RootVector]:
         """All positive roots, sorted by height then reverse-lex coordinates."""
-        if self._positive is not None:
-            return list(self._positive)
-        roots: list[RootVector] = []
-        n = self.rank
-        for i in range(n):
-            for j in range(i + 1, n):
-                for sj in (Q(-1), Q(1)):
-                    v = [Q(0)] * n
-                    v[i], v[j] = Q(1), sj
-                    roots.append(tuple(v))
-            v = [Q(0)] * n
-            v[i] = Q(2)
-            roots.append(tuple(v))
-
-        def height(r: RootVector) -> Q:
-            # expand in the simple-root basis; for type C this is integral
-            coeffs = self._simple_coords(r)
-            return sum(coeffs, Q(0))
-
-        roots.sort(key=lambda r: (height(r), tuple(-c for c in r)))
-        self._positive = roots
-        return list(roots)
-
-    @staticmethod
-    def _simple_coords(r: RootVector) -> list[Q]:
-        # back-substitution: e_n = alpha_n / 2, e_i = alpha_i + e_{i+1}
-        n = len(r)
-        coeffs_e = list(r)
-        coeffs = [Q(0)] * n
-        acc = Q(0)
-        for i in range(n - 1):
-            acc += coeffs_e[i]
-            coeffs[i] = acc
-        coeffs[n - 1] = (acc + coeffs_e[n - 1]) / 2
-        return coeffs
-
-    def is_root(self, v: RootVector) -> bool:
-        nz = [c for c in v if c != 0]
-        if len(nz) == 1:
-            return abs(nz[0]) == 2
-        return len(nz) == 2 and all(abs(c) == 1 for c in nz)
+        return list(self._positive)
 
     def coroot(self, alpha: RootVector) -> RootVector:
         """Coroot 2*alpha/<alpha,alpha>; rejects vectors that are not roots."""
-        if len(alpha) != self.rank or not self.is_root(alpha):
+        if alpha not in self._roots:
             raise ValueError(f"not a type-C root: {alpha}")
         n2 = dot(alpha, alpha)
         return tuple(2 * c / n2 for c in alpha)
@@ -180,39 +148,29 @@ class CRootSystem:
     # ----- Weyl group ---------------------------------------------------
 
     def generator_names(self) -> list[str]:
-        if self.rank == 2:
-            return ["s", "c2"]
-        return [f"s{i + 1}" for i in range(self.rank - 1)] + [f"c{self.rank}"]
+        return list(self._generators)
 
     def generator(self, name: str) -> WeylElement:
-        names = self.generator_names()
-        if name not in names:
+        if name not in self._generators:
             raise KeyError(f"unknown generator {name!r}")
-        idx = names.index(name)
-        perm = list(range(self.rank))
-        signs = [1] * self.rank
-        if idx < self.rank - 1:
-            perm[idx], perm[idx + 1] = perm[idx + 1], perm[idx]
-        else:
-            signs[-1] = -1
-        return WeylElement(tuple(perm), tuple(signs), (name,))
+        return self._generators[name]
 
     def identity(self) -> WeylElement:
-        return WeylElement(tuple(range(self.rank)), (1,) * self.rank, ())
+        return self._by_name["id"]
 
     def multiply(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
-        """Product w1*w2 acting as v -> w1(w2(v)); the word is re-reduced."""
-        perm = tuple(w1.perm[w2.perm[i]] for i in range(self.rank))
-        signs = tuple(w2.signs[i] * w1.signs[w2.perm[i]] for i in range(self.rank))
-        return self._with_reduced_word(perm, signs)
+        """Product w1*w2 acting as v -> w1(w2(v))."""
+        perm = tuple(w1.perm[j] for j in w2.perm)
+        signs = tuple(s * w1.signs[j] for s, j in zip(w2.signs, w2.perm))
+        return self._by_form[(perm, signs)]
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        perm = [0] * self.rank
-        signs = [1] * self.rank
-        for i in range(self.rank):
-            perm[w.perm[i]] = i
-            signs[w.perm[i]] = w.signs[i]
-        return self._with_reduced_word(tuple(perm), tuple(signs))
+        perm = [0] * len(w.perm)
+        signs = [1] * len(w.perm)
+        for i, j in enumerate(w.perm):
+            perm[j] = i
+            signs[j] = w.signs[i]
+        return self._by_form[(tuple(perm), tuple(signs))]
 
     def from_word(self, word: Iterable[str]) -> WeylElement:
         w = self.identity()
@@ -229,55 +187,34 @@ class CRootSystem:
         """
         word_rev: list[str] = []
         cur = WeylElement(perm, signs, ())
-        names = self.generator_names()
-        simple = self.simple_roots()
         while not cur.is_identity():
-            for g, alpha in zip(names, simple):
+            for (g, gen), alpha in zip(self._generators.items(), self._simple):
                 if is_negative(cur.apply(alpha)):
                     word_rev.append(g)
-                    gen = self.generator(g)
-                    new_perm = tuple(cur.perm[gen.perm[i]] for i in range(self.rank))
-                    new_signs = tuple(gen.signs[i] * cur.signs[gen.perm[i]] for i in range(self.rank))
-                    cur = WeylElement(new_perm, new_signs, ())
+                    cur = WeylElement(tuple(cur.perm[j] for j in gen.perm),
+                                      tuple(s * cur.signs[j] for s, j in zip(gen.signs, gen.perm)),
+                                      ())
                     break
             else:  # pragma: no cover - impossible for a valid signed permutation
                 raise RuntimeError("descent search failed")
         return WeylElement(perm, signs, tuple(reversed(word_rev)))
 
     def elements(self) -> list[WeylElement]:
-        """All 2^n * n! Weyl elements, sorted by (length, word)."""
-        if self._elements is None:
-            out = []
-            for perm in itertools.permutations(range(self.rank)):
-                for signs in itertools.product((1, -1), repeat=self.rank):
-                    out.append(self._with_reduced_word(tuple(perm), tuple(signs)))
-            out.sort(key=WeylElement.sort_key)
-            self._elements = out
+        """All eight Weyl elements, sorted by (length, word)."""
         return list(self._elements)
 
     def element_by_name(self, name: str) -> WeylElement:
-        """Look up an element by its canonical word name or a known alias."""
+        """Look up an element by its canonical word name, a known alias, or
+        any word over the generators."""
         if name in self._by_name:
             return self._by_name[name]
-        key = ALIASES.get(name, name)
-        if key in ("id", "1", "e"):
-            out = self.identity()
-        else:
-            for w in self.elements():
-                if w.name == key:
-                    out = w
-                    break
-            else:
-                # fall back to parsing the name as a word over the generators
-                out = self.from_word(_split_word(key, self.generator_names()))
-        self._by_name[name] = out
-        return out
+        return self.from_word(_split_word(name, self.generator_names()))
 
     # ----- derived sets --------------------------------------------------
 
     def negative_set(self, w: WeylElement) -> list[RootVector]:
         """Positive roots sent negative by w, in positive-root order."""
-        return [a for a in self.positive_roots() if is_negative(w.apply(a))]
+        return [a for a in self._positive if is_negative(w.apply(a))]
 
     def coset_reps(self, keep: Iterable[RootVector]) -> list[WeylElement]:
         """All w with w(alpha) > 0 for every alpha in ``keep``, by length.
@@ -286,22 +223,13 @@ class CRootSystem:
         over the full group; the group is tiny.
         """
         keep = list(keep)
-        simple = self.simple_roots()
         for a in keep:
-            if a not in simple:
+            if a not in self._simple:
                 raise ValueError(f"{a} is not a simple root")
         return [
-            w for w in self.elements()
+            w for w in self._elements
             if all(not is_negative(w.apply(a)) for a in keep)
         ]
-
-
-ALIASES = {
-    # traditional names used for the rank-2 sign flips
-    "c1": "sc2s",
-    "sc1": "c2s",
-    "c1s": "sc2",  # (sc2s)s = sc2
-}
 
 
 def _split_word(text: str, names: list[str]) -> list[str]:
@@ -317,3 +245,6 @@ def _split_word(text: str, names: list[str]) -> list[str]:
         else:
             raise ValueError(f"cannot parse Weyl word {text!r}")
     return out
+
+
+SP4 = CRootSystem()

@@ -106,7 +106,17 @@ class Scenario:
         }
 
 
+def _list(data: dict, key: str, default: list, source: str) -> list:
+    """The array under ``key``; a scalar would otherwise be iterated."""
+    value = data.get(key, default)
+    if not isinstance(value, list):
+        raise ScenarioError(f"{source}: {key!r} must be an array, not {value!r}")
+    return value
+
+
 def _class(text: str, source: str) -> CharClass:
+    if not isinstance(text, str):
+        raise ScenarioError(f"{source}: a character class must be a string, not {text!r}")
     try:
         return parse_class(text)
     except ValueError as exc:
@@ -128,27 +138,32 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
     if cls is CharClass.SGN:
         raise ScenarioError(f"{source}: 'sgn' is a local class; use char_class='quadratic'")
     try:
-        s0_list = [Q(str(x)) for x in data.get("s0", ["0"])]
+        s0_list = [Q(str(x)) for x in _list(data, "s0", ["0"], source)]
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"{source}: bad s0 entry: {exc}") from None
-    places_data = data.get("places")
+    places_data = _list(data, "places", [], source)
     if places_data:
         places = []
         for p in places_data:
+            if not isinstance(p, dict):
+                raise ScenarioError(f"{source}: each place must be a table, not {p!r}")
             places.append(Place(p.get("kind", "nonarch"),
                                 _class(p.get("class", "trivial"), source),
                                 p.get("choice", "spherical")))
         profile = PlaceProfile(tuple(places))
     else:
         profile = PlaceProfile.spherical(default_arch_class(cls))
-    checks = list(data.get("checks", ["poles"]))
+    checks = _list(data, "checks", ["poles"], source)
     for c in checks:
         if c not in VALID_CHECKS:
             raise ScenarioError(f"{source}: unknown check {c!r}")
-    theorems = [str(t) for t in data.get("theorems", ["H+", "H-", "S+", "S-"])]
+    theorems = [str(t) for t in _list(data, "theorems", ["H+", "H-", "S+", "S-"], source)]
     modulus = data.get("modulus")
     if modulus is not None:
         try:
+            # int() would truncate a float and read a boolean as 0 or 1
+            if isinstance(modulus, (bool, float)):
+                raise ValueError
             modulus = int(modulus)
         except (TypeError, ValueError):
             raise ScenarioError(f"{source}: bad modulus {modulus!r}") from None

@@ -24,10 +24,10 @@ from sp4eis.germs import OrderValue, apply_functional_equation, germ_at, order_a
 from sp4eis.localrules import default_rules
 from sp4eis.normfactor import EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor
 from sp4eis.numerics import completed_zeta
-from sp4eis.roots import CRootSystem, is_negative
+from sp4eis.roots import SP4, is_negative
 from sp4eis.theorems import theorem_ids, verify_theorem
 
-SYS = CRootSystem(2)
+SYS = SP4
 TR, QU, OT, SGN = (CharClass.TRIVIAL, CharClass.QUADRATIC,
                    CharClass.OTHER, CharClass.SGN)
 
@@ -38,7 +38,7 @@ def _report(n: int, text: str) -> None:
 
 def _expr(case, wname, cls=None):
     lam = heisenberg_lambda() if case == "heisenberg" else siegel_lambda()
-    e = inverse_norm_factor(lam, SYS.element_by_name(wname), SYS)
+    e = inverse_norm_factor(lam, SYS.element_by_name(wname))
     return canonicalize(e, cls)
 
 

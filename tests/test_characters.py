@@ -9,9 +9,9 @@ from sp4eis.characters import (
     AffineForm, CharClass, compose_coroot, heisenberg_lambda, lambda_for_case,
     power_class, reduce_power, siegel_lambda, weyl_act,
 )
-from sp4eis.roots import CRootSystem, vector
+from sp4eis.roots import SP4, vector
 
-SYS = CRootSystem(2)
+SYS = SP4
 TR, QU, OT = CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -43,10 +44,16 @@ def test_weyl_text(capsys):
     assert "sc2s" in out and "length=3" in out
 
 
+# sha256 of `sp4eis weyl --case all --full --json`: coset tables, negative
+# root sets, targets and the whole group, pinned byte for byte
+WEYL_FULL_SHA256 = "195ec2005718397f58623756fceeb8b5b4d46decb3ecbf73238fb1208d5567b2"
+
+
 def test_weyl_json_deterministic(capsys):
     _, out1 = run(capsys, "weyl", "--case", "all", "--full", "--json")
     _, out2 = run(capsys, "weyl", "--case", "all", "--full", "--json")
     assert out1 == out2
+    assert hashlib.sha256(out1.encode("utf-8")).hexdigest() == WEYL_FULL_SHA256
     data = json.loads(out1)
     assert [r["name"] for r in data["cases"]["siegel"]] == ["id", "c2", "sc2", "c2sc2"]
     assert len(data["group"]) == 8
@@ -147,12 +154,26 @@ def test_scenario_validation():
         scenario_from_dict({"case": "siegel", "places": [{"kind": "arch", "class": "bogus"}]})
     with pytest.raises(ScenarioError):
         scenario_from_dict({"case": "siegel", "modulus": "x"})
+    # a scalar where an array belongs is refused, not iterated
+    with pytest.raises(ScenarioError, match="'checks' must be an array"):
+        scenario_from_dict({"case": "siegel", "checks": "poles"})
 
 
 def test_scenario_default_profile():
     sc = scenario_from_dict({"case": "heisenberg", "char_class": "other"})
     assert sc.profile.places[0].kind == "arch"
     assert sc.profile.places[0].local_class.value == "other"
+
+
+# scenario files with a value of the wrong type, after a valid case line
+WRONG_TYPES = {
+    "class_int.toml": "char_class = 1\n",
+    "place_class_int.toml": '[[places]]\nkind = "arch"\nclass = 3\n',
+    "place_int.toml": "places = [1]\n",
+    "s0_int.toml": "s0 = 2\n",
+    "checks_str.toml": 'checks = "poles"\n',
+    "modulus_float.toml": "modulus = 4.5\n",
+}
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -171,8 +192,16 @@ def test_scenario_default_profile():
     (["numcheck", "--modulus", "6"], "ScenarioError"),
     (["poles", "--scenario", "{tmp}/latin1.toml"], "ScenarioError"),
     (["verify", "--rules", "{tmp}/latin1.txt"], "RuleTableError"),
+    (["poles", "--scenario", "{tmp}/class_int.toml"], "ScenarioError"),
+    (["poles", "--scenario", "{tmp}/place_class_int.toml"], "ScenarioError"),
+    (["poles", "--scenario", "{tmp}/place_int.toml"], "ScenarioError"),
+    (["poles", "--scenario", "{tmp}/s0_int.toml"], "ScenarioError"),
+    (["poles", "--scenario", "{tmp}/checks_str.toml"], "ScenarioError"),
+    (["numcheck", "--scenario", "{tmp}/modulus_float.toml"], "ScenarioError"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
+    for name, text in WRONG_TYPES.items():
+        (tmp_path / name).write_text('case = "siegel"\n' + text, encoding="utf-8")
     (tmp_path / "malformed.toml").write_text("case = \n", encoding="utf-8")
     (tmp_path / "malformed.txt").write_text("nonsense|row\n", encoding="utf-8")
     (tmp_path / "latin1.toml").write_bytes(b"\xff\xfe")

@@ -9,9 +9,9 @@ from sp4eis.constant_term import (
     Place, PlaceProfile, ProfileError, coset_representatives, eisenstein_order,
     same_target_groups, term_order,
 )
-from sp4eis.roots import CRootSystem
+from sp4eis.roots import SP4
 
-SYS = CRootSystem(2)
+SYS = SP4
 TR, QU, OT, SGN = (CharClass.TRIVIAL, CharClass.QUADRATIC,
                    CharClass.OTHER, CharClass.SGN)
 SPH = PlaceProfile.spherical()

@@ -17,15 +17,15 @@ from sp4eis.germs import (
 from sp4eis.normfactor import (
     EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor,
 )
-from sp4eis.roots import CRootSystem
+from sp4eis.roots import SP4
 
-SYS = CRootSystem(2)
+SYS = SP4
 TR, QU, OT = CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER
 
 
 def _expr(case: str, wname: str, cls: CharClass) -> LExpression:
     lam = heisenberg_lambda() if case == "heisenberg" else siegel_lambda()
-    return canonicalize(inverse_norm_factor(lam, SYS.element_by_name(wname), SYS), cls)
+    return canonicalize(inverse_norm_factor(lam, SYS.element_by_name(wname)), cls)
 
 
 def lsym(a, b, power=1, kind=L) -> LSymbol:

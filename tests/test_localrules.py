@@ -131,9 +131,9 @@ def test_spherical_choice_never_meets_a_pole():
 
 
 def test_uncovered_keys_fail_loudly():
-    with pytest.raises(UncoveredKey):
+    with pytest.raises(UncoveredKey, match="does not occur"):
         RULES.local_pole(key("heisenberg", "c2", NONARCH, TR, 0))  # not a summand
-    with pytest.raises(UncoveredKey):
+    with pytest.raises(UncoveredKey, match="does not occur"):
         RULES.local_pole(key("siegel", "s", NONARCH, TR, 0))
     with pytest.raises(UncoveredKey):
         RULES.local_pole(key("heisenberg", "s", NONARCH, SGN, 0))  # sgn is archimedean

@@ -9,9 +9,9 @@ from sp4eis.normfactor import (
     EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor,
     quotient_factor, raw_quotient_factors,
 )
-from sp4eis.roots import CRootSystem
+from sp4eis.roots import SP4
 
-SYS = CRootSystem(2)
+SYS = SP4
 TR, QU = CharClass.TRIVIAL, CharClass.QUADRATIC
 
 GOLDEN = {
@@ -37,14 +37,14 @@ def _lambda(case):
 @pytest.mark.parametrize("case,wname", sorted(GOLDEN))
 def test_golden_formulas(case, wname):
     w = SYS.element_by_name(wname)
-    expr = canonicalize(inverse_norm_factor(_lambda(case), w, SYS))
+    expr = canonicalize(inverse_norm_factor(_lambda(case), w))
     assert expr.render() == GOLDEN[(case, wname)]
 
 
 def test_golden_formula_structure():
     # structural check of one formula, independent of the renderer
     w = SYS.element_by_name("sc2s")
-    expr = inverse_norm_factor(heisenberg_lambda(), w, SYS)
+    expr = inverse_norm_factor(heisenberg_lambda(), w)
     f = AffineForm.of
     assert expr.as_dict() == {
         LSymbol(L, f(1, -1), 1): 1,
@@ -57,14 +57,14 @@ def test_golden_formula_structure():
 
 
 def test_identity_gives_empty_product():
-    assert inverse_norm_factor(_lambda("heisenberg"), SYS.identity(), SYS).is_one()
-    assert inverse_norm_factor(_lambda("siegel"), SYS.identity(), SYS).render() == "1"
+    assert inverse_norm_factor(_lambda("heisenberg"), SYS.identity()).is_one()
+    assert inverse_norm_factor(_lambda("siegel"), SYS.identity()).render() == "1"
 
 
 def test_factor_count_matches_length():
     for case in ("heisenberg", "siegel"):
         for w in SYS.elements():
-            factors = raw_quotient_factors(_lambda(case), w, SYS)
+            factors = raw_quotient_factors(_lambda(case), w)
             assert len(factors) == w.length
 
 
@@ -77,7 +77,7 @@ def test_factor_data_matches_coroot_compositions():
         lam = _lambda(case)
         for w in SYS.elements():
             used = Counter()
-            for factor in raw_quotient_factors(lam, w, SYS):
+            for factor in raw_quotient_factors(lam, w):
                 numerators = [sym for sym, e in factor.factors
                               if sym.kind == L and e > 0]
                 assert len(numerators) == 1
@@ -96,14 +96,14 @@ def test_cancellation_in_products():
 
 def test_trivial_class_drops_epsilons():
     w = SYS.element_by_name("sc2s")
-    expr = canonicalize(inverse_norm_factor(_lambda("heisenberg"), w, SYS), TR)
+    expr = canonicalize(inverse_norm_factor(_lambda("heisenberg"), w), TR)
     assert expr.render() == "L(s-1,1) / L(s+2,1)"
     assert all(sym.kind == L for sym, _ in expr.factors)
 
 
 def test_quadratic_class_reduces_squares():
     w = SYS.element_by_name("sc2")
-    expr = canonicalize(inverse_norm_factor(_lambda("siegel"), w, SYS), QU)
+    expr = canonicalize(inverse_norm_factor(_lambda("siegel"), w), QU)
     assert expr.render() == \
         "L(2s,1)*L(s+1/2,chi) / (L(2s+1,1)*L(s+3/2,chi)*eps(s+3/2,chi))"
 

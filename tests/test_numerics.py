@@ -9,17 +9,17 @@ from sp4eis.characters import CharClass
 from sp4eis.normfactor import canonicalize, inverse_norm_factor
 from sp4eis.characters import heisenberg_lambda
 from sp4eis.numerics import (
-    DirichletTable, NotEvaluable, PoleProximity, _em_coefficients, bernoulli_numbers,
-    completed_dirichlet, completed_zeta, dirichlet_l, estimate_order,
-    eval_expression, gamma, hurwitz_zeta, kronecker_symbol, quadratic_table,
-    table_for_modulus, zeta_direct, zeta_em,
+    IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_MIN, DirichletTable, NotEvaluable, NumericsError,
+    PoleProximity, _em_coefficients, bernoulli_numbers, completed_dirichlet, completed_zeta,
+    dirichlet_l, estimate_order, eval_expression, gamma, hurwitz_zeta, kronecker_symbol,
+    quadratic_table, table_for_modulus, zeta_direct, zeta_em,
 )
-from sp4eis.roots import CRootSystem
+from sp4eis.roots import SP4
 
 TR, QU, OT = CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER
 CATALAN = 0.915965594177219015
 
-SYS = CRootSystem(2)
+SYS = SP4
 
 
 def test_bernoulli():
@@ -138,6 +138,23 @@ def test_completed_dirichlet_functional_equation():
         assert abs(vals[0] - 1.0) < 1e-6  # real primitive: constant is 1
 
 
+def test_euler_maclaurin_refuses_below_re_min():
+    # the partial sum and its tail cancel there: zeta(-11) = 691/32760
+    # came out as 3484.4
+    with pytest.raises(NumericsError):
+        zeta_em(-11)
+    with pytest.raises(NumericsError):
+        completed_dirichlet(table_for_modulus(4), -6.5)
+
+
+@pytest.mark.parametrize("q", sorted(QUADRATIC_DISCRIMINANTS))
+def test_completed_dirichlet_accurate_at_re_min(q):
+    tbl = table_for_modulus(q)
+    for im in (0.25, 3.0, IM_LIMIT):  # off the real axis: even characters have a trivial zero at -2
+        s = complex(RE_MIN, im)
+        assert abs(completed_dirichlet(tbl, s) / completed_dirichlet(tbl, 1 - s) - 1) < 1e-8
+
+
 def test_trivial_zero_points_rejected():
     t4 = table_for_modulus(4)  # odd: gamma poles at s = -1, -3, ...
     with pytest.raises(PoleProximity):
@@ -150,7 +167,7 @@ def test_trivial_zero_points_rejected():
 
 def test_estimate_order_basic():
     lam = heisenberg_lambda()
-    rc1 = canonicalize(inverse_norm_factor(lam, SYS.element_by_name("c1"), SYS), TR)
+    rc1 = canonicalize(inverse_norm_factor(lam, SYS.element_by_name("c1")), TR)
     est = estimate_order(rc1, TR, Q(2))
     assert est.fitted == -1 and est.residual < 0.05
     est = estimate_order(rc1, TR, Q(5))
@@ -159,7 +176,7 @@ def test_estimate_order_basic():
 
 def test_eval_expression_needs_table_for_quadratic():
     lam = heisenberg_lambda()
-    rc1 = canonicalize(inverse_norm_factor(lam, SYS.element_by_name("c1"), SYS), QU)
+    rc1 = canonicalize(inverse_norm_factor(lam, SYS.element_by_name("c1")), QU)
     with pytest.raises(NotEvaluable):
         eval_expression(rc1, QU, 2.0)
     with pytest.raises(NotEvaluable):

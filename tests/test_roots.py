@@ -5,9 +5,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from sp4eis.roots import CRootSystem, is_negative, vector
+from sp4eis.roots import SP4, is_negative, vector
 
-SYS = CRootSystem(2)
+SYS = SP4
 
 E1 = vector(1, 0)
 E2 = vector(0, 1)
@@ -20,15 +20,6 @@ B2 = vector(2, 0)    # 2 e1
 def test_positive_roots_rank2():
     assert SYS.positive_roots() == [A1, A2, B1, B2]
     assert SYS.simple_roots() == [A1, A2]
-
-
-def test_positive_roots_rank1():
-    assert CRootSystem(1).positive_roots() == [vector(2)]
-
-
-def test_positive_roots_rank3_count():
-    # type C_3 has 9 positive roots
-    assert len(CRootSystem(3).positive_roots()) == 9
 
 
 def test_coroots():
