@@ -89,21 +89,25 @@ class PlaceProfile:
 # coset representatives and grouping
 # ---------------------------------------------------------------------------
 
-def same_target_groups(case: str, s0: Q, cls: CharClass) -> list[list[WeylElement]]:
-    """Partition of the representatives by target character at s = s0.
+def _by_target(items: list, targets: list[TorusCharacter], s0: Q, cls: CharClass) -> list[list]:
+    """Partition of items by the value of their targets at s = s0.
 
     Two summands can only cancel when the Weyl images of the inducing
     character agree at the point (after class reduction of chi powers).
-    Groups are ordered by their shortest member; members by length.
+    Items come in representative order (by length), so groups are ordered
+    by their shortest member and members by length.
     """
+    buckets: dict[tuple, list] = {}
+    for item, target in zip(items, targets):
+        buckets.setdefault(target.value_key(s0, cls), []).append(item)
+    return list(buckets.values())
+
+
+def same_target_groups(case: str, s0: Q, cls: CharClass) -> list[list[WeylElement]]:
+    """Partition of the representatives by target character at s = s0."""
     lam, _ = lambda_for_case(case)
-    buckets: dict[tuple, list[WeylElement]] = {}
-    for w in coset_representatives(case):
-        key = weyl_act(w, lam).value_key(s0, cls)
-        buckets.setdefault(key, []).append(w)
-    groups = [sorted(ws, key=WeylElement.sort_key) for ws in buckets.values()]
-    groups.sort(key=lambda ws: ws[0].sort_key())
-    return groups
+    reps = coset_representatives(case)
+    return _by_target(reps, [weyl_act(w, lam) for w in reps], s0, cls)
 
 
 def local_order_sum(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
@@ -116,12 +120,21 @@ def local_order_sum(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
     return total
 
 
+def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
+                cls: CharClass, rules: RuleTable) -> TermReport:
+    """One constant-term summand at s = s0, each of its parts computed once."""
+    lam, _ = lambda_for_case(case)
+    expr = factor_expression(case, w, cls)
+    target = weyl_act(w, lam)
+    return TermReport(w, expr, order_at(expr, cls, s0),
+                      local_order_sum(case, profile, w, s0, rules),
+                      target.render_at(s0, cls), target)
+
+
 def term_order(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
                cls: CharClass, rules: RuleTable | None = None) -> OrderValue:
     """Order of one constant-term summand: global factor minus local poles."""
-    rules = rules or default_rules()
-    expr = factor_expression(case, w, cls)
-    return order_at(expr, cls, s0).shifted(-local_order_sum(case, profile, w, s0, rules))
+    return term_report(case, profile, w, s0, cls, rules or default_rules()).order
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +147,8 @@ class TermReport:
     expr: LExpression
     factor_order: OrderValue
     local_order: int
-    target: str
+    target: str                    # the target character rendered at the point
+    character: TorusCharacter      # the target: w applied to the inducing character
 
     @property
     def order(self) -> OrderValue:
@@ -291,11 +305,10 @@ def _group_weights(case: str, group: list[WeylElement], profile: PlaceProfile,
     return weights, kernel, notes
 
 
-def evaluate_group(case: str, group: list[WeylElement], profile: PlaceProfile,
+def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
                    s0: Q, cls: CharClass, rules: RuleTable) -> GroupReport:
     """Order (and leading, when certified) of one same-target group."""
-    exprs = {w.name: factor_expression(case, w, cls) for w in group}
-    locals_ = {w.name: local_order_sum(case, profile, w, s0, rules) for w in group}
+    group = [t.w for t in terms]
     members = [w.name for w in group]
 
     weights, kernel, notes = _group_weights(case, group, profile, s0, rules)
@@ -304,29 +317,29 @@ def evaluate_group(case: str, group: list[WeylElement], profile: PlaceProfile,
                            weights={k: str(v) for k, v in weights.items()},
                            note="; ".join(notes))
 
-    if len(group) == 1:
-        w = group[0]
-        ov = order_at(exprs[w.name], cls, s0).shifted(-locals_[w.name])
+    if len(terms) == 1:
+        (t,) = terms
+        ov = t.order
         leading = None
         if ov.is_known:
-            leading = germ_at(exprs[w.name], cls, s0).leading.render()
+            leading = germ_at(t.expr, cls, s0).leading.render()
         return GroupReport(members, ov, leading, cancelled=False,
                            note="; ".join(notes))
 
-    if len(set(locals_.values())) != 1:
+    if len({t.local_order for t in terms}) != 1:
         raise IndeterminateLeading(
             "grouped summands carry different local pole orders; cancellation not analyzed")
-    shared_local = locals_[members[0]]
+    shared_local = terms[0].local_order
 
-    common = _common_factor(list(exprs.values()))
+    common = _common_factor([t.expr for t in terms])
     common_order = order_at(common, cls, s0)
     inv = common.inverse()
-    terms = [(exprs[w.name] * inv, weights[w.name]) for w in group]
-    orders = [order_at(rem, cls, s0) for rem, _ in terms]
+    rems = [(t.expr * inv, weights[t.w.name]) for t in terms]
+    orders = [order_at(rem, cls, s0) for rem, _ in rems]
     if not all(ov.is_known for ov in orders):
         raise IndeterminateLeading(
             "strip-order symbols differ within a same-target group")
-    out = sum_germs(terms, cls, s0)
+    out = sum_germs(rems, cls, s0)
     cancelled = out.order.base > min(ov.base for ov in orders)
     total = (common_order + out.order).shifted(-shared_local)
     leading = out.leading.render() if out.leading is not None and out.order.is_known else None
@@ -460,7 +473,7 @@ def _longest(case: str) -> WeylElement:
 
 
 def describe_image(case: str, profile: PlaceProfile, s0: Q,
-                   groups: list[GroupReport], group_elements: list[list[WeylElement]],
+                   groups: list[GroupReport], group_terms: list[list[TermReport]],
                    vanishes: bool, rules: RuleTable) -> list[ImageEntry]:
     """Label-level image description per ramified place.
 
@@ -474,12 +487,11 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
     """
     if vanishes:
         return []
-    lam, _ = lambda_for_case(case)
-    live = [(g, ws) for g, ws in zip(groups, group_elements)
+    live = [(g, ts) for g, ts in zip(groups, group_terms)
             if not g.kernel_killed and g.order is not None]
     floor = min(g.order.base for g, _ in live)
-    leaders = [(g, ws) for g, ws in live if g.order.base == floor]
-    id_leads = any(ws[0].is_identity() for _, ws in leaders)
+    leaders = [(g, ts) for g, ts in live if g.order.base == floor]
+    id_leads = any(ts[0].w.is_identity() for _, ts in leaders)
 
     entries: list[ImageEntry] = []
     if id_leads:
@@ -493,9 +505,8 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
         return entries
 
     # pole (or leading term) carried by non-identity summands
-    lead_ws = [w for _, ws in leaders for w in ws]
-    w0 = max(lead_ws, key=lambda w: w.length)
-    target = weyl_act(w0, lam)
+    lead = max((t for _, ts in leaders for t in ts), key=lambda t: t.w.length)
+    w0, target = lead.w, lead.character
     for i, p in enumerate(profile.places):
         if p.choice == "spherical":
             label = langlands_label(target, s0, p.local_class)
@@ -517,21 +528,11 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
                      rules: RuleTable | None = None) -> ConstantTermReport:
     """Full constant-term report at s = s0 for one section profile."""
     rules = rules or default_rules()
-    lam, _ = lambda_for_case(case)
-
-    terms: list[TermReport] = []
-    for w in coset_representatives(case):
-        expr = factor_expression(case, w, cls)
-        terms.append(TermReport(
-            w, expr, order_at(expr, cls, s0),
-            local_order_sum(case, profile, w, s0, rules),
-            weyl_act(w, lam).render_at(s0, cls),
-        ))
-
-    group_elements = same_target_groups(case, s0, cls)
-    groups = [evaluate_group(case, g, profile, s0, cls, rules) for g in group_elements]
+    terms = [term_report(case, profile, w, s0, cls, rules) for w in coset_representatives(case)]
+    group_terms = _by_target(terms, [t.character for t in terms], s0, cls)
+    groups = [evaluate_group(case, ts, profile, s0, cls, rules) for ts in group_terms]
     combined, pole, deps, vanishes = _combine_orders(groups)
-    image = describe_image(case, profile, s0, groups, group_elements, vanishes, rules)
+    image = describe_image(case, profile, s0, groups, group_terms, vanishes, rules)
     notes = [g.note for g in groups if g.note]
     return ConstantTermReport(
         case=case, char_class=cls, s0=s0, profile=profile,

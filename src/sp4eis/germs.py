@@ -20,13 +20,14 @@ plainly nonzero carry a nonzeroness assertion that the numeric layer
 cross-checks: the shared constant Laurent coefficient of completed zeta
 at its poles, and the derivative of a quadratic completed L at 0.
 
-Series are expanded only as deep as the answer needs, all through
-``known_part_series``.  Every symbol's leading coefficient is a nonzero
-monomial, so ``germ_at`` reads a germ off one coefficient per symbol.
-``sum_germs`` expands weighted expressions from one coefficient, adding
-one at a time until a formally nonzero leading term survives, up to the
-``SERIES_DEPTH`` cap; a sum that cancels through it is a floor at the
-truncation order.  ``symbol_series`` refuses strip symbols.
+Every symbol's leading coefficient is a nonzero monomial, so ``germ_at``
+multiplies the symbols' leading monomials directly into one rational and
+one exponent map, normalized once, with no series arithmetic.
+``known_part_series`` is the series path of sums only: ``sum_germs``
+expands weighted expressions from one coefficient, adding one at a time
+until a formally nonzero leading term survives, up to the ``SERIES_DEPTH``
+cap; a sum that cancels through it is a floor at the truncation order.
+``symbol_series`` refuses strip symbols.
 """
 
 from __future__ import annotations
@@ -71,7 +72,12 @@ class DegenerateSymbol(GermError):
 
 @dataclass(frozen=True, eq=False)
 class Atom:
-    """Named nonzero-or-opaque constant appearing in leading coefficients."""
+    """Named nonzero-or-opaque constant appearing in leading coefficients.
+
+    ``known_nonzero`` and ``mod2`` (the atom is eps(1/2) of a self-dual
+    class, whose square is 1, so its exponent reduces mod 2) are fixed
+    when the atom is built.
+    """
 
     kind: str
     data: tuple
@@ -79,6 +85,9 @@ class Atom:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.kind, self.data)))
         object.__setattr__(self, "_key", (self.kind, tuple(str(d) for d in self.data)))
+        object.__setattr__(self, "known_nonzero", self._known_nonzero())
+        object.__setattr__(self, "mod2", self.kind == "epsv" and self.data[1] == Q(1, 2)
+                           and self.data[0] != CharClass.OTHER.value)
 
     def __hash__(self) -> int:
         return self._hash
@@ -115,8 +124,7 @@ class Atom:
     def sort_key(self) -> tuple:
         return self._key
 
-    @property
-    def known_nonzero(self) -> bool:
+    def _known_nonzero(self) -> bool:
         if self.kind in ("zconst", "zval", "lval", "epsv"):
             return True
         if self.kind == "lder":
@@ -127,48 +135,53 @@ class Atom:
         return False
 
 
+# A monomial is canonical when its atoms are distinct and sorted by
+# ``sort_key``, no exponent is 0 and every ``mod2`` exponent is 1.
 Monomial = tuple[tuple[Atom, int], ...]
 
 _ONE: Monomial = ()
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    d: dict[Atom, int] = {}
-    for a, e in m1:
-        d[a] = d.get(a, 0) + e
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    d = dict(m1)
     for a, e in m2:
         d[a] = d.get(a, 0) + e
     return _mono_normalize(d)
 
 
 def _mono_normalize(d: dict[Atom, int]) -> Monomial:
-    out: dict[Atom, int] = {}
+    """Canonical monomial of an atom -> exponent mapping."""
+    out = []
     for a, e in d.items():
-        if a.kind == "epsv":
-            cls, u = a.data
-            if u == Q(1, 2) and cls != CharClass.OTHER.value:
-                e %= 2  # eps(1/2)^2 = 1 for a self-dual character
+        if a.mod2:
+            e %= 2
         if e:
-            out[a] = out.get(a, 0) + e
-    return tuple(sorted(((a, e) for a, e in out.items() if e), key=lambda it: it[0].sort_key()))
+            out.append((a, e))
+    out.sort(key=lambda it: it[0]._key)
+    return tuple(out)
 
 
 def _mono_inv(m: Monomial) -> Monomial:
-    return _mono_normalize({a: -e for a, e in m})
+    # inverting keeps the order; a mod2 exponent 1 stays 1
+    return tuple((a, e if a.mod2 else -e) for a, e in m)
 
 
 class FormalScalar:
-    """Rational linear combination of atom monomials."""
+    """Rational linear combination of atom monomials.
+
+    ``terms`` is canonical: canonical monomials, no zero coefficient.  The
+    constructor trusts that; ``rational``, ``monomial`` and ``atom``
+    canonicalize, and every ring operation keeps it.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, Q] | None = None):
-        self.terms: dict[Monomial, Q] = {}
-        if terms:
-            for m, c in terms.items():
-                if c != 0:
-                    self.terms[m] = self.terms.get(m, Q(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c != 0}
+        self.terms: dict[Monomial, Q] = terms if terms is not None else {}
 
     # -- constructors --
 
@@ -183,7 +196,8 @@ class FormalScalar:
 
     @staticmethod
     def monomial(m: Monomial, c: Q | int = 1) -> "FormalScalar":
-        return FormalScalar({_mono_normalize(dict(m)): Q(c)})
+        c = Q(c)
+        return FormalScalar({_mono_normalize(dict(m)): c} if c else None)
 
     @staticmethod
     def atom(a: Atom, c: Q | int = 1) -> "FormalScalar":
@@ -192,9 +206,18 @@ class FormalScalar:
     # -- ring operations --
 
     def __add__(self, other: "FormalScalar") -> "FormalScalar":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         d = dict(self.terms)
         for m, c in other.terms.items():
-            d[m] = d.get(m, Q(0)) + c
+            old = d.get(m)
+            total = c if old is None else old + c
+            if total:
+                d[m] = total
+            else:
+                del d[m]
         return FormalScalar(d)
 
     def __neg__(self) -> "FormalScalar":
@@ -208,10 +231,15 @@ class FormalScalar:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                d[m] = d.get(m, Q(0)) + c1 * c2
-        return FormalScalar(d)
+                old = d.get(m)
+                d[m] = c1 * c2 if old is None else old + c1 * c2
+        return FormalScalar({m: c for m, c in d.items() if c})
 
     def scale(self, c: Q | int) -> "FormalScalar":
+        if c == 1:
+            return self
+        if not c:
+            return FormalScalar()
         c = Q(c)
         return FormalScalar({m: cc * c for m, cc in self.terms.items()})
 
@@ -511,6 +539,9 @@ class OrderValue:
 # symbol germs from the knowledge base
 # ---------------------------------------------------------------------------
 
+_ZETA_POLES = COMPLETED_L_FACTS["trivial"]["pole_residues"]
+
+
 def _strip_contains(u: Q) -> bool:
     lo, hi = COMPLETED_L_FACTS["trivial"]["open_strip"]
     return lo < u < hi
@@ -522,7 +553,7 @@ def _zeta_pole_series(u0: Q, a: Q, depth: int) -> Series:
     The expansion at 1 is 1/x + c + c2*x + ...; by the exact reflection the
     expansion at 0 is -1/x + c - c2*x + ... with the same coefficients.
     """
-    residue = COMPLETED_L_FACTS["trivial"]["pole_residues"][u0]
+    residue = _ZETA_POLES[u0]
     sign = Q(1) if u0 == 1 else Q(-1)
     coeffs = [FormalScalar.rational(residue / a)]
     coeffs.append(ZETA_CONST)
@@ -566,32 +597,6 @@ def _eps_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
     return Series(0, coeffs)
 
 
-def classify_symbol(sym: LSymbol, s0: Q) -> str:
-    """One of "known", "strip" for the symbol at the given point.
-
-    Epsilon factors are entire and nonvanishing, so always known; L-symbols
-    of every class have unknown vanishing order inside the open strip.
-    """
-    if sym.kind == EPS:
-        return "known"
-    u0 = sym.arg.at(s0)
-    return "strip" if _strip_contains(u0) else "known"
-
-
-def symbol_order(sym: LSymbol, cls: CharClass, s0: Q) -> int:
-    """Exact order of a non-strip symbol at s0 (0, or -1 at a zeta pole)."""
-    eff = power_class(cls, sym.power)
-    if sym.kind == EPS:
-        return 0
-    u0 = sym.arg.at(s0)
-    if eff is CharClass.TRIVIAL and u0 in COMPLETED_L_FACTS["trivial"]["pole_residues"]:
-        if sym.arg.a == 0:
-            raise DegenerateSymbol(
-                f"symbol {sym.render()} is constant at a completed-zeta pole")
-        return -1
-    return 0
-
-
 def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
     """Laurent expansion of one symbol around s0 to ``depth`` coefficients
     (non-strip only)."""
@@ -605,7 +610,7 @@ def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
     if _strip_contains(u0):
         raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {u0}")
     if eff is CharClass.TRIVIAL:
-        if u0 in COMPLETED_L_FACTS["trivial"]["pole_residues"]:
+        if u0 in _ZETA_POLES:
             if a == 0:
                 raise DegenerateSymbol(
                     f"symbol {sym.render()} is constant at a completed-zeta pole")
@@ -620,25 +625,27 @@ def _class_symbol_render(sym: LSymbol, cls: CharClass) -> str:
     return f"{sym.kind}({sym.arg.render()},{chi})"
 
 
-def split_expression(expr: LExpression, cls: CharClass, s0: Q):
-    """Separate strip symbols from symbols with known local behavior.
+def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
+    """Order of vanishing of the expression at s = s0 (negative for poles).
 
-    Returns (known: [(symbol, exponent)], strip deps: [StripDep]).
+    Epsilon factors are entire and nonvanishing.  An L-symbol with its
+    argument in the open strip contributes an unknown order (a ``StripDep``);
+    a completed zeta at one of its poles contributes -1; every other symbol
+    is finite and nonzero.
     """
-    known: list[tuple[LSymbol, int]] = []
+    base = 0
     deps: list[StripDep] = []
     for sym, e in expr.factors:
-        if classify_symbol(sym, s0) == "strip":
-            deps.append(StripDep(_class_symbol_render(sym, cls), sym.arg.at(s0), e))
-        else:
-            known.append((sym, e))
-    return known, deps
-
-
-def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
-    """Order of vanishing of the expression at s = s0 (negative for poles)."""
-    known, deps = split_expression(expr, cls, s0)
-    base = sum(symbol_order(sym, cls, s0) * e for sym, e in known)
+        if sym.kind == EPS:
+            continue
+        u0 = sym.arg.at(s0)
+        if _strip_contains(u0):
+            deps.append(StripDep(_class_symbol_render(sym, cls), u0, e))
+        elif u0 in _ZETA_POLES and power_class(cls, sym.power) is CharClass.TRIVIAL:
+            if sym.arg.a == 0:
+                raise DegenerateSymbol(
+                    f"symbol {sym.render()} is constant at a completed-zeta pole")
+            base -= e
     return OrderValue.conditional(base, deps)
 
 
@@ -662,13 +669,21 @@ def known_part_series(expr: LExpression, cls: CharClass, s0: Q, depth: int) -> S
 def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> Germ:
     """Germ of the expression at s0; refuses strip-unknown orders.
 
-    One coefficient per symbol suffices: each symbol's leading coefficient
-    is a nonzero monomial, so their product cannot cancel.
+    Each symbol's leading coefficient is a nonzero monomial, so the germ's
+    leading coefficient is their product: the orders add, the rationals
+    multiply and the atom exponents add, normalized once at the end.
     """
-    got = known_part_series(expr, cls, s0, 1).leading()
-    if got is None:  # pragma: no cover - a product of nonzero leadings
-        raise IndeterminateLeading("empty series")
-    order, lead = got
+    order = 0
+    coeff = expr.scalar
+    exps: dict[Atom, int] = {}
+    for sym, e in expr.factors:
+        head = symbol_series(sym, cls, s0, 1)
+        ((mono, c),) = head.coeffs[0].terms.items()
+        order += head.ord * e
+        coeff *= c ** e
+        for a, k in mono:
+            exps[a] = exps.get(a, 0) + k * e
+    lead = FormalScalar({_mono_normalize(exps): coeff})
     return Germ(order, lead, certified=lead.certified_nonzero())
 
 

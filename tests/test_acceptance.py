@@ -18,7 +18,7 @@ from sp4eis.checks import (
 )
 from sp4eis.constant_term import (
     Place, PlaceProfile, evaluate_group, eisenstein_order, same_target_groups,
-    term_order,
+    term_order, term_report,
 )
 from sp4eis.germs import OrderValue, apply_functional_equation, germ_at, order_at, sum_germs
 from sp4eis.localrules import default_rules
@@ -171,11 +171,13 @@ def test_criterion_6_cancellations():
     groups = same_target_groups("siegel", Q(1, 2), QU)
     pair = [g for g in groups if len(g) == 2][0]
     odd = PlaceProfile((Place("arch", TR), Place("nonarch", QU, "t2")))
-    g_odd = evaluate_group("siegel", pair, odd, Q(1, 2), QU, rules)
+    g_odd = evaluate_group("siegel", [term_report("siegel", odd, w, Q(1, 2), QU, rules)
+                                      for w in pair], odd, Q(1, 2), QU, rules)
     assert g_odd.order == OrderValue.known(0) and g_odd.cancelled
     even = PlaceProfile((Place("arch", TR), Place("nonarch", QU, "t2"),
                          Place("nonarch", QU, "t2")))
-    g_even = evaluate_group("siegel", pair, even, Q(1, 2), QU, rules)
+    g_even = evaluate_group("siegel", [term_report("siegel", even, w, Q(1, 2), QU, rules)
+                                       for w in pair], even, Q(1, 2), QU, rules)
     assert g_even.order == OrderValue.known(-1)
     # the vanishing of the bracket is exact of order one
     f = AffineForm.of

@@ -1,4 +1,4 @@
-"""Ring laws of FormalScalar and identities of truncated Laurent Series."""
+"""Ring laws and canonical form of FormalScalar; identities of truncated Laurent Series."""
 
 from fractions import Fraction as Q
 from functools import reduce
@@ -53,6 +53,26 @@ def test_scalar_commutativity(x, y):
 @given(scalars, scalars, scalars)
 def test_scalar_distributivity(x, y, z):
     assert (x * (y + z)).terms == (x * y + x * z).terms
+
+
+def assert_canonical(x: FormalScalar) -> None:
+    """The form the trusting FormalScalar constructor relies on."""
+    for m, c in x.terms.items():
+        assert c != 0
+        keys = [a.sort_key() for a, _ in m]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:])), m
+        for a, e in m:
+            assert e != 0, m
+            if a.kind == "epsv" and a.data[1] == Q(1, 2) and a.data[0] != "other":
+                assert e == 1, m
+
+
+@given(scalars, scalars, coefficients, nonzero_monomials)
+def test_ring_operations_stay_canonical(x, y, c, m):
+    for out in (x + y, x - x, (x + y) - y, x * y, (x + y) * (x - y), -x, x.scale(c),
+                m.inverse(), m * m.inverse(), m * m):
+        assert_canonical(out)
+    assert x + FormalScalar.zero() is x and x.scale(1) is x
 
 
 @given(series())
