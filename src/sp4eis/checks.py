@@ -20,7 +20,7 @@ from .constant_term import factor_expression
 from .germs import order_at
 from .normfactor import LExpression
 from .numerics import (
-    completed_dirichlet, completed_zeta, estimate_order, eval_expression,
+    completed_dirichlet, completed_zeta, estimate_order, eval_expression, gamma,
     table_for_modulus, zeta_direct, zeta_em,
 )
 from .roots import SP4
@@ -68,11 +68,20 @@ def check_zeta_closed_forms() -> list[CheckResult]:
 
 
 def check_reflection() -> list[CheckResult]:
+    """Lam(s) = Lam(1 - s) with both sides computed, not reflected.
+
+    ``completed_zeta`` reflects Re s < 1/2 to 1 - s itself, so the left
+    point is evaluated here from pi^(-s/2) Gamma(s/2) zeta(s) directly
+    (``zeta_em`` is valid down to Re s = -2).  On Re s = 1/2 the left
+    point is 1 - s, the complex conjugate of s.
+    """
     worst = 0.0
     for re10 in range(1, 10):
         for im in (0.0, 2.5, -2.5, 5.0, -5.0):
             s = re10 / 10 + 1j * im
-            a, b = completed_zeta(s), completed_zeta(1 - s)
+            left = s if s.real < 0.5 else 1 - s
+            a = math.pi ** (-left / 2) * gamma(left / 2) * zeta_em(left)
+            b = completed_zeta(1 - left)
             worst = max(worst, abs(a - b) / max(abs(a), 1e-30))
     return [_res("completed-zeta-reflection-grid", worst, 1e-9)]
 
@@ -143,15 +152,17 @@ def check_parity_cancellation(modulus: int = 4) -> list[CheckResult]:
     with the odd-parity sign the pole cancels exactly and the limit is
     nonzero.  Epsilon factors are 1 for a real primitive character in the
     completed normalization (checked independently above), so the plain
-    expression values are faithful.
+    expression values are faithful.  The two factors share completed
+    values, each computed once.
     """
     tbl = table_for_modulus(modulus)
     sc2 = _expression_for("siegel", "sc2", QU)
     c2sc2 = _expression_for("siegel", "c2sc2", QU)
+    known: dict = {}
     vals = {}
     for d in (1e-3, 1e-4, 1e-5):
-        a = eval_expression(sc2, QU, 0.5 + d, tbl)
-        b = eval_expression(c2sc2, QU, 0.5 + d, tbl)
+        a = eval_expression(sc2, QU, 0.5 + d, tbl, known)
+        b = eval_expression(c2sc2, QU, 0.5 + d, tbl, known)
         vals[d] = (a + b, a - b)
     even_slope = math.log(abs(vals[1e-3][0]) / abs(vals[1e-5][0])) / math.log(1e2)
     odd_small = abs(vals[1e-5][1])
@@ -203,12 +214,18 @@ def _expression_for(case: str, element: str, cls: CharClass) -> LExpression:
 
 
 def check_order_oracle() -> list[CheckResult]:
+    """Slope-fitted against symbolic order on every row of ``oracle_grid``.
+
+    Rows near the same point share completed values, each computed once
+    per call.
+    """
     out = []
+    known: dict = {}
     for case, element, cls, modulus, s0, expected in oracle_grid():
         expr = _expression_for(case, element, cls)
         symbolic = order_at(expr, cls, s0)
         tbl = table_for_modulus(modulus) if modulus else None
-        est = estimate_order(expr, cls, s0, tbl)
+        est = estimate_order(expr, cls, s0, tbl, known)
         ok = (symbolic.is_known and symbolic.base == expected
               and est.fitted == expected and est.residual < 0.05)
         name = f"order-{case[:4]}-{element}-{cls.value[:4]}-at-{s0}"

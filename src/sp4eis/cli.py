@@ -13,14 +13,15 @@ timestamps).  The exit code is 0 exactly when every requested check
 passed, 1 when a check failed, and 2 when the input could not be
 answered: a usage error, or one of the typed errors in ``INPUT_ERRORS``,
 which is printed as one line ``sp4eis: <Class>: <message>`` on stderr.
-Numeric precision can be tuned with the environment variables
-SP4EIS_ZETA_N and SP4EIS_ZETA_M (Euler-Maclaurin term counts).
+It is 141 (128 + SIGPIPE), silently, when the reader of stdout closed
+the pipe early, as in ``sp4eis numcheck | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .characters import coset_representatives, lambda_for_case, parse_class, weyl_act
@@ -265,12 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except INPUT_ERRORS as exc:
         # args[0], not str(): str() of a KeyError subclass adds quotes
         message = exc.args[0] if exc.args else ""
         print(f"sp4eis: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

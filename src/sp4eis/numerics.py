@@ -9,15 +9,19 @@ identity, nonzero atoms) is cross-checked here.
 
 Accuracy domain: |Im s| <= 20 and -2 <= Re s <= 12 for the
 Euler-Maclaurin sums (``hurwitz_zeta``, ``zeta_em``, ``dirichlet_l`` and
-so ``completed_dirichlet``), with the default term counts (overridable
-through the environment variables SP4EIS_ZETA_N and SP4EIS_ZETA_M).
-Outside it they raise :class:`NumericsError`: below Re s = -2 the partial
-sum and the x^(1-s) tail term grow together and cancel, so digits are
-lost fast (a relative error near 1e-6 at Re s = -3.5 for the built-in
-conductors).  ``completed_zeta`` reflects Re s < 1/2 to 1 - s, so it
-covers -11 <= Re s <= 12.  In the domain completed zeta is good to at
+so ``completed_dirichlet``), with the fixed term counts ``ZETA_N = 40``
+(partial sum) and ``ZETA_M = 22`` (Bernoulli tail).  Outside it they
+raise :class:`NumericsError`: below Re s = -2 the partial sum and the
+x^(1-s) tail term grow together and cancel, so digits are lost fast
+(a relative error near 1e-6 at Re s = -3.5 for the built-in conductors).
+``completed_zeta`` reflects Re s < 1/2 to 1 - s, so it covers
+-11 <= Re s <= 12.  In the domain completed zeta is good to at
 least 10 significant digits, completed Dirichlet values for moduli up to
 12 to at least 8.
+
+Within one check, ``eval_expression`` and ``estimate_order`` can share a
+caller-owned mapping of the completed values already computed, so each
+(class, table, point) is evaluated once; nothing is cached across calls.
 
 Epsilon symbols are never evaluated standalone: they are entire and
 nonvanishing, so for order estimation they are replaced by 1, and epsilon
@@ -29,8 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cache
 
@@ -43,6 +46,9 @@ RE_LIMIT = 12.0
 POLE_TOL = 1e-8
 GAMMA_POLE_TOL = 1e-6
 DELTA_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
+ZETA_N = 40  # Euler-Maclaurin partial-sum terms
+ZETA_M = 22  # Euler-Maclaurin tail terms
+DIRECT_TERMS = 4000  # partial-sum terms of the independent ``zeta_direct``
 
 
 class NumericsError(Exception):
@@ -55,13 +61,6 @@ class PoleProximity(NumericsError):
 
 class NotEvaluable(NumericsError):
     """Expression contains a class with no numeric stand-in."""
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +116,10 @@ def gamma(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 @cache
-def _em_coefficients(terms: int) -> tuple[float, ...]:
-    """float(B_2k) / (2k)! for k = 1..terms: the Euler-Maclaurin tail weights."""
-    bern = bernoulli_numbers(2 * terms + 1)
-    return tuple(float(bern[2 * k]) / math.factorial(2 * k) for k in range(1, terms + 1))
+def _em_coefficients() -> tuple[float, ...]:
+    """float(B_2k) / (2k)! for k = 1..ZETA_M: the Euler-Maclaurin tail weights."""
+    bern = bernoulli_numbers(2 * ZETA_M + 1)
+    return tuple(float(bern[2 * k]) / math.factorial(2 * k) for k in range(1, ZETA_M + 1))
 
 
 def _phi_expm1(w: complex) -> complex:
@@ -135,34 +134,43 @@ def _phi_expm1(w: complex) -> complex:
     return (cmath.exp(w) - 1.0) / w
 
 
-def _hurwitz_parts(s: complex, a: float) -> tuple[complex, complex]:
-    """Euler-Maclaurin pieces of Hurwitz zeta: (regular part, pole part).
+def _tail_weights(s: complex) -> tuple[complex, ...]:
+    """b_k (s)_(2k-1) for k = 1..ZETA_M: the Euler-Maclaurin tail at s.
 
-    The pole part is x^(1-s)/(s-1) rewritten as 1/(s-1) - log(x)*phi(w)
-    with w = (1-s) log(x); the returned pair is (everything regular
-    including -log(x)*phi(w), coefficient-one pole term 1/(s-1)).
+    They depend on s alone, so one tuple serves every shift at s.  Raises
+    :class:`NumericsError` outside the accuracy domain.
     """
-    s = complex(s)
     if abs(s.imag) > IM_LIMIT or not RE_MIN <= s.real <= RE_LIMIT:
         raise NumericsError(f"s={s} outside the documented accuracy domain")
+    out = []
+    rising = s  # (s)_(2k-1) built incrementally
+    for k, b in enumerate(_em_coefficients(), start=1):
+        out.append(b * rising)
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return tuple(out)
+
+
+def _hurwitz_regular(s: complex, a: float, tail: tuple[complex, ...]) -> complex:
+    """Hurwitz zeta at s less its pole term 1/(s-1), by Euler-Maclaurin.
+
+    The integral term x^(1-s)/(s-1) is rewritten as
+    1/(s-1) - log(x)*phi(w) with w = (1-s) log(x), and only
+    -log(x)*phi(w) is kept.  ``tail`` is ``_tail_weights(s)``.
+    """
     if a <= 0:
         raise ValueError("shift must be positive")
-    N = _env_int("SP4EIS_ZETA_N", 40)
-    M = _env_int("SP4EIS_ZETA_M", 22)
     total = complex(0.0)
-    for n in range(N):
+    for n in range(ZETA_N):
         total += (n + a) ** (-s)
-    x = N + a
+    x = ZETA_N + a
     lx = math.log(x)
     total += -lx * _phi_expm1((1.0 - s) * lx)  # x^(1-s)/(s-1) - 1/(s-1)
     total += 0.5 * x ** (-s)
-    rising = s  # (s)_(2k-1) built incrementally
     power = x ** (-s - 1.0)
-    for k, b in enumerate(_em_coefficients(M), start=1):
-        total += b * rising * power
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    for w in tail:
+        total += w * power
         power /= x * x
-    return total, 1.0 / (s - 1.0) if abs(s - 1.0) > 0 else complex(math.inf)
+    return total
 
 
 def hurwitz_zeta(s: complex, a: float = 1.0) -> complex:
@@ -173,8 +181,7 @@ def hurwitz_zeta(s: complex, a: float = 1.0) -> complex:
     s = complex(s)
     if abs(s - 1.0) < POLE_TOL:
         raise PoleProximity("zeta pole at s=1")
-    regular, pole = _hurwitz_parts(s, a)
-    return regular + pole
+    return _hurwitz_regular(s, a, _tail_weights(s)) + 1.0 / (s - 1.0)
 
 
 def zeta_em(s: complex) -> complex:
@@ -182,20 +189,20 @@ def zeta_em(s: complex) -> complex:
     return hurwitz_zeta(s, 1.0)
 
 
-def zeta_direct(s: complex, terms: int = 4000) -> complex:
+def zeta_direct(s: complex) -> complex:
     """Independent cross-check: partial sum with integral and half-term tail.
 
     No Bernoulli corrections; accurate to ~|s| * N^(-Re(s)-1) / 12, i.e.
-    well below 1e-10 for Re(s) >= 3 with the default number of terms.
+    well below 1e-10 for Re(s) >= 3 with N = DIRECT_TERMS.
     """
     s = complex(s)
     if s.real <= 1.5:
         raise NumericsError("direct summation needs Re(s) well above 1")
     total = complex(0.0)
-    for n in range(1, terms):
+    for n in range(1, DIRECT_TERMS):
         total += n ** (-s)
-    total += terms ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * terms ** (-s)
+    total += DIRECT_TERMS ** (1.0 - s) / (s - 1.0)
+    total += 0.5 * DIRECT_TERMS ** (-s)
     return total
 
 
@@ -211,7 +218,7 @@ def completed_zeta(s: complex) -> complex:
         raise PoleProximity(f"completed zeta pole at s={s}")
     if s.real < 0.5:
         return completed_zeta(1.0 - s)
-    return math.pi ** 0.0 * cmath.exp(-s / 2.0 * math.log(math.pi)) * gamma(s / 2.0) * zeta_em(s)
+    return cmath.exp(-s / 2.0 * math.log(math.pi)) * gamma(s / 2.0) * zeta_em(s)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +257,17 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class DirichletTable:
-    """Real Dirichlet character given by its value table on 0..q-1."""
+    """Real Dirichlet character given by its value table on 0..q-1.
+
+    ``parity`` (0 even, 1 odd), ``primitive`` and ``nontrivial`` are
+    derived from the table once, when it is built.
+    """
 
     modulus: int
     values: tuple[int, ...]
+    parity: int = field(init=False, compare=False)
+    primitive: bool = field(init=False, compare=False)
+    nontrivial: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         q = self.modulus
@@ -269,16 +283,15 @@ class DirichletTable:
             for b in range(q):
                 if self.values[a * b % q] != self.values[a] * self.values[b]:
                     raise ValueError("table is not completely multiplicative")
+        object.__setattr__(self, "parity", 0 if self(q - 1) == 1 else 1)
+        object.__setattr__(self, "primitive", self._is_primitive())
+        object.__setattr__(self, "nontrivial", any(
+            self(a) != 1 for a in range(1, q) if math.gcd(a, q) == 1))
 
     def __call__(self, n: int) -> int:
         return self.values[n % self.modulus]
 
-    @property
-    def parity(self) -> int:
-        """0 for even characters, 1 for odd."""
-        return 0 if self(self.modulus - 1) == 1 else 1
-
-    def is_primitive(self) -> bool:
+    def _is_primitive(self) -> bool:
         q = self.modulus
         if q == 1:
             return True
@@ -328,25 +341,21 @@ def dirichlet_l(tbl: DirichletTable, s: complex) -> complex:
 
     For a nontrivial character the per-residue zeta poles at s = 1 cancel
     (the character values sum to zero), so only the regular Euler-Maclaurin
-    parts are summed and the value is finite on the whole domain.
+    parts are summed and the value is finite on the whole domain.  The
+    tail weights depend on s alone and are built once for all residues.
     """
     q = tbl.modulus
     s = complex(s)
+    tail = _tail_weights(s)
     scale = cmath.exp(-s * math.log(q))
-    nontrivial = any(tbl(a) != 1 for a in range(1, q) if math.gcd(a, q) == 1)
     total = complex(0.0)
-    pole_coeff = 0
     for a in range(1, q + 1):
         if tbl(a):
-            regular, pole = _hurwitz_parts(s, a / q)
-            total += tbl(a) * regular
-            pole_coeff += tbl(a)
-    if pole_coeff:
+            total += tbl(a) * _hurwitz_regular(s, a / q, tail)
+    if not tbl.nontrivial:
         if abs(s - 1.0) < POLE_TOL:
             raise PoleProximity("pole of L at s=1 (trivial character)")
-        total += pole_coeff / (s - 1.0)
-    elif not nontrivial:  # pragma: no cover - defensive
-        raise NumericsError("inconsistent character table")
+        total += sum(tbl.values) / (s - 1.0)
     return scale * total
 
 
@@ -357,7 +366,7 @@ def completed_dirichlet(tbl: DirichletTable, s: complex) -> complex:
     against this function are genuine.  Points where the gamma factor has
     a pole (compensated by a trivial zero of L) are rejected.
     """
-    if not tbl.is_primitive():
+    if not tbl.primitive:
         raise ValueError("completed form requires a primitive character")
     s = complex(s)
     d = tbl.parity
@@ -373,29 +382,40 @@ def completed_dirichlet(tbl: DirichletTable, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 def eval_expression(expr: LExpression, cls: CharClass, s: complex,
-                    table: DirichletTable | None = None) -> complex:
+                    table: DirichletTable | None = None,
+                    known: dict | None = None) -> complex:
     """Numeric value of a canonical L-expression at a complex point.
 
     chi is realized as the trivial character or through ``table``; epsilon
     symbols evaluate to 1 (entire and nonvanishing, so pole orders are
     unaffected; identities involving epsilon are checked via functional-
     equation ratios, never through this path).
+
+    ``known`` maps (effective class, Dirichlet table or None, argument) to
+    a completed value already computed.  It is read and filled in place,
+    so a caller evaluating many expressions near the same points computes
+    each completed value once; the caller decides how long it lives.
     """
+    if known is None:
+        known = {}
     out = complex(float(expr.scalar))
     for sym, e in expr.factors:
         if sym.kind == EPS:
             continue
         eff = power_class(cls, sym.power)
-        arg = float(sym.arg.a) * s + float(sym.arg.b)
         if eff is CharClass.TRIVIAL:
-            val = completed_zeta(arg)
+            tbl = None
         elif eff is CharClass.QUADRATIC:
             if table is None:
                 raise NotEvaluable("a Dirichlet table is needed for quadratic classes")
-            val = completed_dirichlet(table, arg)
+            tbl = table
         else:
             raise NotEvaluable(f"no numeric stand-in for class {eff.value}")
-        out *= val ** e
+        arg = float(sym.arg.a) * s + float(sym.arg.b)
+        key = (eff, tbl, arg)
+        if key not in known:
+            known[key] = completed_zeta(arg) if tbl is None else completed_dirichlet(tbl, arg)
+        out *= known[key] ** e
     return out
 
 
@@ -411,19 +431,20 @@ class OrderEstimate:
 
 def estimate_order(expr: LExpression, cls: CharClass, s0: Q,
                    table: DirichletTable | None = None,
-                   deltas: tuple[float, ...] = DELTA_LADDER) -> OrderEstimate:
-    """Least-squares slope of log|f| against log(delta) near s0.
+                   known: dict | None = None) -> OrderEstimate:
+    """Least-squares slope of log|f| against log(delta) at s0 + DELTA_LADDER.
 
     The fitted integer is the nearest integer to the slope; the residual
     (distance to it) must stay below 0.05 for an estimate to count as
-    unambiguous at double precision.
+    unambiguous at double precision.  ``known`` is passed on to
+    :func:`eval_expression`.
     """
     xs, ys = [], []
-    for d in deltas:
-        v = eval_expression(expr, cls, float(s0) + d, table)
+    for d in DELTA_LADDER:
+        v = eval_expression(expr, cls, float(s0) + d, table, known)
         m = abs(v)
         if not (1e-280 < m < 1e280):
-            raise NumericsError(f"magnitude {m} out of range at delta={d}; widen the ladder")
+            raise NumericsError(f"magnitude {m} out of range at delta={d}")
         xs.append(math.log(d))
         ys.append(math.log(m))
     n = len(xs)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import sys
 
 import pytest
 
@@ -57,6 +59,35 @@ def test_weyl_json_deterministic(capsys):
     data = json.loads(out1)
     assert [r["name"] for r in data["cases"]["siegel"]] == ["id", "c2", "sc2", "c2sc2"]
     assert len(data["group"]) == 8
+
+
+# sha256 of `sp4eis numcheck --modulus Q --json`: every check name, pass
+# flag, measured value and bound, pinned byte for byte
+NUMCHECK_SHA256 = {
+    4: "591b2c7a0b555c61cf0cdd0ffaaaedbf9be99d3cecee6ced8fbb358b34ceb5cd",
+    5: "bd6b58d9309226b2ce0ff16f8f59ece704f921ea6bcb8b898e40b2e25ded6d0f",
+}
+
+
+@pytest.mark.parametrize("modulus", sorted(NUMCHECK_SHA256))
+def test_numcheck_json_pinned(capsys, modulus):
+    code, out = run(capsys, "numcheck", "--modulus", str(modulus), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NUMCHECK_SHA256[modulus]
+
+
+def test_closed_pipe_exits_141_quietly(monkeypatch, capsys):
+    # a pipe whose reading end is already closed: every write fails with
+    # EPIPE, as after `sp4eis numcheck | head -1` once head has exited
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    with open(write_fd, "w", encoding="utf-8") as closed, monkeypatch.context() as m:
+        m.setattr(sys, "stdout", closed)
+        assert main(["numcheck"]) == 141
+        # stdout now leads to devnull, so the flush at exit succeeds
+        closed.write("more\n")
+        closed.flush()
+    assert capsys.readouterr().err == ""
 
 
 def test_normfactor_golden(capsys):

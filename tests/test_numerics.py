@@ -5,14 +5,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from sp4eis.characters import CharClass
+from sp4eis import numerics
+from sp4eis.characters import CharClass, coset_representatives, heisenberg_lambda
+from sp4eis.constant_term import factor_expression
 from sp4eis.normfactor import canonicalize, inverse_norm_factor
-from sp4eis.characters import heisenberg_lambda
 from sp4eis.numerics import (
-    IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_MIN, DirichletTable, NotEvaluable, NumericsError,
-    PoleProximity, _em_coefficients, bernoulli_numbers, completed_dirichlet, completed_zeta,
-    dirichlet_l, estimate_order, eval_expression, gamma, hurwitz_zeta, kronecker_symbol,
-    quadratic_table, table_for_modulus, zeta_direct, zeta_em,
+    IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_MIN, ZETA_M, DirichletTable, NotEvaluable,
+    NumericsError, PoleProximity, _em_coefficients, bernoulli_numbers, completed_dirichlet,
+    completed_zeta, dirichlet_l, estimate_order, eval_expression, gamma, hurwitz_zeta,
+    kronecker_symbol, quadratic_table, table_for_modulus, zeta_direct, zeta_em,
 )
 from sp4eis.roots import SP4
 
@@ -30,22 +31,11 @@ def test_bernoulli():
 
 
 def test_em_coefficients_are_the_bernoulli_weights():
-    # 22 is the default SP4EIS_ZETA_M
-    b = bernoulli_numbers(45)
-    coeffs = _em_coefficients(22)
-    assert len(coeffs) == 22
+    b = bernoulli_numbers(2 * ZETA_M + 1)
+    coeffs = _em_coefficients()
+    assert len(coeffs) == ZETA_M == 22
     for k, c in enumerate(coeffs, start=1):
         assert c == float(b[2 * k]) / math.factorial(2 * k)
-
-
-def test_zeta_m_override_is_part_of_the_cache_key(monkeypatch):
-    monkeypatch.delenv("SP4EIS_ZETA_M", raising=False)
-    default = zeta_em(3.0)
-    with monkeypatch.context() as m:
-        # M = 10 still agrees to the last bit at s = 3; one term does not
-        m.setenv("SP4EIS_ZETA_M", "1")
-        assert zeta_em(3.0) != default
-    assert zeta_em(3.0) == default
 
 
 def test_gamma_values():
@@ -103,7 +93,7 @@ def test_quadratic_tables():
     for q in (3, 4, 5, 7, 8, 11, 12):
         tbl = table_for_modulus(q)
         assert tbl.modulus == q
-        assert tbl.is_primitive()
+        assert tbl.primitive and tbl.nontrivial
     assert table_for_modulus(4).parity == 1
     assert table_for_modulus(5).parity == 0
     with pytest.raises(ValueError):
@@ -116,7 +106,7 @@ def test_imprimitive_rejected():
     # the character mod 8 induced from mod 4 is not primitive
     vals = tuple(kronecker_symbol(-4, n) for n in range(8))
     tbl = DirichletTable(8, vals)
-    assert not tbl.is_primitive()
+    assert not tbl.primitive
     with pytest.raises(ValueError):
         completed_dirichlet(tbl, 1.0)
 
@@ -183,3 +173,45 @@ def test_eval_expression_needs_table_for_quadratic():
         eval_expression(canonicalize(rc1, OT), OT, 2.0, table_for_modulus(4))
     v = eval_expression(rc1, QU, 2.0, table_for_modulus(4))
     assert abs(v) > 0
+
+
+def _quadratic_factors():
+    """The quadratic-class factors of both constant terms, identity excluded."""
+    return [factor_expression(case, w, QU) for case in ("heisenberg", "siegel")
+            for w in coset_representatives(case) if w.length]
+
+
+def test_shared_values_keep_tables_apart():
+    # one mapping for two conductors at one point: a key without the
+    # table would hand mod-4 values to the mod-5 evaluations
+    known: dict = {}
+    s = 2.3 + 0.4j
+    exprs = _quadratic_factors()
+    assert exprs
+    for q in (4, 5):
+        tbl = table_for_modulus(q)
+        for expr in exprs:
+            assert eval_expression(expr, QU, s, tbl, known) == eval_expression(expr, QU, s, tbl)
+    assert {key[1].modulus for key in known if key[1] is not None} == {4, 5}
+
+
+def test_shared_values_are_computed_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(numerics, "completed_zeta", counted(completed_zeta))
+    monkeypatch.setattr(numerics, "completed_dirichlet", counted(completed_dirichlet))
+    tbl = table_for_modulus(4)
+    exprs = _quadratic_factors()
+    known: dict = {}
+    first = [estimate_order(expr, QU, Q(5, 2), tbl, known) for expr in exprs]
+    assert calls and len(calls) == len(set(calls))  # no argument evaluated twice
+    before = len(calls)
+    again = [estimate_order(expr, QU, Q(5, 2), tbl, known) for expr in exprs]
+    assert len(calls) == before
+    assert again == first == [estimate_order(expr, QU, Q(5, 2), tbl) for expr in exprs]

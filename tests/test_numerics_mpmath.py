@@ -2,8 +2,9 @@
 
 The grid covers the documented accuracy domain -2 <= Re s <= 12,
 |Im s| <= 20, stepping around the gamma poles on the real axis.  The
-tolerances are the module docstring's: 1e-10 relative for completed zeta,
-1e-8 for completed Dirichlet values.  The Lanczos gamma is held to 1e-12
+tolerances are the module docstring's: 1e-10 relative for completed zeta
+and for Hurwitz zeta right of Re s = 1/2, 1e-8 for completed Dirichlet
+values.  The Lanczos gamma is held to 1e-12
 (its worst error on this grid is about 1.5e-13).
 
 Left of Re s = 1/2 the Dirichlet reference is mpmath's value at 1 - s:
@@ -16,7 +17,8 @@ part.
 import pytest
 
 from sp4eis.numerics import (
-    QUADRATIC_DISCRIMINANTS, completed_dirichlet, completed_zeta, gamma, table_for_modulus,
+    QUADRATIC_DISCRIMINANTS, completed_dirichlet, completed_zeta, gamma, hurwitz_zeta,
+    table_for_modulus,
 )
 
 mp = pytest.importorskip("mpmath")
@@ -65,3 +67,11 @@ def test_completed_dirichlet_matches_mpmath(q):
         z = (u + tbl.parity) / 2
         ref = (mp.mpf(q) / mp.pi) ** z * mp.gamma(z) * mp.dirichlet(u, list(tbl.values))
         assert _rel(completed_dirichlet(tbl, s), ref) < 1e-8, (q, s)
+
+
+@pytest.mark.parametrize("a", [1 / 12, 1 / 3, 1 / 2, 3 / 4, 1.0])
+def test_hurwitz_zeta_matches_mpmath(a):
+    # the shifts a/q of the built-in conductors' residues lie in (0, 1]
+    for s in GRID:
+        if s.real >= 0.5:
+            assert _rel(hurwitz_zeta(s, a), mp.zeta(mp.mpc(s), mp.mpf(a))) < 1e-10, (a, s)
