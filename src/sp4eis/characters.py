@@ -4,6 +4,12 @@ A torus character assigns to each coordinate a pair (character power,
 affine exponent).  The inducing characters of the two degenerate series
 are provided as constructors: ``heisenberg_lambda`` is chi nu^s (x) nu^-1
 and ``siegel_lambda`` is chi nu^(s-1/2) (x) chi nu^(s+1/2).
+
+``COSET_REPS`` holds the four Weyl elements of each case's constant term
+and ``TARGETS`` the character each one carries the inducing character
+to.  Neither depends on s, so both are built once at import; at a point,
+``value_key`` evaluates a target once, and that one tuple both groups the
+summands and renders (``render_value``).
 """
 
 from __future__ import annotations
@@ -89,7 +95,13 @@ class AffineForm:
         return AffineForm(-self.a, 1 - self.b)
 
     def at(self, s0: Q) -> Q:
-        return self.a * s0 + self.b
+        """The value a*s0 + b, built as one ``Fraction``."""
+        a, b = self.a, self.b
+        if not a:
+            return b
+        bd = b.denominator
+        return Q(a.numerator * s0.numerator * bd + b.numerator * a.denominator * s0.denominator,
+                 a.denominator * s0.denominator * bd)
 
     def render(self) -> str:
         if self.a == 0:
@@ -129,17 +141,19 @@ class TorusCharacter:
         """Hashable value of the character at s = s0 up to class reduction.
 
         Two characters are equal at s0 exactly when these keys agree; used
-        for same-target grouping of constant-term summands.
+        for same-target grouping of constant-term summands, and rendered
+        by ``render_value``.
         """
         return tuple((reduce_power(cls, k), form.at(s0)) for k, form in self.coords)
 
-    def render_at(self, s0: Q, cls: CharClass) -> str:
-        parts = []
-        for k, form in self.coords:
-            k = reduce_power(cls, k)
-            chi = {0: "", 1: "chi*"}.get(k, f"chi^{k}*")
-            parts.append(f"{chi}nu^{form.at(s0)}")
-        return "(" + ", ".join(parts) + ")"
+
+def render_value(key: tuple) -> str:
+    """A ``value_key`` rendered as the character at its point."""
+    parts = []
+    for k, v in key:
+        chi = {0: "", 1: "chi*"}.get(k, f"chi^{k}*")
+        parts.append(f"{chi}nu^{v}")
+    return "(" + ", ".join(parts) + ")"
 
 
 def heisenberg_lambda() -> TorusCharacter:
@@ -203,6 +217,11 @@ _CASES = {
 
 # the four Weyl elements of each case's constant term, by length
 COSET_REPS = {case: tuple(SP4.coset_reps([keep])) for case, (_, keep) in _CASES.items()}
+
+# the target of each summand, w applied to the inducing character; it does
+# not depend on s, so the eight are built here once
+TARGETS = {case: {w: weyl_act(w, lam) for w in COSET_REPS[case]}
+           for case, (lam, _) in _CASES.items()}
 
 
 def _unknown_case(case: str) -> ValueError:

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from .characters import coset_representatives, lambda_for_case, parse_class, weyl_act
+from .characters import TARGETS, coset_representatives, lambda_for_case, parse_class
 from .checks import run_numeric_checks
 from .constant_term import ProfileError, eisenstein_order
 from .germs import IndeterminateLeading
@@ -56,19 +56,19 @@ def cmd_weyl(args) -> int:
     payload = {"schema": "sp4eis-weyl/1", "cases": {}}
     lines = []
     for case in cases:
-        lam, _ = lambda_for_case(case)
         rows = []
         for w in coset_representatives(case):
             neg = [tuple(str(c) for c in a) for a in SP4.negative_set(w)]
+            target = TARGETS[case][w].render()
             rows.append({
                 "name": w.name,
                 "word": list(w.word),
                 "length": w.length,
                 "negative_roots": neg,
-                "target": weyl_act(w, lam).render(),
+                "target": target,
             })
             lines.append(f"{case:11} {w.name:7} length={w.length} "
-                         f"negatives={neg} target={weyl_act(w, lam).render()}")
+                         f"negatives={neg} target={target}")
         payload["cases"][case] = rows
     if args.full:
         payload["group"] = [{"name": w.name, "word": list(w.word), "length": w.length}

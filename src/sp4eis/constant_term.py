@@ -16,7 +16,8 @@ from fractions import Fraction as Q
 from functools import cache
 
 from .characters import (
-    CharClass, TorusCharacter, coset_representatives, lambda_for_case, power_class, weyl_act,
+    TARGETS, CharClass, TorusCharacter, coset_representatives, lambda_for_case, power_class,
+    render_value,
 )
 from .germs import (
     IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, sum_germs,
@@ -89,25 +90,26 @@ class PlaceProfile:
 # coset representatives and grouping
 # ---------------------------------------------------------------------------
 
-def _by_target(items: list, targets: list[TorusCharacter], s0: Q, cls: CharClass) -> list[list]:
-    """Partition of items by the value of their targets at s = s0.
+def _by_target(items: list, values: list[tuple]) -> list[list]:
+    """Partition of items by the value of their targets at the point.
 
-    Two summands can only cancel when the Weyl images of the inducing
-    character agree at the point (after class reduction of chi powers).
-    Items come in representative order (by length), so groups are ordered
-    by their shortest member and members by length.
+    ``values`` holds each target's ``value_key``.  Two summands can only
+    cancel when the Weyl images of the inducing character agree at the
+    point (after class reduction of chi powers).  Items come in
+    representative order (by length), so groups are ordered by their
+    shortest member and members by length.
     """
     buckets: dict[tuple, list] = {}
-    for item, target in zip(items, targets):
-        buckets.setdefault(target.value_key(s0, cls), []).append(item)
+    for item, value in zip(items, values):
+        buckets.setdefault(value, []).append(item)
     return list(buckets.values())
 
 
 def same_target_groups(case: str, s0: Q, cls: CharClass) -> list[list[WeylElement]]:
     """Partition of the representatives by target character at s = s0."""
-    lam, _ = lambda_for_case(case)
     reps = coset_representatives(case)
-    return _by_target(reps, [weyl_act(w, lam) for w in reps], s0, cls)
+    targets = TARGETS[case]
+    return _by_target(reps, [targets[w].value_key(s0, cls) for w in reps])
 
 
 def local_order_sum(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
@@ -123,12 +125,11 @@ def local_order_sum(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
 def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
                 cls: CharClass, rules: RuleTable) -> TermReport:
     """One constant-term summand at s = s0, each of its parts computed once."""
-    lam, _ = lambda_for_case(case)
     expr = factor_expression(case, w, cls)
-    target = weyl_act(w, lam)
+    target = TARGETS[case][w]
     return TermReport(w, expr, order_at(expr, cls, s0),
                       local_order_sum(case, profile, w, s0, rules),
-                      target.render_at(s0, cls), target)
+                      target.value_key(s0, cls), target)
 
 
 def term_order(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
@@ -147,12 +148,17 @@ class TermReport:
     expr: LExpression
     factor_order: OrderValue
     local_order: int
-    target: str                    # the target character rendered at the point
+    value: tuple                   # the target at the point: its ``value_key``
     character: TorusCharacter      # the target: w applied to the inducing character
 
     @property
     def order(self) -> OrderValue:
         return self.factor_order.shifted(-self.local_order)
+
+    @property
+    def target(self) -> str:
+        """The target character rendered at the point."""
+        return render_value(self.value)
 
     def to_json(self) -> dict:
         return {
@@ -447,8 +453,7 @@ def choice_label(case: str, place: Place, s0: Q, token: str, rules: RuleTable) -
         prefix = "" if case == "heisenberg" else "chi*"
         return f"L({prefix}nu^1;T{i})"
     if token == "langlands":
-        lam, _ = lambda_for_case(case)
-        return langlands_label(weyl_act(_longest(case), lam), s0, place.local_class)
+        return langlands_label(TARGETS[case][_longest(case)], s0, place.local_class)
     # steinberg / carrier: the constituent carrying the local pole
     key = LocalRuleKey(case, _longest(case).name, place.kind, place.local_class, s0)
     res = rules.local_pole(key)
@@ -529,7 +534,7 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
     """Full constant-term report at s = s0 for one section profile."""
     rules = rules or default_rules()
     terms = [term_report(case, profile, w, s0, cls, rules) for w in coset_representatives(case)]
-    group_terms = _by_target(terms, [t.character for t in terms], s0, cls)
+    group_terms = _by_target(terms, [t.value for t in terms])
     groups = [evaluate_group(case, ts, profile, s0, cls, rules) for ts in group_terms]
     combined, pole, deps, vanishes = _combine_orders(groups)
     image = describe_image(case, profile, s0, groups, group_terms, vanishes, rules)

@@ -20,14 +20,18 @@ plainly nonzero carry a nonzeroness assertion that the numeric layer
 cross-checks: the shared constant Laurent coefficient of completed zeta
 at its poles, and the derivative of a quadratic completed L at 0.
 
-Every symbol's leading coefficient is a nonzero monomial, so ``germ_at``
-multiplies the symbols' leading monomials directly into one rational and
-one exponent map, normalized once, with no series arithmetic.
-``known_part_series`` is the series path of sums only: ``sum_germs``
+A single expression needs only its leading term.  Each symbol's head (an
+order, a rational and atom exponents) is read straight off the facts by
+``_symbol_head``, oriented as the series would orient it, and ``germ_at``
+multiplies the heads into one rational and one exponent map, building
+atoms only for the exponents that survive: no ``Series`` and no
+``FormalScalar`` but the result.
+
+Series serve sums only.  ``symbol_series`` expands one symbol (refusing
+strip symbols) and ``known_part_series`` one expression; ``sum_germs``
 expands weighted expressions from one coefficient, adding one at a time
 until a formally nonzero leading term survives, up to the ``SERIES_DEPTH``
 cap; a sum that cancels through it is a floor at the truncation order.
-``symbol_series`` refuses strip symbols.
 """
 
 from __future__ import annotations
@@ -597,6 +601,46 @@ def _eps_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
     return Series(0, coeffs)
 
 
+_HALF = Q(1, 2)
+_Q1 = Q(1)
+
+# A head's atoms: ((kind, data), exponent) pairs; Atom(kind, data) builds one.
+_HeadAtoms = tuple[tuple[tuple[str, tuple], int], ...]
+
+
+def _symbol_head(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[int, Q, _HeadAtoms]:
+    """Leading term of one symbol at s0, read off the completed-L facts.
+
+    Returns the order, the rational coefficient and the atom exponents of
+    the depth-1 head of ``symbol_series``, oriented the same way: a value
+    atom of a self-dual class sits at an argument >= 1/2, left of 1/2
+    through the functional equation, and right of 1/2 the rebase's epsilon
+    pair cancels.  Builds no ``Series``, ``FormalScalar`` or ``Atom``.
+    """
+    eff = power_class(cls, sym.power)
+    u = sym.arg.at(s0)
+    if sym.kind == EPS:
+        if eff is CharClass.TRIVIAL:
+            return 0, _Q1, ()
+        if eff.is_real and u < _HALF:
+            return 0, _Q1, ((("epsv", (eff.value, 1 - u)), -1),)  # eps(u) = eps(1-u)^-1
+        return 0, _Q1, ((("epsv", (eff.value, u)), 1),)
+    if _strip_contains(u):
+        raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {u}")
+    if eff is CharClass.TRIVIAL:
+        if u in _ZETA_POLES:
+            a = sym.arg.a
+            if a == 0:
+                raise DegenerateSymbol(
+                    f"symbol {sym.render()} is constant at a completed-zeta pole")
+            return -1, _ZETA_POLES[u] / a, ()
+        return 0, _Q1, ((("zval", (max(u, 1 - u),)), 1),)
+    if eff.is_real and u < _HALF:
+        v = 1 - u  # L(u) = eps(1-u) L(1-u)
+        return 0, _Q1, ((("epsv", (eff.value, v)), 1), (("lval", (eff.value, v)), 1))
+    return 0, _Q1, ((("lval", (eff.value, u)), 1),)
+
+
 def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
     """Laurent expansion of one symbol around s0 to ``depth`` coefficients
     (non-strip only)."""
@@ -669,21 +713,23 @@ def known_part_series(expr: LExpression, cls: CharClass, s0: Q, depth: int) -> S
 def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> Germ:
     """Germ of the expression at s0; refuses strip-unknown orders.
 
-    Each symbol's leading coefficient is a nonzero monomial, so the germ's
-    leading coefficient is their product: the orders add, the rationals
-    multiply and the atom exponents add, normalized once at the end.
+    Each symbol's head is a nonzero monomial, so the germ's leading
+    coefficient is their product: the orders add, the rationals multiply
+    and the atom exponents add.  Atoms are built only for the exponents
+    that survive, and the monomial is normalized once at the end.
     """
     order = 0
     coeff = expr.scalar
-    exps: dict[Atom, int] = {}
+    exps: dict[tuple[str, tuple], int] = {}
     for sym, e in expr.factors:
-        head = symbol_series(sym, cls, s0, 1)
-        ((mono, c),) = head.coeffs[0].terms.items()
-        order += head.ord * e
-        coeff *= c ** e
-        for a, k in mono:
-            exps[a] = exps.get(a, 0) + k * e
-    lead = FormalScalar({_mono_normalize(exps): coeff})
+        ord_, c, atoms = _symbol_head(sym, cls, s0)
+        order += ord_ * e
+        if c != 1:
+            coeff *= c ** e
+        for name, k in atoms:
+            exps[name] = exps.get(name, 0) + k * e
+    mono = _mono_normalize({Atom(*name): k for name, k in exps.items() if k})
+    lead = FormalScalar({mono: coeff})
     return Germ(order, lead, certified=lead.certified_nonzero())
 
 

@@ -217,7 +217,7 @@ def completed_zeta(s: complex) -> complex:
     if abs(s) < POLE_TOL or abs(s - 1.0) < POLE_TOL:
         raise PoleProximity(f"completed zeta pole at s={s}")
     if s.real < 0.5:
-        return completed_zeta(1.0 - s)
+        s = 1.0 - s
     return cmath.exp(-s / 2.0 * math.log(math.pi)) * gamma(s / 2.0) * zeta_em(s)
 
 

@@ -118,6 +118,14 @@ def test_affine_arithmetic(a, b, s0):
     assert f.reflect().at(s0) == 1 - f.at(s0)
 
 
+@given(st.fractions(max_denominator=12) | st.just(Q(0)), st.fractions(max_denominator=12),
+       st.fractions(max_denominator=16))
+def test_affine_at_is_exact(a, b, s0):
+    got = AffineForm(a, b).at(s0)
+    assert type(got) is Q
+    assert got == a * s0 + b
+
+
 def test_affine_render():
     assert form(1, 1).render() == "s+1"
     assert form(2, Q(1, 2)).render() == "2s+1/2"

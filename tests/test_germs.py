@@ -4,15 +4,16 @@ import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sp4eis.characters import AffineForm, CharClass, heisenberg_lambda, siegel_lambda
 from sp4eis.constant_term import (
     _common_factor, coset_representatives, factor_expression, same_target_groups,
 )
 from sp4eis.germs import (
-    SERIES_DEPTH, DegenerateSymbol, OrderValue, StripOrderUnknown,
-    apply_functional_equation, germ_at, known_part_series, order_at,
-    sum_germs, sum_series,
+    SERIES_DEPTH, Atom, DegenerateSymbol, GermError, OrderValue, StripOrderUnknown,
+    _mono_normalize, _symbol_head, apply_functional_equation, germ_at, known_part_series,
+    order_at, sum_germs, sum_series, symbol_series,
 )
 from sp4eis.normfactor import (
     EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor,
@@ -143,6 +144,36 @@ def test_germ_examples():
     g = germ_at(e, QU, Q(0))
     assert g.order == 0
     assert g.leading.render() == "eps[quadratic](2)"
+
+
+def _head_or_error(fn):
+    try:
+        return fn()
+    except GermError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400)
+@given(kind=st.sampled_from((L, EPS)), power=st.integers(0, 2), a=st.integers(-2, 2),
+       b2=st.integers(-6, 6), cls=st.sampled_from((TR, QU, OT)), s8=st.integers(-48, 48))
+@example(kind=EPS, power=1, a=1, b2=1, cls=QU, s8=0)    # eps(1/2) of a self-dual class
+@example(kind=EPS, power=1, a=-1, b2=2, cls=QU, s8=-4)  # eps right of 1/2
+@example(kind=L, power=1, a=2, b2=-2, cls=QU, s8=12)    # self-dual L right of 1/2
+@example(kind=L, power=1, a=1, b2=-2, cls=QU, s8=-8)    # self-dual L left of 1/2
+@example(kind=L, power=2, a=-2, b2=0, cls=QU, s8=-4)    # chi^2 is trivial: a zeta pole
+@example(kind=L, power=0, a=0, b2=2, cls=OT, s8=0)      # constant symbol at a pole
+@example(kind=L, power=1, a=1, b2=0, cls=OT, s8=4)      # strip argument
+def test_symbol_head_matches_series_head(kind, power, a, b2, cls, s8):
+    sym = lsym(a, Q(b2, 2), power, kind)
+    s0 = Q(s8, 8)
+    direct = _head_or_error(lambda: _symbol_head(sym, cls, s0))
+    series = _head_or_error(lambda: symbol_series(sym, cls, s0, 1))
+    if isinstance(series, type) or isinstance(direct, type):
+        assert direct is series
+        return
+    order, c, atoms = direct
+    mono = _mono_normalize({Atom(*name): k for name, k in atoms})
+    assert (order, series.coeffs[0].terms) == (series.ord, {mono: c})
 
 
 def test_germ_refuses_strip():

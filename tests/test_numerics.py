@@ -75,6 +75,20 @@ def test_completed_zeta():
         completed_zeta(1e-12)
 
 
+def test_completed_zeta_reflects_without_reentry(monkeypatch):
+    # a wrapper on the module name sees one call per value, also left of 1/2
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return completed_zeta(s)
+
+    monkeypatch.setattr(numerics, "completed_zeta", counted)
+    value = numerics.completed_zeta(-0.5 + 1j)
+    assert calls == [-0.5 + 1j]
+    assert value == completed_zeta(1.5 - 1j)
+
+
 def test_completed_zeta_residues():
     t = 1e-7
     assert abs(t * completed_zeta(1 + t) - 1.0) < 1e-5
