@@ -328,7 +328,7 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
         ov = t.order
         leading = None
         if ov.is_known:
-            leading = germ_at(t.expr, cls, s0).leading.render()
+            leading = germ_at(t.expr, cls, s0).render()
         return GroupReport(members, ov, leading, cancelled=False,
                            note="; ".join(notes))
 
@@ -388,10 +388,6 @@ def _combine_orders(groups: list[GroupReport]) -> tuple[OrderValue, int | None, 
     return OrderValue.at_least(min(floors)), (0 if min(floors) > 0 else None), [], vanishes
 
 
-def _label(kind: str, *params) -> str:
-    return LABEL_RENDERERS[kind](*params)
-
-
 def _render_exponent(e: Q) -> str:
     return f"nu^{e}" if e.denominator == 1 else f"nu^({e})"
 
@@ -430,18 +426,6 @@ def langlands_label(target: TorusCharacter, s0: Q, cls: CharClass) -> str:
     return "L(" + ",".join(parts) + ";1)"
 
 
-LABEL_RENDERERS = {
-    "st_gl2": lambda e=Q(3, 2): f"L({_render_exponent(e)}St_GL2;1)",
-    "st_sl2": lambda e=Q(2): f"L({_render_exponent(e)};St_SL2)",
-    "tempered_t2": lambda: "T2",
-    # non-Langlands constituents at a real place: the Heisenberg case comes
-    # with essentially-discrete-series data, the Siegel case is described
-    # only as the maximal proper subrepresentation after reflection
-    "arch_nonlanglands_heis": lambda s0: f"L(delta*nu^({(1 - s0) / 2}),{-s0 - 1};1)",
-    "arch_nonlanglands_sieg": lambda s0: f"maxsub(nu^({-s0})1_GL2x1)",
-}
-
-
 def choice_label(case: str, place: Place, s0: Q, token: str, rules: RuleTable) -> str:
     """Concrete constituent label for a section-choice token at a point."""
     if token == "spherical":
@@ -457,19 +441,23 @@ def choice_label(case: str, place: Place, s0: Q, token: str, rules: RuleTable) -
     # steinberg / carrier: the constituent carrying the local pole
     key = LocalRuleKey(case, _longest(case).name, place.kind, place.local_class, s0)
     res = rules.local_pole(key)
-    if res.order == 0 or res.carrier is None:
+    if res.order == 0:
         if token == "steinberg" and case == "heisenberg" and s0 == 0:
-            return _label("st_gl2", Q(1, 2))
+            return "L(nu^(1/2)St_GL2;1)"
         return token
     if res.carrier == "st_gl2":
-        return _label("st_gl2", Q(3, 2))
+        return "L(nu^(3/2)St_GL2;1)"
     if res.carrier == "st_sl2":
-        return _label("st_sl2", Q(2))
+        return "L(nu^2;St_SL2)"
     if res.carrier == "tempered_t2":
-        return _label("tempered_t2")
+        return "T2"
     if res.carrier == "arch_nonlanglands":
-        kind = "arch_nonlanglands_heis" if case == "heisenberg" else "arch_nonlanglands_sieg"
-        return _label(kind, s0)
+        # non-Langlands constituents at a real place: the Heisenberg case comes
+        # with essentially-discrete-series data, the Siegel case is described
+        # only as the maximal proper subrepresentation after reflection
+        if case == "heisenberg":
+            return f"L(delta*nu^({(1 - s0) / 2}),{-s0 - 1};1)"
+        return f"maxsub(nu^({-s0})1_GL2x1)"
     return res.carrier
 
 

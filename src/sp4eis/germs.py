@@ -1,8 +1,9 @@
 """Meromorphic-germ calculus for canonical L/epsilon products.
 
-Orders of vanishing are computed exactly from a small knowledge base of
-completed-L facts (the zeta poles, residues and strip are kept as data in
-``COMPLETED_L_FACTS``):
+Orders of vanishing are computed exactly from a few completed-L facts,
+stated once as ``ZETA_POLE_RESIDUES`` and ``OPEN_STRIP``.  Only
+``_classify`` tests a point against them: it places one symbol in the
+strip, at a zeta pole, or at a nonzero value.  The facts are:
 
 * the completed zeta function has simple poles at arguments 0 and 1 with
   residues -1 and +1, no zeros outside the open strip (0,1), and unknown
@@ -14,24 +15,27 @@ completed-L facts (the zeta poles, residues and strip are kept as data in
   characters (a consequence of applying the functional equation twice).
 
 Leading coefficients are tracked as formal products of named atoms with
-rational coefficients.  Truncated Laurent series over this scalar ring
-drive cancellation detection in sums of germs.  Two atoms that are not
-plainly nonzero carry a nonzeroness assertion that the numeric layer
-cross-checks: the shared constant Laurent coefficient of completed zeta
-at its poles, and the derivative of a quadratic completed L at 0.
+rational coefficients.  ``_value_atoms`` is the one orientation table for
+a nonzero value: zeta reflected to u >= 1/2, self-dual L and epsilon left
+of 1/2 sent through the functional equation.  Truncated Laurent series
+over this scalar ring drive cancellation detection in sums of germs.  Two
+atoms that are not plainly nonzero carry a nonzeroness assertion that the
+numeric layer cross-checks: the shared constant Laurent coefficient of
+completed zeta at its poles, and the derivative of a quadratic completed
+L at 0.
 
-A single expression needs only its leading term.  Each symbol's head (an
-order, a rational and atom exponents) is read straight off the facts by
-``_symbol_head``, oriented as the series would orient it, and ``germ_at``
-multiplies the heads into one rational and one exponent map, building
-atoms only for the exponents that survive: no ``Series`` and no
-``FormalScalar`` but the result.
+A single expression needs only its leading term.  ``order_at`` gives its
+order, and ``germ_at`` its leading coefficient: the product of each
+symbol's head (``_symbol_head``: an order, a rational and the value
+atoms), building atoms only for the exponents that survive: no ``Series``
+and no ``FormalScalar`` but the result.
 
 Series serve sums only.  ``symbol_series`` expands one symbol (refusing
-strip symbols) and ``known_part_series`` one expression; ``sum_germs``
-expands weighted expressions from one coefficient, adding one at a time
-until a formally nonzero leading term survives, up to the ``SERIES_DEPTH``
-cap; a sum that cancels through it is a floor at the truncation order.
+strip symbols), its coefficient 0 taken from the same orientation table,
+and ``known_part_series`` one expression; ``sum_germs`` expands weighted
+expressions from one coefficient, adding one at a time until a formally
+nonzero leading term survives, up to the ``SERIES_DEPTH`` cap; a sum that
+cancels through it is a floor at the truncation order.
 """
 
 from __future__ import annotations
@@ -45,13 +49,11 @@ from .normfactor import EPS, L, LExpression, LSymbol
 
 SERIES_DEPTH = 5  # most coefficients a germ sum examines before giving a floor
 
-# Knowledge base: facts about completed L-functions, by coarse class.
-COMPLETED_L_FACTS = {
-    "trivial": {
-        "pole_residues": {Q(0): Q(-1), Q(1): Q(1)},
-        "open_strip": (Q(0), Q(1)),
-    },
-}
+# The completed-L facts: completed zeta's simple poles with their residues,
+# and the open strip of unknown orders.  Only ``_classify`` tests a point
+# against them.
+ZETA_POLE_RESIDUES = {Q(0): Q(-1), Q(1): Q(1)}
+OPEN_STRIP = (Q(0), Q(1))
 
 
 class GermError(Exception):
@@ -298,57 +300,6 @@ class FormalScalar:
         return f"FormalScalar({self.render()})"
 
 
-# -- normalized atom constructors (functional-equation orientation) --------
-
-def zeta_value_atom(u: Q) -> FormalScalar:
-    """Completed zeta value at u outside [0,1]; reflected so u >= 1/2."""
-    u = max(u, 1 - u)
-    return FormalScalar.atom(Atom("zval", (u,)))
-
-
-def zeta_derivative_atom(u: Q, k: int) -> FormalScalar:
-    """k-th derivative of completed zeta at u, reflected with sign (-1)^k."""
-    if u >= 1 - u:
-        return FormalScalar.atom(Atom("zder", (u, k)))
-    return FormalScalar.atom(Atom("zder", (1 - u, k)), Q(-1) ** k)
-
-
-def l_value_atom(cls: CharClass, u: Q) -> FormalScalar:
-    """Completed L-value of a nontrivial class at u outside the open strip.
-
-    For a self-dual class with u < 1/2 the functional equation rewrites the
-    value as eps(1-u)*L(1-u), orienting every value atom to Re >= 1/2.
-    """
-    if cls.is_real and u < Q(1, 2):
-        return FormalScalar.monomial((
-            (Atom("epsv", (cls.value, 1 - u)), 1),
-            (Atom("lval", (cls.value, 1 - u)), 1),
-        ))
-    return FormalScalar.atom(Atom("lval", (cls.value, u)))
-
-
-def l_derivative_atom(cls: CharClass, u: Q, k: int) -> FormalScalar:
-    return FormalScalar.atom(Atom("lder", (cls.value, u, k)))
-
-
-def eps_value_atom(cls: CharClass, u: Q) -> FormalScalar:
-    """Epsilon value; self-dual classes satisfy eps(u) = eps(1-u)^-1."""
-    if cls.is_real and u < Q(1, 2):
-        return FormalScalar.monomial(((Atom("epsv", (cls.value, 1 - u)), -1),))
-    return FormalScalar.atom(Atom("epsv", (cls.value, u)))
-
-
-def eps_derivative_atom(cls: CharClass, u: Q, k: int) -> FormalScalar:
-    return FormalScalar.atom(Atom("epsder", (cls.value, u, k)))
-
-
-ZETA_CONST = FormalScalar.atom(Atom("zconst", ()))
-
-
-def zeta_deep_coefficient(k: int) -> FormalScalar:
-    return FormalScalar.atom(Atom("zcoef", (k,)))
-
-
 # ---------------------------------------------------------------------------
 # truncated Laurent series over formal scalars
 # ---------------------------------------------------------------------------
@@ -543,12 +494,60 @@ class OrderValue:
 # symbol germs from the knowledge base
 # ---------------------------------------------------------------------------
 
-_ZETA_POLES = COMPLETED_L_FACTS["trivial"]["pole_residues"]
+_HALF = Q(1, 2)
+_Q1 = Q(1)
+
+# A head's atoms: ((kind, data), exponent) pairs; Atom(kind, data) builds one.
+_HeadAtoms = tuple[tuple[tuple[str, tuple], int], ...]
 
 
-def _strip_contains(u: Q) -> bool:
-    lo, hi = COMPLETED_L_FACTS["trivial"]["open_strip"]
-    return lo < u < hi
+def _classify(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[CharClass, Q, str]:
+    """Effective class, argument and site of one symbol at s0.
+
+    The site is "strip" for an L-symbol in the open strip (order unknown),
+    "pole" for completed zeta at one of its poles and "value" for every
+    other symbol, epsilon symbols included.  A constant symbol at a pole
+    raises ``DegenerateSymbol``.
+    """
+    eff = power_class(cls, sym.power)
+    u = sym.arg.at(s0)
+    if sym.kind == EPS:
+        return eff, u, "value"
+    lo, hi = OPEN_STRIP
+    if lo < u < hi:
+        return eff, u, "strip"
+    if eff is CharClass.TRIVIAL and u in ZETA_POLE_RESIDUES:
+        if sym.arg.a == 0:
+            raise DegenerateSymbol(f"symbol {sym.render()} is constant at a completed-zeta pole")
+        return eff, u, "pole"
+    return eff, u, "value"
+
+
+def _value_atoms(kind: str, eff: CharClass, u: Q) -> _HeadAtoms:
+    """Atom pairs of a symbol's nonzero value, oriented by the functional equation.
+
+    A zeta value reflects to u >= 1/2 and a trivial epsilon is 1.  Left of
+    1/2 a self-dual class rewrites L(u) = eps(1-u) L(1-u) and
+    eps(u) = eps(1-u)^-1; every other value is one atom at u.
+    """
+    if eff is CharClass.TRIVIAL:
+        return () if kind == EPS else ((("zval", (max(u, 1 - u),)), 1),)
+    if eff.is_real and u < _HALF:
+        v = 1 - u
+        if kind == EPS:
+            return ((("epsv", (eff.value, v)), -1),)
+        return ((("epsv", (eff.value, v)), 1), (("lval", (eff.value, v)), 1))
+    return ((("epsv" if kind == EPS else "lval", (eff.value, u)), 1),)
+
+
+def _value_series(kind: str, eff: CharClass, u0: Q, der: str, data: tuple, a: Q,
+                  depth: int) -> Series:
+    """Taylor series of a value: its oriented atoms, then the k-th derivative
+    atom ``der`` at ``data`` times a^k."""
+    atoms = _value_atoms(kind, eff, u0)
+    head = FormalScalar.monomial(tuple((Atom(*name), k) for name, k in atoms))
+    return Series(0, [head] + [FormalScalar.atom(Atom(der, data + (k,)), a ** k)
+                               for k in range(1, depth)])
 
 
 def _zeta_pole_series(u0: Q, a: Q, depth: int) -> Series:
@@ -557,20 +556,12 @@ def _zeta_pole_series(u0: Q, a: Q, depth: int) -> Series:
     The expansion at 1 is 1/x + c + c2*x + ...; by the exact reflection the
     expansion at 0 is -1/x + c - c2*x + ... with the same coefficients.
     """
-    residue = _ZETA_POLES[u0]
     sign = Q(1) if u0 == 1 else Q(-1)
-    coeffs = [FormalScalar.rational(residue / a)]
-    coeffs.append(ZETA_CONST)
+    coeffs = [FormalScalar.rational(ZETA_POLE_RESIDUES[u0] / a),
+              FormalScalar.atom(Atom("zconst", ()))]
     for k in range(2, depth):
-        coeffs.append(zeta_deep_coefficient(k).scale(sign ** k * a ** (k - 1)))
+        coeffs.append(FormalScalar.atom(Atom("zcoef", (k,)), sign ** k * a ** (k - 1)))
     return Series(-1, coeffs)
-
-
-def _zeta_value_series(u0: Q, a: Q, depth: int) -> Series:
-    coeffs = [zeta_value_atom(u0)]
-    for k in range(1, depth):
-        coeffs.append(zeta_derivative_atom(u0, k).scale(a ** k))
-    return Series(0, coeffs)
 
 
 def _l_value_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
@@ -581,85 +572,52 @@ def _l_value_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
     so every derivative atom lives at an argument <= 1/2 and epsilon
     derivatives cancel structurally in grouped sums.
     """
-    if cls.is_real and u0 > Q(1, 2):
+    if cls.is_real and u0 > _HALF:
         return _eps_series(cls, 1 - u0, -a, depth) * _l_value_series(cls, 1 - u0, -a, depth)
-    coeffs = [l_value_atom(cls, u0)]
-    for k in range(1, depth):
-        coeffs.append(l_derivative_atom(cls, u0, k).scale(a ** k))
-    return Series(0, coeffs)
+    return _value_series(L, cls, u0, "lder", (cls.value, u0), a, depth)
 
 
 def _eps_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
-    if cls is CharClass.TRIVIAL:
-        return Series.exact_one(depth)
-    if cls.is_real and u0 > Q(1, 2):
+    if cls.is_real and u0 > _HALF:
         # eps(x) * eps(1-x) = 1 for a self-dual class
         return _eps_series(cls, 1 - u0, -a, depth).inverse()
-    coeffs = [eps_value_atom(cls, u0)]
-    for k in range(1, depth):
-        coeffs.append(eps_derivative_atom(cls, u0, k).scale(a ** k))
-    return Series(0, coeffs)
-
-
-_HALF = Q(1, 2)
-_Q1 = Q(1)
-
-# A head's atoms: ((kind, data), exponent) pairs; Atom(kind, data) builds one.
-_HeadAtoms = tuple[tuple[tuple[str, tuple], int], ...]
+    return _value_series(EPS, cls, u0, "epsder", (cls.value, u0), a, depth)
 
 
 def _symbol_head(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[int, Q, _HeadAtoms]:
-    """Leading term of one symbol at s0, read off the completed-L facts.
+    """Leading term of one symbol at s0: order, rational and atom pairs.
 
-    Returns the order, the rational coefficient and the atom exponents of
-    the depth-1 head of ``symbol_series``, oriented the same way: a value
-    atom of a self-dual class sits at an argument >= 1/2, left of 1/2
-    through the functional equation, and right of 1/2 the rebase's epsilon
-    pair cancels.  Builds no ``Series``, ``FormalScalar`` or ``Atom``.
+    The depth-1 head of ``symbol_series``, built with no ``Series``,
+    ``FormalScalar`` or ``Atom``: a zeta pole is its residue over the
+    argument's slope, any other symbol its ``_value_atoms``.  Right of 1/2
+    the series' self-dual rebase cancels its epsilon pair, leaving the
+    same atoms.
     """
-    eff = power_class(cls, sym.power)
-    u = sym.arg.at(s0)
-    if sym.kind == EPS:
-        if eff is CharClass.TRIVIAL:
-            return 0, _Q1, ()
-        if eff.is_real and u < _HALF:
-            return 0, _Q1, ((("epsv", (eff.value, 1 - u)), -1),)  # eps(u) = eps(1-u)^-1
-        return 0, _Q1, ((("epsv", (eff.value, u)), 1),)
-    if _strip_contains(u):
+    eff, u, site = _classify(sym, cls, s0)
+    if site == "strip":
         raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {u}")
-    if eff is CharClass.TRIVIAL:
-        if u in _ZETA_POLES:
-            a = sym.arg.a
-            if a == 0:
-                raise DegenerateSymbol(
-                    f"symbol {sym.render()} is constant at a completed-zeta pole")
-            return -1, _ZETA_POLES[u] / a, ()
-        return 0, _Q1, ((("zval", (max(u, 1 - u),)), 1),)
-    if eff.is_real and u < _HALF:
-        v = 1 - u  # L(u) = eps(1-u) L(1-u)
-        return 0, _Q1, ((("epsv", (eff.value, v)), 1), (("lval", (eff.value, v)), 1))
-    return 0, _Q1, ((("lval", (eff.value, u)), 1),)
+    if site == "pole":
+        return -1, ZETA_POLE_RESIDUES[u] / sym.arg.a, ()
+    return 0, _Q1, _value_atoms(sym.kind, eff, u)
 
 
 def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
     """Laurent expansion of one symbol around s0 to ``depth`` coefficients
     (non-strip only)."""
-    eff = power_class(cls, sym.power)
-    u0 = sym.arg.at(s0)
-    a = sym.arg.a
-    if sym.kind == EPS:
-        if eff is CharClass.TRIVIAL:
-            return Series.exact_one(depth)
-        return _eps_series(eff, u0, a, depth)
-    if _strip_contains(u0):
+    eff, u0, site = _classify(sym, cls, s0)
+    if site == "strip":
         raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {u0}")
+    a = sym.arg.a
+    if site == "pole":
+        return _zeta_pole_series(u0, a, depth)
     if eff is CharClass.TRIVIAL:
-        if u0 in _ZETA_POLES:
-            if a == 0:
-                raise DegenerateSymbol(
-                    f"symbol {sym.render()} is constant at a completed-zeta pole")
-            return _zeta_pole_series(u0, a, depth)
-        return _zeta_value_series(u0, a, depth)
+        if sym.kind == EPS:
+            return Series.exact_one(depth)
+        # zeta derivatives reflect to u >= 1/2 with sign (-1)^k
+        v, sign = (u0, 1) if u0 >= 1 - u0 else (1 - u0, -1)
+        return _value_series(L, eff, u0, "zder", (v,), sign * a, depth)
+    if sym.kind == EPS:
+        return _eps_series(eff, u0, a, depth)
     return _l_value_series(eff, u0, a, depth)
 
 
@@ -672,34 +630,19 @@ def _class_symbol_render(sym: LSymbol, cls: CharClass) -> str:
 def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
     """Order of vanishing of the expression at s = s0 (negative for poles).
 
-    Epsilon factors are entire and nonvanishing.  An L-symbol with its
-    argument in the open strip contributes an unknown order (a ``StripDep``);
-    a completed zeta at one of its poles contributes -1; every other symbol
-    is finite and nonzero.
+    A strip symbol contributes an unknown order (a ``StripDep``), completed
+    zeta at one of its poles -1, and every other symbol (epsilon factors
+    included) is finite and nonzero.
     """
     base = 0
     deps: list[StripDep] = []
     for sym, e in expr.factors:
-        if sym.kind == EPS:
-            continue
-        u0 = sym.arg.at(s0)
-        if _strip_contains(u0):
+        _, u0, site = _classify(sym, cls, s0)
+        if site == "strip":
             deps.append(StripDep(_class_symbol_render(sym, cls), u0, e))
-        elif u0 in _ZETA_POLES and power_class(cls, sym.power) is CharClass.TRIVIAL:
-            if sym.arg.a == 0:
-                raise DegenerateSymbol(
-                    f"symbol {sym.render()} is constant at a completed-zeta pole")
+        elif site == "pole":
             base -= e
     return OrderValue.conditional(base, deps)
-
-
-@dataclass
-class Germ:
-    """Exact order and formal leading coefficient of an expression at a point."""
-
-    order: int
-    leading: FormalScalar
-    certified: bool = True
 
 
 def known_part_series(expr: LExpression, cls: CharClass, s0: Q, depth: int) -> Series:
@@ -710,27 +653,25 @@ def known_part_series(expr: LExpression, cls: CharClass, s0: Q, depth: int) -> S
     return out
 
 
-def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> Germ:
-    """Germ of the expression at s0; refuses strip-unknown orders.
+def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> FormalScalar:
+    """Leading coefficient of the expression at s0 (its order is ``order_at``'s);
+    refuses strip-unknown orders.
 
-    Each symbol's head is a nonzero monomial, so the germ's leading
-    coefficient is their product: the orders add, the rationals multiply
-    and the atom exponents add.  Atoms are built only for the exponents
-    that survive, and the monomial is normalized once at the end.
+    Each symbol's head is a nonzero monomial, so the leading coefficient is
+    their product: the rationals multiply and the atom exponents add.
+    Atoms are built only for the exponents that survive, and the monomial
+    is normalized once at the end.
     """
-    order = 0
     coeff = expr.scalar
     exps: dict[tuple[str, tuple], int] = {}
     for sym, e in expr.factors:
-        ord_, c, atoms = _symbol_head(sym, cls, s0)
-        order += ord_ * e
+        _, c, atoms = _symbol_head(sym, cls, s0)
         if c != 1:
             coeff *= c ** e
         for name, k in atoms:
             exps[name] = exps.get(name, 0) + k * e
     mono = _mono_normalize({Atom(*name): k for name, k in exps.items() if k})
-    lead = FormalScalar({mono: coeff})
-    return Germ(order, lead, certified=lead.certified_nonzero())
+    return FormalScalar({mono: coeff})
 
 
 @dataclass

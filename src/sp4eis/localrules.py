@@ -145,23 +145,17 @@ class LocalRuleKey:
 
 
 @dataclass
-class LocalRuleResult:
-    order: int
-    carrier: str | None
-    pole_choices: tuple[str, ...]
-    note: str
-    rule: PoleRule | None = None
-
-
-@dataclass
 class RuleTable:
     poles: list[PoleRule] = field(default_factory=list)
     actions: list[ActionRule] = field(default_factory=list)
 
     # -- queries --
 
-    def local_pole(self, key: LocalRuleKey) -> LocalRuleResult:
-        """Pole order and carrier for a key; order-0 keys need a catch-all row.
+    def local_pole(self, key: LocalRuleKey) -> PoleRule:
+        """The pole row that fixes a key's order: the highest-order match.
+
+        Order-0 keys need a catch-all row; an order-0 row's carrier and pole
+        choices are never read.
 
         Raises :class:`UncoveredKey` when no row covers the key (invalid
         place/class combinations surface loudly instead of defaulting).
@@ -171,10 +165,7 @@ class RuleTable:
                 if r.case == key.case and r.matches(key.element, key.place, key.local_class, key.s0)]
         if not hits:
             raise UncoveredKey(f"no pole rule covers {key}")
-        best = max(hits, key=lambda r: r.order)
-        if best.order == 0:
-            return LocalRuleResult(0, None, (), best.note, best)
-        return LocalRuleResult(best.order, best.carrier, best.pole_choices, best.note, best)
+        return max(hits, key=lambda r: r.order)
 
     def pole_order_for_choice(self, key: LocalRuleKey, choice: str) -> int:
         """Pole order met by a specific section choice (spherical never does)."""

@@ -7,7 +7,7 @@ Schema (all keys optional unless noted):
     modulus = 4                    # Dirichlet modulus for numeric checks
     s0 = ["2", "-1/2"]             # rational points, as strings
     checks = ["poles"]             # any of "poles", "verify", "numcheck"
-    theorems = ["H+", "H-"]        # used by the "verify" check
+    theorems = ["H+", "H-"]        # any strings
 
     [[places]]                     # the ramified set S; default: one
     kind = "arch"                  # spherical archimedean place
@@ -16,6 +16,12 @@ Schema (all keys optional unless noted):
                                    # "t1"|"t2"|"carrier"
 
 Exactly one archimedean place is required when places are given.
+
+``checks`` and ``theorems`` select nothing: ``checks`` is validated, both
+are echoed in ``poles --json``, and no command runs a check or theorem
+they name.  Dropping the two keys moves the ``poles --json`` digests
+pinned in ``perfbench/refs/grids.json``, so it waits for a change that
+regenerates the benchmark references.
 """
 
 from __future__ import annotations

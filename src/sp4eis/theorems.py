@@ -413,11 +413,6 @@ THEOREMS: dict[str, tuple[str, callable]] = {
     "S-": ("siegel, negative halfplane", _siegel_neg),
 }
 
-ALIASES = {
-    "h+": "H+", "h-": "H-", "s+": "S+", "s-": "S-",
-    "heisenberg+": "H+", "heisenberg-": "H-", "siegel+": "S+", "siegel-": "S-",
-}
-
 
 def theorem_ids() -> list[str]:
     return list(THEOREMS)
@@ -425,11 +420,10 @@ def theorem_ids() -> list[str]:
 
 def verify_theorem(theorem_id: str, rules: RuleTable | None = None) -> TheoremReport:
     """Run every grid row of one theorem and collect pass/fail results."""
-    tid = ALIASES.get(theorem_id.lower(), theorem_id)
-    if tid not in THEOREMS:
+    if theorem_id not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem_id!r}; expected one of {list(THEOREMS)}")
-    case = "heisenberg" if tid.startswith("H") else "siegel"
-    _, build = THEOREMS[tid]
+    case = "heisenberg" if theorem_id.startswith("H") else "siegel"
+    _, build = THEOREMS[theorem_id]
     clauses = build()
     results: list[RowResult] = []
     for clause in clauses:
@@ -438,4 +432,4 @@ def verify_theorem(theorem_id: str, rules: RuleTable | None = None) -> TheoremRe
             problems = _check_row(report, row.expected)
             results.append(RowResult(clause.key, row.label, not problems,
                                      row.expected, report, problems))
-    return TheoremReport(tid, list(clauses), results)
+    return TheoremReport(theorem_id, list(clauses), results)

@@ -138,8 +138,8 @@ def test_criterion_5_eps_identity():
     assert rewritten.as_dict() == {
         LSymbol(EPS, f(1, 0), 1): 1, LSymbol(EPS, f(1, 1), 1): 1,
     }, "the L-values cancel, leaving eps(s,chi)*eps(s+1,chi)"
-    g = germ_at(rewritten, QU, Q(0))
-    assert (g.order, g.leading.render()) == (0, "1")
+    assert (order_at(rewritten, QU, Q(0)), germ_at(rewritten, QU, Q(0)).render()) == \
+        (OrderValue.known(0), "1")
     # numeric confirmation for the quadratic character mod 4, to 1e-8
     rows = check_functional_equation(4)
     eps_row = [r for r in rows if r.name == "eps-pair-identity-mod-4"][0]

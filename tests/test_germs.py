@@ -132,18 +132,15 @@ def test_order_multiplicativity_and_inversion():
 
 def test_germ_examples():
     rc1 = _expr("heisenberg", "sc2s", TR)
-    g = germ_at(rc1, TR, Q(0))
-    assert (g.order, g.leading.render()) == (0, "1")
+    assert (order_at(rc1, TR, Q(0)), germ_at(rc1, TR, Q(0)).render()) == (OrderValue.known(0), "1")
 
     # completed zeta at argument s+1 around 0: simple pole, residue +1
     e = expr_of(1, {lsym(1, 1, 0): 1})
-    g = germ_at(e, TR, Q(0))
-    assert (g.order, g.leading.render()) == (-1, "1")
+    assert (order_at(e, TR, Q(0)), germ_at(e, TR, Q(0)).render()) == (OrderValue.known(-1), "1")
 
     e = expr_of(1, {lsym(1, 2, 1, EPS): 1})
-    g = germ_at(e, QU, Q(0))
-    assert g.order == 0
-    assert g.leading.render() == "eps[quadratic](2)"
+    assert order_at(e, QU, Q(0)) == OrderValue.known(0)
+    assert germ_at(e, QU, Q(0)).render() == "eps[quadratic](2)"
 
 
 def _head_or_error(fn):
@@ -206,16 +203,14 @@ def test_sum_at_one():
 
 def test_sum_with_zero_weight_is_identity():
     e = _expr("heisenberg", "s", TR)
-    g = germ_at(e, TR, Q(0))
     out = sum_germs([(e, Q(1)), (e, Q(0))], TR, Q(0))
-    assert out.order == OrderValue.known(g.order)
-    assert out.leading.render() == g.leading.render()
+    assert out.order == order_at(e, TR, Q(0))
+    assert out.leading.render() == germ_at(e, TR, Q(0)).render()
 
 
 def test_sum_vanishing_at_minus_one():
     rs = _expr("heisenberg", "s", TR)
-    g = germ_at(rs, TR, Q(-1))
-    assert (g.order, g.leading.render()) == (0, "-1")
+    assert (order_at(rs, TR, Q(-1)), germ_at(rs, TR, Q(-1)).render()) == (OrderValue.known(0), "-1")
     # the identity summand cancels the value exactly; the next Laurent
     # coefficient only involves the certified zeta constant
     out = sum_germs([(LExpression.one(), Q(1)), (rs, Q(1))], TR, Q(-1))
@@ -259,10 +254,9 @@ def test_double_pole_cancellation_siegel():
 
 def test_total_cancellation_floors_at_the_cap():
     e = _expr("heisenberg", "s", TR)
-    g = germ_at(e, TR, Q(0))
     out = sum_germs([(e, Q(1)), (e, Q(-1))], TR, Q(0))
     assert out.leading is None
-    assert out.order == OrderValue.at_least(g.order + SERIES_DEPTH)
+    assert out.order == OrderValue.at_least(order_at(e, TR, Q(0)).base + SERIES_DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +281,8 @@ def test_singleton_germ_matches_full_depth(case, cls):
                 continue
             lazy = germ_at(expr, cls, s0)
             order, lead = known_part_series(expr, cls, s0, SERIES_DEPTH).leading()
-            assert (lazy.order, lazy.leading.render(), lazy.certified) == \
-                (order, lead.render(), lead.certified_nonzero()), (w.name, s0)
+            assert (order_at(expr, cls, s0), lazy.render(), lazy.certified_nonzero()) == \
+                (OrderValue.known(order), lead.render(), lead.certified_nonzero()), (w.name, s0)
             checked += 1
     assert checked > 100
 
@@ -303,13 +297,13 @@ def test_group_sum_matches_full_depth():
             exprs = [factor_expression(case, w, cls) for w in group]
             inv = _common_factor(exprs).inverse()
             rems = [e * inv for e in exprs]
-            germs = [germ_at(r, cls, s0) for r in rems]
+            orders = [order_at(r, cls, s0).base for r in rems]
             series = [known_part_series(r, cls, s0, SERIES_DEPTH) for r in rems]
             for signs in itertools.product((Q(1), Q(-1)), repeat=len(group) - 1):
                 weights = (Q(1),) + signs
                 lazy = sum_germs(list(zip(rems, weights)), cls, s0)
                 full = sum_series(list(zip(series, weights)))
-                lazy_cancelled = lazy.order.base > min(g.order for g in germs)
+                lazy_cancelled = lazy.order.base > min(orders)
                 full_cancelled = full.order.base > min(x.ord for x in series)
                 assert (lazy.order, _render(lazy.leading), lazy_cancelled) == \
                     (full.order, _render(full.leading), full_cancelled), \
@@ -347,11 +341,10 @@ def test_fe_derives_eps_pair_identity():
     e = expr_of(1, {lsym(-1, 1): 1, lsym(-1, 0): 1, lsym(1, 0): -1, lsym(1, 1): -1})
     rewritten = apply_functional_equation(e, QU)
     assert rewritten.as_dict() == {lsym(1, 0, 1, EPS): 1, lsym(1, 1, 1, EPS): 1}
-    g = germ_at(rewritten, QU, Q(0))
-    assert (g.order, g.leading.render()) == (0, "1")
+    assert (order_at(rewritten, QU, Q(0)), germ_at(rewritten, QU, Q(0)).render()) == \
+        (OrderValue.known(0), "1")
     # and the original expression is exactly 1 at the point as well
-    g0 = germ_at(e, QU, Q(0))
-    assert (g0.order, g0.leading.render()) == (0, "1")
+    assert (order_at(e, QU, Q(0)), germ_at(e, QU, Q(0)).render()) == (OrderValue.known(0), "1")
 
 
 def _order_signature(ov: OrderValue):

@@ -12,8 +12,7 @@ def test_theorem_passes(tid):
     assert report.passed, "\n".join(report.render_lines())
 
 
-def test_theorem_aliases_and_unknown():
-    assert verify_theorem("h+").theorem == "H+"
+def test_unknown_theorem_id():
     with pytest.raises(KeyError):
         verify_theorem("Z+")
 
