@@ -15,7 +15,9 @@ strip, at a zeta pole, or at a nonzero value.  The facts are:
   characters (a consequence of applying the functional equation twice).
 
 Leading coefficients are tracked as formal products of named atoms with
-rational coefficients.  ``_value_atoms`` is the one orientation table for
+rational coefficients.  An atom is its name: a (kind, data) tuple whose
+data are the strings the rendered term shows, so atoms hash, compare and
+sort as plain tuples.  ``_value_atoms`` is the one orientation table for
 a nonzero value: zeta reflected to u >= 1/2, self-dual L and epsilon left
 of 1/2 sent through the functional equation.  Truncated Laurent series
 over this scalar ring drive cancellation detection in sums of germs.  Two
@@ -26,9 +28,8 @@ L at 0.
 
 A single expression needs only its leading term.  ``order_at`` gives its
 order, and ``germ_at`` its leading coefficient: the product of each
-symbol's head (``_symbol_head``: an order, a rational and the value
-atoms), building atoms only for the exponents that survive: no ``Series``
-and no ``FormalScalar`` but the result.
+symbol's head (``_symbol_head``: a rational and the value atoms), with no
+``Series`` and no ``FormalScalar`` but the result.
 
 Series serve sums only.  ``symbol_series`` expands one symbol (refusing
 strip symbols), its coefficient 0 taken from the same orientation table,
@@ -76,73 +77,46 @@ class DegenerateSymbol(GermError):
 # formal scalars: rational combinations of monomials in named atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Atom:
-    """Named nonzero-or-opaque constant appearing in leading coefficients.
+# An atom is its name: (kind, data), each datum the string its render
+# shows -- a class value, an argument, a derivative order.  Atoms sort as
+# plain tuples.
+Atom = tuple[str, tuple[str, ...]]
 
-    ``known_nonzero`` and ``mod2`` (the atom is eps(1/2) of a self-dual
-    class, whose square is 1, so its exponent reduces mod 2) are fixed
-    when the atom is built.
-    """
-
-    kind: str
-    data: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.data)))
-        object.__setattr__(self, "_key", (self.kind, tuple(str(d) for d in self.data)))
-        object.__setattr__(self, "known_nonzero", self._known_nonzero())
-        object.__setattr__(self, "mod2", self.kind == "epsv" and self.data[1] == Q(1, 2)
-                           and self.data[0] != CharClass.OTHER.value)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self.kind == other.kind and self.data == other.data
-
-    def render(self) -> str:
-        if self.kind == "zconst":
-            return "Lam_c"
-        if self.kind == "zcoef":
-            return f"Lam_c{self.data[0]}"
-        if self.kind == "zval":
-            return f"Lam({self.data[0]})"
-        if self.kind == "zder":
-            u, k = self.data
-            return f"Lam^({k})({u})"
-        if self.kind == "lval":
-            cls, u = self.data
-            return f"Lhat[{cls}]({u})"
-        if self.kind == "lder":
-            cls, u, k = self.data
-            return f"Lhat[{cls}]^({k})({u})"
-        if self.kind == "epsv":
-            cls, u = self.data
-            return f"eps[{cls}]({u})"
-        if self.kind == "epsder":
-            cls, u, k = self.data
-            return f"eps[{cls}]^({k})({u})"
-        return f"{self.kind}{self.data}"
-
-    def sort_key(self) -> tuple:
-        return self._key
-
-    def _known_nonzero(self) -> bool:
-        if self.kind in ("zconst", "zval", "lval", "epsv"):
-            return True
-        if self.kind == "lder":
-            cls, u, k = self.data
-            # forced by the source's "holomorphic and non-zero" cancellation
-            # statements; verified numerically for the modulus-4 character
-            return cls == CharClass.QUADRATIC.value and k == 1 and u in (Q(0), Q(1))
-        return False
+_ATOM_FORMATS = {
+    "zconst": "Lam_c",
+    "zcoef": "Lam_c{0}",
+    "zval": "Lam({0})",
+    "zder": "Lam^({1})({0})",
+    "lval": "Lhat[{0}]({1})",
+    "lder": "Lhat[{0}]^({2})({1})",
+    "epsv": "eps[{0}]({1})",
+    "epsder": "eps[{0}]^({2})({1})",
+}
 
 
-# A monomial is canonical when its atoms are distinct and sorted by
-# ``sort_key``, no exponent is 0 and every ``mod2`` exponent is 1.
+def _render_atom(atom: Atom) -> str:
+    kind, data = atom
+    return _ATOM_FORMATS[kind].format(*data)
+
+
+def _known_nonzero(atom: Atom) -> bool:
+    kind, data = atom
+    if kind in ("zconst", "zval", "lval", "epsv"):
+        return True
+    # forced by the source's "holomorphic and non-zero" cancellation
+    # statements; verified numerically for the modulus-4 character
+    return kind == "lder" and data[0] == CharClass.QUADRATIC.value and data[2] == "1" \
+        and data[1] in ("0", "1")
+
+
+def _mod2(atom: Atom) -> bool:
+    """eps(1/2) of a self-dual class: its square is 1, so its exponent reduces mod 2."""
+    kind, data = atom
+    return kind == "epsv" and data[1] == "1/2" and data[0] != CharClass.OTHER.value
+
+
+# A monomial is canonical when its atoms are distinct and sorted, no
+# exponent is 0 and every ``_mod2`` exponent is 1.
 Monomial = tuple[tuple[Atom, int], ...]
 
 _ONE: Monomial = ()
@@ -163,17 +137,17 @@ def _mono_normalize(d: dict[Atom, int]) -> Monomial:
     """Canonical monomial of an atom -> exponent mapping."""
     out = []
     for a, e in d.items():
-        if a.mod2:
+        if _mod2(a):
             e %= 2
         if e:
             out.append((a, e))
-    out.sort(key=lambda it: it[0]._key)
+    out.sort()
     return tuple(out)
 
 
 def _mono_inv(m: Monomial) -> Monomial:
     # inverting keeps the order; a mod2 exponent 1 stays 1
-    return tuple((a, e if a.mod2 else -e) for a, e in m)
+    return tuple((a, e if _mod2(a) else -e) for a, e in m)
 
 
 class FormalScalar:
@@ -275,14 +249,14 @@ class FormalScalar:
         if got is None:
             return False
         c, m = got
-        return c != 0 and all(a.known_nonzero for a, _ in m)
+        return c != 0 and all(_known_nonzero(a) for a, _ in m)
 
     def render(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items(), key=lambda it: tuple(a.sort_key() + (e,) for a, e in it[0])):
-            factors = [a.render() + (f"^{e}" if e != 1 else "") for a, e in m]
+        for m, c in sorted(self.terms.items()):
+            factors = [_render_atom(a) + (f"^{e}" if e != 1 else "") for a, e in m]
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -497,9 +471,6 @@ class OrderValue:
 _HALF = Q(1, 2)
 _Q1 = Q(1)
 
-# A head's atoms: ((kind, data), exponent) pairs; Atom(kind, data) builds one.
-_HeadAtoms = tuple[tuple[tuple[str, tuple], int], ...]
-
 
 def _classify(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[CharClass, Q, str]:
     """Effective class, argument and site of one symbol at s0.
@@ -523,30 +494,29 @@ def _classify(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[CharClass, Q, str]:
     return eff, u, "value"
 
 
-def _value_atoms(kind: str, eff: CharClass, u: Q) -> _HeadAtoms:
-    """Atom pairs of a symbol's nonzero value, oriented by the functional equation.
+def _value_atoms(kind: str, eff: CharClass, u: Q) -> Monomial:
+    """Monomial of a symbol's nonzero value, oriented by the functional equation.
 
     A zeta value reflects to u >= 1/2 and a trivial epsilon is 1.  Left of
     1/2 a self-dual class rewrites L(u) = eps(1-u) L(1-u) and
     eps(u) = eps(1-u)^-1; every other value is one atom at u.
     """
     if eff is CharClass.TRIVIAL:
-        return () if kind == EPS else ((("zval", (max(u, 1 - u),)), 1),)
+        return () if kind == EPS else ((("zval", (str(max(u, 1 - u)),)), 1),)
     if eff.is_real and u < _HALF:
-        v = 1 - u
+        v = (eff.value, str(1 - u))
         if kind == EPS:
-            return ((("epsv", (eff.value, v)), -1),)
-        return ((("epsv", (eff.value, v)), 1), (("lval", (eff.value, v)), 1))
-    return ((("epsv" if kind == EPS else "lval", (eff.value, u)), 1),)
+            return ((("epsv", v), -1),)
+        return ((("epsv", v), 1), (("lval", v), 1))
+    return ((("epsv" if kind == EPS else "lval", (eff.value, str(u))), 1),)
 
 
-def _value_series(kind: str, eff: CharClass, u0: Q, der: str, data: tuple, a: Q,
+def _value_series(kind: str, eff: CharClass, u0: Q, der: str, data: tuple[str, ...], a: Q,
                   depth: int) -> Series:
     """Taylor series of a value: its oriented atoms, then the k-th derivative
     atom ``der`` at ``data`` times a^k."""
-    atoms = _value_atoms(kind, eff, u0)
-    head = FormalScalar.monomial(tuple((Atom(*name), k) for name, k in atoms))
-    return Series(0, [head] + [FormalScalar.atom(Atom(der, data + (k,)), a ** k)
+    head = FormalScalar.monomial(_value_atoms(kind, eff, u0))
+    return Series(0, [head] + [FormalScalar.atom((der, data + (str(k),)), a ** k)
                                for k in range(1, depth)])
 
 
@@ -558,9 +528,9 @@ def _zeta_pole_series(u0: Q, a: Q, depth: int) -> Series:
     """
     sign = Q(1) if u0 == 1 else Q(-1)
     coeffs = [FormalScalar.rational(ZETA_POLE_RESIDUES[u0] / a),
-              FormalScalar.atom(Atom("zconst", ()))]
+              FormalScalar.atom(("zconst", ()))]
     for k in range(2, depth):
-        coeffs.append(FormalScalar.atom(Atom("zcoef", (k,)), sign ** k * a ** (k - 1)))
+        coeffs.append(FormalScalar.atom(("zcoef", (str(k),)), sign ** k * a ** (k - 1)))
     return Series(-1, coeffs)
 
 
@@ -574,31 +544,31 @@ def _l_value_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
     """
     if cls.is_real and u0 > _HALF:
         return _eps_series(cls, 1 - u0, -a, depth) * _l_value_series(cls, 1 - u0, -a, depth)
-    return _value_series(L, cls, u0, "lder", (cls.value, u0), a, depth)
+    return _value_series(L, cls, u0, "lder", (cls.value, str(u0)), a, depth)
 
 
 def _eps_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
     if cls.is_real and u0 > _HALF:
         # eps(x) * eps(1-x) = 1 for a self-dual class
         return _eps_series(cls, 1 - u0, -a, depth).inverse()
-    return _value_series(EPS, cls, u0, "epsder", (cls.value, u0), a, depth)
+    return _value_series(EPS, cls, u0, "epsder", (cls.value, str(u0)), a, depth)
 
 
-def _symbol_head(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[int, Q, _HeadAtoms]:
-    """Leading term of one symbol at s0: order, rational and atom pairs.
+def _symbol_head(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[Q, Monomial]:
+    """Leading coefficient of one symbol at s0: a rational and its atoms.
 
-    The depth-1 head of ``symbol_series``, built with no ``Series``,
-    ``FormalScalar`` or ``Atom``: a zeta pole is its residue over the
-    argument's slope, any other symbol its ``_value_atoms``.  Right of 1/2
-    the series' self-dual rebase cancels its epsilon pair, leaving the
-    same atoms.
+    The depth-1 head of ``symbol_series`` (its order is ``order_at``'s),
+    built with no ``Series`` or ``FormalScalar``: a zeta pole is its
+    residue over the argument's slope, any other symbol its
+    ``_value_atoms``.  Right of 1/2 the series' self-dual rebase cancels
+    its epsilon pair, leaving the same atoms.
     """
     eff, u, site = _classify(sym, cls, s0)
     if site == "strip":
         raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {u}")
     if site == "pole":
-        return -1, ZETA_POLE_RESIDUES[u] / sym.arg.a, ()
-    return 0, _Q1, _value_atoms(sym.kind, eff, u)
+        return ZETA_POLE_RESIDUES[u] / sym.arg.a, ()
+    return _Q1, _value_atoms(sym.kind, eff, u)
 
 
 def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
@@ -615,7 +585,7 @@ def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
             return Series.exact_one(depth)
         # zeta derivatives reflect to u >= 1/2 with sign (-1)^k
         v, sign = (u0, 1) if u0 >= 1 - u0 else (1 - u0, -1)
-        return _value_series(L, eff, u0, "zder", (v,), sign * a, depth)
+        return _value_series(L, eff, u0, "zder", (str(v),), sign * a, depth)
     if sym.kind == EPS:
         return _eps_series(eff, u0, a, depth)
     return _l_value_series(eff, u0, a, depth)
@@ -658,20 +628,18 @@ def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> FormalScalar:
     refuses strip-unknown orders.
 
     Each symbol's head is a nonzero monomial, so the leading coefficient is
-    their product: the rationals multiply and the atom exponents add.
-    Atoms are built only for the exponents that survive, and the monomial
-    is normalized once at the end.
+    their product: the rationals multiply and the atom exponents add, and
+    the monomial is normalized once at the end.
     """
     coeff = expr.scalar
-    exps: dict[tuple[str, tuple], int] = {}
+    exps: dict[Atom, int] = {}
     for sym, e in expr.factors:
-        _, c, atoms = _symbol_head(sym, cls, s0)
+        c, atoms = _symbol_head(sym, cls, s0)
         if c != 1:
             coeff *= c ** e
-        for name, k in atoms:
-            exps[name] = exps.get(name, 0) + k * e
-    mono = _mono_normalize({Atom(*name): k for name, k in exps.items() if k})
-    return FormalScalar({mono: coeff})
+        for a, k in atoms:
+            exps[a] = exps.get(a, 0) + k * e
+    return FormalScalar({_mono_normalize(exps): coeff})
 
 
 @dataclass

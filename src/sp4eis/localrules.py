@@ -181,20 +181,6 @@ class RuleTable:
                 return r
         return None
 
-    def sign_action(self, key: LocalRuleKey, choice: str) -> str:
-        """Signed action of the operator for a section choice.
-
-        The identity element acts trivially; other elements require an
-        action row at the key, and the row must cover the choice.
-        """
-        _validate_key(key)
-        if key.element == "id":
-            return ISO
-        rule = self.action_rule(key.case, key.element, key.place, key.local_class, key.s0)
-        if rule is None:
-            raise UncoveredKey(f"no action rule covers {key}")
-        return rule.action_for(choice)
-
 
 def _validate_key(key: LocalRuleKey) -> None:
     if key.case not in _ELEMENT_NAMES:
@@ -306,14 +292,7 @@ def sl2_reducible(place: str, local_class: CharClass, s0: Q) -> bool:
             return s0 in (Q(1), Q(-1))
         return False
     if place == ARCH:
-        if s0.denominator != 1:
-            return False
-        n = int(s0)
-        if local_class is CharClass.TRIVIAL:
-            return n % 2 != 0
-        if local_class is CharClass.SGN:
-            return n % 2 == 0
-        return False
+        return _arch_reducible(local_class, s0)
     raise ValueError(f"unknown place kind {place!r}")
 
 
@@ -327,12 +306,17 @@ def gl2_reducible(place: str, local_class: CharClass, t: Q) -> bool:
     if place == NONARCH:
         return local_class is CharClass.TRIVIAL and t in (Q(1), Q(-1))
     if place == ARCH:
-        if t.denominator != 1:
-            return False
-        n = int(t)
-        if local_class is CharClass.TRIVIAL:
-            return n % 2 != 0
-        if local_class is CharClass.SGN:
-            return n % 2 == 0
-        return False
+        return _arch_reducible(local_class, t)
     raise ValueError(f"unknown place kind {place!r}")
+
+
+def _arch_reducible(local_class: CharClass, t: Q) -> bool:
+    """Archimedean reducibility shared by SL2 and GL2: an integer t, odd for
+    the trivial class and even for sgn."""
+    if t.denominator != 1:
+        return False
+    if local_class is CharClass.TRIVIAL:
+        return t.numerator % 2 != 0
+    if local_class is CharClass.SGN:
+        return t.numerator % 2 == 0
+    return False

@@ -11,7 +11,7 @@ from sp4eis.constant_term import (
     _common_factor, coset_representatives, factor_expression, same_target_groups,
 )
 from sp4eis.germs import (
-    SERIES_DEPTH, Atom, DegenerateSymbol, GermError, OrderValue, StripOrderUnknown,
+    SERIES_DEPTH, DegenerateSymbol, GermError, OrderValue, StripOrderUnknown,
     _mono_normalize, _symbol_head, apply_functional_equation, germ_at, known_part_series,
     order_at, sum_germs, sum_series, symbol_series,
 )
@@ -168,9 +168,10 @@ def test_symbol_head_matches_series_head(kind, power, a, b2, cls, s8):
     if isinstance(series, type) or isinstance(direct, type):
         assert direct is series
         return
-    order, c, atoms = direct
-    mono = _mono_normalize({Atom(*name): k for name, k in atoms})
-    assert (order, series.coeffs[0].terms) == (series.ord, {mono: c})
+    c, atoms = direct
+    order = order_at(expr_of(1, {sym: 1}), cls, s0)
+    assert (order, series.coeffs[0].terms) == \
+        (OrderValue.known(series.ord), {_mono_normalize(dict(atoms)): c})
 
 
 def test_germ_refuses_strip():
@@ -310,6 +311,42 @@ def test_group_sum_matches_full_depth():
                     ([w.name for w in group], s0, weights)
                 checked += 1
     assert checked == 28  # 14 same-target pairs, two sign patterns each
+
+
+# ---------------------------------------------------------------------------
+# exact renders of atoms and scalars that the golden reports never print
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case, cls, group, weights, order, lead", [
+    ("heisenberg", TR, ["id", "sc2s"], (1, -1), ">= 1", "2*Lam^(1)(2)*Lam(2)^-1"),
+    ("siegel", TR, ["id", "c2sc2"], (1, 1), ">= 1", "4*Lam_c+2*Lam^(1)(3/2)*Lam(3/2)^-1"),
+    ("siegel", QU, ["id", "c2sc2"], (1, 1), ">= 0", "1-eps[quadratic](1/2)"),
+    ("siegel", QU, ["id", "c2sc2"], (1, -1), ">= 0", "1+eps[quadratic](1/2)"),
+])
+def test_floor_leading_terms_at_zero(case, cls, group, weights, order, lead):
+    (members,) = [g for g in same_target_groups(case, Q(0), cls) if [w.name for w in g] == group]
+    exprs = [factor_expression(case, w, cls) for w in members]
+    inv = _common_factor(exprs).inverse()
+    out = sum_germs([(e * inv, Q(w)) for e, w in zip(exprs, weights)], cls, Q(0))
+    assert (out.order.render(), out.leading.render()) == (order, lead)
+
+
+@pytest.mark.parametrize("sym, cls, s0, coeffs", [
+    (lsym(1, 0, 0), TR, Q(1), ["1", "Lam_c", "Lam_c2"]),
+    (lsym(1, 0, 0), TR, Q(2), ["Lam(2)", "Lam^(1)(2)", "Lam^(2)(2)"]),
+    (lsym(1, 0, 1, EPS), QU, Q(1, 4),
+     ["eps[quadratic](3/4)^-1", "eps[quadratic]^(1)(1/4)", "eps[quadratic]^(2)(1/4)"]),
+    (lsym(1, 0), QU, Q(1), [
+        "Lhat[quadratic](1)",
+        "-eps[quadratic]^(1)(0)*eps[quadratic](1)*Lhat[quadratic](1)"
+        "-eps[quadratic](1)^-1*Lhat[quadratic]^(1)(0)",
+        "eps[quadratic]^(1)(0)*Lhat[quadratic]^(1)(0)"
+        "+eps[quadratic]^(2)(0)*eps[quadratic](1)*Lhat[quadratic](1)"
+        "+eps[quadratic](1)^-1*Lhat[quadratic]^(2)(0)",
+    ]),
+])
+def test_symbol_series_renders(sym, cls, s0, coeffs):
+    assert [c.render() for c in symbol_series(sym, cls, s0, 3).coeffs] == coeffs
 
 
 # ---------------------------------------------------------------------------

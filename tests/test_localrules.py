@@ -75,17 +75,18 @@ def test_heisenberg_arch_poles():
 def test_heisenberg_action_at_zero():
     k = key("heisenberg", "sc2s", NONARCH, TR, 0)
     assert RULES.local_pole(k).order == 0
-    assert RULES.sign_action(k, "langlands") == "+1"
-    assert RULES.sign_action(k, "steinberg") == "-1"
-    assert RULES.sign_action(key("heisenberg", "id", NONARCH, TR, 0), "anything") == "iso"
+    rule = RULES.action_rule("heisenberg", "sc2s", NONARCH, TR, Q(0))
+    assert rule.action_for("langlands") == "+1"
+    assert rule.action_for("steinberg") == "-1"
+    assert RULES.action_rule("heisenberg", "id", NONARCH, TR, Q(0)) is None
 
 
 def test_quadratic_action_signs():
-    k = key("heisenberg", "c2s", NONARCH, QU, 0)
-    assert RULES.sign_action(k, "t1") == "+1"
-    assert RULES.sign_action(k, "t2") == "-1"
+    rule = RULES.action_rule("heisenberg", "c2s", NONARCH, QU, Q(0))
+    assert rule.action_for("t1") == "+1"
+    assert rule.action_for("t2") == "-1"
     with pytest.raises(UnknownChoice):
-        RULES.sign_action(k, "steinberg")
+        rule.action_for("steinberg")
 
 
 def test_siegel_poles():
