@@ -7,6 +7,11 @@ section profile, the exact order data of the global factors with the
 local pole/action tables, detects cancellations between summands whose
 target characters coincide at the point, and reports the resulting pole
 order, vanishing behavior, and image labels.
+
+Each summand's ``TermReport`` holds its parts, each computed once: the
+factor, its order, the pole row of every place (looked up once per
+summand and place) and the target.  Group sums and image labels read
+those reports and look nothing up again.
 """
 
 from __future__ import annotations
@@ -19,11 +24,9 @@ from .characters import (
     TARGETS, CharClass, TorusCharacter, coset_representatives, lambda_for_case, power_class,
     render_value,
 )
-from .germs import (
-    IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, sum_germs,
-)
+from .germs import IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, sum_germs
 from .localrules import (
-    ARCH, ISO, KERNEL, NONARCH, LocalRuleKey, RuleTable, UncoveredKey, default_rules,
+    ARCH, ISO, KERNEL, NONARCH, LocalRuleKey, PoleRule, RuleTable, UncoveredKey, default_rules,
 )
 from .normfactor import LExpression, canonicalize, inverse_norm_factor
 from .roots import WeylElement
@@ -105,37 +108,20 @@ def _by_target(items: list, values: list[tuple]) -> list[list]:
     return list(buckets.values())
 
 
-def same_target_groups(case: str, s0: Q, cls: CharClass) -> list[list[WeylElement]]:
-    """Partition of the representatives by target character at s = s0."""
-    reps = coset_representatives(case)
-    targets = TARGETS[case]
-    return _by_target(reps, [targets[w].value_key(s0, cls) for w in reps])
-
-
-def local_order_sum(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
-                    rules: RuleTable) -> int:
-    """Total local pole order met by the profile's choices for the element."""
-    total = 0
-    for p in profile.places:
-        key = LocalRuleKey(case, w.name, p.kind, p.local_class, s0)
-        total += rules.pole_order_for_choice(key, p.choice)
-    return total
-
-
 def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
                 cls: CharClass, rules: RuleTable) -> TermReport:
-    """One constant-term summand at s = s0, each of its parts computed once."""
+    """One constant-term summand at s = s0, each of its parts computed once.
+
+    Each place's pole row is looked up here, once; the local order is the
+    sum of the orders the profile's choices meet in those rows.
+    """
     expr = factor_expression(case, w, cls)
     target = TARGETS[case][w]
-    return TermReport(w, expr, order_at(expr, cls, s0),
-                      local_order_sum(case, profile, w, s0, rules),
+    rows = tuple(rules.local_pole(LocalRuleKey(case, w.name, p.kind, p.local_class, s0))
+                 for p in profile.places)
+    local = sum(row.order_for(p.choice) for row, p in zip(rows, profile.places))
+    return TermReport(w, expr, order_at(expr, cls, s0), local, rows,
                       target.value_key(s0, cls), target)
-
-
-def term_order(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
-               cls: CharClass, rules: RuleTable | None = None) -> OrderValue:
-    """Order of one constant-term summand: global factor minus local poles."""
-    return term_report(case, profile, w, s0, cls, rules or default_rules()).order
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +134,7 @@ class TermReport:
     expr: LExpression
     factor_order: OrderValue
     local_order: int
+    rows: tuple[PoleRule, ...]     # each place's pole row, in profile-place order
     value: tuple                   # the target at the point: its ``value_key``
     character: TorusCharacter      # the target: w applied to the inducing character
 
@@ -426,8 +413,11 @@ def langlands_label(target: TorusCharacter, s0: Q, cls: CharClass) -> str:
     return "L(" + ",".join(parts) + ";1)"
 
 
-def choice_label(case: str, place: Place, s0: Q, token: str, rules: RuleTable) -> str:
-    """Concrete constituent label for a section-choice token at a point."""
+def choice_label(case: str, place: Place, s0: Q, token: str, row: PoleRule) -> str:
+    """Concrete constituent label for a section-choice token at a point.
+
+    ``row`` is the longest summand's pole row at the place.
+    """
     if token == "spherical":
         return "spherical"
     if token in ("t1", "t2"):
@@ -437,37 +427,32 @@ def choice_label(case: str, place: Place, s0: Q, token: str, rules: RuleTable) -
         prefix = "" if case == "heisenberg" else "chi*"
         return f"L({prefix}nu^1;T{i})"
     if token == "langlands":
-        return langlands_label(TARGETS[case][_longest(case)], s0, place.local_class)
+        longest = coset_representatives(case)[-1]  # sorted by length
+        return langlands_label(TARGETS[case][longest], s0, place.local_class)
     # steinberg / carrier: the constituent carrying the local pole
-    key = LocalRuleKey(case, _longest(case).name, place.kind, place.local_class, s0)
-    res = rules.local_pole(key)
-    if res.order == 0:
+    if row.order == 0:
         if token == "steinberg" and case == "heisenberg" and s0 == 0:
             return "L(nu^(1/2)St_GL2;1)"
         return token
-    if res.carrier == "st_gl2":
+    if row.carrier == "st_gl2":
         return "L(nu^(3/2)St_GL2;1)"
-    if res.carrier == "st_sl2":
+    if row.carrier == "st_sl2":
         return "L(nu^2;St_SL2)"
-    if res.carrier == "tempered_t2":
+    if row.carrier == "tempered_t2":
         return "T2"
-    if res.carrier == "arch_nonlanglands":
+    if row.carrier == "arch_nonlanglands":
         # non-Langlands constituents at a real place: the Heisenberg case comes
         # with essentially-discrete-series data, the Siegel case is described
         # only as the maximal proper subrepresentation after reflection
         if case == "heisenberg":
             return f"L(delta*nu^({(1 - s0) / 2}),{-s0 - 1};1)"
         return f"maxsub(nu^({-s0})1_GL2x1)"
-    return res.carrier
-
-
-def _longest(case: str) -> WeylElement:
-    return coset_representatives(case)[-1]  # sorted by length
+    return row.carrier
 
 
 def describe_image(case: str, profile: PlaceProfile, s0: Q,
                    groups: list[GroupReport], group_terms: list[list[TermReport]],
-                   vanishes: bool, rules: RuleTable) -> list[ImageEntry]:
+                   vanishes: bool) -> list[ImageEntry]:
     """Label-level image description per ramified place.
 
     When the identity summand survives at the minimal order the map embeds
@@ -476,10 +461,12 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
     non-identity summands only, each ramified choice spans its own
     constituent and spherical places span the image of the spherical
     vector: the Langlands quotient of the target, of length two when the
-    local operator there had further constituents in play.
+    local operator there had further constituents in play.  Every label
+    reads the pole rows the summands' reports already hold.
     """
     if vanishes:
         return []
+    longest = max((t for ts in group_terms for t in ts), key=lambda t: t.w.length)
     live = [(g, ts) for g, ts in zip(groups, group_terms)
             if not g.kernel_killed and g.order is not None]
     floor = min(g.order.base for g, _ in live)
@@ -494,26 +481,25 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
                                "identity summand uncancelled: whole module embeds")]
         for i, p in enumerate(profile.places):
             entries.append(ImageEntry(
-                i, choice_label(case, p, s0, p.choice, rules), "irreducible-constituent"))
+                i, choice_label(case, p, s0, p.choice, longest.rows[i]),
+                "irreducible-constituent"))
         return entries
 
     # pole (or leading term) carried by non-identity summands
     lead = max((t for _, ts in leaders for t in ts), key=lambda t: t.w.length)
-    w0, target = lead.w, lead.character
     for i, p in enumerate(profile.places):
         if p.choice == "spherical":
-            label = langlands_label(target, s0, p.local_class)
-            key = LocalRuleKey(case, w0.name, p.kind, p.local_class, s0)
-            res = rules.local_pole(key)
-            if res.order > 0:
-                carrier = choice_label(case, p, s0, "carrier", rules)
+            label = langlands_label(lead.character, s0, p.local_class)
+            if lead.rows[i].order > 0:
+                carrier = choice_label(case, p, s0, "carrier", longest.rows[i])
                 entries.append(ImageEntry(i, label, "length-two",
                                           f"semisimplification {label}+{carrier}"))
             else:
                 entries.append(ImageEntry(i, label, "spherical-constituent"))
         else:
             entries.append(ImageEntry(
-                i, choice_label(case, p, s0, p.choice, rules), "irreducible-constituent"))
+                i, choice_label(case, p, s0, p.choice, longest.rows[i]),
+                "irreducible-constituent"))
     return entries
 
 
@@ -525,7 +511,7 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
     group_terms = _by_target(terms, [t.value for t in terms])
     groups = [evaluate_group(case, ts, profile, s0, cls, rules) for ts in group_terms]
     combined, pole, deps, vanishes = _combine_orders(groups)
-    image = describe_image(case, profile, s0, groups, group_terms, vanishes, rules)
+    image = describe_image(case, profile, s0, groups, group_terms, vanishes)
     notes = [g.note for g in groups if g.note]
     return ConstantTermReport(
         case=case, char_class=cls, s0=s0, profile=profile,

@@ -27,13 +27,15 @@ completed zeta at its poles, and the derivative of a quadratic completed
 L at 0.
 
 A single expression needs only its leading term.  ``order_at`` gives its
-order, and ``germ_at`` its leading coefficient: the product of each
-symbol's head (``_symbol_head``: a rational and the value atoms), with no
-``Series`` and no ``FormalScalar`` but the result.
+order, and ``germ_at`` its leading coefficient: one walk over the
+symbols, each ``_classify``-ed once, multiplying the heads (a zeta
+pole's residue over its slope, or the ``_value_atoms`` of a value), with
+no ``Series`` and no ``FormalScalar`` but the result.
 
-Series serve sums only.  ``symbol_series`` expands one symbol (refusing
-strip symbols), its coefficient 0 taken from the same orientation table,
-and ``known_part_series`` one expression; ``sum_germs`` expands weighted
+Series serve sums only.  ``symbol_series`` expands one symbol to exactly
+the requested number of coefficients (refusing strip symbols), its
+coefficient 0 taken from the same orientation table, and
+``known_part_series`` one expression; ``sum_germs`` expands weighted
 expressions from one coefficient, adding one at a time until a formally
 nonzero leading term survives, up to the ``SERIES_DEPTH`` cap; a sum that
 cancels through it is a floor at the truncation order.
@@ -414,26 +416,10 @@ class OrderValue:
     def is_known(self) -> bool:
         return self.kind == "known"
 
-    def definitely_nonnegative(self) -> bool:
-        if self.kind == "conditional":
-            return self.base >= 0 and all(d.coeff > 0 for d in self.deps)
-        return self.base >= 0
-
     def definitely_positive(self) -> bool:
         if self.kind == "conditional":
             return self.base > 0 and all(d.coeff > 0 for d in self.deps)
         return self.base > 0
-
-    def may_be_negative(self) -> bool:
-        if self.kind == "conditional":
-            return self.base < 0 or any(d.coeff < 0 for d in self.deps)
-        return self.base < 0
-
-    def negate(self) -> "OrderValue":
-        if self.kind == "at-least":
-            raise GermError("cannot negate a floor-only order")
-        return OrderValue(self.kind, -self.base,
-                          tuple(StripDep(d.symbol, d.point, -d.coeff) for d in self.deps))
 
     def shifted(self, n: int) -> "OrderValue":
         return OrderValue(self.kind, self.base + n, self.deps)
@@ -469,7 +455,6 @@ class OrderValue:
 # ---------------------------------------------------------------------------
 
 _HALF = Q(1, 2)
-_Q1 = Q(1)
 
 
 def _classify(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[CharClass, Q, str]:
@@ -521,7 +506,8 @@ def _value_series(kind: str, eff: CharClass, u0: Q, der: str, data: tuple[str, .
 
 
 def _zeta_pole_series(u0: Q, a: Q, depth: int) -> Series:
-    """Laurent series of completed zeta at argument u0 + a*delta, u0 in {0,1}.
+    """Laurent series of completed zeta at argument u0 + a*delta, u0 in {0,1},
+    ``depth`` coefficients deep.
 
     The expansion at 1 is 1/x + c + c2*x + ...; by the exact reflection the
     expansion at 0 is -1/x + c - c2*x + ... with the same coefficients.
@@ -531,7 +517,7 @@ def _zeta_pole_series(u0: Q, a: Q, depth: int) -> Series:
               FormalScalar.atom(("zconst", ()))]
     for k in range(2, depth):
         coeffs.append(FormalScalar.atom(("zcoef", (str(k),)), sign ** k * a ** (k - 1)))
-    return Series(-1, coeffs)
+    return Series(-1, coeffs[:depth])
 
 
 def _l_value_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
@@ -552,23 +538,6 @@ def _eps_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
         # eps(x) * eps(1-x) = 1 for a self-dual class
         return _eps_series(cls, 1 - u0, -a, depth).inverse()
     return _value_series(EPS, cls, u0, "epsder", (cls.value, str(u0)), a, depth)
-
-
-def _symbol_head(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[Q, Monomial]:
-    """Leading coefficient of one symbol at s0: a rational and its atoms.
-
-    The depth-1 head of ``symbol_series`` (its order is ``order_at``'s),
-    built with no ``Series`` or ``FormalScalar``: a zeta pole is its
-    residue over the argument's slope, any other symbol its
-    ``_value_atoms``.  Right of 1/2 the series' self-dual rebase cancels
-    its epsilon pair, leaving the same atoms.
-    """
-    eff, u, site = _classify(sym, cls, s0)
-    if site == "strip":
-        raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {u}")
-    if site == "pole":
-        return ZETA_POLE_RESIDUES[u] / sym.arg.a, ()
-    return _Q1, _value_atoms(sym.kind, eff, u)
 
 
 def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
@@ -627,17 +596,24 @@ def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> FormalScalar:
     """Leading coefficient of the expression at s0 (its order is ``order_at``'s);
     refuses strip-unknown orders.
 
-    Each symbol's head is a nonzero monomial, so the leading coefficient is
-    their product: the rationals multiply and the atom exponents add, and
-    the monomial is normalized once at the end.
+    Each symbol's head is the coefficient 0 of its ``symbol_series``, a
+    nonzero monomial: a zeta pole gives its residue over the argument's
+    slope, any other symbol its ``_value_atoms`` (right of 1/2 the
+    series' self-dual rebase cancels its epsilon pair, leaving the same
+    atoms).  The leading coefficient is the product of the heads: the
+    rationals multiply and the atom exponents add, and the monomial is
+    normalized once at the end.
     """
     coeff = expr.scalar
     exps: dict[Atom, int] = {}
     for sym, e in expr.factors:
-        c, atoms = _symbol_head(sym, cls, s0)
-        if c != 1:
-            coeff *= c ** e
-        for a, k in atoms:
+        eff, u, site = _classify(sym, cls, s0)
+        if site == "strip":
+            raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {u}")
+        if site == "pole":
+            coeff *= (ZETA_POLE_RESIDUES[u] / sym.arg.a) ** e
+            continue
+        for a, k in _value_atoms(sym.kind, eff, u):
             exps[a] = exps.get(a, 0) + k * e
     return FormalScalar({_mono_normalize(exps): coeff})
 

@@ -7,6 +7,10 @@ used for same-target cancellation bookkeeping.  The rows live in a
 human-auditable data file (``data/local_rules.txt``); nothing here derives
 representation theory, rows are conclusions stored as data.
 
+``RuleTable.local_pole`` matches a key to its pole row; the row answers
+every later question about that key: the order a section choice meets
+(``PoleRule.order_for``) and the constituent carrying the pole.
+
 Also exposed: the SL2/GL2 reducibility predicates that govern where local
 poles may occur (a pole at a negative parameter requires the corresponding
 local induced representation to be reducible).
@@ -64,7 +68,11 @@ class Condition:
             shift, par = Q(parts[1]), parts[2]
             if par not in ("even", "odd"):
                 raise RuleTableError(f"bad parity in condition {text!r}")
-            below = Q(parts[3][2:]) if len(parts) == 4 and parts[3].startswith("lt") else Q(0)
+            below = Q(0)
+            if len(parts) == 4:
+                if not parts[3].startswith("lt"):
+                    raise RuleTableError(f"bad bound in condition {text!r}")
+                below = Q(parts[3][2:])
             return Condition("int", shift, 0 if par == "even" else 1, below)
         raise RuleTableError(f"bad condition {text!r}")
 
@@ -103,6 +111,12 @@ class PoleRule:
                 and self.place in ("*", place)
                 and ("*" in self.classes or local_class.value in self.classes)
                 and self.condition.matches(s0))
+
+    def order_for(self, choice: str) -> int:
+        """Pole order met by a section choice (spherical never meets one)."""
+        if choice == "spherical" or choice not in self.pole_choices:
+            return 0
+        return self.order
 
 
 @dataclass(frozen=True)
@@ -166,13 +180,6 @@ class RuleTable:
         if not hits:
             raise UncoveredKey(f"no pole rule covers {key}")
         return max(hits, key=lambda r: r.order)
-
-    def pole_order_for_choice(self, key: LocalRuleKey, choice: str) -> int:
-        """Pole order met by a specific section choice (spherical never does)."""
-        res = self.local_pole(key)
-        if res.order == 0 or choice == "spherical":
-            return 0
-        return res.order if choice in res.pole_choices else 0
 
     def action_rule(self, case: str, element: str, place: str,
                     local_class: CharClass, s0: Q) -> ActionRule | None:

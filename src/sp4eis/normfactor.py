@@ -71,9 +71,6 @@ class LExpression:
     def inverse(self) -> "LExpression":
         return LExpression.build(1 / self.scalar, {s: -e for s, e in self.factors})
 
-    def is_one(self) -> bool:
-        return self.scalar == 1 and not self.factors
-
     def render(self) -> str:
         num = [(s, e) for s, e in self.factors if e > 0]
         den = [(s, -e) for s, e in self.factors if e < 0]

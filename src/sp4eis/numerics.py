@@ -425,9 +425,6 @@ class OrderEstimate:
     fitted: int
     residual: float
 
-    def to_json(self) -> dict:
-        return {"slope": self.slope, "fitted": self.fitted, "residual": self.residual}
-
 
 def estimate_order(expr: LExpression, cls: CharClass, s0: Q,
                    table: DirichletTable | None = None,

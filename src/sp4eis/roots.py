@@ -134,10 +134,6 @@ class CRootSystem:
         """Simple roots: e1 - e2, then 2 e2."""
         return list(self._simple)
 
-    def positive_roots(self) -> list[RootVector]:
-        """All positive roots, sorted by height then reverse-lex coordinates."""
-        return list(self._positive)
-
     def coroot(self, alpha: RootVector) -> RootVector:
         """Coroot 2*alpha/<alpha,alpha>; rejects vectors that are not roots."""
         if alpha not in self._roots:
@@ -163,14 +159,6 @@ class CRootSystem:
         perm = tuple(w1.perm[j] for j in w2.perm)
         signs = tuple(s * w1.signs[j] for s, j in zip(w2.signs, w2.perm))
         return self._by_form[(perm, signs)]
-
-    def inverse(self, w: WeylElement) -> WeylElement:
-        perm = [0] * len(w.perm)
-        signs = [1] * len(w.perm)
-        for i, j in enumerate(w.perm):
-            perm[j] = i
-            signs[j] = w.signs[i]
-        return self._by_form[(tuple(perm), tuple(signs))]
 
     def from_word(self, word: Iterable[str]) -> WeylElement:
         w = self.identity()

@@ -17,8 +17,7 @@ from sp4eis.checks import (
     check_functional_equation, check_order_oracle, check_reflection, oracle_grid,
 )
 from sp4eis.constant_term import (
-    Place, PlaceProfile, evaluate_group, eisenstein_order, same_target_groups,
-    term_order, term_report,
+    Place, PlaceProfile, evaluate_group, eisenstein_order, term_report,
 )
 from sp4eis.germs import OrderValue, apply_functional_equation, germ_at, order_at, sum_germs
 from sp4eis.localrules import default_rules
@@ -101,9 +100,10 @@ def test_criterion_3_pole_tables():
                 s0 = Q(s8, 8)
                 ov = order_at(e, cls, s0)
                 if -2 < s0 < -1:
-                    assert not ov.is_known and ov.may_be_negative()
+                    assert not ov.is_known
+                    assert ov.base < 0 or any(d.coeff < 0 for d in ov.deps)
                 else:
-                    assert ov.definitely_nonnegative()
+                    assert ov.base >= 0 and all(d.coeff > 0 for d in ov.deps)
     # Siegel normalizations
     assert order_at(_expr("siegel", "c2", TR), TR, Q(1, 2)) == OrderValue.known(-1)
     for wname in ("sc2", "c2sc2"):
@@ -168,8 +168,9 @@ def test_criterion_6_cancellations():
     assert drift < 1e-4
     # Siegel half-point, odd parity: the grouped pole cancels exactly
     rules = default_rules()
-    groups = same_target_groups("siegel", Q(1, 2), QU)
-    pair = [g for g in groups if len(g) == 2][0]
+    spherical = eisenstein_order("siegel", PlaceProfile.spherical(), Q(1, 2), QU)
+    (pair,) = [[SYS.element_by_name(name) for name in g.members]
+               for g in spherical.groups if len(g.members) == 2]
     odd = PlaceProfile((Place("arch", TR), Place("nonarch", QU, "t2")))
     g_odd = evaluate_group("siegel", [term_report("siegel", odd, w, Q(1, 2), QU, rules)
                                       for w in pair], odd, Q(1, 2), QU, rules)
@@ -226,7 +227,6 @@ def test_criterion_8_structural():
         PlaceProfile((Place("arch", TR), Place("nonarch", TR, "steinberg"))),
         PlaceProfile((Place("arch", TR), Place("nonarch", QU, "t2"))),
     ]
-    from sp4eis.constant_term import coset_representatives
     checked = 0
     for case in ("heisenberg", "siegel"):
         for prof in profiles:
@@ -241,9 +241,7 @@ def test_criterion_8_structural():
                     floors = [g.order.base for g in r.groups
                               if not g.kernel_killed and g.order is not None]
                     assert r.combined_order.base >= min(floors)
-                    term_orders = [term_order(case, prof, w, s0, cls)
-                                   for w in coset_representatives(case)]
-                    known_terms = [t.base for t in term_orders if t.is_known]
+                    known_terms = [t.order.base for t in r.terms if t.order.is_known]
                     if known_terms:
                         assert r.combined_order.base >= min(known_terms)
                     checked += 1

@@ -6,19 +6,25 @@ import pytest
 
 from sp4eis.characters import CharClass
 from sp4eis.constant_term import (
-    Place, PlaceProfile, ProfileError, coset_representatives, eisenstein_order,
-    same_target_groups, term_order,
+    Place, PlaceProfile, ProfileError, coset_representatives, eisenstein_order, term_report,
 )
+from sp4eis.localrules import RuleTable, default_rules
 from sp4eis.roots import SP4
 
 SYS = SP4
 TR, QU, OT, SGN = (CharClass.TRIVIAL, CharClass.QUADRATIC,
                    CharClass.OTHER, CharClass.SGN)
 SPH = PlaceProfile.spherical()
+RULES = default_rules()
 
 
 def names(groups):
-    return {frozenset(w.name for w in g) for g in groups}
+    return {frozenset(g.members) for g in groups}
+
+
+def groups_at(case, s0, cls):
+    """Same-target groups of the spherical report at the point."""
+    return eisenstein_order(case, SPH, s0, cls).groups
 
 
 def gset(*parts):
@@ -55,32 +61,32 @@ def test_profile_validation():
 # ---------------------------------------------------------------------------
 
 def test_groups_heisenberg_origin():
-    assert names(same_target_groups("heisenberg", Q(0), TR)) == \
+    assert names(groups_at("heisenberg", Q(0), TR)) == \
         gset(("id", "sc2s"), ("c2s", "s"))
-    assert names(same_target_groups("heisenberg", Q(0), QU)) == \
+    assert names(groups_at("heisenberg", Q(0), QU)) == \
         gset(("id", "sc2s"), ("c2s", "s"))
-    assert names(same_target_groups("heisenberg", Q(0), OT)) == \
+    assert names(groups_at("heisenberg", Q(0), OT)) == \
         gset(("c2s",), ("id",), ("s",), ("sc2s",))
 
 
 def test_groups_heisenberg_one():
-    assert names(same_target_groups("heisenberg", Q(1), TR)) == \
+    assert names(groups_at("heisenberg", Q(1), TR)) == \
         gset(("c2s", "sc2s"), ("id",), ("s",))
 
 
 def test_groups_generic_point_all_singletons():
-    assert names(same_target_groups("heisenberg", Q(7, 3), TR)) == \
+    assert names(groups_at("heisenberg", Q(7, 3), TR)) == \
         gset(("c2s",), ("id",), ("s",), ("sc2s",))
-    assert names(same_target_groups("siegel", Q(7, 3), TR)) == \
+    assert names(groups_at("siegel", Q(7, 3), TR)) == \
         gset(("c2",), ("c2sc2",), ("id",), ("sc2",))
 
 
 def test_groups_siegel():
-    assert names(same_target_groups("siegel", Q(1, 2), TR)) == \
+    assert names(groups_at("siegel", Q(1, 2), TR)) == \
         gset(("c2",), ("c2sc2", "sc2"), ("id",))
-    assert names(same_target_groups("siegel", Q(1, 2), QU)) == \
+    assert names(groups_at("siegel", Q(1, 2), QU)) == \
         gset(("c2",), ("c2sc2", "sc2"), ("id",))
-    assert names(same_target_groups("siegel", Q(-1, 2), TR)) == \
+    assert names(groups_at("siegel", Q(-1, 2), TR)) == \
         gset(("c2", "id"), ("c2sc2",), ("sc2",))
 
 
@@ -90,20 +96,43 @@ def test_groups_siegel():
 
 def test_term_order_examples():
     c1 = SYS.element_by_name("sc2s")
-    ov = term_order("heisenberg", SPH, c1, Q(2), TR)
+    ov = term_report("heisenberg", SPH, c1, Q(2), TR, RULES).order
     assert ov.is_known and ov.base == -1
-    ov = term_order("heisenberg", SPH, SYS.identity(), Q(7, 5), TR)
+    ov = term_report("heisenberg", SPH, SYS.identity(), Q(7, 5), TR, RULES).order
     assert ov.is_known and ov.base == 0
     prof = PlaceProfile((arch(), nonarch(TR, "steinberg"), nonarch(TR, "steinberg")))
-    ov = term_order("heisenberg", prof, c1, Q(-2), TR)
+    ov = term_report("heisenberg", prof, c1, Q(-2), TR, RULES).order
     assert ov.is_known and ov.base == 1 - 2  # factor zero minus two local poles
 
 
 def test_term_order_propagates_strip():
     c1 = SYS.element_by_name("sc2s")
-    ov = term_order("heisenberg", SPH, c1, Q(-3, 2), TR)
+    ov = term_report("heisenberg", SPH, c1, Q(-3, 2), TR, RULES).order
     assert not ov.is_known
     assert ov.deps[0].coeff == -1
+
+
+@pytest.mark.parametrize("profile, s0, image", [
+    # the grids row "s=-2 trivial, 2 twisted-Steinberg place(s)": a length-two
+    # image at the spherical place, Steinberg labels at the others
+    (PlaceProfile((arch(), nonarch(TR, "steinberg"), nonarch(TR, "steinberg"))), Q(-2),
+     [(0, "length-two"), (1, "L(nu^(3/2)St_GL2;1)"), (2, "L(nu^(3/2)St_GL2;1)")]),
+    # the grids row "s=-4 trivial, non-Langlands real constituent": a carrier label
+    (PlaceProfile((arch(TR, "carrier"),)), Q(-4), [(0, "L(delta*nu^(5/2),3;1)")]),
+])
+def test_one_pole_row_lookup_per_summand_and_place(monkeypatch, profile, s0, image):
+    keys = []
+    local_pole = RuleTable.local_pole
+
+    def counted(self, key):
+        keys.append(key)
+        return local_pole(self, key)
+
+    monkeypatch.setattr(RuleTable, "local_pole", counted)
+    report = eisenstein_order("heisenberg", profile, s0, TR)
+    assert [(e.place, e.structure if e.structure == "length-two" else e.label)
+            for e in report.image] == image
+    assert len(keys) == 4 * len(profile.places)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from sp4eis.characters import AffineForm, CharClass, heisenberg_lambda, siegel_lambda
 from sp4eis.constant_term import (
-    _common_factor, coset_representatives, factor_expression, same_target_groups,
+    PlaceProfile, _common_factor, coset_representatives, eisenstein_order, factor_expression,
 )
 from sp4eis.germs import (
-    SERIES_DEPTH, DegenerateSymbol, GermError, OrderValue, StripOrderUnknown,
-    _mono_normalize, _symbol_head, apply_functional_equation, germ_at, known_part_series,
-    order_at, sum_germs, sum_series, symbol_series,
+    SERIES_DEPTH, DegenerateSymbol, GermError, OrderValue, StripDep, StripOrderUnknown,
+    apply_functional_equation, germ_at, known_part_series, order_at, sum_germs, sum_series,
+    symbol_series,
 )
 from sp4eis.normfactor import (
     EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor,
@@ -37,6 +37,20 @@ def expr_of(scalar, factors) -> LExpression:
     return LExpression.build(Q(scalar), factors)
 
 
+def may_be_negative(ov: OrderValue) -> bool:
+    return ov.base < 0 or any(d.coeff < 0 for d in ov.deps)
+
+
+def definitely_nonnegative(ov: OrderValue) -> bool:
+    return ov.base >= 0 and all(d.coeff > 0 for d in ov.deps)
+
+
+def spherical_groups(case: str, s0: Q, cls: CharClass):
+    """The engine's same-target groups of a spherical report, as elements."""
+    report = eisenstein_order(case, PlaceProfile.spherical(), s0, cls)
+    return [[SYS.element_by_name(name) for name in g.members] for g in report.groups]
+
+
 # ---------------------------------------------------------------------------
 # order_at: the normalization lemma tables
 # ---------------------------------------------------------------------------
@@ -57,7 +71,7 @@ def test_orders_heisenberg_trivial():
             ov = order_at(e, TR, s0)
             if (e, s0) not in ((rc1, Q(1)), (rc1, Q(2)), (rs, Q(0)),
                                (rsc1, Q(0)), (rsc1, Q(1))):
-                assert not ov.may_be_negative(), (e.render(), s0)
+                assert not may_be_negative(ov), (e.render(), s0)
 
 
 def test_orders_heisenberg_nontrivial_nonnegative():
@@ -68,10 +82,10 @@ def test_orders_heisenberg_nontrivial_nonnegative():
                 s0 = Q(s8, 8)
                 ov = order_at(e, cls, s0)
                 if -2 < s0 < -1:
-                    assert ov.may_be_negative()
+                    assert may_be_negative(ov)
                     assert not ov.is_known
                 else:
-                    assert ov.definitely_nonnegative(), (wname, cls, s0)
+                    assert definitely_nonnegative(ov), (wname, cls, s0)
 
 
 def test_strip_window_trivial():
@@ -105,9 +119,9 @@ def test_siegel_strip_windows():
     for s16 in range(-40, 1):
         s0 = Q(s16, 16)
         in_c2 = Q(-3, 2) < s0 < Q(-1, 2)
-        assert order_at(c2, TR, s0).may_be_negative() == in_c2, s0
+        assert may_be_negative(order_at(c2, TR, s0)) == in_c2, s0
         in_sc2 = in_c2 or Q(-1, 2) < s0 < 0
-        assert order_at(sc2, TR, s0).may_be_negative() == in_sc2, s0
+        assert may_be_negative(order_at(sc2, TR, s0)) == in_sc2, s0
 
 
 def test_order_multiplicativity_and_inversion():
@@ -123,7 +137,10 @@ def test_order_multiplicativity_and_inversion():
                     assert both.is_known
     for e in exprs:
         for s0 in points:
-            assert order_at(e.inverse(), TR, s0) == order_at(e, TR, s0).negate()
+            ov = order_at(e, TR, s0)
+            negated = OrderValue.conditional(
+                -ov.base, [StripDep(d.symbol, d.point, -d.coeff) for d in ov.deps])
+            assert order_at(e.inverse(), TR, s0) == negated
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +179,15 @@ def _head_or_error(fn):
 @example(kind=L, power=1, a=1, b2=0, cls=OT, s8=4)      # strip argument
 def test_symbol_head_matches_series_head(kind, power, a, b2, cls, s8):
     sym = lsym(a, Q(b2, 2), power, kind)
+    expr = expr_of(1, {sym: 1})
     s0 = Q(s8, 8)
-    direct = _head_or_error(lambda: _symbol_head(sym, cls, s0))
+    direct = _head_or_error(lambda: germ_at(expr, cls, s0))
     series = _head_or_error(lambda: symbol_series(sym, cls, s0, 1))
     if isinstance(series, type) or isinstance(direct, type):
         assert direct is series
         return
-    c, atoms = direct
-    order = order_at(expr_of(1, {sym: 1}), cls, s0)
-    assert (order, series.coeffs[0].terms) == \
-        (OrderValue.known(series.ord), {_mono_normalize(dict(atoms)): c})
+    assert (order_at(expr, cls, s0), series.coeffs[0].terms) == \
+        (OrderValue.known(series.ord), direct.terms)
 
 
 def test_germ_refuses_strip():
@@ -292,7 +308,7 @@ def test_group_sum_matches_full_depth():
     # every sign pattern, since the rule table weights members by +-1
     checked = 0
     for (case, cls), s0 in itertools.product(CASE_CLASSES, GRID):
-        for group in same_target_groups(case, s0, cls):
+        for group in spherical_groups(case, s0, cls):
             if len(group) == 1:
                 continue
             exprs = [factor_expression(case, w, cls) for w in group]
@@ -324,11 +340,28 @@ def test_group_sum_matches_full_depth():
     ("siegel", QU, ["id", "c2sc2"], (1, -1), ">= 0", "1+eps[quadratic](1/2)"),
 ])
 def test_floor_leading_terms_at_zero(case, cls, group, weights, order, lead):
-    (members,) = [g for g in same_target_groups(case, Q(0), cls) if [w.name for w in g] == group]
+    (members,) = [g for g in spherical_groups(case, Q(0), cls) if [w.name for w in g] == group]
     exprs = [factor_expression(case, w, cls) for w in members]
     inv = _common_factor(exprs).inverse()
     out = sum_germs([(e * inv, Q(w)) for e, w in zip(exprs, weights)], cls, Q(0))
     assert (out.order.render(), out.leading.render()) == (order, lead)
+
+
+@pytest.mark.parametrize("sym, cls, s0", [
+    (lsym(1, 0, 0), TR, Q(1)),            # zeta pole
+    (lsym(-1, 0, 0), TR, Q(0)),           # zeta pole at 0, negative slope
+    (lsym(1, 0, 0), TR, Q(5, 2)),         # zeta value
+    (lsym(1, 0, 0), TR, Q(-3)),           # zeta value, reflected
+    (lsym(1, 0), QU, Q(-2)),              # self-dual L left of 1/2
+    (lsym(1, 0), QU, Q(3)),               # self-dual L right of 1/2
+    (lsym(1, 0, 1, EPS), QU, Q(1, 4)),    # eps left of 1/2
+    (lsym(1, 0, 1, EPS), QU, Q(7, 4)),    # eps right of 1/2
+    (lsym(1, 0, 1, EPS), TR, Q(1)),       # trivial eps
+])
+def test_symbol_series_has_the_requested_depth(sym, cls, s0):
+    for depth in range(1, SERIES_DEPTH + 1):
+        series = symbol_series(sym, cls, s0, depth)
+        assert (len(series.coeffs), series.prec - series.ord) == (depth, depth)
 
 
 @pytest.mark.parametrize("sym, cls, s0, coeffs", [

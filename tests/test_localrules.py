@@ -126,9 +126,9 @@ def test_holomorphic_for_nonnegative_points():
 
 def test_spherical_choice_never_meets_a_pole():
     k = key("heisenberg", "sc2s", NONARCH, TR, -2)
-    assert RULES.pole_order_for_choice(k, "spherical") == 0
-    assert RULES.pole_order_for_choice(k, "steinberg") == 1
-    assert RULES.pole_order_for_choice(k, "langlands") == 0
+    assert RULES.local_pole(k).order_for("spherical") == 0
+    assert RULES.local_pole(k).order_for("steinberg") == 1
+    assert RULES.local_pole(k).order_for("langlands") == 0
 
 
 def test_uncovered_keys_fail_loudly():
@@ -212,3 +212,8 @@ def test_malformed_tables_rejected():
         parse_rules("pole|siegel|*|*|*|always|0|||missing heisenberg catch-all\n")
     with pytest.raises(RuleTableError):
         parse_rules("frob|x|y\n")
+    # a bound field must read lt<value>; anything else is not the bound 0
+    with pytest.raises(RuleTableError, match=r"^rules\.txt:2: .*int:0:odd:le3"):
+        parse_rules("pole|heisenberg|*|*|*|always|0|||ok\n"
+                    "pole|heisenberg|s|arch|trivial|int:0:odd:le3|1|x|steinberg|typo\n"
+                    "pole|siegel|*|*|*|always|0|||ok\n", source="rules.txt")
