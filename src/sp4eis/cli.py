@@ -12,7 +12,8 @@ Identical inputs produce byte-identical output (keys sorted, no
 timestamps).  The exit code is 0 exactly when every requested check
 passed, 1 when a check failed, and 2 when the input could not be
 answered: a usage error, or one of the typed errors in ``INPUT_ERRORS``,
-which is printed as one line ``sp4eis: <Class>: <message>`` on stderr.
+which is printed as one line ``sp4eis: <Class>: <message>`` on stderr;
+an ``--out`` file that cannot be written is one of them (``OutputError``).
 It is 141 (128 + SIGPIPE), silently, when the reader of stdout closed
 the pipe early, as in ``sp4eis numcheck | head -1``.
 """
@@ -37,14 +38,24 @@ from .theorems import theorem_ids, verify_theorem
 
 JSON_KW = dict(indent=2, sort_keys=True)
 
+
+class OutputError(Exception):
+    """The ``--out`` file cannot be written."""
+
+
 INPUT_ERRORS = (ScenarioError, ProfileError, RuleTableError, UncoveredKey, UnknownChoice,
-                IndeterminateLeading)
+                IndeterminateLeading, OutputError)
 
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        # only the file is guarded: a closed stdout must still reach main as
+        # a BrokenPipeError
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise OutputError(f"{args.out}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -191,7 +202,8 @@ def cmd_numcheck(args) -> int:
     modulus = args.modulus
     if args.scenario:
         scenario = load_scenario(args.scenario)
-        modulus = scenario.modulus or modulus
+        if scenario.modulus is not None:
+            modulus = scenario.modulus
     if modulus not in QUADRATIC_DISCRIMINANTS:
         raise ScenarioError(f"no built-in quadratic character of conductor {modulus}")
     rows = run_numeric_checks(modulus)

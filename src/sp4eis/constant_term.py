@@ -9,8 +9,8 @@ target characters coincide at the point, and reports the resulting pole
 order, vanishing behavior, and image labels.
 
 Each summand's ``TermReport`` holds its parts, each computed once: the
-factor, its order, the pole row of every place (looked up once per
-summand and place) and the target.  Group sums and image labels read
+factor, its order and leading term, each place's pole and action rows
+and the target.  Group weights, singleton groups and image labels read
 those reports and look nothing up again.
 """
 
@@ -24,9 +24,11 @@ from .characters import (
     TARGETS, CharClass, TorusCharacter, coset_representatives, lambda_for_case, power_class,
     render_value,
 )
-from .germs import IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, sum_germs
+from .germs import (
+    FormalScalar, IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, sum_germs,
+)
 from .localrules import (
-    ARCH, ISO, KERNEL, NONARCH, LocalRuleKey, PoleRule, RuleTable, UncoveredKey, default_rules,
+    ARCH, ISO, KERNEL, NONARCH, ActionRule, PoleRule, RuleTable, UncoveredKey, default_rules,
 )
 from .normfactor import LExpression, canonicalize, inverse_norm_factor
 from .roots import WeylElement
@@ -112,15 +114,19 @@ def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
                 cls: CharClass, rules: RuleTable) -> TermReport:
     """One constant-term summand at s = s0, each of its parts computed once.
 
-    Each place's pole row is looked up here, once; the local order is the
-    sum of the orders the profile's choices meet in those rows.
+    Each place's pole and action rows are looked up here, once (the
+    identity carries no operator, so it has no action rows); the local
+    order is the sum of the orders the profile's choices meet in the pole
+    rows.
     """
     expr = factor_expression(case, w, cls)
     target = TARGETS[case][w]
-    rows = tuple(rules.local_pole(LocalRuleKey(case, w.name, p.kind, p.local_class, s0))
-                 for p in profile.places)
+    keys = [(case, w.name, p.kind, p.local_class, s0) for p in profile.places]
+    rows = tuple(rules.local_pole(*key) for key in keys)
+    actions = () if w.is_identity() else tuple(rules.action_rule(*key) for key in keys)
     local = sum(row.order_for(p.choice) for row, p in zip(rows, profile.places))
-    return TermReport(w, expr, order_at(expr, cls, s0), local, rows,
+    factor_order, leading = germ_at(expr, cls, s0)
+    return TermReport(w, expr, factor_order, leading, local, rows, actions,
                       target.value_key(s0, cls), target)
 
 
@@ -133,8 +139,10 @@ class TermReport:
     w: WeylElement
     expr: LExpression
     factor_order: OrderValue
+    leading: FormalScalar | None   # the factor's leading coefficient; None if strip-conditional
     local_order: int
     rows: tuple[PoleRule, ...]     # each place's pole row, in profile-place order
+    actions: tuple[ActionRule | None, ...]  # each place's action row; () for the identity
     value: tuple                   # the target at the point: its ``value_key``
     character: TorusCharacter      # the target: w applied to the inducing character
 
@@ -249,47 +257,43 @@ def _common_factor(exprs: list[LExpression]) -> LExpression:
     return LExpression.build(Q(1), common)
 
 
-def _group_weights(case: str, group: list[WeylElement], profile: PlaceProfile,
-                   s0: Q, rules: RuleTable):
+def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0: Q):
     """Per-member weights (+-1), base-kernel detection, and notes.
 
     The shortest member is the base; its action rows supply kernel
     information, the other members' rows supply the relative signs.  The
-    identity summand carries no operator at all.  A missing row is
-    tolerated for spherical choices (the normalized spherical vector is
-    always carried with weight +1) and for the base summand; any other
-    gap fails loudly.
+    rows are the ones each report holds (none for the identity).  A
+    missing row is tolerated for spherical choices (the normalized
+    spherical vector is always carried with weight +1) and for the base
+    summand; any other gap fails loudly.
     """
-    base = group[0]
+    base = terms[0]
     weights: dict[str, Q] = {}
     notes: list[str] = []
     kernel = False
     defaulted = False
-    for w in group:
+    for t in terms:
         weight = Q(1)
-        is_base = w is base
-        for p in profile.places:
-            if w.is_identity():
-                continue
-            row = rules.action_rule(case, w.name, p.kind, p.local_class, s0)
+        is_base = t is base
+        for p, row in zip(profile.places, t.actions):
             if row is not None and (row.base == "base") != is_base:
                 row = None
             if row is None:
                 if p.choice == "spherical" or is_base:
-                    if len(group) > 1 and not is_base:
+                    if len(terms) > 1 and not is_base:
                         defaulted = True
                     continue
                 raise UncoveredKey(
-                    f"no action rule for {case}/{w.name} at s={s0} covering choice {p.choice!r}")
+                    f"no action rule for {case}/{t.w.name} at s={s0} covering choice {p.choice!r}")
             value = row.action_for(p.choice)
             if value == KERNEL:
-                if is_base or len(group) == 1:
+                if is_base or len(terms) == 1:
                     kernel = True
                 else:  # pragma: no cover - tables only put kernels on bases
                     raise UncoveredKey("kernel action on a non-base element")
             elif value != ISO:
                 weight *= Q(value)
-        weights[w.name] = weight
+        weights[t.w.name] = weight
     if kernel:
         notes.append("summand killed: a chosen constituent lies in the kernel of the operator")
     if defaulted:
@@ -299,12 +303,11 @@ def _group_weights(case: str, group: list[WeylElement], profile: PlaceProfile,
 
 
 def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
-                   s0: Q, cls: CharClass, rules: RuleTable) -> GroupReport:
+                   s0: Q, cls: CharClass) -> GroupReport:
     """Order (and leading, when certified) of one same-target group."""
-    group = [t.w for t in terms]
-    members = [w.name for w in group]
+    members = [t.w.name for t in terms]
 
-    weights, kernel, notes = _group_weights(case, group, profile, s0, rules)
+    weights, kernel, notes = _group_weights(case, terms, profile, s0)
     if kernel:
         return GroupReport(members, None, None, cancelled=False, kernel_killed=True,
                            weights={k: str(v) for k, v in weights.items()},
@@ -312,11 +315,8 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
 
     if len(terms) == 1:
         (t,) = terms
-        ov = t.order
-        leading = None
-        if ov.is_known:
-            leading = germ_at(t.expr, cls, s0).render()
-        return GroupReport(members, ov, leading, cancelled=False,
+        leading = t.leading.render() if t.leading is not None else None
+        return GroupReport(members, t.order, leading, cancelled=False,
                            note="; ".join(notes))
 
     if len({t.local_order for t in terms}) != 1:
@@ -413,23 +413,23 @@ def langlands_label(target: TorusCharacter, s0: Q, cls: CharClass) -> str:
     return "L(" + ",".join(parts) + ";1)"
 
 
-def choice_label(case: str, place: Place, s0: Q, token: str, row: PoleRule) -> str:
+def choice_label(case: str, place: Place, s0: Q, token: str, longest: TermReport, i: int) -> str:
     """Concrete constituent label for a section-choice token at a point.
 
-    ``row`` is the longest summand's pole row at the place.
+    ``longest`` is the longest summand's report, ``i`` the place's index.
     """
     if token == "spherical":
         return "spherical"
     if token in ("t1", "t2"):
-        i = token[1]
+        n = token[1]
         if s0 == Q(-1, 2):
-            return f"T{i}"
+            return f"T{n}"
         prefix = "" if case == "heisenberg" else "chi*"
-        return f"L({prefix}nu^1;T{i})"
+        return f"L({prefix}nu^1;T{n})"
     if token == "langlands":
-        longest = coset_representatives(case)[-1]  # sorted by length
-        return langlands_label(TARGETS[case][longest], s0, place.local_class)
+        return langlands_label(longest.character, s0, place.local_class)
     # steinberg / carrier: the constituent carrying the local pole
+    row = longest.rows[i]
     if row.order == 0:
         if token == "steinberg" and case == "heisenberg" and s0 == 0:
             return "L(nu^(1/2)St_GL2;1)"
@@ -462,7 +462,7 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
     constituent and spherical places span the image of the spherical
     vector: the Langlands quotient of the target, of length two when the
     local operator there had further constituents in play.  Every label
-    reads the pole rows the summands' reports already hold.
+    reads the targets and pole rows the summands' reports already hold.
     """
     if vanishes:
         return []
@@ -481,7 +481,7 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
                                "identity summand uncancelled: whole module embeds")]
         for i, p in enumerate(profile.places):
             entries.append(ImageEntry(
-                i, choice_label(case, p, s0, p.choice, longest.rows[i]),
+                i, choice_label(case, p, s0, p.choice, longest, i),
                 "irreducible-constituent"))
         return entries
 
@@ -491,14 +491,14 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
         if p.choice == "spherical":
             label = langlands_label(lead.character, s0, p.local_class)
             if lead.rows[i].order > 0:
-                carrier = choice_label(case, p, s0, "carrier", longest.rows[i])
+                carrier = choice_label(case, p, s0, "carrier", longest, i)
                 entries.append(ImageEntry(i, label, "length-two",
                                           f"semisimplification {label}+{carrier}"))
             else:
                 entries.append(ImageEntry(i, label, "spherical-constituent"))
         else:
             entries.append(ImageEntry(
-                i, choice_label(case, p, s0, p.choice, longest.rows[i]),
+                i, choice_label(case, p, s0, p.choice, longest, i),
                 "irreducible-constituent"))
     return entries
 
@@ -509,7 +509,7 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
     rules = rules or default_rules()
     terms = [term_report(case, profile, w, s0, cls, rules) for w in coset_representatives(case)]
     group_terms = _by_target(terms, [t.value for t in terms])
-    groups = [evaluate_group(case, ts, profile, s0, cls, rules) for ts in group_terms]
+    groups = [evaluate_group(case, ts, profile, s0, cls) for ts in group_terms]
     combined, pole, deps, vanishes = _combine_orders(groups)
     image = describe_image(case, profile, s0, groups, group_terms, vanishes)
     notes = [g.note for g in groups if g.note]

@@ -26,11 +26,11 @@ numeric layer cross-checks: the shared constant Laurent coefficient of
 completed zeta at its poles, and the derivative of a quadratic completed
 L at 0.
 
-A single expression needs only its leading term.  ``order_at`` gives its
-order, and ``germ_at`` its leading coefficient: one walk over the
-symbols, each ``_classify``-ed once, multiplying the heads (a zeta
-pole's residue over its slope, or the ``_value_atoms`` of a value), with
-no ``Series`` and no ``FormalScalar`` but the result.
+A single expression needs only its leading term.  ``germ_at`` gives its
+order and leading coefficient from one walk over the symbols, each
+``_classify``-ed once, with no ``Series`` and no ``FormalScalar`` but the
+result; ``order_at`` is the same walk for the order alone (common
+factors and group remainders), with no ``FormalScalar`` at all.
 
 Series serve sums only.  ``symbol_series`` expands one symbol to exactly
 the requested number of coefficients (refusing strip symbols), its
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
-from .characters import AffineForm, CharClass, power_class, reduce_power
+from .characters import AffineForm, CharClass, power_class
 from .normfactor import EPS, L, LExpression, LSymbol
 
 SERIES_DEPTH = 5  # most coefficients a germ sum examines before giving a floor
@@ -560,25 +560,20 @@ def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
     return _l_value_series(eff, u0, a, depth)
 
 
-def _class_symbol_render(sym: LSymbol, cls: CharClass) -> str:
-    k = reduce_power(cls, sym.power)
-    chi = {0: "1", 1: "chi"}.get(k, f"chi^{k}")
-    return f"{sym.kind}({sym.arg.render()},{chi})"
-
-
 def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
     """Order of vanishing of the expression at s = s0 (negative for poles).
 
-    A strip symbol contributes an unknown order (a ``StripDep``), completed
-    zeta at one of its poles -1, and every other symbol (epsilon factors
-    included) is finite and nonzero.
+    ``expr`` is ``canonicalize(expr, cls)``-canonical.  A strip symbol
+    contributes an unknown order (a ``StripDep``), completed zeta at one
+    of its poles -1, and every other symbol (epsilon factors included) is
+    finite and nonzero.
     """
     base = 0
     deps: list[StripDep] = []
     for sym, e in expr.factors:
         _, u0, site = _classify(sym, cls, s0)
         if site == "strip":
-            deps.append(StripDep(_class_symbol_render(sym, cls), u0, e))
+            deps.append(StripDep(sym.render(), u0, e))
         elif site == "pole":
             base -= e
     return OrderValue.conditional(base, deps)
@@ -592,30 +587,35 @@ def known_part_series(expr: LExpression, cls: CharClass, s0: Q, depth: int) -> S
     return out
 
 
-def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> FormalScalar:
-    """Leading coefficient of the expression at s0 (its order is ``order_at``'s);
-    refuses strip-unknown orders.
+def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> tuple[OrderValue, FormalScalar | None]:
+    """Order (as ``order_at``) and leading coefficient of the expression at s0.
 
-    Each symbol's head is the coefficient 0 of its ``symbol_series``, a
-    nonzero monomial: a zeta pole gives its residue over the argument's
-    slope, any other symbol its ``_value_atoms`` (right of 1/2 the
-    series' self-dual rebase cancels its epsilon pair, leaving the same
-    atoms).  The leading coefficient is the product of the heads: the
-    rationals multiply and the atom exponents add, and the monomial is
-    normalized once at the end.
+    ``expr`` is ``canonicalize(expr, cls)``-canonical.  The leading
+    coefficient is ``None`` when a strip symbol leaves the order
+    conditional.  Otherwise each symbol's head is the coefficient 0 of
+    its ``symbol_series``, a nonzero monomial: a zeta pole gives its
+    residue over the argument's slope, any other symbol its
+    ``_value_atoms`` (right of 1/2 the series' self-dual rebase cancels
+    its epsilon pair, leaving the same atoms).  The leading coefficient
+    is the product of the heads: the rationals multiply and the atom
+    exponents add, and the monomial is normalized once at the end.
     """
+    base = 0
+    deps: list[StripDep] = []
     coeff = expr.scalar
     exps: dict[Atom, int] = {}
     for sym, e in expr.factors:
         eff, u, site = _classify(sym, cls, s0)
         if site == "strip":
-            raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {u}")
-        if site == "pole":
+            deps.append(StripDep(sym.render(), u, e))
+        elif site == "pole":
+            base -= e
             coeff *= (ZETA_POLE_RESIDUES[u] / sym.arg.a) ** e
-            continue
-        for a, k in _value_atoms(sym.kind, eff, u):
-            exps[a] = exps.get(a, 0) + k * e
-    return FormalScalar({_mono_normalize(exps): coeff})
+        else:
+            for a, k in _value_atoms(sym.kind, eff, u):
+                exps[a] = exps.get(a, 0) + k * e
+    leading = None if deps else FormalScalar({_mono_normalize(exps): coeff})
+    return OrderValue.conditional(base, deps), leading
 
 
 @dataclass

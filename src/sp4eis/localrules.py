@@ -7,8 +7,11 @@ used for same-target cancellation bookkeeping.  The rows live in a
 human-auditable data file (``data/local_rules.txt``); nothing here derives
 representation theory, rows are conclusions stored as data.
 
-``RuleTable.local_pole`` matches a key to its pole row; the row answers
-every later question about that key: the order a section choice meets
+A key is (case, element, place kind, local class, point).
+``RuleTable.local_pole`` matches a key to its pole row and
+``RuleTable.action_rule`` to its action row, both through one
+case/place/class/condition predicate.  The pole row answers every later
+question about its key: the order a section choice meets
 (``PoleRule.order_for``) and the constituent carrying the pole.
 
 Also exposed: the SL2/GL2 reducibility predicates that govern where local
@@ -106,11 +109,8 @@ class PoleRule:
     pole_choices: tuple[str, ...]
     note: str
 
-    def matches(self, element: str, place: str, local_class: CharClass, s0: Q) -> bool:
-        return (element in self.elements
-                and self.place in ("*", place)
-                and ("*" in self.classes or local_class.value in self.classes)
-                and self.condition.matches(s0))
+    def matches(self, case: str, element: str, place: str, local_class: CharClass, s0: Q) -> bool:
+        return element in self.elements and _covers(self, case, place, local_class, s0)
 
     def order_for(self, choice: str) -> int:
         """Pole order met by a section choice (spherical never meets one)."""
@@ -130,11 +130,8 @@ class ActionRule:
     actions: tuple[tuple[str, str], ...]
     note: str
 
-    def matches(self, element: str, place: str, local_class: CharClass, s0: Q) -> bool:
-        return (element == self.element
-                and self.place in ("*", place)
-                and ("*" in self.classes or local_class.value in self.classes)
-                and self.condition.matches(s0))
+    def matches(self, case: str, element: str, place: str, local_class: CharClass, s0: Q) -> bool:
+        return element == self.element and _covers(self, case, place, local_class, s0)
 
     def action_for(self, choice: str) -> str:
         for token, value in self.actions:
@@ -147,15 +144,12 @@ class ActionRule:
             f"choice {choice!r} not covered by action rule for {self.case}/{self.element} at {self.condition.render()}")
 
 
-@dataclass(frozen=True)
-class LocalRuleKey:
-    """Lookup key for local operator behavior."""
-
-    case: str
-    element: str
-    place: str
-    local_class: CharClass
-    s0: Q
+def _covers(rule: PoleRule | ActionRule, case: str, place: str, local_class: CharClass,
+            s0: Q) -> bool:
+    """The case, place, class and point part of a row match, shared by both row kinds."""
+    return (rule.case == case and rule.place in ("*", place)
+            and ("*" in rule.classes or local_class.value in rule.classes)
+            and rule.condition.matches(s0))
 
 
 @dataclass
@@ -165,7 +159,8 @@ class RuleTable:
 
     # -- queries --
 
-    def local_pole(self, key: LocalRuleKey) -> PoleRule:
+    def local_pole(self, case: str, element: str, place: str,
+                   local_class: CharClass, s0: Q) -> PoleRule:
         """The pole row that fixes a key's order: the highest-order match.
 
         Order-0 keys need a catch-all row; an order-0 row's carrier and pole
@@ -174,33 +169,34 @@ class RuleTable:
         Raises :class:`UncoveredKey` when no row covers the key (invalid
         place/class combinations surface loudly instead of defaulting).
         """
-        _validate_key(key)
-        hits = [r for r in self.poles
-                if r.case == key.case and r.matches(key.element, key.place, key.local_class, key.s0)]
+        _validate_key(case, element, place, local_class)
+        hits = [r for r in self.poles if r.matches(case, element, place, local_class, s0)]
         if not hits:
-            raise UncoveredKey(f"no pole rule covers {key}")
+            raise UncoveredKey(f"no pole rule covers {case}/{element} at a {place} place, "
+                               f"class {local_class.value}, s={s0}")
         return max(hits, key=lambda r: r.order)
 
     def action_rule(self, case: str, element: str, place: str,
                     local_class: CharClass, s0: Q) -> ActionRule | None:
+        """The first action row matching the key, or ``None``."""
         for r in self.actions:
-            if r.case == case and r.matches(element, place, local_class, s0):
+            if r.matches(case, element, place, local_class, s0):
                 return r
         return None
 
 
-def _validate_key(key: LocalRuleKey) -> None:
-    if key.case not in _ELEMENT_NAMES:
-        raise UncoveredKey(f"unknown case {key.case!r}")
-    if key.place not in (NONARCH, ARCH):
-        raise UncoveredKey(f"unknown place kind {key.place!r}")
-    if key.local_class is CharClass.SGN and key.place != ARCH:
+def _validate_key(case: str, element: str, place: str, local_class: CharClass) -> None:
+    if case not in _ELEMENT_NAMES:
+        raise UncoveredKey(f"unknown case {case!r}")
+    if place not in (NONARCH, ARCH):
+        raise UncoveredKey(f"unknown place kind {place!r}")
+    if local_class is CharClass.SGN and place != ARCH:
         raise UncoveredKey("sgn class only occurs at the archimedean place")
-    if key.local_class is CharClass.QUADRATIC and key.place == ARCH:
+    if local_class is CharClass.QUADRATIC and place == ARCH:
         raise UncoveredKey("the archimedean quadratic class is called sgn")
-    if key.element not in _ELEMENT_NAMES[key.case]:
+    if element not in _ELEMENT_NAMES[case]:
         raise UncoveredKey(
-            f"element {key.element!r} does not occur in the {key.case} constant term")
+            f"element {element!r} does not occur in the {case} constant term")
 
 
 def parse_rules(text: str, source: str = "<string>") -> RuleTable:

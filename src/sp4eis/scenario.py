@@ -15,7 +15,8 @@ Schema (all keys optional unless noted):
     choice = "spherical"           # "spherical"|"langlands"|"steinberg"|
                                    # "t1"|"t2"|"carrier"
 
-Exactly one archimedean place is required when places are given.
+Exactly one archimedean place is required when places are given.  A key
+outside this schema, at top level or in a place, is an error.
 
 ``checks`` and ``theorems`` select nothing: ``checks`` is validated, both
 are echoed in ``poles --json``, and no command runs a check or theorem
@@ -39,6 +40,8 @@ from .characters import CharClass, parse_class
 from .constant_term import Place, PlaceProfile
 
 VALID_CHECKS = ("poles", "verify", "numcheck")
+SCENARIO_KEYS = ("case", "char_class", "modulus", "s0", "checks", "theorems", "places")
+PLACE_KEYS = ("kind", "class", "choice")
 
 
 class ScenarioError(ValueError):
@@ -129,11 +132,20 @@ def _class(text: str, source: str) -> CharClass:
         raise ScenarioError(f"{source}: {exc}") from None
 
 
+def _known_keys(data: dict, keys: tuple[str, ...], where: str, source: str) -> None:
+    """Refuse a misspelt key, which would otherwise leave its default in force."""
+    for key in data:
+        if key not in keys:
+            raise ScenarioError(f"{source}: unknown {where} key {key!r} "
+                                f"(expected one of {', '.join(keys)})")
+
+
 def default_arch_class(cls: CharClass) -> CharClass:
     return CharClass.OTHER if cls is CharClass.OTHER else CharClass.TRIVIAL
 
 
 def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
+    _known_keys(data, SCENARIO_KEYS, "scenario", source)
     try:
         case = data["case"]
     except KeyError:
@@ -153,6 +165,7 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
         for p in places_data:
             if not isinstance(p, dict):
                 raise ScenarioError(f"{source}: each place must be a table, not {p!r}")
+            _known_keys(p, PLACE_KEYS, "place", source)
             places.append(Place(p.get("kind", "nonarch"),
                                 _class(p.get("class", "trivial"), source),
                                 p.get("choice", "spherical")))

@@ -190,6 +190,16 @@ def test_scenario_validation():
         scenario_from_dict({"case": "siegel", "checks": "poles"})
 
 
+def test_scenario_rejects_unknown_keys():
+    # a misspelt key would otherwise leave its default in force
+    with pytest.raises(ScenarioError, match="unknown scenario key 'char-class'"):
+        scenario_from_dict({"case": "siegel", "char-class": "quadratic"})
+    with pytest.raises(ScenarioError, match="unknown place key 'clas'"):
+        scenario_from_dict({"case": "siegel", "places": [{"kind": "arch", "clas": "sgn"}]})
+    sc = scenario_from_dict(parse_toml_subset(SCENARIO))
+    assert sc.char_class.value == "quadratic" and len(sc.profile.places) == 3
+
+
 def test_scenario_default_profile():
     sc = scenario_from_dict({"case": "heisenberg", "char_class": "other"})
     assert sc.profile.places[0].kind == "arch"
@@ -204,6 +214,9 @@ WRONG_TYPES = {
     "s0_int.toml": "s0 = 2\n",
     "checks_str.toml": 'checks = "poles"\n',
     "modulus_float.toml": "modulus = 4.5\n",
+    "modulus_zero.toml": "modulus = 0\n",
+    "unknown_key.toml": 'char-class = "quadratic"\n',
+    "place_unknown_key.toml": '[[places]]\nkind = "arch"\nclas = "sgn"\n',
 }
 
 
@@ -229,6 +242,11 @@ WRONG_TYPES = {
     (["poles", "--scenario", "{tmp}/s0_int.toml"], "ScenarioError"),
     (["poles", "--scenario", "{tmp}/checks_str.toml"], "ScenarioError"),
     (["numcheck", "--scenario", "{tmp}/modulus_float.toml"], "ScenarioError"),
+    (["numcheck", "--scenario", "{tmp}/modulus_zero.toml"], "ScenarioError"),
+    (["poles", "--scenario", "{tmp}/unknown_key.toml"], "ScenarioError"),
+    (["poles", "--scenario", "{tmp}/place_unknown_key.toml"], "ScenarioError"),
+    (["weyl", "--out", "{tmp}/missing/weyl.txt"], "OutputError"),
+    (["weyl", "--out", "{tmp}"], "OutputError"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     for name, text in WRONG_TYPES.items():

@@ -1,9 +1,11 @@
 """Constant-term assembly: grouping, term orders, combined reports."""
 
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
+from sp4eis import constant_term, germs
 from sp4eis.characters import CharClass
 from sp4eis.constant_term import (
     Place, PlaceProfile, ProfileError, coset_representatives, eisenstein_order, term_report,
@@ -121,18 +123,54 @@ def test_term_order_propagates_strip():
     (PlaceProfile((arch(TR, "carrier"),)), Q(-4), [(0, "L(delta*nu^(5/2),3;1)")]),
 ])
 def test_one_pole_row_lookup_per_summand_and_place(monkeypatch, profile, s0, image):
-    keys = []
-    local_pole = RuleTable.local_pole
+    calls = Counter()
 
-    def counted(self, key):
-        keys.append(key)
-        return local_pole(self, key)
+    def count(name):
+        original = getattr(RuleTable, name)
 
-    monkeypatch.setattr(RuleTable, "local_pole", counted)
+        def counted(self, case, element, place, local_class, s0):
+            calls[name] += 1
+            return original(self, case, element, place, local_class, s0)
+
+        monkeypatch.setattr(RuleTable, name, counted)
+
+    count("local_pole")
+    count("action_rule")
+    group_weights = constant_term._group_weights
+
+    def no_lookups(*args):
+        before = calls.copy()
+        out = group_weights(*args)
+        assert calls == before, "group weights looked a rule row up again"
+        return out
+
+    monkeypatch.setattr(constant_term, "_group_weights", no_lookups)
     report = eisenstein_order("heisenberg", profile, s0, TR)
     assert [(e.place, e.structure if e.structure == "length-two" else e.label)
             for e in report.image] == image
-    assert len(keys) == 4 * len(profile.places)
+    assert calls["local_pole"] == 4 * len(profile.places)
+    # the identity carries no operator: only the three other summands
+    assert calls["action_rule"] == 3 * len(profile.places)
+
+
+@pytest.mark.parametrize("case, s0, cls", [
+    ("heisenberg", Q(7, 5), TR),
+    ("siegel", Q(-3, 8), QU),
+])
+def test_one_symbol_walk_per_summand(monkeypatch, case, s0, cls):
+    """In a report of singleton groups each symbol of each summand is
+    classified once: the order and the leading term come from one walk."""
+    seen = Counter()
+    classify = germs._classify
+
+    def counted(sym, cls, s0):
+        seen[sym] += 1
+        return classify(sym, cls, s0)
+
+    monkeypatch.setattr(germs, "_classify", counted)
+    report = eisenstein_order(case, SPH, s0, cls)
+    assert all(len(g.members) == 1 for g in report.groups)
+    assert seen == Counter(sym for t in report.terms for sym, _ in t.expr.factors)
 
 
 # ---------------------------------------------------------------------------

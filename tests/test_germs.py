@@ -149,15 +149,15 @@ def test_order_multiplicativity_and_inversion():
 
 def test_germ_examples():
     rc1 = _expr("heisenberg", "sc2s", TR)
-    assert (order_at(rc1, TR, Q(0)), germ_at(rc1, TR, Q(0)).render()) == (OrderValue.known(0), "1")
+    assert (order_at(rc1, TR, Q(0)), germ_at(rc1, TR, Q(0))[1].render()) == (OrderValue.known(0), "1")
 
     # completed zeta at argument s+1 around 0: simple pole, residue +1
     e = expr_of(1, {lsym(1, 1, 0): 1})
-    assert (order_at(e, TR, Q(0)), germ_at(e, TR, Q(0)).render()) == (OrderValue.known(-1), "1")
+    assert (order_at(e, TR, Q(0)), germ_at(e, TR, Q(0))[1].render()) == (OrderValue.known(-1), "1")
 
     e = expr_of(1, {lsym(1, 2, 1, EPS): 1})
     assert order_at(e, QU, Q(0)) == OrderValue.known(0)
-    assert germ_at(e, QU, Q(0)).render() == "eps[quadratic](2)"
+    assert germ_at(e, QU, Q(0))[1].render() == "eps[quadratic](2)"
 
 
 def _head_or_error(fn):
@@ -183,17 +183,29 @@ def test_symbol_head_matches_series_head(kind, power, a, b2, cls, s8):
     s0 = Q(s8, 8)
     direct = _head_or_error(lambda: germ_at(expr, cls, s0))
     series = _head_or_error(lambda: symbol_series(sym, cls, s0, 1))
+    if series is StripOrderUnknown:
+        order, leading = direct
+        assert order.kind == "conditional" and leading is None
+        assert order == order_at(expr, cls, s0)
+        return
     if isinstance(series, type) or isinstance(direct, type):
         assert direct is series
         return
-    assert (order_at(expr, cls, s0), series.coeffs[0].terms) == \
-        (OrderValue.known(series.ord), direct.terms)
+    order, leading = direct
+    assert (order, order_at(expr, cls, s0), series.coeffs[0].terms) == \
+        (OrderValue.known(series.ord), OrderValue.known(series.ord), leading.terms)
 
 
 def test_germ_refuses_strip():
+    """A strip symbol leaves the order conditional and no leading term;
+    its series is refused."""
     rc1 = _expr("heisenberg", "sc2s", TR)
+    order, leading = germ_at(rc1, TR, Q(-3, 2))
+    assert order == order_at(rc1, TR, Q(-3, 2))
+    assert order.kind == "conditional" and leading is None
+    (sym,) = [sym for sym, _ in rc1.factors if sym.arg.at(Q(-3, 2)) == Q(1, 2)]
     with pytest.raises(StripOrderUnknown):
-        germ_at(rc1, TR, Q(-3, 2))
+        symbol_series(sym, TR, Q(-3, 2), 1)
 
 
 def test_degenerate_constant_symbol():
@@ -222,12 +234,12 @@ def test_sum_with_zero_weight_is_identity():
     e = _expr("heisenberg", "s", TR)
     out = sum_germs([(e, Q(1)), (e, Q(0))], TR, Q(0))
     assert out.order == order_at(e, TR, Q(0))
-    assert out.leading.render() == germ_at(e, TR, Q(0)).render()
+    assert out.leading.render() == germ_at(e, TR, Q(0))[1].render()
 
 
 def test_sum_vanishing_at_minus_one():
     rs = _expr("heisenberg", "s", TR)
-    assert (order_at(rs, TR, Q(-1)), germ_at(rs, TR, Q(-1)).render()) == (OrderValue.known(0), "-1")
+    assert (order_at(rs, TR, Q(-1)), germ_at(rs, TR, Q(-1))[1].render()) == (OrderValue.known(0), "-1")
     # the identity summand cancels the value exactly; the next Laurent
     # coefficient only involves the certified zeta constant
     out = sum_germs([(LExpression.one(), Q(1)), (rs, Q(1))], TR, Q(-1))
@@ -296,7 +308,7 @@ def test_singleton_germ_matches_full_depth(case, cls):
         for s0 in GRID:
             if order_at(expr, cls, s0).deps:
                 continue
-            lazy = germ_at(expr, cls, s0)
+            lazy = germ_at(expr, cls, s0)[1]
             order, lead = known_part_series(expr, cls, s0, SERIES_DEPTH).leading()
             assert (order_at(expr, cls, s0), lazy.render(), lazy.certified_nonzero()) == \
                 (OrderValue.known(order), lead.render(), lead.certified_nonzero()), (w.name, s0)
@@ -411,10 +423,10 @@ def test_fe_derives_eps_pair_identity():
     e = expr_of(1, {lsym(-1, 1): 1, lsym(-1, 0): 1, lsym(1, 0): -1, lsym(1, 1): -1})
     rewritten = apply_functional_equation(e, QU)
     assert rewritten.as_dict() == {lsym(1, 0, 1, EPS): 1, lsym(1, 1, 1, EPS): 1}
-    assert (order_at(rewritten, QU, Q(0)), germ_at(rewritten, QU, Q(0)).render()) == \
+    assert (order_at(rewritten, QU, Q(0)), germ_at(rewritten, QU, Q(0))[1].render()) == \
         (OrderValue.known(0), "1")
     # and the original expression is exactly 1 at the point as well
-    assert (order_at(e, QU, Q(0)), germ_at(e, QU, Q(0)).render()) == (OrderValue.known(0), "1")
+    assert (order_at(e, QU, Q(0)), germ_at(e, QU, Q(0))[1].render()) == (OrderValue.known(0), "1")
 
 
 def _order_signature(ov: OrderValue):

@@ -6,7 +6,7 @@ import pytest
 
 from sp4eis.characters import CharClass
 from sp4eis.localrules import (
-    ARCH, NONARCH, LocalRuleKey, RuleTableError, UncoveredKey, UnknownChoice,
+    ARCH, NONARCH, RuleTableError, UncoveredKey, UnknownChoice,
     default_rules, gl2_reducible, load_rules, parse_rules, sl2_reducible,
 )
 
@@ -15,8 +15,8 @@ TR, QU, OT, SGN = (CharClass.TRIVIAL, CharClass.QUADRATIC,
 RULES = default_rules()
 
 
-def key(case, element, place, cls, s0) -> LocalRuleKey:
-    return LocalRuleKey(case, element, place, cls, Q(s0))
+def key(case, element, place, cls, s0) -> tuple:
+    return case, element, place, cls, Q(s0)
 
 
 # ---------------------------------------------------------------------------
@@ -56,25 +56,25 @@ def test_gl2():
 # ---------------------------------------------------------------------------
 
 def test_heisenberg_nonarch_pole():
-    res = RULES.local_pole(key("heisenberg", "sc2s", NONARCH, TR, -2))
+    res = RULES.local_pole(*key("heisenberg", "sc2s", NONARCH, TR, -2))
     assert res.order == 1
     assert res.carrier == "st_gl2"
     for element in ("s", "c2s"):
-        assert RULES.local_pole(key("heisenberg", element, NONARCH, TR, -2)).order == 1
+        assert RULES.local_pole(*key("heisenberg", element, NONARCH, TR, -2)).order == 1
 
 
 def test_heisenberg_arch_poles():
-    assert RULES.local_pole(key("heisenberg", "sc2s", ARCH, SGN, -3)).order == 1
-    assert RULES.local_pole(key("heisenberg", "sc2s", ARCH, TR, -2)).order == 1
-    assert RULES.local_pole(key("heisenberg", "sc2s", ARCH, TR, -4)).order == 1
-    assert RULES.local_pole(key("heisenberg", "sc2s", ARCH, TR, -3)).order == 0
-    assert RULES.local_pole(key("heisenberg", "sc2s", ARCH, SGN, -1)).order == 0
-    assert RULES.local_pole(key("heisenberg", "sc2s", ARCH, SGN, -2)).order == 0
+    assert RULES.local_pole(*key("heisenberg", "sc2s", ARCH, SGN, -3)).order == 1
+    assert RULES.local_pole(*key("heisenberg", "sc2s", ARCH, TR, -2)).order == 1
+    assert RULES.local_pole(*key("heisenberg", "sc2s", ARCH, TR, -4)).order == 1
+    assert RULES.local_pole(*key("heisenberg", "sc2s", ARCH, TR, -3)).order == 0
+    assert RULES.local_pole(*key("heisenberg", "sc2s", ARCH, SGN, -1)).order == 0
+    assert RULES.local_pole(*key("heisenberg", "sc2s", ARCH, SGN, -2)).order == 0
 
 
 def test_heisenberg_action_at_zero():
     k = key("heisenberg", "sc2s", NONARCH, TR, 0)
-    assert RULES.local_pole(k).order == 0
+    assert RULES.local_pole(*k).order == 0
     rule = RULES.action_rule("heisenberg", "sc2s", NONARCH, TR, Q(0))
     assert rule.action_for("langlands") == "+1"
     assert rule.action_for("steinberg") == "-1"
@@ -90,26 +90,26 @@ def test_quadratic_action_signs():
 
 
 def test_siegel_poles():
-    assert RULES.local_pole(key("siegel", "c2", NONARCH, TR, Q(-3, 2))).order == 1
-    assert RULES.local_pole(key("siegel", "sc2", NONARCH, TR, Q(-3, 2))).order == 1
-    res = RULES.local_pole(key("siegel", "c2sc2", NONARCH, TR, Q(-1, 2)))
+    assert RULES.local_pole(*key("siegel", "c2", NONARCH, TR, Q(-3, 2))).order == 1
+    assert RULES.local_pole(*key("siegel", "sc2", NONARCH, TR, Q(-3, 2))).order == 1
+    res = RULES.local_pole(*key("siegel", "c2sc2", NONARCH, TR, Q(-1, 2)))
     assert res.order == 1
     assert res.carrier == "tempered_t2"
-    assert RULES.local_pole(key("siegel", "c2", NONARCH, TR, Q(-1, 2))).order == 0
-    assert RULES.local_pole(key("siegel", "sc2", NONARCH, TR, Q(-1, 2))).order == 0
-    assert RULES.local_pole(key("siegel", "c2", NONARCH, QU, Q(-3, 2))).order == 0
+    assert RULES.local_pole(*key("siegel", "c2", NONARCH, TR, Q(-1, 2))).order == 0
+    assert RULES.local_pole(*key("siegel", "sc2", NONARCH, TR, Q(-1, 2))).order == 0
+    assert RULES.local_pole(*key("siegel", "c2", NONARCH, QU, Q(-3, 2))).order == 0
 
 
 def test_siegel_arch_parity():
     # first-step parity: s+1/2 negative odd (trivial) / even (sgn)
-    assert RULES.local_pole(key("siegel", "c2", ARCH, TR, Q(-3, 2))).order == 1
-    assert RULES.local_pole(key("siegel", "c2", ARCH, SGN, Q(-5, 2))).order == 1
-    assert RULES.local_pole(key("siegel", "c2", ARCH, TR, Q(-5, 2))).order == 0
+    assert RULES.local_pole(*key("siegel", "c2", ARCH, TR, Q(-3, 2))).order == 1
+    assert RULES.local_pole(*key("siegel", "c2", ARCH, SGN, Q(-5, 2))).order == 1
+    assert RULES.local_pole(*key("siegel", "c2", ARCH, TR, Q(-5, 2))).order == 0
     # last-step parity for the long element: s-1/2 negative odd / even
-    assert RULES.local_pole(key("siegel", "c2sc2", ARCH, TR, Q(-1, 2))).order == 1
-    assert RULES.local_pole(key("siegel", "c2sc2", ARCH, TR, Q(-5, 2))).order == 1
-    assert RULES.local_pole(key("siegel", "c2sc2", ARCH, SGN, Q(-3, 2))).order == 1
-    assert RULES.local_pole(key("siegel", "sc2", ARCH, TR, Q(-5, 2))).order == 0
+    assert RULES.local_pole(*key("siegel", "c2sc2", ARCH, TR, Q(-1, 2))).order == 1
+    assert RULES.local_pole(*key("siegel", "c2sc2", ARCH, TR, Q(-5, 2))).order == 1
+    assert RULES.local_pole(*key("siegel", "c2sc2", ARCH, SGN, Q(-3, 2))).order == 1
+    assert RULES.local_pole(*key("siegel", "sc2", ARCH, TR, Q(-5, 2))).order == 0
 
 
 def test_holomorphic_for_nonnegative_points():
@@ -120,28 +120,28 @@ def test_holomorphic_for_nonnegative_points():
             for place, classes in ((NONARCH, (TR, QU, OT)), (ARCH, (TR, SGN, OT))):
                 for cls in classes:
                     for s8 in range(0, 25):
-                        res = RULES.local_pole(key(case, element, place, cls, Q(s8, 8)))
+                        res = RULES.local_pole(*key(case, element, place, cls, Q(s8, 8)))
                         assert res.order == 0
 
 
 def test_spherical_choice_never_meets_a_pole():
     k = key("heisenberg", "sc2s", NONARCH, TR, -2)
-    assert RULES.local_pole(k).order_for("spherical") == 0
-    assert RULES.local_pole(k).order_for("steinberg") == 1
-    assert RULES.local_pole(k).order_for("langlands") == 0
+    assert RULES.local_pole(*k).order_for("spherical") == 0
+    assert RULES.local_pole(*k).order_for("steinberg") == 1
+    assert RULES.local_pole(*k).order_for("langlands") == 0
 
 
 def test_uncovered_keys_fail_loudly():
     with pytest.raises(UncoveredKey, match="does not occur"):
-        RULES.local_pole(key("heisenberg", "c2", NONARCH, TR, 0))  # not a summand
+        RULES.local_pole(*key("heisenberg", "c2", NONARCH, TR, 0))  # not a summand
     with pytest.raises(UncoveredKey, match="does not occur"):
-        RULES.local_pole(key("siegel", "s", NONARCH, TR, 0))
+        RULES.local_pole(*key("siegel", "s", NONARCH, TR, 0))
     with pytest.raises(UncoveredKey):
-        RULES.local_pole(key("heisenberg", "s", NONARCH, SGN, 0))  # sgn is archimedean
+        RULES.local_pole(*key("heisenberg", "s", NONARCH, SGN, 0))  # sgn is archimedean
     with pytest.raises(UncoveredKey):
-        RULES.local_pole(key("heisenberg", "s", ARCH, QU, 0))
+        RULES.local_pole(*key("heisenberg", "s", ARCH, QU, 0))
     with pytest.raises(UncoveredKey):
-        RULES.local_pole(key("klingen", "s", NONARCH, TR, 0))
+        RULES.local_pole(*key("klingen", "s", NONARCH, TR, 0))
 
 
 def test_table_is_exactly_the_stated_clauses():
@@ -187,9 +187,9 @@ def test_nonarch_poles_match_reducibility():
     # and nowhere else at negative parameters on the tables' class range:
     for s8 in range(-32, 0):
         s0 = Q(s8, 8)
-        fires = RULES.local_pole(key("heisenberg", "s", NONARCH, TR, s0)).order == 1
+        fires = RULES.local_pole(*key("heisenberg", "s", NONARCH, TR, s0)).order == 1
         assert fires == (gl2_reducible(NONARCH, TR, s0 + 1) and s0 + 1 < 0)
-        fires = RULES.local_pole(key("siegel", "c2", NONARCH, TR, s0)).order == 1
+        fires = RULES.local_pole(*key("siegel", "c2", NONARCH, TR, s0)).order == 1
         assert fires == (sl2_reducible(NONARCH, TR, s0 + Q(1, 2)) and s0 + Q(1, 2) < 0)
 
 
