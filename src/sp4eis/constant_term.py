@@ -28,12 +28,11 @@ from .germs import (
     FormalScalar, IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, sum_germs,
 )
 from .localrules import (
-    ARCH, ISO, KERNEL, NONARCH, ActionRule, PoleRule, RuleTable, UncoveredKey, default_rules,
+    ARCH, CHOICES, ISO, KERNEL, NONARCH, ActionRule, PoleRule, RuleTable, UncoveredKey,
+    default_rules,
 )
 from .normfactor import LExpression, canonicalize, inverse_norm_factor
 from .roots import WeylElement
-
-CHOICES = ("spherical", "langlands", "steinberg", "t1", "t2", "carrier")
 
 
 class ProfileError(ValueError):

@@ -84,6 +84,11 @@ class DegenerateSymbol(GermError):
 # plain tuples.
 Atom = tuple[str, tuple[str, ...]]
 
+# A derivative-order datum k names a Taylor coefficient, not a derivative:
+# ``_value_series`` scales the k-th atom by a^k with no 1/k!, so
+# Lam^(k)(u), Lhat[c]^(k)(u) and eps[c]^(k)(u) are f^(k)(u)/k!.  Lam_c is
+# the constant coefficient of completed zeta at 1 and Lam_c{k} the
+# coefficient of x^(k-1) in its expansion at 1 + x.
 _ATOM_FORMATS = {
     "zconst": "Lam_c",
     "zcoef": "Lam_c{0}",
@@ -281,34 +286,29 @@ class FormalScalar:
 # ---------------------------------------------------------------------------
 
 class Series:
-    """Truncated Laurent series sum_i coeffs[i] * delta^(ord+i) + O(delta^prec)."""
+    """Truncated Laurent series sum_i coeffs[i] * delta^(ord+i) + O(delta^(ord+len(coeffs)))."""
 
-    __slots__ = ("ord", "coeffs", "prec")
+    __slots__ = ("ord", "coeffs")
 
-    def __init__(self, ord: int, coeffs: Sequence[FormalScalar], prec: int | None = None):
+    def __init__(self, ord: int, coeffs: Sequence[FormalScalar]):
         self.ord = ord
         self.coeffs = list(coeffs)
-        self.prec = prec if prec is not None else ord + len(coeffs)
-        if self.prec < self.ord + len(self.coeffs):
-            self.coeffs = self.coeffs[: self.prec - self.ord]
 
     @staticmethod
     def exact_one(depth: int) -> "Series":
         return Series(0, [FormalScalar.rational(1)] + [FormalScalar.zero()] * (depth - 1))
 
     def __mul__(self, other: "Series") -> "Series":
-        n1, n2 = len(self.coeffs), len(other.coeffs)
-        prec = min(self.prec + other.ord, other.prec + self.ord)
-        n = prec - (self.ord + other.ord)
-        out = [FormalScalar.zero() for _ in range(max(n, 0))]
-        for i in range(min(n1, n)):
+        n = min(len(self.coeffs), len(other.coeffs))
+        out = [FormalScalar.zero() for _ in range(n)]
+        for i in range(n):
             if self.coeffs[i].is_zero():
                 continue
-            for j in range(min(n2, n - i)):
+            for j in range(n - i):
                 if other.coeffs[j].is_zero():
                     continue
                 out[i + j] = out[i + j] + self.coeffs[i] * other.coeffs[j]
-        return Series(self.ord + other.ord, out, prec)
+        return Series(self.ord + other.ord, out)
 
     def inverse(self) -> "Series":
         if not self.coeffs or self.coeffs[0].is_zero():
@@ -323,7 +323,7 @@ class Series:
                 if j < n and not self.coeffs[j].is_zero():
                     acc = acc + self.coeffs[j] * out[k - j]
             out[k] = -(a0_inv * acc)
-        return Series(-self.ord, out, -self.ord + n)
+        return Series(-self.ord, out)
 
     def power(self, e: int) -> "Series":
         base = self if e > 0 else self.inverse()
@@ -333,21 +333,20 @@ class Series:
         return out
 
     def scale(self, c: Q | int) -> "Series":
-        return Series(self.ord, [x.scale(c) for x in self.coeffs], self.prec)
+        return Series(self.ord, [x.scale(c) for x in self.coeffs])
 
     @staticmethod
     def add(series: Iterable["Series"]) -> "Series":
         items = list(series)
         ord0 = min(s.ord for s in items)
-        prec = min(s.prec for s in items)
-        n = prec - ord0
+        n = min(s.ord + len(s.coeffs) for s in items) - ord0
         out = [FormalScalar.zero() for _ in range(max(n, 0))]
         for s in items:
             off = s.ord - ord0
             for i, c in enumerate(s.coeffs):
                 if off + i < n:
                     out[off + i] = out[off + i] + c
-        return Series(ord0, out, prec)
+        return Series(ord0, out)
 
     def leading(self) -> tuple[int, FormalScalar] | None:
         """Exponent and coefficient of the first formally nonzero term."""
@@ -355,10 +354,6 @@ class Series:
             if not c.is_zero():
                 return self.ord + i, c
         return None
-
-    def render(self) -> str:  # pragma: no cover - debugging aid
-        bits = [f"({c.render()})*d^{self.ord + i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        return " + ".join(bits) + f" + O(d^{self.prec})"
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +606,7 @@ def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> tuple[OrderValue, Forma
         elif site == "pole":
             base -= e
             coeff *= (ZETA_POLE_RESIDUES[u] / sym.arg.a) ** e
-        else:
+        elif not deps:  # after a strip symbol there is no leading term to build
             for a, k in _value_atoms(sym.kind, eff, u):
                 exps[a] = exps.get(a, 0) + k * e
     leading = None if deps else FormalScalar({_mono_normalize(exps): coeff})
@@ -628,10 +623,10 @@ class GermSum:
 
 def sum_series(terms: list[tuple[Series, Q]]) -> GermSum:
     total = Series.add([s.scale(w) for s, w in terms if w != 0]) if any(w != 0 for _, w in terms) \
-        else Series(0, [FormalScalar.zero()], 1)
+        else Series(0, [FormalScalar.zero()])
     got = total.leading()
     if got is None:
-        return GermSum(OrderValue.at_least(total.prec), None)
+        return GermSum(OrderValue.at_least(total.ord + len(total.coeffs)), None)
     order, lead = got
     if lead.certified_nonzero():
         return GermSum(OrderValue.known(order), lead)

@@ -38,6 +38,9 @@ KERNEL = "kernel"
 # names of the four constant-term elements, per case
 _ELEMENT_NAMES = {case: tuple(w.name for w in reps) for case, reps in COSET_REPS.items()}
 
+# section-choice tokens: the constituent a place's section is taken in
+CHOICES = ("spherical", "langlands", "steinberg", "t1", "t2", "carrier")
+
 
 class UncoveredKey(KeyError):
     """A (case, element, place, class, point) outside every table row."""
@@ -211,7 +214,7 @@ def parse_rules(text: str, source: str = "<string>") -> RuleTable:
             if kind == "pole":
                 (_, case, elements, place, classes, cond, order,
                  carrier, pole_choices, note) = fields
-                table.poles.append(PoleRule(
+                rule = PoleRule(
                     case=case,
                     elements=tuple(elements.split(",")),
                     place=place,
@@ -221,7 +224,7 @@ def parse_rules(text: str, source: str = "<string>") -> RuleTable:
                     carrier=carrier,
                     pole_choices=tuple(t for t in pole_choices.split(",") if t),
                     note=note,
-                ))
+                )
             elif kind == "action":
                 (_, case, element, base, place, classes, cond, actions, note) = fields
                 pairs = []
@@ -230,25 +233,46 @@ def parse_rules(text: str, source: str = "<string>") -> RuleTable:
                     if value not in ("+1", "-1", ISO, KERNEL):
                         raise RuleTableError(f"bad action value {value!r}")
                     pairs.append((token, value))
-                table.actions.append(ActionRule(
+                rule = ActionRule(
                     case=case, element=element, base=base, place=place,
                     classes=tuple(classes.split(",")),
                     condition=Condition.parse(cond),
                     actions=tuple(pairs), note=note,
-                ))
+                )
             else:
                 raise RuleTableError(f"unknown record kind {kind!r}")
+            _check_tokens(rule)
+            (table.poles if kind == "pole" else table.actions).append(rule)
         except (ValueError, IndexError) as exc:
             raise RuleTableError(f"{source}:{lineno}: {exc}") from exc
     _sanity_check(table, source)
     return table
 
 
+def _check_tokens(rule: PoleRule | ActionRule) -> None:
+    """Refuse a token outside its field's vocabulary: a misspelt token
+    would make its row match nothing and silently change answers."""
+    names = _ELEMENT_NAMES.get(rule.case, ())
+    fields = [("case", (rule.case,), tuple(_ELEMENT_NAMES)),
+              ("place", (rule.place,), (NONARCH, ARCH, "*")),
+              ("class", rule.classes, tuple(c.value for c in CharClass) + ("*",))]
+    if isinstance(rule, PoleRule):
+        fields += [("element", rule.elements, names),
+                   ("pole choice", rule.pole_choices, CHOICES)]
+    else:
+        fields += [("element", (rule.element,), names),
+                   ("action base", (rule.base,), ("-", "base") + names),
+                   ("action choice", [t for t, _ in rule.actions], CHOICES + ("any",))]
+    for what, tokens, allowed in fields:
+        for token in tokens:
+            if token not in allowed:
+                raise RuleTableError(f"unknown {what} {token!r}")
+
+
 def _sanity_check(table: RuleTable, source: str) -> None:
-    if not any(r.condition.kind == "always" for r in table.poles if r.case == "heisenberg"):
-        raise RuleTableError(f"{source}: missing heisenberg catch-all pole row")
-    if not any(r.condition.kind == "always" for r in table.poles if r.case == "siegel"):
-        raise RuleTableError(f"{source}: missing siegel catch-all pole row")
+    for case in _ELEMENT_NAMES:
+        if not any(r.condition.kind == "always" for r in table.poles if r.case == case):
+            raise RuleTableError(f"{source}: missing {case} catch-all pole row")
     for r in table.poles:
         if r.order not in (0, 1):
             raise RuleTableError(f"{source}: pole order must be 0 or 1, got {r.order}")

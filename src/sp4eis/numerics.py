@@ -1,8 +1,10 @@
 """Floating-point companion to the symbolic layer.
 
-Completed zeta and small-conductor completed Dirichlet L-functions are
-evaluated with Euler-Maclaurin summation (plain and Hurwitz) and a Lanczos
-gamma; pole orders of canonical L-expressions are estimated from the slope
+Completed zeta and the completed Dirichlet L-functions of the seven
+built-in real primitive characters (conductors 3, 4, 5, 7, 8, 11 and 12,
+each the Kronecker symbol of its fundamental discriminant) are evaluated
+with Euler-Maclaurin summation (plain and Hurwitz) and a Lanczos gamma;
+pole orders of canonical L-expressions are estimated from the slope
 of log|f| against log(delta) on a fixed ladder.  Everything the germ layer
 asserts symbolically (residues, cancellation limits, the epsilon-pair
 identity, nonzero atoms) is cross-checked here.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
 
@@ -257,71 +259,17 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class DirichletTable:
-    """Real Dirichlet character given by its value table on 0..q-1.
+    """Value table on 0..q-1 of a built-in real primitive character.
 
-    ``parity`` (0 even, 1 odd), ``primitive`` and ``nontrivial`` are
-    derived from the table once, when it is built.
+    Only :func:`table_for_modulus` builds one: chi is the Kronecker symbol
+    (d|.) of a fundamental discriminant d, so every table is real,
+    primitive and nontrivial by construction.  ``parity`` is 0 (even) for
+    d > 0 and 1 (odd) for d < 0.
     """
 
     modulus: int
     values: tuple[int, ...]
-    parity: int = field(init=False, compare=False)
-    primitive: bool = field(init=False, compare=False)
-    nontrivial: bool = field(init=False, compare=False)
-
-    def __post_init__(self):
-        q = self.modulus
-        if q < 1 or len(self.values) != q:
-            raise ValueError("value table must list chi on residues 0..q-1")
-        for a in range(q):
-            if math.gcd(a, q) > 1:
-                if self.values[a] != 0:
-                    raise ValueError("chi must vanish on residues sharing a factor with q")
-            elif self.values[a] not in (-1, 1):
-                raise ValueError("table supports real characters with values +-1")
-        for a in range(q):
-            for b in range(q):
-                if self.values[a * b % q] != self.values[a] * self.values[b]:
-                    raise ValueError("table is not completely multiplicative")
-        object.__setattr__(self, "parity", 0 if self(q - 1) == 1 else 1)
-        object.__setattr__(self, "primitive", self._is_primitive())
-        object.__setattr__(self, "nontrivial", any(
-            self(a) != 1 for a in range(1, q) if math.gcd(a, q) == 1))
-
-    def __call__(self, n: int) -> int:
-        return self.values[n % self.modulus]
-
-    def _is_primitive(self) -> bool:
-        q = self.modulus
-        if q == 1:
-            return True
-        for d in range(1, q):
-            if q % d:
-                continue
-            if all(self(a) == 1 for a in range(1, q) if math.gcd(a, q) == 1 and a % d == 1 % d):
-                return False
-        return True
-
-
-def quadratic_table(discriminant: int) -> DirichletTable:
-    """Real primitive character attached to a fundamental discriminant."""
-    d = discriminant
-    q = abs(d)
-    m = d % 4
-    ok = (m == 1 and _squarefree(q)) or (
-        m == 0 and (d // 4) % 4 in (2, 3) and _squarefree(abs(d // 4)))
-    if not ok or q == 1:
-        raise ValueError(f"{d} is not a fundamental discriminant")
-    return DirichletTable(q, tuple(kronecker_symbol(d, n) for n in range(q)))
-
-
-def _squarefree(n: int) -> bool:
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    parity: int
 
 
 # fundamental discriminant of the real primitive character of each built-in conductor
@@ -333,47 +281,39 @@ def table_for_modulus(q: int) -> DirichletTable:
     """The real primitive quadratic character of conductor q (small q)."""
     if q not in QUADRATIC_DISCRIMINANTS:
         raise ValueError(f"no built-in quadratic character of conductor {q}")
-    return quadratic_table(QUADRATIC_DISCRIMINANTS[q])
+    d = QUADRATIC_DISCRIMINANTS[q]
+    return DirichletTable(q, tuple(kronecker_symbol(d, n) for n in range(q)), 0 if d > 0 else 1)
 
 
 def dirichlet_l(tbl: DirichletTable, s: complex) -> complex:
     """L(s, chi) by Hurwitz-zeta expansion over residues.
 
-    For a nontrivial character the per-residue zeta poles at s = 1 cancel
-    (the character values sum to zero), so only the regular Euler-Maclaurin
-    parts are summed and the value is finite on the whole domain.  The
-    tail weights depend on s alone and are built once for all residues.
+    chi is nontrivial, so the per-residue zeta poles at s = 1 cancel (the
+    character values sum to zero): only the regular Euler-Maclaurin parts
+    are summed and the value is finite on the whole domain.  The tail
+    weights depend on s alone and are built once for all residues.
     """
     q = tbl.modulus
     s = complex(s)
     tail = _tail_weights(s)
     scale = cmath.exp(-s * math.log(q))
     total = complex(0.0)
-    for a in range(1, q + 1):
-        if tbl(a):
-            total += tbl(a) * _hurwitz_regular(s, a / q, tail)
-    if not tbl.nontrivial:
-        if abs(s - 1.0) < POLE_TOL:
-            raise PoleProximity("pole of L at s=1 (trivial character)")
-        total += sum(tbl.values) / (s - 1.0)
+    for a, chi in enumerate(tbl.values):
+        if chi:
+            total += chi * _hurwitz_regular(s, a / q, tail)
     return scale * total
 
 
 def completed_dirichlet(tbl: DirichletTable, s: complex) -> complex:
-    """(q/pi)^((s+delta)/2) Gamma((s+delta)/2) L(s,chi) for primitive chi.
+    """(q/pi)^((s+delta)/2) Gamma((s+delta)/2) L(s,chi), delta the parity.
 
     Computed directly (no reflection), so the functional-equation checks
-    against this function are genuine.  Points where the gamma factor has
-    a pole (compensated by a trivial zero of L) are rejected.
+    against this function are genuine.  At a pole of the gamma factor
+    (compensated by a trivial zero of L) ``gamma`` raises
+    :class:`PoleProximity` before L is evaluated.
     """
-    if not tbl.primitive:
-        raise ValueError("completed form requires a primitive character")
     s = complex(s)
-    d = tbl.parity
-    z = (s + d) / 2.0
-    if abs(z.imag) < GAMMA_POLE_TOL and abs(z.real - round(z.real)) < GAMMA_POLE_TOL \
-            and round(z.real) <= 0:
-        raise PoleProximity(f"gamma factor pole at s={s} (trivial zero of L)")
+    z = (s + tbl.parity) / 2.0
     return (tbl.modulus / math.pi) ** z * gamma(z) * dirichlet_l(tbl, s)
 
 

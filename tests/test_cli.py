@@ -278,6 +278,24 @@ def test_unknown_weyl_word_is_a_usage_error(capsys):
     assert "cannot parse Weyl word 'zz'" in capsys.readouterr().err
 
 
+def test_misspelt_rule_token_exit_2(tmp_path, capsys):
+    # with 'steinbreg' the arch Steinberg row matched no choice, so the pole
+    # at -4 silently became order 0 and the run exited 0
+    import importlib.resources
+    text = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
+    row = "pole|heisenberg|s,c2s,sc2s|arch|trivial|int:0:even:lt-1|1|arch_nonlanglands|" \
+        "steinberg,carrier|"
+    assert row in text
+    lineno = text[:text.index(row)].count("\n") + 1
+    p = tmp_path / "typo_rules.txt"
+    p.write_text(text.replace(row, row.replace("steinberg,", "steinbreg,")), encoding="utf-8")
+    code = main(["poles", "--case", "heisenberg", "--s0", "-4",
+                 "--place", "arch:trivial:steinberg", "--rules", str(p)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"sp4eis: RuleTableError: {p}:{lineno}: unknown pole choice 'steinbreg'\n"
+
+
 def test_indeterminate_leading_exit_2(tmp_path, capsys):
     # a local pole on one member of the Siegel pair at 1/2 but not on the
     # other leaves the pair's cancellation unanalyzed

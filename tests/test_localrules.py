@@ -203,17 +203,40 @@ def test_rules_roundtrip_from_file(tmp_path):
     assert len(table.actions) == len(RULES.actions)
 
 
+HEISENBERG_CATCH_ALL = "pole|heisenberg|id,s,c2s,sc2s|*|*|always|0|||ok\n"
+SIEGEL_CATCH_ALL = "pole|siegel|id,c2,sc2,c2sc2|*|*|always|0|||ok\n"
+
+
 def test_malformed_tables_rejected():
-    with pytest.raises(RuleTableError):
+    with pytest.raises(RuleTableError, match="pole order must be 0 or 1"):
         parse_rules("pole|heisenberg|s|nonarch|trivial|eq:-2|3|x|steinberg|note\n"
-                    "pole|heisenberg|*|*|*|always|0|||ok\n"
-                    "pole|siegel|*|*|*|always|0|||ok\n")
-    with pytest.raises(RuleTableError):
-        parse_rules("pole|siegel|*|*|*|always|0|||missing heisenberg catch-all\n")
-    with pytest.raises(RuleTableError):
+                    + HEISENBERG_CATCH_ALL + SIEGEL_CATCH_ALL)
+    with pytest.raises(RuleTableError, match="missing heisenberg catch-all"):
+        parse_rules(SIEGEL_CATCH_ALL)
+    with pytest.raises(RuleTableError, match="unknown record kind 'frob'"):
         parse_rules("frob|x|y\n")
     # a bound field must read lt<value>; anything else is not the bound 0
     with pytest.raises(RuleTableError, match=r"^rules\.txt:2: .*int:0:odd:le3"):
-        parse_rules("pole|heisenberg|*|*|*|always|0|||ok\n"
-                    "pole|heisenberg|s|arch|trivial|int:0:odd:le3|1|x|steinberg|typo\n"
-                    "pole|siegel|*|*|*|always|0|||ok\n", source="rules.txt")
+        parse_rules(HEISENBERG_CATCH_ALL
+                    + "pole|heisenberg|s|arch|trivial|int:0:odd:le3|1|x|steinberg|typo\n"
+                    + SIEGEL_CATCH_ALL, source="rules.txt")
+
+
+@pytest.mark.parametrize("row, error", [
+    ("pole|heisenbreg|s|arch|trivial|eq:-2|1|x|steinberg|n", "unknown case 'heisenbreg'"),
+    ("pole|heisenberg|s,c2|arch|trivial|eq:-2|1|x|steinberg|n", "unknown element 'c2'"),
+    ("pole|heisenberg|*|arch|trivial|eq:-2|1|x|steinberg|n", "unknown element '\\*'"),
+    ("pole|heisenberg|s|archimedean|trivial|eq:-2|1|x|steinberg|n",
+     "unknown place 'archimedean'"),
+    ("pole|heisenberg|s|nonarch|trivail|eq:-2|1|x|steinberg|n", "unknown class 'trivail'"),
+    ("pole|heisenberg|s|arch|trivial|eq:-2|1|x|steinbreg,carrier|n",
+     "unknown pole choice 'steinbreg'"),
+    ("pole|heisenberg|s|arch|trivial|eq:-2|1|x|any|n", "unknown pole choice 'any'"),
+    ("action|siegel|sc2|c2s|*|trivial|eq:1/2|any=+1|n", "unknown action base 'c2s'"),
+    ("action|siegel|s|-|*|trivial|eq:1/2|any=+1|n", "unknown element 's'"),
+    ("action|siegel|sc2|base|*|quadratic,sgn|eq:1/2|t3=+1|n", "unknown action choice 't3'"),
+])
+def test_misspelt_tokens_rejected(row, error):
+    # a token outside its field's vocabulary would make the row match nothing
+    with pytest.raises(RuleTableError, match=rf"^rules\.txt:2: {error}$"):
+        parse_rules(HEISENBERG_CATCH_ALL + row + "\n" + SIEGEL_CATCH_ALL, source="rules.txt")

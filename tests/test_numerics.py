@@ -10,10 +10,10 @@ from sp4eis.characters import CharClass, coset_representatives, heisenberg_lambd
 from sp4eis.constant_term import factor_expression
 from sp4eis.normfactor import canonicalize, inverse_norm_factor
 from sp4eis.numerics import (
-    IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_MIN, ZETA_M, DirichletTable, NotEvaluable,
+    IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_MIN, ZETA_M, NotEvaluable,
     NumericsError, PoleProximity, _em_coefficients, bernoulli_numbers, completed_dirichlet,
     completed_zeta, dirichlet_l, estimate_order, eval_expression, gamma, hurwitz_zeta,
-    kronecker_symbol, quadratic_table, table_for_modulus, zeta_direct, zeta_em,
+    kronecker_symbol, table_for_modulus, zeta_direct, zeta_em,
 )
 from sp4eis.roots import SP4
 
@@ -104,25 +104,23 @@ def test_kronecker():
 
 
 def test_quadratic_tables():
-    for q in (3, 4, 5, 7, 8, 11, 12):
+    # each built-in table is a real primitive character by construction
+    for q, d in QUADRATIC_DISCRIMINANTS.items():
         tbl = table_for_modulus(q)
-        assert tbl.modulus == q
-        assert tbl.primitive and tbl.nontrivial
-    assert table_for_modulus(4).parity == 1
-    assert table_for_modulus(5).parity == 0
-    with pytest.raises(ValueError):
-        quadratic_table(9)
+        chi = tbl.values
+        assert tbl.modulus == q == abs(d) and len(chi) == q
+        units = [a for a in range(q) if math.gcd(a, q) == 1]
+        assert all(chi[a] == 0 for a in range(q) if a not in units)
+        assert all(chi[a] in (-1, 1) for a in units)
+        assert all(chi[a * b % q] == chi[a] * chi[b] for a in range(q) for b in range(q))
+        assert any(chi[a] == -1 for a in units)
+        # a divisor m < q induces chi when chi is 1 on the units that are 1 mod m
+        for m in range(1, q):
+            if q % m == 0:
+                assert any(chi[a] != 1 for a in units if a % m == 1 % m), (q, m)
+        assert tbl.parity == (0 if d > 0 else 1) == (0 if chi[q - 1] == 1 else 1)
     with pytest.raises(ValueError):
         table_for_modulus(6)
-
-
-def test_imprimitive_rejected():
-    # the character mod 8 induced from mod 4 is not primitive
-    vals = tuple(kronecker_symbol(-4, n) for n in range(8))
-    tbl = DirichletTable(8, vals)
-    assert not tbl.primitive
-    with pytest.raises(ValueError):
-        completed_dirichlet(tbl, 1.0)
 
 
 def test_dirichlet_values():

@@ -33,8 +33,7 @@ def series(draw):
 
 
 def same_series(a: Series, b: Series) -> bool:
-    return (a.ord, a.prec, [c.terms for c in a.coeffs]) == \
-        (b.ord, b.prec, [c.terms for c in b.coeffs])
+    return (a.ord, [c.terms for c in a.coeffs]) == (b.ord, [c.terms for c in b.coeffs])
 
 
 @given(scalars, scalars, scalars)
