@@ -10,13 +10,22 @@ and ``TARGETS`` the character each one carries the inducing character
 to.  Neither depends on s, so both are built once at import; at a point,
 ``value_key`` evaluates a target once, and that one tuple both groups the
 summands and renders (``render_value``).
+
+Points are read as integers.  A point is s0 = p/q in lowest terms
+(q > 0), and each ``AffineForm`` a*s + b carries integers (A, B, D) with
+a = A/D and b = B/D, fixed when the form is built, so its value at the
+point is the integer n = A*p + B*q over m = D*q > 0 (``AffineForm.ratio``).
+The point engine decides on n and m; ``ratio_str`` prints n/m as
+``str(Fraction)`` does, and a ``Fraction`` is built only for a value a
+report keeps (``AffineForm.at``).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 from .roots import SP4, RootVector, WeylElement
 
@@ -67,12 +76,30 @@ def parse_class(text: str) -> CharClass:
         raise ValueError(f"unknown character class {text!r}") from None
 
 
+def ratio_str(n: int, m: int) -> str:
+    """``str(Fraction(n, m))`` for m > 0, without building the ``Fraction``."""
+    g = gcd(n, m)
+    return str(n // g) if g == m else f"{n // g}/{m // g}"
+
+
 @dataclass(frozen=True)
 class AffineForm:
-    """Exact affine form a*s + b."""
+    """Exact affine form a*s + b.
+
+    ``ints`` is (A, B, D) with a = A/D, b = B/D and D > 0 the least common
+    denominator, computed when the form is built; equality and hashing
+    stay on (a, b).
+    """
 
     a: Q
     b: Q
+    ints: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a, b = self.a, self.b
+        d = lcm(a.denominator, b.denominator)
+        object.__setattr__(self, "ints", (a.numerator * (d // a.denominator),
+                                          b.numerator * (d // b.denominator), d))
 
     @staticmethod
     def of(a: int | str | Q, b: int | str | Q) -> "AffineForm":
@@ -94,14 +121,15 @@ class AffineForm:
         """The form 1 - (a*s + b)."""
         return AffineForm(-self.a, 1 - self.b)
 
+    def ratio(self, p: int, q: int) -> tuple[int, int]:
+        """The value at s = p/q (q > 0) as integers (n, m) with m > 0, not
+        reduced to lowest terms."""
+        A, B, D = self.ints
+        return A * p + B * q, D * q
+
     def at(self, s0: Q) -> Q:
-        """The value a*s0 + b, built as one ``Fraction``."""
-        a, b = self.a, self.b
-        if not a:
-            return b
-        bd = b.denominator
-        return Q(a.numerator * s0.numerator * bd + b.numerator * a.denominator * s0.denominator,
-                 a.denominator * s0.denominator * bd)
+        """The value a*s0 + b, built as one ``Fraction`` from ``ratio``."""
+        return Q(*self.ratio(s0.numerator, s0.denominator))
 
     def render(self) -> str:
         if self.a == 0:
@@ -140,19 +168,26 @@ class TorusCharacter:
     def value_key(self, s0: Q, cls: CharClass) -> tuple:
         """Hashable value of the character at s = s0 up to class reduction.
 
-        Two characters are equal at s0 exactly when these keys agree; used
-        for same-target grouping of constant-term summands, and rendered
-        by ``render_value``.
+        One (chi power, n, m) triple per coordinate: the reduced power and
+        the exponent n/m in lowest terms, m > 0.  Two characters are equal
+        at s0 exactly when these keys agree; used for same-target grouping
+        of constant-term summands, and rendered by ``render_value``.
         """
-        return tuple((reduce_power(cls, k), form.at(s0)) for k, form in self.coords)
+        p, q = s0.numerator, s0.denominator
+        out = []
+        for k, form in self.coords:
+            n, m = form.ratio(p, q)
+            g = gcd(n, m)
+            out.append((reduce_power(cls, k), n // g, m // g))
+        return tuple(out)
 
 
 def render_value(key: tuple) -> str:
     """A ``value_key`` rendered as the character at its point."""
     parts = []
-    for k, v in key:
+    for k, n, m in key:
         chi = {0: "", 1: "chi*"}.get(k, f"chi^{k}*")
-        parts.append(f"{chi}nu^{v}")
+        parts.append(f"{chi}nu^{ratio_str(n, m)}")
     return "(" + ", ".join(parts) + ")"
 
 

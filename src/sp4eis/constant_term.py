@@ -267,12 +267,12 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
     summand; any other gap fails loudly.
     """
     base = terms[0]
-    weights: dict[str, Q] = {}
+    weights: dict[str, int] = {}
     notes: list[str] = []
     kernel = False
     defaulted = False
     for t in terms:
-        weight = Q(1)
+        weight = 1
         is_base = t is base
         for p, row in zip(profile.places, t.actions):
             if row is not None and (row.base == "base") != is_base:
@@ -291,7 +291,7 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
                 else:  # pragma: no cover - tables only put kernels on bases
                     raise UncoveredKey("kernel action on a non-base element")
             elif value != ISO:
-                weight *= Q(value)
+                weight *= int(value)
         weights[t.w.name] = weight
     if kernel:
         notes.append("summand killed: a chosen constituent lies in the kernel of the operator")

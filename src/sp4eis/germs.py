@@ -3,7 +3,11 @@
 Orders of vanishing are computed exactly from a few completed-L facts,
 stated once as ``ZETA_POLE_RESIDUES`` and ``OPEN_STRIP``.  Only
 ``_classify`` tests a point against them: it places one symbol in the
-strip, at a zeta pole, or at a nonzero value.  The facts are:
+strip, at a zeta pole, or at a nonzero value.  It decides in integers: at
+s0 = p/q in lowest terms a symbol's argument is the integer n over
+m = D*q > 0 (``AffineForm.ratio``), so the strip is 0 < n < m, a pole
+has n/m among the residue table's keys, and a value is oriented left of
+1/2 when 2n < m.  The facts are:
 
 * the completed zeta function has simple poles at arguments 0 and 1 with
   residues -1 and +1, no zeros outside the open strip (0,1), and unknown
@@ -19,7 +23,11 @@ rational coefficients.  An atom is its name: a (kind, data) tuple whose
 data are the strings the rendered term shows, so atoms hash, compare and
 sort as plain tuples.  ``_value_atoms`` is the one orientation table for
 a nonzero value: zeta reflected to u >= 1/2, self-dual L and epsilon left
-of 1/2 sent through the functional equation.  Truncated Laurent series
+of 1/2 sent through the functional equation; its argument strings come
+from ``ratio_str``, which prints n/m as ``str(Fraction)`` does.  A
+``Fraction`` is built only for a value a report keeps: a ``StripDep``
+point, a zeta residue over the slope, and the arguments of
+``symbol_series``, which serves group sums.  Truncated Laurent series
 over this scalar ring drive cancellation detection in sums of germs.  Two
 atoms that are not plainly nonzero carry a nonzeroness assertion that the
 numeric layer cross-checks: the shared constant Laurent coefficient of
@@ -47,16 +55,16 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
-from .characters import AffineForm, CharClass, power_class
+from .characters import AffineForm, CharClass, power_class, ratio_str
 from .normfactor import EPS, L, LExpression, LSymbol
 
 SERIES_DEPTH = 5  # most coefficients a germ sum examines before giving a floor
 
-# The completed-L facts: completed zeta's simple poles with their residues,
-# and the open strip of unknown orders.  Only ``_classify`` tests a point
-# against them.
-ZETA_POLE_RESIDUES = {Q(0): Q(-1), Q(1): Q(1)}
-OPEN_STRIP = (Q(0), Q(1))
+# The completed-L facts: completed zeta's simple poles (integer arguments)
+# with their residues, and the open strip of unknown orders.  Only
+# ``_classify`` tests a point against them.
+ZETA_POLE_RESIDUES = {0: -1, 1: 1}
+OPEN_STRIP = (0, 1)
 
 
 class GermError(Exception):
@@ -452,8 +460,9 @@ class OrderValue:
 _HALF = Q(1, 2)
 
 
-def _classify(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[CharClass, Q, str]:
-    """Effective class, argument and site of one symbol at s0.
+def _classify(sym: LSymbol, cls: CharClass, p: int, q: int) -> tuple[CharClass, int, int, str]:
+    """Effective class, argument n/m (m > 0, not reduced) and site of one
+    symbol at s0 = p/q (lowest terms, q > 0).
 
     The site is "strip" for an L-symbol in the open strip (order unknown),
     "pole" for completed zeta at one of its poles and "value" for every
@@ -461,46 +470,47 @@ def _classify(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[CharClass, Q, str]:
     raises ``DegenerateSymbol``.
     """
     eff = power_class(cls, sym.power)
-    u = sym.arg.at(s0)
+    n, m = sym.arg.ratio(p, q)
     if sym.kind == EPS:
-        return eff, u, "value"
+        return eff, n, m, "value"
     lo, hi = OPEN_STRIP
-    if lo < u < hi:
-        return eff, u, "strip"
-    if eff is CharClass.TRIVIAL and u in ZETA_POLE_RESIDUES:
+    if lo * m < n < hi * m:
+        return eff, n, m, "strip"
+    if eff is CharClass.TRIVIAL and not n % m and n // m in ZETA_POLE_RESIDUES:
         if sym.arg.a == 0:
             raise DegenerateSymbol(f"symbol {sym.render()} is constant at a completed-zeta pole")
-        return eff, u, "pole"
-    return eff, u, "value"
+        return eff, n, m, "pole"
+    return eff, n, m, "value"
 
 
-def _value_atoms(kind: str, eff: CharClass, u: Q) -> Monomial:
-    """Monomial of a symbol's nonzero value, oriented by the functional equation.
+def _value_atoms(kind: str, eff: CharClass, n: int, m: int) -> Monomial:
+    """Monomial of a symbol's nonzero value at u = n/m (m > 0), oriented by
+    the functional equation.
 
     A zeta value reflects to u >= 1/2 and a trivial epsilon is 1.  Left of
     1/2 a self-dual class rewrites L(u) = eps(1-u) L(1-u) and
     eps(u) = eps(1-u)^-1; every other value is one atom at u.
     """
     if eff is CharClass.TRIVIAL:
-        return () if kind == EPS else ((("zval", (str(max(u, 1 - u)),)), 1),)
-    if eff.is_real and u < _HALF:
-        v = (eff.value, str(1 - u))
+        return () if kind == EPS else ((("zval", (ratio_str(max(n, m - n), m),)), 1),)
+    if eff.is_real and 2 * n < m:
+        v = (eff.value, ratio_str(m - n, m))
         if kind == EPS:
             return ((("epsv", v), -1),)
         return ((("epsv", v), 1), (("lval", v), 1))
-    return ((("epsv" if kind == EPS else "lval", (eff.value, str(u))), 1),)
+    return ((("epsv" if kind == EPS else "lval", (eff.value, ratio_str(n, m))), 1),)
 
 
 def _value_series(kind: str, eff: CharClass, u0: Q, der: str, data: tuple[str, ...], a: Q,
                   depth: int) -> Series:
     """Taylor series of a value: its oriented atoms, then the k-th derivative
     atom ``der`` at ``data`` times a^k."""
-    head = FormalScalar.monomial(_value_atoms(kind, eff, u0))
+    head = FormalScalar.monomial(_value_atoms(kind, eff, u0.numerator, u0.denominator))
     return Series(0, [head] + [FormalScalar.atom((der, data + (str(k),)), a ** k)
                                for k in range(1, depth)])
 
 
-def _zeta_pole_series(u0: Q, a: Q, depth: int) -> Series:
+def _zeta_pole_series(u0: int, a: Q, depth: int) -> Series:
     """Laurent series of completed zeta at argument u0 + a*delta, u0 in {0,1},
     ``depth`` coefficients deep.
 
@@ -538,12 +548,13 @@ def _eps_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
 def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
     """Laurent expansion of one symbol around s0 to ``depth`` coefficients
     (non-strip only)."""
-    eff, u0, site = _classify(sym, cls, s0)
+    eff, n, m, site = _classify(sym, cls, s0.numerator, s0.denominator)
     if site == "strip":
-        raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {u0}")
+        raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {ratio_str(n, m)}")
     a = sym.arg.a
     if site == "pole":
-        return _zeta_pole_series(u0, a, depth)
+        return _zeta_pole_series(n // m, a, depth)
+    u0 = Q(n, m)
     if eff is CharClass.TRIVIAL:
         if sym.kind == EPS:
             return Series.exact_one(depth)
@@ -565,10 +576,11 @@ def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
     """
     base = 0
     deps: list[StripDep] = []
+    p, q = s0.numerator, s0.denominator
     for sym, e in expr.factors:
-        _, u0, site = _classify(sym, cls, s0)
+        _, n, m, site = _classify(sym, cls, p, q)
         if site == "strip":
-            deps.append(StripDep(sym.render(), u0, e))
+            deps.append(StripDep(sym.render(), Q(n, m), e))
         elif site == "pole":
             base -= e
     return OrderValue.conditional(base, deps)
@@ -599,15 +611,16 @@ def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> tuple[OrderValue, Forma
     deps: list[StripDep] = []
     coeff = expr.scalar
     exps: dict[Atom, int] = {}
+    p, q = s0.numerator, s0.denominator
     for sym, e in expr.factors:
-        eff, u, site = _classify(sym, cls, s0)
+        eff, n, m, site = _classify(sym, cls, p, q)
         if site == "strip":
-            deps.append(StripDep(sym.render(), u, e))
+            deps.append(StripDep(sym.render(), Q(n, m), e))
         elif site == "pole":
             base -= e
-            coeff *= (ZETA_POLE_RESIDUES[u] / sym.arg.a) ** e
+            coeff *= (ZETA_POLE_RESIDUES[n // m] / sym.arg.a) ** e
         elif not deps:  # after a strip symbol there is no leading term to build
-            for a, k in _value_atoms(sym.kind, eff, u):
+            for a, k in _value_atoms(sym.kind, eff, n, m):
                 exps[a] = exps.get(a, 0) + k * e
     leading = None if deps else FormalScalar({_mono_normalize(exps): coeff})
     return OrderValue.conditional(base, deps), leading

@@ -8,11 +8,17 @@ human-auditable data file (``data/local_rules.txt``); nothing here derives
 representation theory, rows are conclusions stored as data.
 
 A key is (case, element, place kind, local class, point).
-``RuleTable.local_pole`` matches a key to its pole row and
-``RuleTable.action_rule`` to its action row, both through one
-case/place/class/condition predicate.  The pole row answers every later
-question about its key: the order a section choice meets
-(``PoleRule.order_for``) and the constituent carrying the pole.
+A ``RuleTable`` indexes its rows once, when ``parse_rules`` builds it,
+by (case, element, place kind), in file order; a row for several
+elements or for both place kinds ("*") sits under each of its keys.  ``RuleTable.local_pole`` and
+``RuleTable.action_rule`` then test class and condition on their key's
+rows only: the pole row is the highest-order match (the first among
+equals), the action row the first match.  Conditions store their points
+as integer (numerator, denominator) pairs at parse time, and a point
+p/q in lowest terms is matched in integers.  The pole row answers every
+later question about its key: the order a section choice meets
+(``PoleRule.order_for``) and the constituent carrying the pole.  Every
+row keeps the file line it was read from, so errors name it.
 
 Also exposed: the SL2/GL2 reducibility predicates that govern where local
 poles may occur (a pole at a negative parameter requires the corresponding
@@ -27,7 +33,7 @@ from fractions import Fraction as Q
 from functools import cache
 from pathlib import Path
 
-from .characters import COSET_REPS, CharClass
+from .characters import COSET_REPS, CharClass, ratio_str
 
 NONARCH = "nonarch"
 ARCH = "arch"
@@ -54,14 +60,26 @@ class RuleTableError(ValueError):
     """Malformed rule-table data."""
 
 
+def _point(text: str) -> tuple[int, int]:
+    """A rational written in a condition, as (numerator, denominator) in lowest terms."""
+    try:
+        v = Q(text)
+    except ZeroDivisionError:
+        raise RuleTableError(f"zero denominator in {text!r}") from None
+    return v.numerator, v.denominator
+
+
 @dataclass(frozen=True)
 class Condition:
-    """Point predicate: exact rational, shifted-integer parity below a bound, or all."""
+    """Point predicate: exact rational, shifted-integer parity below a bound, or all.
 
-    kind: str           # "eq" | "int" | "always"
-    value: Q = Q(0)     # eq: the point; int: the shift
-    parity: int = 0     # int: 0 even, 1 odd
-    below: Q = Q(0)     # int: require s0+shift < below (strict)
+    Rationals are (numerator, denominator) pairs in lowest terms.
+    """
+
+    kind: str                        # "eq" | "int" | "always"
+    value: tuple[int, int] = (0, 1)  # eq: the point; int: the shift
+    parity: int = 0                  # int: 0 even, 1 odd
+    below: tuple[int, int] = (0, 1)  # int: require s0+shift < below (strict)
 
     @staticmethod
     def parse(text: str) -> "Condition":
@@ -69,35 +87,42 @@ class Condition:
             return Condition("always")
         parts = text.split(":")
         if parts[0] == "eq" and len(parts) == 2:
-            return Condition("eq", Q(parts[1]))
+            return Condition("eq", _point(parts[1]))
         if parts[0] == "int" and len(parts) in (3, 4):
-            shift, par = Q(parts[1]), parts[2]
+            shift, par = _point(parts[1]), parts[2]
             if par not in ("even", "odd"):
                 raise RuleTableError(f"bad parity in condition {text!r}")
-            below = Q(0)
+            below = (0, 1)
             if len(parts) == 4:
                 if not parts[3].startswith("lt"):
                     raise RuleTableError(f"bad bound in condition {text!r}")
-                below = Q(parts[3][2:])
+                below = _point(parts[3][2:])
             return Condition("int", shift, 0 if par == "even" else 1, below)
         raise RuleTableError(f"bad condition {text!r}")
 
-    def matches(self, s0: Q) -> bool:
+    def matches(self, p: int, q: int) -> bool:
+        """Whether the point p/q (lowest terms, q > 0) satisfies the predicate."""
         if self.kind == "always":
             return True
+        vn, vd = self.value
         if self.kind == "eq":
-            return s0 == self.value
-        t = s0 + self.value
-        return t.denominator == 1 and t < self.below and int(t) % 2 == self.parity
+            return p == vn and q == vd
+        # p/q + vn/vd, both in lowest terms, is an integer only when q == vd
+        if q != vd or (p + vn) % q:
+            return False
+        t = (p + vn) // q
+        bn, bd = self.below
+        return t * bd < bn and t % 2 == self.parity
 
     def render(self) -> str:
         if self.kind == "always":
             return "always"
         if self.kind == "eq":
-            return f"s={self.value}"
+            return f"s={ratio_str(*self.value)}"
         par = "even" if self.parity == 0 else "odd"
-        shift = "" if self.value == 0 else ("+" if self.value > 0 else "") + str(self.value)
-        return f"s{shift} {par} integer < {self.below}"
+        vn, vd = self.value
+        shift = "" if vn == 0 else ("+" if vn > 0 else "") + ratio_str(vn, vd)
+        return f"s{shift} {par} integer < {ratio_str(*self.below)}"
 
 
 @dataclass(frozen=True)
@@ -111,9 +136,7 @@ class PoleRule:
     carrier: str
     pole_choices: tuple[str, ...]
     note: str
-
-    def matches(self, case: str, element: str, place: str, local_class: CharClass, s0: Q) -> bool:
-        return element in self.elements and _covers(self, case, place, local_class, s0)
+    line: int = field(default=0, compare=False)  # the rule-file line it was read from
 
     def order_for(self, choice: str) -> int:
         """Pole order met by a section choice (spherical never meets one)."""
@@ -132,9 +155,7 @@ class ActionRule:
     condition: Condition
     actions: tuple[tuple[str, str], ...]
     note: str
-
-    def matches(self, case: str, element: str, place: str, local_class: CharClass, s0: Q) -> bool:
-        return element == self.element and _covers(self, case, place, local_class, s0)
+    line: int = field(default=0, compare=False)  # the rule-file line it was read from
 
     def action_for(self, choice: str) -> str:
         for token, value in self.actions:
@@ -147,18 +168,37 @@ class ActionRule:
             f"choice {choice!r} not covered by action rule for {self.case}/{self.element} at {self.condition.render()}")
 
 
-def _covers(rule: PoleRule | ActionRule, case: str, place: str, local_class: CharClass,
-            s0: Q) -> bool:
-    """The case, place, class and point part of a row match, shared by both row kinds."""
-    return (rule.case == case and rule.place in ("*", place)
-            and ("*" in rule.classes or local_class.value in rule.classes)
-            and rule.condition.matches(s0))
+def _index(rows: list, elements) -> dict[tuple[str, str, str], tuple]:
+    """Rows by (case, element, place kind), each key's rows in file order.
+
+    ``elements`` gives a row's elements; a "*" row sits under both kinds.
+    """
+    out: dict[tuple[str, str, str], list] = {}
+    for r in rows:
+        places = (NONARCH, ARCH) if r.place == "*" else (r.place,)
+        for element in elements(r):
+            for place in places:
+                out.setdefault((r.case, element, place), []).append(r)
+    return {key: tuple(rs) for key, rs in out.items()}
+
+
+def _matching(rows: tuple, local_class: CharClass, s0: Q):
+    """The rows whose class and condition cover the point, in file order."""
+    cls, p, q = local_class.value, s0.numerator, s0.denominator
+    return (r for r in rows
+            if ("*" in r.classes or cls in r.classes) and r.condition.matches(p, q))
 
 
 @dataclass
 class RuleTable:
+    """Pole and action rows in file order, indexed once by (case, element, place)."""
+
     poles: list[PoleRule] = field(default_factory=list)
     actions: list[ActionRule] = field(default_factory=list)
+
+    def __post_init__(self):
+        self._pole_rows = _index(self.poles, lambda r: r.elements)
+        self._action_rows = _index(self.actions, lambda r: (r.element,))
 
     # -- queries --
 
@@ -173,19 +213,18 @@ class RuleTable:
         place/class combinations surface loudly instead of defaulting).
         """
         _validate_key(case, element, place, local_class)
-        hits = [r for r in self.poles if r.matches(case, element, place, local_class, s0)]
-        if not hits:
+        rows = self._pole_rows.get((case, element, place), ())
+        hit = max(_matching(rows, local_class, s0), key=lambda r: r.order, default=None)
+        if hit is None:
             raise UncoveredKey(f"no pole rule covers {case}/{element} at a {place} place, "
                                f"class {local_class.value}, s={s0}")
-        return max(hits, key=lambda r: r.order)
+        return hit
 
     def action_rule(self, case: str, element: str, place: str,
                     local_class: CharClass, s0: Q) -> ActionRule | None:
         """The first action row matching the key, or ``None``."""
-        for r in self.actions:
-            if r.matches(case, element, place, local_class, s0):
-                return r
-        return None
+        rows = self._action_rows.get((case, element, place), ())
+        return next(_matching(rows, local_class, s0), None)
 
 
 def _validate_key(case: str, element: str, place: str, local_class: CharClass) -> None:
@@ -203,7 +242,8 @@ def _validate_key(case: str, element: str, place: str, local_class: CharClass) -
 
 
 def parse_rules(text: str, source: str = "<string>") -> RuleTable:
-    table = RuleTable()
+    pole_rows: list[PoleRule] = []
+    action_rows: list[ActionRule] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -223,7 +263,7 @@ def parse_rules(text: str, source: str = "<string>") -> RuleTable:
                     order=int(order),
                     carrier=carrier,
                     pole_choices=tuple(t for t in pole_choices.split(",") if t),
-                    note=note,
+                    note=note, line=lineno,
                 )
             elif kind == "action":
                 (_, case, element, base, place, classes, cond, actions, note) = fields
@@ -237,16 +277,16 @@ def parse_rules(text: str, source: str = "<string>") -> RuleTable:
                     case=case, element=element, base=base, place=place,
                     classes=tuple(classes.split(",")),
                     condition=Condition.parse(cond),
-                    actions=tuple(pairs), note=note,
+                    actions=tuple(pairs), note=note, line=lineno,
                 )
             else:
                 raise RuleTableError(f"unknown record kind {kind!r}")
             _check_tokens(rule)
-            (table.poles if kind == "pole" else table.actions).append(rule)
+            (pole_rows if kind == "pole" else action_rows).append(rule)
         except (ValueError, IndexError) as exc:
             raise RuleTableError(f"{source}:{lineno}: {exc}") from exc
-    _sanity_check(table, source)
-    return table
+    _sanity_check(pole_rows, source)
+    return RuleTable(pole_rows, action_rows)
 
 
 def _check_tokens(rule: PoleRule | ActionRule) -> None:
@@ -269,15 +309,15 @@ def _check_tokens(rule: PoleRule | ActionRule) -> None:
                 raise RuleTableError(f"unknown {what} {token!r}")
 
 
-def _sanity_check(table: RuleTable, source: str) -> None:
+def _sanity_check(poles: list[PoleRule], source: str) -> None:
     for case in _ELEMENT_NAMES:
-        if not any(r.condition.kind == "always" for r in table.poles if r.case == case):
+        if not any(r.condition.kind == "always" for r in poles if r.case == case):
             raise RuleTableError(f"{source}: missing {case} catch-all pole row")
-    for r in table.poles:
+    for r in poles:
         if r.order not in (0, 1):
-            raise RuleTableError(f"{source}: pole order must be 0 or 1, got {r.order}")
+            raise RuleTableError(f"{source}:{r.line}: pole order must be 0 or 1, got {r.order}")
         if r.order == 1 and not r.carrier:
-            raise RuleTableError(f"{source}: first-order pole rows need a carrier")
+            raise RuleTableError(f"{source}:{r.line}: first-order pole rows need a carrier")
 
 
 def load_rules(path: str | Path | None = None) -> RuleTable:

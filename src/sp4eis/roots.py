@@ -11,7 +11,7 @@ once, as the shared instance :data:`SP4`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Iterable
 
@@ -47,24 +47,26 @@ class WeylElement:
     canonical reduced word over the simple reflections, each entry a
     generator name such as ``"s"`` or ``"c2"``.  Equality and hashing use
     the normal form only, so ``sc2s`` and any other expression of the same
-    signed permutation compare equal.
+    signed permutation compare equal.  ``name``, ``length`` and the
+    identity flag are computed once, when the element is built.
     """
 
     perm: tuple[int, ...]
     signs: tuple[int, ...]
     word: tuple[str, ...]
+    name: str = field(init=False, compare=False)
+    length: int = field(init=False, compare=False)
+    _identity: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "name", "".join(self.word) if self.word else "id")
+        object.__setattr__(self, "length", len(self.word))
+        object.__setattr__(self, "_identity", self.perm == tuple(range(self.rank))
+                           and all(s == 1 for s in self.signs))
 
     @property
     def rank(self) -> int:
         return len(self.perm)
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    @property
-    def name(self) -> str:
-        return "".join(self.word) if self.word else "id"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElement):
@@ -75,7 +77,7 @@ class WeylElement:
         return hash((self.perm, self.signs))
 
     def is_identity(self) -> bool:
-        return self.perm == tuple(range(self.rank)) and all(s == 1 for s in self.signs)
+        return self._identity
 
     def apply(self, v: RootVector) -> RootVector:
         """Signed-permutation action on a coordinate vector."""

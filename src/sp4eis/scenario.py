@@ -31,11 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from pathlib import Path
 
-try:
-    import tomllib
-except ModuleNotFoundError:  # python < 3.11
-    tomllib = None
-
 from .characters import CharClass, parse_class
 from .constant_term import Place, PlaceProfile
 
@@ -191,6 +186,12 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Read a scenario file: ``tomllib`` (imported here, the one reader of
+    TOML) where present, else the subset parser on Python 3.10."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # python < 3.11
+        tomllib = None
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sp4eis.characters import (
-    AffineForm, CharClass, compose_coroot, heisenberg_lambda, lambda_for_case,
-    power_class, reduce_power, siegel_lambda, weyl_act,
+    TARGETS, AffineForm, CharClass, compose_coroot, heisenberg_lambda, lambda_for_case,
+    power_class, ratio_str, reduce_power, render_value, siegel_lambda, weyl_act,
 )
 from sp4eis.roots import SP4, vector
 
@@ -125,6 +125,34 @@ def test_affine_at_is_exact(a, b, s0):
     got = AffineForm(a, b).at(s0)
     assert type(got) is Q
     assert got == a * s0 + b
+
+
+@given(st.fractions(max_denominator=12), st.fractions(max_denominator=12),
+       st.fractions(max_denominator=16))
+def test_affine_ratio_is_the_value(a, b, s0):
+    f = AffineForm(a, b)
+    A, B, D = f.ints
+    assert (Q(A, D), Q(B, D)) == (a, b)
+    n, m = f.ratio(s0.numerator, s0.denominator)
+    assert m > 0 and Q(n, m) == a * s0 + b
+    assert ratio_str(n, m) == str(a * s0 + b)
+
+
+@given(st.sampled_from(sorted(TARGETS)), st.sampled_from((TR, QU, OT)),
+       st.fractions(min_value=-6, max_value=6, max_denominator=12))
+def test_value_key_equality_is_fraction_equality(case, cls, s0):
+    """Integer value keys group and render exactly as ``Fraction`` values do."""
+    def fraction_key(target):
+        return tuple((reduce_power(cls, k), form.a * s0 + form.b) for k, form in target.coords)
+
+    targets = list(TARGETS[case].values())
+    for t1 in targets:
+        key = t1.value_key(s0, cls)
+        chi = {0: "", 1: "chi*"}
+        assert render_value(key) == "(" + ", ".join(
+            f"{chi.get(k, f'chi^{k}*')}nu^{v}" for k, v in fraction_key(t1)) + ")"
+        for t2 in targets:
+            assert (key == t2.value_key(s0, cls)) == (fraction_key(t1) == fraction_key(t2))
 
 
 def test_affine_render():

@@ -1,8 +1,10 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
 import hashlib
+import importlib.resources
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -220,6 +222,16 @@ WRONG_TYPES = {
 }
 
 
+SHIPPED_RULES = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
+
+# rule tables whose condition points have a zero denominator
+ZERO_DENOMINATORS = {
+    "zero_eq.txt": ("|nonarch|trivial|eq:-2|", "|nonarch|trivial|eq:-2/0|"),
+    "zero_shift.txt": ("|arch|trivial|int:0:even:lt-1|", "|arch|trivial|int:1/0:even:lt-1|"),
+    "zero_bound.txt": ("|arch|trivial|int:0:even:lt-1|", "|arch|trivial|int:0:even:lt1/0|"),
+}
+
+
 @pytest.mark.parametrize("argv, error", [
     (["poles", "--case", "siegel", "--char-class", "trivial", "--s0", "0",
       "--place", "arch:trivial:steinberg"], "UncoveredKey"),
@@ -247,10 +259,17 @@ WRONG_TYPES = {
     (["poles", "--scenario", "{tmp}/place_unknown_key.toml"], "ScenarioError"),
     (["weyl", "--out", "{tmp}/missing/weyl.txt"], "OutputError"),
     (["weyl", "--out", "{tmp}"], "OutputError"),
+    (["verify", "H-", "--rules", "{tmp}/zero_eq.txt"], "RuleTableError"),
+    (["poles", "--rules", "{tmp}/zero_shift.txt"], "RuleTableError"),
+    (["verify", "H-", "--rules", "{tmp}/zero_bound.txt"], "RuleTableError"),
+    (["poles", "--rules", "{tmp}/zero_bound.txt"], "RuleTableError"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     for name, text in WRONG_TYPES.items():
         (tmp_path / name).write_text('case = "siegel"\n' + text, encoding="utf-8")
+    for name, (old, new) in ZERO_DENOMINATORS.items():
+        assert old in SHIPPED_RULES
+        (tmp_path / name).write_text(SHIPPED_RULES.replace(old, new), encoding="utf-8")
     (tmp_path / "malformed.toml").write_text("case = \n", encoding="utf-8")
     (tmp_path / "malformed.txt").write_text("nonsense|row\n", encoding="utf-8")
     (tmp_path / "latin1.toml").write_bytes(b"\xff\xfe")
@@ -312,3 +331,27 @@ def test_indeterminate_leading_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("sp4eis: IndeterminateLeading: ") and err.count("\n") == 1
+
+
+def test_bad_pole_order_names_its_line(tmp_path, capsys):
+    row = "pole|heisenberg|s,c2s,sc2s|nonarch|trivial|eq:-2|1|st_gl2|steinberg|"
+    assert row in SHIPPED_RULES
+    lineno = SHIPPED_RULES[:SHIPPED_RULES.index(row)].count("\n") + 1
+    p = tmp_path / "order2_rules.txt"
+    p.write_text(SHIPPED_RULES.replace(row, row.replace("|eq:-2|1|", "|eq:-2|2|")),
+                 encoding="utf-8")
+    code = main(["verify", "H-", "--rules", str(p)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == \
+        f"sp4eis: RuleTableError: {p}:{lineno}: pole order must be 0 or 1, got 2\n"
+
+
+def test_cli_import_leaves_out_toml_and_theorems():
+    # only load_scenario reads TOML and only verify reads the theorem grids
+    code = "import sys, sp4eis.cli; print(sorted({'tomllib', 'sp4eis.theorems'} & set(sys.modules)))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n"

@@ -12,8 +12,8 @@ from sp4eis.constant_term import (
 )
 from sp4eis.germs import (
     SERIES_DEPTH, DegenerateSymbol, GermError, OrderValue, StripDep, StripOrderUnknown,
-    apply_functional_equation, germ_at, known_part_series, order_at, sum_germs, sum_series,
-    symbol_series,
+    _classify, _value_atoms, apply_functional_equation, germ_at, known_part_series, order_at,
+    sum_germs, sum_series, symbol_series,
 )
 from sp4eis.normfactor import (
     EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor,
@@ -194,6 +194,51 @@ def test_symbol_head_matches_series_head(kind, power, a, b2, cls, s8):
     order, leading = direct
     assert (order, order_at(expr, cls, s0), series.coeffs[0].terms) == \
         (OrderValue.known(series.ord), OrderValue.known(series.ord), leading.terms)
+
+
+# every symbol of the 24 canonical factor expressions (2 cases x 4 elements x 3 classes)
+FACTOR_SYMBOLS = sorted({(sym, cls) for case in ("heisenberg", "siegel") for cls in (TR, QU, OT)
+                         for w in coset_representatives(case)
+                         for sym, _ in factor_expression(case, w, cls).factors},
+                        key=lambda it: (it[0].sort_key(), it[1].value))
+
+
+def _fraction_site(sym: LSymbol, eff: CharClass, u: Q) -> str:
+    """The site of a symbol with argument u, decided in ``Fraction`` arithmetic."""
+    if sym.kind == EPS:
+        return "value"
+    if 0 < u < 1:
+        return "strip"
+    if eff is CharClass.TRIVIAL and u in (0, 1):
+        return "pole"
+    return "value"
+
+
+def _fraction_atoms(kind: str, eff: CharClass, u: Q) -> tuple:
+    """The oriented value atoms, written with ``Fraction`` values and ``str``."""
+    if eff is CharClass.TRIVIAL:
+        return () if kind == EPS else ((("zval", (str(max(u, 1 - u)),)), 1),)
+    if eff.is_real and u < Q(1, 2):
+        v = (eff.value, str(1 - u))
+        return ((("epsv", v), -1),) if kind == EPS else ((("epsv", v), 1), (("lval", v), 1))
+    return ((("epsv" if kind == EPS else "lval", (eff.value, str(u))), 1),)
+
+
+@settings(max_examples=300)
+@given(st.fractions(min_value=-6, max_value=6, max_denominator=49))
+@example(Q(0))
+@example(Q(1, 2))
+@example(Q(-3, 2))
+def test_integer_site_and_atoms_equal_fraction_arithmetic(s0):
+    p, q = s0.numerator, s0.denominator
+    for sym, cls in FACTOR_SYMBOLS:
+        eff, n, m, site = _classify(sym, cls, p, q)
+        u = sym.arg.a * s0 + sym.arg.b
+        assert m > 0 and Q(n, m) == u
+        assert site == _fraction_site(sym, eff, u)
+        assert (2 * n < m) == (u < Q(1, 2))
+        if site == "value":
+            assert _value_atoms(sym.kind, eff, n, m) == _fraction_atoms(sym.kind, eff, u)
 
 
 def test_germ_refuses_strip():

@@ -3,10 +3,11 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, strategies as st
 
-from sp4eis.characters import CharClass
+from sp4eis.characters import COSET_REPS, CharClass
 from sp4eis.localrules import (
-    ARCH, NONARCH, RuleTableError, UncoveredKey, UnknownChoice,
+    ARCH, NONARCH, RuleTable, RuleTableError, UncoveredKey, UnknownChoice,
     default_rules, gl2_reducible, load_rules, parse_rules, sl2_reducible,
 )
 
@@ -208,13 +209,23 @@ SIEGEL_CATCH_ALL = "pole|siegel|id,c2,sc2,c2sc2|*|*|always|0|||ok\n"
 
 
 def test_malformed_tables_rejected():
-    with pytest.raises(RuleTableError, match="pole order must be 0 or 1"):
+    # the row checks that run after parsing name their line too
+    with pytest.raises(RuleTableError, match=r"^<string>:1: pole order must be 0 or 1, got 3$"):
         parse_rules("pole|heisenberg|s|nonarch|trivial|eq:-2|3|x|steinberg|note\n"
                     + HEISENBERG_CATCH_ALL + SIEGEL_CATCH_ALL)
+    with pytest.raises(RuleTableError, match=r"^<string>:3: first-order pole rows need a carrier$"):
+        parse_rules(HEISENBERG_CATCH_ALL + SIEGEL_CATCH_ALL
+                    + "pole|heisenberg|s|nonarch|trivial|eq:-2|1||steinberg|note\n")
     with pytest.raises(RuleTableError, match="missing heisenberg catch-all"):
         parse_rules(SIEGEL_CATCH_ALL)
     with pytest.raises(RuleTableError, match="unknown record kind 'frob'"):
         parse_rules("frob|x|y\n")
+    # a rational with a zero denominator is a malformed row, not a ZeroDivisionError
+    for cond in ("eq:-2/0", "int:1/0:even:lt-1", "int:0:even:lt1/0"):
+        with pytest.raises(RuleTableError, match=r"^rules\.txt:2: zero denominator in '.*/0'$"):
+            parse_rules(HEISENBERG_CATCH_ALL
+                        + f"pole|heisenberg|s|nonarch|trivial|{cond}|1|x|steinberg|n\n"
+                        + SIEGEL_CATCH_ALL, source="rules.txt")
     # a bound field must read lt<value>; anything else is not the bound 0
     with pytest.raises(RuleTableError, match=r"^rules\.txt:2: .*int:0:odd:le3"):
         parse_rules(HEISENBERG_CATCH_ALL
@@ -240,3 +251,72 @@ def test_misspelt_tokens_rejected(row, error):
     # a token outside its field's vocabulary would make the row match nothing
     with pytest.raises(RuleTableError, match=rf"^rules\.txt:2: {error}$"):
         parse_rules(HEISENBERG_CATCH_ALL + row + "\n" + SIEGEL_CATCH_ALL, source="rules.txt")
+
+
+def test_rows_keep_their_line_out_of_equality():
+    import importlib.resources
+    text = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
+    lines = text.splitlines()
+    assert all(lines[r.line - 1].startswith("pole|") for r in RULES.poles)
+    assert all(lines[r.line - 1].startswith("action|") for r in RULES.actions)
+    shifted = parse_rules("\n" + text)
+    assert shifted.poles == RULES.poles and shifted.actions == RULES.actions
+    assert [r.line for r in shifted.poles] == [r.line + 1 for r in RULES.poles]
+
+
+def _scan_condition(cond, s0: Q) -> bool:
+    """A condition evaluated in ``Fraction`` arithmetic."""
+    if cond.kind == "always":
+        return True
+    if cond.kind == "eq":
+        return s0 == Q(*cond.value)
+    t = s0 + Q(*cond.value)
+    return t.denominator == 1 and t < Q(*cond.below) and t.numerator % 2 == cond.parity
+
+
+def _scan_covers(r, case, place, local_class, s0) -> bool:
+    return (r.case == case and r.place in ("*", place)
+            and ("*" in r.classes or local_class.value in r.classes)
+            and _scan_condition(r.condition, s0))
+
+
+def _scan_pole(table, case, element, place, local_class, s0):
+    hits = [r for r in table.poles
+            if element in r.elements and _scan_covers(r, case, place, local_class, s0)]
+    if not hits:
+        return UncoveredKey
+    return max(hits, key=lambda r: r.order)
+
+
+def _scan_action(table, case, element, place, local_class, s0):
+    return next((r for r in table.actions
+                 if r.element == element and _scan_covers(r, case, place, local_class, s0)),
+                None)
+
+
+# the shipped rows without the catch-alls, so that keys go uncovered
+UNCOVERING = RuleTable([r for r in RULES.poles if r.condition.kind != "always"], RULES.actions)
+
+# each eq: point and the int: lattice points of every row
+SPECIAL_POINTS = sorted({Q(*r.condition.value) for r in RULES.poles + RULES.actions
+                         if r.condition.kind == "eq"}
+                        | {t - Q(*r.condition.value) for r in RULES.poles + RULES.actions
+                           if r.condition.kind == "int" for t in range(-8, 3)})
+
+VALID_PLACES = [(NONARCH, TR), (NONARCH, QU), (NONARCH, OT), (ARCH, TR), (ARCH, SGN), (ARCH, OT)]
+
+
+@given(case=st.sampled_from(sorted(COSET_REPS)), index=st.integers(0, 3),
+       place=st.sampled_from(VALID_PLACES), table=st.sampled_from((RULES, UNCOVERING)),
+       s0=st.sampled_from(SPECIAL_POINTS) | st.fractions(-8, 8, max_denominator=12))
+def test_indexed_lookup_equals_linear_scan(case, index, place, table, s0):
+    element = COSET_REPS[case][index].name
+    kind, cls = place
+    expected = _scan_pole(table, case, element, kind, cls, s0)
+    try:
+        got = table.local_pole(case, element, kind, cls, s0)
+    except UncoveredKey:
+        got = UncoveredKey
+    assert got is expected
+    assert table.action_rule(case, element, kind, cls, s0) is \
+        _scan_action(table, case, element, kind, cls, s0)
