@@ -122,7 +122,7 @@ def check_cancellation_limits() -> list[CheckResult]:
 # quadratic character checks
 # ---------------------------------------------------------------------------
 
-def check_functional_equation(modulus: int = 4) -> list[CheckResult]:
+def check_functional_equation(modulus: int) -> list[CheckResult]:
     tbl = table_for_modulus(modulus)
     ratios = [completed_dirichlet(tbl, 1 - s) / completed_dirichlet(tbl, s)
               for s in (0.3, 1.7, 2.4)]
@@ -137,7 +137,7 @@ def check_functional_equation(modulus: int = 4) -> list[CheckResult]:
     return out
 
 
-def check_quadratic_derivative(modulus: int = 4) -> list[CheckResult]:
+def check_quadratic_derivative(modulus: int) -> list[CheckResult]:
     tbl = table_for_modulus(modulus)
     h = 1e-4
     d = abs(completed_dirichlet(tbl, h) - completed_dirichlet(tbl, -h)) / (2 * h)
@@ -145,7 +145,7 @@ def check_quadratic_derivative(modulus: int = 4) -> list[CheckResult]:
                  larger_is_better=True)]
 
 
-def check_parity_cancellation(modulus: int = 4) -> list[CheckResult]:
+def check_parity_cancellation(modulus: int) -> list[CheckResult]:
     """The grouped pair at the Siegel half-point, both parities.
 
     With the even-parity sign the grouped factor keeps a first-order pole;
@@ -236,7 +236,7 @@ def check_order_oracle() -> list[CheckResult]:
     return out
 
 
-def run_numeric_checks(modulus: int = 4) -> list[CheckResult]:
+def run_numeric_checks(modulus: int) -> list[CheckResult]:
     """The full battery, deterministic order."""
     out: list[CheckResult] = []
     out += check_zeta_closed_forms()

@@ -100,8 +100,8 @@ def _weyl_element(name: str) -> WeylElement:
 def _theorem_id(name: str) -> str:
     """argparse type for ``verify``: an unknown theorem id is a usage error.
 
-    A type rather than ``choices``: with ``nargs="*"``, argparse on Python
-    3.10 and 3.11 checks the empty list itself against the choices and
+    A type rather than ``choices``: with ``nargs="*"``, argparse up to
+    Python 3.11 checks the empty list itself against the choices and
     would reject a bare ``verify``.
     """
     from .theorems import theorem_ids  # only verify reads the theorem grids

@@ -11,7 +11,9 @@ order, vanishing behavior, and image labels.
 Each summand's ``TermReport`` holds its parts, each computed once: the
 factor, its order and leading term, each place's pole and action rows
 and the target.  Group weights, singleton groups and image labels read
-those reports and look nothing up again.
+those reports and look nothing up again; a group of several members
+walks only their common factor, since a member's order is the common
+factor's plus its (strip-free) remainder's.
 """
 
 from __future__ import annotations
@@ -94,18 +96,16 @@ class PlaceProfile:
 # coset representatives and grouping
 # ---------------------------------------------------------------------------
 
-def _by_target(items: list, values: list[tuple]) -> list[list]:
-    """Partition of items by the value of their targets at the point.
+def _by_target(terms: list[TermReport]) -> list[list[TermReport]]:
+    """Partition of the summands by the value of their targets at the point.
 
-    ``values`` holds each target's ``value_key``.  Two summands can only
-    cancel when the Weyl images of the inducing character agree at the
-    point (after class reduction of chi powers).  Items come in
-    representative order (by length), so groups are ordered by their
-    shortest member and members by length.
+    Two summands can only cancel when the Weyl images of the inducing
+    character agree at the point (after class reduction of chi powers).
+    Groups keep representative order (by length) within and between them.
     """
     buckets: dict[tuple, list] = {}
-    for item, value in zip(items, values):
-        buckets.setdefault(value, []).append(item)
+    for t in terms:
+        buckets.setdefault(t.value, []).append(t)
     return list(buckets.values())
 
 
@@ -326,13 +326,8 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
     common = _common_factor([t.expr for t in terms])
     common_order = order_at(common, cls, s0)
     inv = common.inverse()
-    rems = [(t.expr * inv, weights[t.w.name]) for t in terms]
-    orders = [order_at(rem, cls, s0) for rem, _ in rems]
-    if not all(ov.is_known for ov in orders):
-        raise IndeterminateLeading(
-            "strip-order symbols differ within a same-target group")
-    out = sum_germs(rems, cls, s0)
-    cancelled = out.order.base > min(ov.base for ov in orders)
+    out = sum_germs([(t.expr * inv, weights[t.w.name]) for t in terms], cls, s0)
+    cancelled = common_order.base + out.order.base > min(t.factor_order.base for t in terms)
     total = (common_order + out.order).shifted(-shared_local)
     leading = out.leading.render() if out.leading is not None and out.order.is_known else None
     return GroupReport(members, total, leading, cancelled=cancelled,
@@ -439,14 +434,12 @@ def choice_label(case: str, place: Place, s0: Q, token: str, longest: TermReport
         return "L(nu^2;St_SL2)"
     if row.carrier == "tempered_t2":
         return "T2"
-    if row.carrier == "arch_nonlanglands":
-        # non-Langlands constituents at a real place: the Heisenberg case comes
-        # with essentially-discrete-series data, the Siegel case is described
-        # only as the maximal proper subrepresentation after reflection
-        if case == "heisenberg":
-            return f"L(delta*nu^({(1 - s0) / 2}),{-s0 - 1};1)"
-        return f"maxsub(nu^({-s0})1_GL2x1)"
-    return row.carrier
+    # arch_nonlanglands: non-Langlands constituents at a real place; the
+    # Heisenberg case comes with essentially-discrete-series data, the Siegel
+    # case is only the maximal proper subrepresentation after reflection
+    if case == "heisenberg":
+        return f"L(delta*nu^({(1 - s0) / 2}),{-s0 - 1};1)"
+    return f"maxsub(nu^({-s0})1_GL2x1)"
 
 
 def describe_image(case: str, profile: PlaceProfile, s0: Q,
@@ -507,7 +500,7 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
     """Full constant-term report at s = s0 for one section profile."""
     rules = rules or default_rules()
     terms = [term_report(case, profile, w, s0, cls, rules) for w in coset_representatives(case)]
-    group_terms = _by_target(terms, [t.value for t in terms])
+    group_terms = _by_target(terms)
     groups = [evaluate_group(case, ts, profile, s0, cls) for ts in group_terms]
     combined, pole, deps, vanishes = _combine_orders(groups)
     image = describe_image(case, profile, s0, groups, group_terms, vanishes)

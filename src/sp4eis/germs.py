@@ -37,8 +37,8 @@ L at 0.
 A single expression needs only its leading term.  ``germ_at`` gives its
 order and leading coefficient from one walk over the symbols, each
 ``_classify``-ed once, with no ``Series`` and no ``FormalScalar`` but the
-result; ``order_at`` is the same walk for the order alone (common
-factors and group remainders), with no ``FormalScalar`` at all.
+result; ``order_at`` is the same walk for the order alone (a group's
+common factor), with no ``FormalScalar`` at all.
 
 Series serve sums only.  ``symbol_series`` expands one symbol to exactly
 the requested number of coefficients (refusing strip symbols), its
@@ -635,8 +635,7 @@ class GermSum:
 
 
 def sum_series(terms: list[tuple[Series, Q]]) -> GermSum:
-    total = Series.add([s.scale(w) for s, w in terms if w != 0]) if any(w != 0 for _, w in terms) \
-        else Series(0, [FormalScalar.zero()])
+    total = Series.add([s.scale(w) for s, w in terms])
     got = total.leading()
     if got is None:
         return GermSum(OrderValue.at_least(total.ord + len(total.coeffs)), None)

@@ -7,18 +7,20 @@ used for same-target cancellation bookkeeping.  The rows live in a
 human-auditable data file (``data/local_rules.txt``); nothing here derives
 representation theory, rows are conclusions stored as data.
 
-A key is (case, element, place kind, local class, point).
-A ``RuleTable`` indexes its rows once, when ``parse_rules`` builds it,
-by (case, element, place kind), in file order; a row for several
-elements or for both place kinds ("*") sits under each of its keys.  ``RuleTable.local_pole`` and
-``RuleTable.action_rule`` then test class and condition on their key's
-rows only: the pole row is the highest-order match (the first among
-equals), the action row the first match.  Conditions store their points
-as integer (numerator, denominator) pairs at parse time, and a point
-p/q in lowest terms is matched in integers.  The pole row answers every
-later question about its key: the order a section choice meets
-(``PoleRule.order_for``) and the constituent carrying the pole.  Every
-row keeps the file line it was read from, so errors name it.
+A key is (case, element, place kind, local class, point); its kind and
+class arrive checked by ``PlaceProfile``.  A ``RuleTable`` indexes its
+rows once, when ``parse_rules`` builds it, by (case, element, place
+kind), in file order; a row for several elements or for both place kinds
+("*") sits under each of its keys, and an unknown case, element or kind
+has no rows.  ``RuleTable.local_pole`` and ``RuleTable.action_rule``
+then test class and condition on their key's rows only: the pole row is
+the highest-order match (the first among equals), the action row the
+first match.  Conditions store their points as integer (numerator,
+denominator) pairs at parse time, and a point p/q in lowest terms is
+matched in integers.  The pole row answers every later question about
+its key: the order a section choice meets (``PoleRule.order_for``) and
+the constituent carrying the pole.  Every row keeps the file line it was
+read from, so errors name it.
 
 Also exposed: the SL2/GL2 reducibility predicates that govern where local
 poles may occur (a pole at a negative parameter requires the corresponding
@@ -46,6 +48,8 @@ _ELEMENT_NAMES = {case: tuple(w.name for w in reps) for case, reps in COSET_REPS
 
 # section-choice tokens: the constituent a place's section is taken in
 CHOICES = ("spherical", "langlands", "steinberg", "t1", "t2", "carrier")
+# pole-row carriers of a first-order pole; order-0 rows leave the field empty
+CARRIERS = ("st_gl2", "st_sl2", "tempered_t2", "arch_nonlanglands", "")
 
 
 class UncoveredKey(KeyError):
@@ -209,10 +213,9 @@ class RuleTable:
         Order-0 keys need a catch-all row; an order-0 row's carrier and pole
         choices are never read.
 
-        Raises :class:`UncoveredKey` when no row covers the key (invalid
-        place/class combinations surface loudly instead of defaulting).
+        Raises :class:`UncoveredKey` when no row covers the key (an unknown
+        case, element or place kind has none).
         """
-        _validate_key(case, element, place, local_class)
         rows = self._pole_rows.get((case, element, place), ())
         hit = max(_matching(rows, local_class, s0), key=lambda r: r.order, default=None)
         if hit is None:
@@ -225,20 +228,6 @@ class RuleTable:
         """The first action row matching the key, or ``None``."""
         rows = self._action_rows.get((case, element, place), ())
         return next(_matching(rows, local_class, s0), None)
-
-
-def _validate_key(case: str, element: str, place: str, local_class: CharClass) -> None:
-    if case not in _ELEMENT_NAMES:
-        raise UncoveredKey(f"unknown case {case!r}")
-    if place not in (NONARCH, ARCH):
-        raise UncoveredKey(f"unknown place kind {place!r}")
-    if local_class is CharClass.SGN and place != ARCH:
-        raise UncoveredKey("sgn class only occurs at the archimedean place")
-    if local_class is CharClass.QUADRATIC and place == ARCH:
-        raise UncoveredKey("the archimedean quadratic class is called sgn")
-    if element not in _ELEMENT_NAMES[case]:
-        raise UncoveredKey(
-            f"element {element!r} does not occur in the {case} constant term")
 
 
 def parse_rules(text: str, source: str = "<string>") -> RuleTable:
@@ -318,6 +307,8 @@ def _sanity_check(poles: list[PoleRule], source: str) -> None:
             raise RuleTableError(f"{source}:{r.line}: pole order must be 0 or 1, got {r.order}")
         if r.order == 1 and not r.carrier:
             raise RuleTableError(f"{source}:{r.line}: first-order pole rows need a carrier")
+        if r.carrier not in CARRIERS:
+            raise RuleTableError(f"{source}:{r.line}: unknown carrier {r.carrier!r}")
 
 
 def load_rules(path: str | Path | None = None) -> RuleTable:

@@ -175,7 +175,7 @@ def _hurwitz_regular(s: complex, a: float, tail: tuple[complex, ...]) -> complex
     return total
 
 
-def hurwitz_zeta(s: complex, a: float = 1.0) -> complex:
+def hurwitz_zeta(s: complex, a: float) -> complex:
     """Hurwitz zeta via Euler-Maclaurin; analytic continuation in s.
 
     Valid away from s = 1; shift a must be positive.

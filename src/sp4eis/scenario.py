@@ -1,4 +1,4 @@
-"""Scenario files: TOML descriptions of what to compute.
+"""Scenario files: TOML descriptions of what to compute, read by ``tomllib``.
 
 Schema (all keys optional unless noted):
 
@@ -41,51 +41,6 @@ PLACE_KEYS = ("kind", "class", "choice")
 
 class ScenarioError(ValueError):
     pass
-
-
-def _parse_value(text: str, source: str, lineno: int):
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(item, source, lineno) for item in inner.split(",")]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        raise ScenarioError(f"{source}:{lineno}: cannot parse value {text!r}") from None
-
-
-def parse_toml_subset(text: str, source: str = "<scenario>") -> dict:
-    """Parser for the documented key/value subset (fallback for old pythons).
-
-    Supports `key = value` with quoted strings, integers, booleans, arrays
-    of those, comments, and repeated `[[places]]` tables.
-    """
-    root: dict = {}
-    target = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            name = line[2:-2].strip()
-            target = {}
-            root.setdefault(name, []).append(target)
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            target = root.setdefault(name, {})
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ScenarioError(f"{source}:{lineno}: expected key = value")
-        target[key.strip()] = _parse_value(value, source, lineno)
-    return root
 
 
 @dataclass
@@ -186,12 +141,10 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read a scenario file: ``tomllib`` (imported here, the one reader of
-    TOML) where present, else the subset parser on Python 3.10."""
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # python < 3.11
-        tomllib = None
+    """Read a scenario file with ``tomllib``, imported here so that importing
+    the CLI does not load it."""
+    import tomllib
+
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -199,11 +152,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{p}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
-    if tomllib is None:
-        data = parse_toml_subset(text, source=str(p))
-    else:
-        try:
-            data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise ScenarioError(f"{p}: {exc}") from None
+    try:
+        data = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ScenarioError(f"{p}: {exc}") from None
     return scenario_from_dict(data, source=str(p))

@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
 from sp4eis.cli import main
-from sp4eis.scenario import ScenarioError, parse_toml_subset, scenario_from_dict
+from sp4eis.scenario import ScenarioError, scenario_from_dict
 
 SCENARIO = """\
 # pole scan for the Siegel family at its half-integer point
@@ -164,8 +165,8 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_scenario_parsing_fallback():
-    data = parse_toml_subset(SCENARIO)
+def test_scenario_parsing():
+    data = tomllib.loads(SCENARIO)
     assert data["case"] == "siegel"
     assert data["s0"] == ["1/2"]
     assert len(data["places"]) == 3
@@ -198,7 +199,7 @@ def test_scenario_rejects_unknown_keys():
         scenario_from_dict({"case": "siegel", "char-class": "quadratic"})
     with pytest.raises(ScenarioError, match="unknown place key 'clas'"):
         scenario_from_dict({"case": "siegel", "places": [{"kind": "arch", "clas": "sgn"}]})
-    sc = scenario_from_dict(parse_toml_subset(SCENARIO))
+    sc = scenario_from_dict(tomllib.loads(SCENARIO))
     assert sc.char_class.value == "quadratic" and len(sc.profile.places) == 3
 
 
@@ -224,11 +225,13 @@ WRONG_TYPES = {
 
 SHIPPED_RULES = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
 
-# rule tables whose condition points have a zero denominator
-ZERO_DENOMINATORS = {
+# rule tables with one malformed field: condition points with a zero
+# denominator, and a misspelt carrier
+RULE_EDITS = {
     "zero_eq.txt": ("|nonarch|trivial|eq:-2|", "|nonarch|trivial|eq:-2/0|"),
     "zero_shift.txt": ("|arch|trivial|int:0:even:lt-1|", "|arch|trivial|int:1/0:even:lt-1|"),
     "zero_bound.txt": ("|arch|trivial|int:0:even:lt-1|", "|arch|trivial|int:0:even:lt1/0|"),
+    "carrier_typo.txt": ("|st_gl2|", "|st_gl3|"),
 }
 
 
@@ -263,11 +266,14 @@ ZERO_DENOMINATORS = {
     (["poles", "--rules", "{tmp}/zero_shift.txt"], "RuleTableError"),
     (["verify", "H-", "--rules", "{tmp}/zero_bound.txt"], "RuleTableError"),
     (["poles", "--rules", "{tmp}/zero_bound.txt"], "RuleTableError"),
+    (["poles", "--case", "heisenberg", "--s0", "-2", "--place", "arch:trivial:spherical",
+      "nonarch:trivial:steinberg", "nonarch:trivial:steinberg",
+      "--rules", "{tmp}/carrier_typo.txt"], "RuleTableError"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     for name, text in WRONG_TYPES.items():
         (tmp_path / name).write_text('case = "siegel"\n' + text, encoding="utf-8")
-    for name, (old, new) in ZERO_DENOMINATORS.items():
+    for name, (old, new) in RULE_EDITS.items():
         assert old in SHIPPED_RULES
         (tmp_path / name).write_text(SHIPPED_RULES.replace(old, new), encoding="utf-8")
     (tmp_path / "malformed.toml").write_text("case = \n", encoding="utf-8")

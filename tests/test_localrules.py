@@ -133,16 +133,16 @@ def test_spherical_choice_never_meets_a_pole():
 
 
 def test_uncovered_keys_fail_loudly():
-    with pytest.raises(UncoveredKey, match="does not occur"):
+    # no row is indexed under an unknown case, element or place kind; a
+    # class the place kind does not carry is refused by PlaceProfile
+    with pytest.raises(UncoveredKey, match="no pole rule covers"):
         RULES.local_pole(*key("heisenberg", "c2", NONARCH, TR, 0))  # not a summand
-    with pytest.raises(UncoveredKey, match="does not occur"):
+    with pytest.raises(UncoveredKey, match="no pole rule covers"):
         RULES.local_pole(*key("siegel", "s", NONARCH, TR, 0))
-    with pytest.raises(UncoveredKey):
-        RULES.local_pole(*key("heisenberg", "s", NONARCH, SGN, 0))  # sgn is archimedean
-    with pytest.raises(UncoveredKey):
-        RULES.local_pole(*key("heisenberg", "s", ARCH, QU, 0))
-    with pytest.raises(UncoveredKey):
+    with pytest.raises(UncoveredKey, match="no pole rule covers"):
         RULES.local_pole(*key("klingen", "s", NONARCH, TR, 0))
+    with pytest.raises(UncoveredKey, match="no pole rule covers"):
+        RULES.local_pole(*key("heisenberg", "s", "adelic", TR, 0))
 
 
 def test_table_is_exactly_the_stated_clauses():
@@ -226,6 +226,11 @@ def test_malformed_tables_rejected():
             parse_rules(HEISENBERG_CATCH_ALL
                         + f"pole|heisenberg|s|nonarch|trivial|{cond}|1|x|steinberg|n\n"
                         + SIEGEL_CATCH_ALL, source="rules.txt")
+    # a misspelt carrier would print as the image label of its pole
+    with pytest.raises(RuleTableError, match=r"^rules\.txt:2: unknown carrier 'st_gl3'$"):
+        parse_rules(HEISENBERG_CATCH_ALL
+                    + "pole|heisenberg|s|nonarch|trivial|eq:-2|1|st_gl3|steinberg|n\n"
+                    + SIEGEL_CATCH_ALL, source="rules.txt")
     # a bound field must read lt<value>; anything else is not the bound 0
     with pytest.raises(RuleTableError, match=r"^rules\.txt:2: .*int:0:odd:le3"):
         parse_rules(HEISENBERG_CATCH_ALL
