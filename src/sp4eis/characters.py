@@ -15,9 +15,9 @@ Points are read as integers.  A point is s0 = p/q in lowest terms
 (q > 0), and each ``AffineForm`` a*s + b carries integers (A, B, D) with
 a = A/D and b = B/D, fixed when the form is built, so its value at the
 point is the integer n = A*p + B*q over m = D*q > 0 (``AffineForm.ratio``).
-The point engine decides on n and m; ``ratio_str`` prints n/m as
-``str(Fraction)`` does, and a ``Fraction`` is built only for a value a
-report keeps (``AffineForm.at``).
+The point engine decides on n and m and ``ratio_str`` prints n/m as
+``str(Fraction)`` does; a target is evaluated once per point, into its
+``value_key``, which reports and labels read.
 """
 
 from __future__ import annotations
@@ -126,10 +126,6 @@ class AffineForm:
         reduced to lowest terms."""
         A, B, D = self.ints
         return A * p + B * q, D * q
-
-    def at(self, s0: Q) -> Q:
-        """The value a*s0 + b, built as one ``Fraction`` from ``ratio``."""
-        return Q(*self.ratio(s0.numerator, s0.denominator))
 
     def render(self) -> str:
         if self.a == 0:

@@ -10,10 +10,10 @@ order, vanishing behavior, and image labels.
 
 Each summand's ``TermReport`` holds its parts, each computed once: the
 factor, its order and leading term, each place's pole and action rows
-and the target.  Group weights, singleton groups and image labels read
-those reports and look nothing up again; a group of several members
-walks only their common factor, since a member's order is the common
-factor's plus its (strip-free) remainder's.
+(none for the identity) and the target.  Group weights, singleton groups
+and image labels read those reports and look nothing up again; a group
+of several members walks only their common factor, since a member's
+order is the common factor's plus its (strip-free) remainder's.
 """
 
 from __future__ import annotations
@@ -113,17 +113,17 @@ def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
                 cls: CharClass, rules: RuleTable) -> TermReport:
     """One constant-term summand at s = s0, each of its parts computed once.
 
-    Each place's pole and action rows are looked up here, once (the
-    identity carries no operator, so it has no action rows); the local
-    order is the sum of the orders the profile's choices meet in the pole
-    rows.
+    Each place's pole and action rows are looked up here, once; the
+    identity carries no operator, so it has none.  The local order is the
+    sum of the orders the profile's choices meet in the pole rows.
     """
     expr = factor_expression(case, w, cls)
     target = TARGETS[case][w]
-    keys = [(case, w.name, p.kind, p.local_class, s0) for p in profile.places]
+    places = () if w.is_identity() else profile.places
+    keys = [(case, w.name, p.kind, p.local_class, s0) for p in places]
     rows = tuple(rules.local_pole(*key) for key in keys)
-    actions = () if w.is_identity() else tuple(rules.action_rule(*key) for key in keys)
-    local = sum(row.order_for(p.choice) for row, p in zip(rows, profile.places))
+    actions = tuple(rules.action_rule(*key) for key in keys)
+    local = sum(row.order_for(p.choice) for row, p in zip(rows, places))
     factor_order, leading = germ_at(expr, cls, s0)
     return TermReport(w, expr, factor_order, leading, local, rows, actions,
                       target.value_key(s0, cls), target)
@@ -140,7 +140,7 @@ class TermReport:
     factor_order: OrderValue
     leading: FormalScalar | None   # the factor's leading coefficient; None if strip-conditional
     local_order: int
-    rows: tuple[PoleRule, ...]     # each place's pole row, in profile-place order
+    rows: tuple[PoleRule, ...]     # each place's pole row, in place order; () for the identity
     actions: tuple[ActionRule | None, ...]  # each place's action row; () for the identity
     value: tuple                   # the target at the point: its ``value_key``
     character: TorusCharacter      # the target: w applied to the inducing character
@@ -259,14 +259,15 @@ def _common_factor(exprs: list[LExpression]) -> LExpression:
 def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0: Q):
     """Per-member weights (+-1), base-kernel detection, and notes.
 
-    The shortest member is the base; its action rows supply kernel
-    information, the other members' rows supply the relative signs.  The
-    rows are the ones each report holds (none for the identity).  A
-    missing row is tolerated for spherical choices (the normalized
-    spherical vector is always carried with weight +1) and for the base
-    summand; any other gap fails loudly.
+    The shortest member is the base: its ``base`` action rows supply
+    kernel information, and each other member's rows naming the base
+    ("-" for the identity) its relative sign.  The rows are the ones each
+    report holds (none for the identity).  A missing row is tolerated for
+    spherical choices (the normalized spherical vector is always carried
+    with weight +1) and for the base summand; any other gap fails loudly.
     """
     base = terms[0]
+    relative_to = "-" if base.w.is_identity() else base.w.name
     weights: dict[str, int] = {}
     notes: list[str] = []
     kernel = False
@@ -275,7 +276,7 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
         weight = 1
         is_base = t is base
         for p, row in zip(profile.places, t.actions):
-            if row is not None and (row.base == "base") != is_base:
+            if row is not None and row.base != ("base" if is_base else relative_to):
                 row = None
             if row is None:
                 if p.choice == "spherical" or is_base:
@@ -286,10 +287,7 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
                     f"no action rule for {case}/{t.w.name} at s={s0} covering choice {p.choice!r}")
             value = row.action_for(p.choice)
             if value == KERNEL:
-                if is_base or len(terms) == 1:
-                    kernel = True
-                else:  # pragma: no cover - tables only put kernels on bases
-                    raise UncoveredKey("kernel action on a non-base element")
+                kernel = True
             elif value != ISO:
                 weight *= int(value)
         weights[t.w.name] = weight
@@ -369,34 +367,35 @@ def _combine_orders(groups: list[GroupReport]) -> tuple[OrderValue, int | None, 
     return OrderValue.at_least(min(floors)), (0 if min(floors) > 0 else None), [], vanishes
 
 
-def _render_exponent(e: Q) -> str:
-    return f"nu^{e}" if e.denominator == 1 else f"nu^({e})"
+def _render_exponent(n: int, m: int) -> str:
+    return f"nu^{n}" if m == 1 else f"nu^({n}/{m})"
 
 
 def _chi_prefix(k: int, cls: CharClass) -> str:
     return "" if power_class(cls, k) is CharClass.TRIVIAL else "chi*"
 
 
-def langlands_label(target: TorusCharacter, s0: Q, cls: CharClass) -> str:
-    """Langlands-quotient label of the target character at the point.
+def langlands_label(term: TermReport, cls: CharClass) -> str:
+    """Langlands-quotient label of a summand's target at the point.
 
-    Coordinates with negative exponent are inverted, the positive ones are
-    sorted decreasingly as GL1 data; zero-exponent coordinates form the
-    tempered part (the spherical tempered constituent for a quadratic
-    class, the full unitary principal series for the trivial one).
+    Exponents come from ``term.value``, chi powers from the target itself
+    (read in the place's class ``cls``).  Coordinates with negative
+    exponent are inverted, the positive ones sorted decreasingly as GL1
+    data; zero-exponent coordinates form the tempered part (the spherical
+    tempered constituent for a quadratic class, the full unitary
+    principal series for the trivial one).
     """
-    gl1: list[tuple[Q, int]] = []
+    gl1: list[tuple[int, int, int]] = []
     temperate: list[int] = []
-    for k, form in target.coords:
-        v = form.at(s0)
-        if v == 0:
+    for (k, _), (_, n, m) in zip(term.character.coords, term.value):
+        if n == 0:
             temperate.append(k)
-        elif v > 0:
-            gl1.append((v, k))
+        elif n > 0:
+            gl1.append((n, m, k))
         else:
-            gl1.append((-v, -k))
-    gl1.sort(key=lambda t: (-t[0],))
-    parts = [f"{_chi_prefix(k, cls)}{_render_exponent(v)}" for v, k in gl1]
+            gl1.append((-n, m, -k))
+    gl1.sort(key=lambda t: Q(t[0], t[1]), reverse=True)
+    parts = [f"{_chi_prefix(k, cls)}{_render_exponent(n, m)}" for n, m, k in gl1]
     if temperate:
         k = temperate[0]
         if power_class(cls, k) is CharClass.TRIVIAL:
@@ -421,7 +420,7 @@ def choice_label(case: str, place: Place, s0: Q, token: str, longest: TermReport
         prefix = "" if case == "heisenberg" else "chi*"
         return f"L({prefix}nu^1;T{n})"
     if token == "langlands":
-        return langlands_label(longest.character, s0, place.local_class)
+        return langlands_label(longest, place.local_class)
     # steinberg / carrier: the constituent carrying the local pole
     row = longest.rows[i]
     if row.order == 0:
@@ -481,7 +480,7 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
     lead = max((t for _, ts in leaders for t in ts), key=lambda t: t.w.length)
     for i, p in enumerate(profile.places):
         if p.choice == "spherical":
-            label = langlands_label(lead.character, s0, p.local_class)
+            label = langlands_label(lead, p.local_class)
             if lead.rows[i].order > 0:
                 carrier = choice_label(case, p, s0, "carrier", longest, i)
                 entries.append(ImageEntry(i, label, "length-two",

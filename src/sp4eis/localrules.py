@@ -20,7 +20,10 @@ denominator) pairs at parse time, and a point p/q in lowest terms is
 matched in integers.  The pole row answers every later question about
 its key: the order a section choice meets (``PoleRule.order_for``) and
 the constituent carrying the pole.  Every row keeps the file line it was
-read from, so errors name it.
+read from, so errors name it.  Four facts live in code, not in rows, and
+the loader refuses a row that restates them: the identity carries no
+operator (no row names it), ``carrier`` meets every pole and
+``spherical`` none (no pole row lists either), a kernel sits on a base.
 
 Also exposed: the SL2/GL2 reducibility predicates that govern where local
 poles may occur (a pole at a negative parameter requires the corresponding
@@ -43,11 +46,13 @@ ARCH = "arch"
 ISO = "iso"
 KERNEL = "kernel"
 
-# names of the four constant-term elements, per case
-_ELEMENT_NAMES = {case: tuple(w.name for w in reps) for case, reps in COSET_REPS.items()}
+# names of the three elements per case that carry an operator (not the identity)
+_ELEMENT_NAMES = {case: tuple(w.name for w in reps if not w.is_identity())
+                  for case, reps in COSET_REPS.items()}
 
 # section-choice tokens: the constituent a place's section is taken in
-CHOICES = ("spherical", "langlands", "steinberg", "t1", "t2", "carrier")
+POLE_CHOICES = ("langlands", "steinberg", "t1", "t2")  # those a pole row may list
+CHOICES = ("spherical", *POLE_CHOICES, "carrier")
 # pole-row carriers of a first-order pole; order-0 rows leave the field empty
 CARRIERS = ("st_gl2", "st_sl2", "tempered_t2", "arch_nonlanglands", "")
 
@@ -143,17 +148,15 @@ class PoleRule:
     line: int = field(default=0, compare=False)  # the rule-file line it was read from
 
     def order_for(self, choice: str) -> int:
-        """Pole order met by a section choice (spherical never meets one)."""
-        if choice == "spherical" or choice not in self.pole_choices:
-            return 0
-        return self.order
+        """Pole order met by a section choice: the carrier meets every pole."""
+        return self.order if choice == "carrier" or choice in self.pole_choices else 0
 
 
 @dataclass(frozen=True)
 class ActionRule:
     case: str
     element: str
-    base: str             # group-base element name, or "-" for absolute
+    base: str             # "base", or the group base it is relative to ("-": the identity)
     place: str
     classes: tuple[str, ...]
     condition: Condition
@@ -261,6 +264,8 @@ def parse_rules(text: str, source: str = "<string>") -> RuleTable:
                     token, _, value = item.partition("=")
                     if value not in ("+1", "-1", ISO, KERNEL):
                         raise RuleTableError(f"bad action value {value!r}")
+                    if value == KERNEL and base != "base":
+                        raise RuleTableError(f"kernel on a row relative to {base!r}, not a base row")
                     pairs.append((token, value))
                 rule = ActionRule(
                     case=case, element=element, base=base, place=place,
@@ -287,7 +292,7 @@ def _check_tokens(rule: PoleRule | ActionRule) -> None:
               ("class", rule.classes, tuple(c.value for c in CharClass) + ("*",))]
     if isinstance(rule, PoleRule):
         fields += [("element", rule.elements, names),
-                   ("pole choice", rule.pole_choices, CHOICES)]
+                   ("pole choice", rule.pole_choices, POLE_CHOICES)]
     else:
         fields += [("element", (rule.element,), names),
                    ("action base", (rule.base,), ("-", "base") + names),

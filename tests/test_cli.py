@@ -226,12 +226,17 @@ WRONG_TYPES = {
 SHIPPED_RULES = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
 
 # rule tables with one malformed field: condition points with a zero
-# denominator, and a misspelt carrier
+# denominator, a misspelt carrier, a restated carrier choice and a kernel
+# on a relative row; and one with a relative row naming the wrong base
 RULE_EDITS = {
     "zero_eq.txt": ("|nonarch|trivial|eq:-2|", "|nonarch|trivial|eq:-2/0|"),
     "zero_shift.txt": ("|arch|trivial|int:0:even:lt-1|", "|arch|trivial|int:1/0:even:lt-1|"),
     "zero_bound.txt": ("|arch|trivial|int:0:even:lt-1|", "|arch|trivial|int:0:even:lt1/0|"),
     "carrier_typo.txt": ("|st_gl2|", "|st_gl3|"),
+    "carrier_listed.txt": ("|st_gl2|steinberg|", "|st_gl2|steinberg,carrier|"),
+    "relative_kernel.txt": ("|c2s|s|*|trivial|eq:0|spherical=+1,langlands=+1,steinberg=+1|",
+                            "|c2s|s|*|trivial|eq:0|spherical=+1,langlands=+1,steinberg=kernel|"),
+    "wrong_base.txt": ("|c2s|s|*|trivial|eq:0|", "|c2s|sc2s|*|trivial|eq:0|"),
 }
 
 
@@ -269,6 +274,12 @@ RULE_EDITS = {
     (["poles", "--case", "heisenberg", "--s0", "-2", "--place", "arch:trivial:spherical",
       "nonarch:trivial:steinberg", "nonarch:trivial:steinberg",
       "--rules", "{tmp}/carrier_typo.txt"], "RuleTableError"),
+    (["verify", "H-", "--rules", "{tmp}/carrier_listed.txt"], "RuleTableError"),
+    (["verify", "H+", "--rules", "{tmp}/relative_kernel.txt"], "RuleTableError"),
+    # c2s is signed relative to s, the base of its group at 0; a row naming
+    # sc2s covers no member, so a non-spherical choice there is uncovered
+    (["poles", "--case", "heisenberg", "--s0", "0", "--place", "arch:trivial:spherical",
+      "nonarch:trivial:steinberg", "--rules", "{tmp}/wrong_base.txt"], "UncoveredKey"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     for name, text in WRONG_TYPES.items():
@@ -309,16 +320,34 @@ def test_misspelt_rule_token_exit_2(tmp_path, capsys):
     import importlib.resources
     text = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
     row = "pole|heisenberg|s,c2s,sc2s|arch|trivial|int:0:even:lt-1|1|arch_nonlanglands|" \
-        "steinberg,carrier|"
+        "steinberg|"
     assert row in text
     lineno = text[:text.index(row)].count("\n") + 1
     p = tmp_path / "typo_rules.txt"
-    p.write_text(text.replace(row, row.replace("steinberg,", "steinbreg,")), encoding="utf-8")
+    p.write_text(text.replace(row, row.replace("|steinberg|", "|steinbreg|")), encoding="utf-8")
     code = main(["poles", "--case", "heisenberg", "--s0", "-4",
                  "--place", "arch:trivial:steinberg", "--rules", str(p)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"sp4eis: RuleTableError: {p}:{lineno}: unknown pole choice 'steinbreg'\n"
+
+
+def test_carrier_meets_the_finite_place_pole(capsys):
+    # at Heisenberg s=-2 the finite-place pole is carried by the twisted
+    # Steinberg constituent, so carrier sections meet it as steinberg ones do
+    reports = {}
+    for choice in ("carrier", "steinberg"):
+        argv = ["poles", "--case", "heisenberg", "--s0", "-2", "--place",
+                "arch:trivial:spherical", f"nonarch:trivial:{choice}",
+                f"nonarch:trivial:{choice}", "--json"]
+        assert main(argv) == 0
+        (reports[choice],) = json.loads(capsys.readouterr().out)["reports"]
+    carrier, steinberg = reports["carrier"], reports["steinberg"]
+    assert carrier["combined"]["pole_order"] == 1
+    assert carrier["combined"] == steinberg["combined"]
+    assert carrier["image"] == steinberg["image"]
+    assert [e["structure"] for e in carrier["image"]] == \
+        ["length-two", "irreducible-constituent", "irreducible-constituent"]
 
 
 def test_indeterminate_leading_exit_2(tmp_path, capsys):

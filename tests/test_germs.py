@@ -248,7 +248,7 @@ def test_germ_refuses_strip():
     order, leading = germ_at(rc1, TR, Q(-3, 2))
     assert order == order_at(rc1, TR, Q(-3, 2))
     assert order.kind == "conditional" and leading is None
-    (sym,) = [sym for sym, _ in rc1.factors if sym.arg.at(Q(-3, 2)) == Q(1, 2)]
+    (sym,) = [sym for sym, _ in rc1.factors if Q(*sym.arg.ratio(-3, 2)) == Q(1, 2)]
     with pytest.raises(StripOrderUnknown):
         symbol_series(sym, TR, Q(-3, 2), 1)
 

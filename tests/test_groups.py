@@ -77,9 +77,11 @@ def groups() -> list[tuple[str, CharClass, Q, tuple]]:
     return out
 
 
-def weight_row(case: str, w, is_base: bool, weight: int) -> ActionRule:
-    """An action row giving one member a fixed weight on every choice."""
-    return ActionRule(case, w.name, "base" if is_base else "-", ARCH, ("*",),
+def weight_row(case: str, w, base, weight: int) -> ActionRule:
+    """An action row giving one member of the group with base ``base`` a
+    fixed weight on every choice; it names the base ("-" for the identity)."""
+    relative_to = "base" if w == base else "-" if base.is_identity() else base.name
+    return ActionRule(case, w.name, relative_to, ARCH, ("*",),
                       Condition("always"), (("any", "+1" if weight > 0 else "-1"),), "weight")
 
 
@@ -95,8 +97,8 @@ def group_sums(case: str, cls: CharClass, s0: Q, members: tuple) -> list[tuple[s
     common_order = order_at(common, cls, s0)
     rows = []
     for weights in WEIGHTS:
-        weighted = [replace(t, actions=(weight_row(case, t.w, i == 0, wt),))
-                    for i, (t, wt) in enumerate(zip(terms, weights))]
+        weighted = [replace(t, actions=(weight_row(case, t.w, members[0], wt),))
+                    for t, wt in zip(terms, weights)]
         report = evaluate_group(case, weighted, PROFILE, s0, cls)
         out = sum_germs(list(zip(rems, weights)), cls, s0)
         assert report.weights == {t.w.name: str(wt) for t, wt in zip(terms, weights)}
