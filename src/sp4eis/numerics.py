@@ -21,6 +21,15 @@ x^(1-s) tail term grow together and cancel, so digits are lost fast
 least 10 significant digits, completed Dirichlet values for moduli up to
 12 to at least 8.
 
+A real point is evaluated in float arithmetic, any other in complex
+arithmetic, by the same code (``_point``; only exp and sin pick ``math``
+or ``cmath``).  With zero imaginary parts CPython's complex power of a
+positive base, division, exp and sin do the IEEE operations of the float
+ones on the real parts, so the bits agree.  The exception is a power with
+an integral exponent |n| <= 100, which complex arithmetic computes by
+repeated multiplication and float arithmetic by libm ``pow``: at an
+integer s a value may differ in the last bits (at most 4 ulp).
+
 Within one check, ``eval_expression`` and ``estimate_order`` can share a
 caller-owned mapping of the completed values already computed, so each
 (class, table, point) is evaluated once; nothing is cached across calls.
@@ -97,20 +106,34 @@ _LANCZOS_C = (
 )
 
 
-def gamma(z: complex) -> complex:
-    """Lanczos approximation, with reflection for Re(z) < 1/2."""
-    z = complex(z)
+def _point(s: complex) -> float | complex:
+    """s as a float when its imaginary part is zero, else as a complex."""
+    s = complex(s)
+    return s.real if s.imag == 0 else s
+
+
+def _exp(w: complex) -> complex:
+    return cmath.exp(w) if isinstance(w, complex) else math.exp(w)
+
+
+def _sin(w: complex) -> complex:
+    return cmath.sin(w) if isinstance(w, complex) else math.sin(w)
+
+
+def gamma(z: complex) -> float | complex:
+    """Lanczos approximation, reflected for Re(z) < 1/2; a float for a real z."""
+    z = _point(z)
     if z.real < 0.5:
         if abs(z.imag) < GAMMA_POLE_TOL and abs(z.real - round(z.real)) < GAMMA_POLE_TOL \
                 and round(z.real) <= 0:
             raise PoleProximity(f"gamma pole at z={z}")
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        return math.pi / (_sin(math.pi * z) * gamma(1.0 - z))
     z -= 1.0
-    x = complex(_LANCZOS_C[0])
+    x = _LANCZOS_C[0]
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
         x += c / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * _exp(-t) * x
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +150,13 @@ def _em_coefficients() -> tuple[float, ...]:
 def _phi_expm1(w: complex) -> complex:
     """(exp(w) - 1) / w, stable near w = 0."""
     if abs(w) < 0.5:
-        term = complex(1.0)
-        total = complex(1.0)
+        term = 1.0
+        total = 1.0
         for k in range(2, 20):
             term *= w / k
             total += term
         return total
-    return (cmath.exp(w) - 1.0) / w
+    return (_exp(w) - 1.0) / w
 
 
 def _tail_weights(s: complex) -> tuple[complex, ...]:
@@ -161,7 +184,7 @@ def _hurwitz_regular(s: complex, a: float, tail: tuple[complex, ...]) -> complex
     """
     if a <= 0:
         raise ValueError("shift must be positive")
-    total = complex(0.0)
+    total = 0.0
     for n in range(ZETA_N):
         total += (n + a) ** (-s)
     x = ZETA_N + a
@@ -175,32 +198,33 @@ def _hurwitz_regular(s: complex, a: float, tail: tuple[complex, ...]) -> complex
     return total
 
 
-def hurwitz_zeta(s: complex, a: float) -> complex:
+def hurwitz_zeta(s: complex, a: float) -> float | complex:
     """Hurwitz zeta via Euler-Maclaurin; analytic continuation in s.
 
-    Valid away from s = 1; shift a must be positive.
+    Valid away from s = 1; shift a must be positive.  A float for a real
+    s, a complex otherwise.
     """
-    s = complex(s)
+    s = _point(s)
     if abs(s - 1.0) < POLE_TOL:
         raise PoleProximity("zeta pole at s=1")
     return _hurwitz_regular(s, a, _tail_weights(s)) + 1.0 / (s - 1.0)
 
 
-def zeta_em(s: complex) -> complex:
+def zeta_em(s: complex) -> float | complex:
     """Riemann zeta by Euler-Maclaurin."""
     return hurwitz_zeta(s, 1.0)
 
 
-def zeta_direct(s: complex) -> complex:
+def zeta_direct(s: complex) -> float | complex:
     """Independent cross-check: partial sum with integral and half-term tail.
 
     No Bernoulli corrections; accurate to ~|s| * N^(-Re(s)-1) / 12, i.e.
     well below 1e-10 for Re(s) >= 3 with N = DIRECT_TERMS.
     """
-    s = complex(s)
+    s = _point(s)
     if s.real <= 1.5:
         raise NumericsError("direct summation needs Re(s) well above 1")
-    total = complex(0.0)
+    total = 0.0
     for n in range(1, DIRECT_TERMS):
         total += n ** (-s)
     total += DIRECT_TERMS ** (1.0 - s) / (s - 1.0)
@@ -208,19 +232,20 @@ def zeta_direct(s: complex) -> complex:
     return total
 
 
-def completed_zeta(s: complex) -> complex:
+def completed_zeta(s: complex) -> float | complex:
     """pi^(-s/2) Gamma(s/2) zeta(s); reflected for Re(s) < 1/2.
 
     The completed function satisfies Lam(s) = Lam(1-s) exactly; building
     the reflection in keeps gamma arguments in the Lanczos sweet spot and
     makes the symmetry exact by construction.  Simple poles at 0 and 1.
+    A float for a real s, a complex otherwise.
     """
-    s = complex(s)
+    s = _point(s)
     if abs(s) < POLE_TOL or abs(s - 1.0) < POLE_TOL:
         raise PoleProximity(f"completed zeta pole at s={s}")
     if s.real < 0.5:
         s = 1.0 - s
-    return cmath.exp(-s / 2.0 * math.log(math.pi)) * gamma(s / 2.0) * zeta_em(s)
+    return _exp(-s / 2.0 * math.log(math.pi)) * gamma(s / 2.0) * zeta_em(s)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +310,7 @@ def table_for_modulus(q: int) -> DirichletTable:
     return DirichletTable(q, tuple(kronecker_symbol(d, n) for n in range(q)), 0 if d > 0 else 1)
 
 
-def dirichlet_l(tbl: DirichletTable, s: complex) -> complex:
+def dirichlet_l(tbl: DirichletTable, s: complex) -> float | complex:
     """L(s, chi) by Hurwitz-zeta expansion over residues.
 
     chi is nontrivial, so the per-residue zeta poles at s = 1 cancel (the
@@ -294,25 +319,26 @@ def dirichlet_l(tbl: DirichletTable, s: complex) -> complex:
     weights depend on s alone and are built once for all residues.
     """
     q = tbl.modulus
-    s = complex(s)
+    s = _point(s)
     tail = _tail_weights(s)
-    scale = cmath.exp(-s * math.log(q))
-    total = complex(0.0)
+    scale = _exp(-s * math.log(q))
+    total = 0.0
     for a, chi in enumerate(tbl.values):
         if chi:
             total += chi * _hurwitz_regular(s, a / q, tail)
     return scale * total
 
 
-def completed_dirichlet(tbl: DirichletTable, s: complex) -> complex:
+def completed_dirichlet(tbl: DirichletTable, s: complex) -> float | complex:
     """(q/pi)^((s+delta)/2) Gamma((s+delta)/2) L(s,chi), delta the parity.
 
     Computed directly (no reflection), so the functional-equation checks
     against this function are genuine.  At a pole of the gamma factor
     (compensated by a trivial zero of L) ``gamma`` raises
-    :class:`PoleProximity` before L is evaluated.
+    :class:`PoleProximity` before L is evaluated.  A float for a real s,
+    a complex otherwise.
     """
-    s = complex(s)
+    s = _point(s)
     z = (s + tbl.parity) / 2.0
     return (tbl.modulus / math.pi) ** z * gamma(z) * dirichlet_l(tbl, s)
 
@@ -351,7 +377,8 @@ def eval_expression(expr: LExpression, cls: CharClass, s: complex,
             tbl = table
         else:
             raise NotEvaluable(f"no numeric stand-in for class {eff.value}")
-        arg = float(sym.arg.a) * s + float(sym.arg.b)
+        A, B, D = sym.arg.ints
+        arg = A / D * s + B / D  # A / D rounds once, to float(Fraction(A, D))
         key = (eff, tbl, arg)
         if key not in known:
             known[key] = completed_zeta(arg) if tbl is None else completed_dirichlet(tbl, arg)

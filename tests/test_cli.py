@@ -67,8 +67,13 @@ def test_weyl_json_deterministic(capsys):
 # sha256 of `sp4eis numcheck --modulus Q --json`: every check name, pass
 # flag, measured value and bound, pinned byte for byte
 NUMCHECK_SHA256 = {
+    3: "955d45b6751f7642c09ae106c04c9ebd07f0457fb87f7d353de4787ef36b8067",
     4: "591b2c7a0b555c61cf0cdd0ffaaaedbf9be99d3cecee6ced8fbb358b34ceb5cd",
     5: "bd6b58d9309226b2ce0ff16f8f59ece704f921ea6bcb8b898e40b2e25ded6d0f",
+    7: "6822d01f260c90e011e68fdc0e012556fa2985a59ad5216c113badaac7bc1fa5",
+    8: "8ab01536454935b56811dcb43d2febbd2982329b10dc08906da8ce26c8a6ee65",
+    11: "791d395ca59108a569889e4f4dba05e78ec8b527960fa563695a679462a39666",
+    12: "6d5e26b1486cff4ae23224e783061b5774636eaf9a56ed8b3ca49fce8208c99e",
 }
 
 
