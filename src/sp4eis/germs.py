@@ -27,12 +27,12 @@ of 1/2 sent through the functional equation; its argument strings come
 from ``ratio_str``, which prints n/m as ``str(Fraction)`` does.  A
 ``Fraction`` is built only for a value a report keeps: a ``StripDep``
 point, a zeta residue over the slope, and the arguments of
-``symbol_series``, which serves group sums.  Truncated Laurent series
-over this scalar ring drive cancellation detection in sums of germs.  Two
-atoms that are not plainly nonzero carry a nonzeroness assertion that the
-numeric layer cross-checks: the shared constant Laurent coefficient of
-completed zeta at its poles, and the derivative of a quadratic completed
-L at 0.
+``symbol_series``, which serves group sums.  First-order jets, Laurent
+series of at most two coefficients over this scalar ring, drive
+cancellation detection in sums of germs.  Two atoms that are not plainly
+nonzero carry a nonzeroness assertion that the numeric layer
+cross-checks: the shared constant Laurent coefficient of completed zeta
+at its poles, and the derivative of a quadratic completed L at 0.
 
 A single expression needs only its leading term.  ``germ_at`` gives its
 order and leading coefficient from one walk over the symbols, each
@@ -40,13 +40,14 @@ order and leading coefficient from one walk over the symbols, each
 result; ``order_at`` is the same walk for the order alone (a group's
 common factor), with no ``FormalScalar`` at all.
 
-Series serve sums only.  ``symbol_series`` expands one symbol to exactly
-the requested number of coefficients (refusing strip symbols), its
-coefficient 0 taken from the same orientation table, and
-``known_part_series`` one expression; ``sum_germs`` expands weighted
-expressions from one coefficient, adding one at a time until a formally
-nonzero leading term survives, up to the ``SERIES_DEPTH`` cap; a sum that
-cancels through it is a floor at the truncation order.
+Series serve sums only.  ``symbol_series`` expands one symbol to at most
+two coefficients (refusing strip symbols): coefficient 0 from the same
+orientation table, coefficient 1 a first Taylor coefficient or the zeta
+constant.  ``known_part_series`` expands one expression; ``sum_germs``
+expands weighted expressions to one coefficient, then to two when the
+heads cancel formally.  Every group sum the engine meets has a formally
+nonzero leading term within two coefficients; a sum that cancels through
+both is a floor at the truncation order.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from typing import Iterable, Sequence
 from .characters import AffineForm, CharClass, power_class, ratio_str
 from .normfactor import EPS, L, LExpression, LSymbol
 
-SERIES_DEPTH = 5  # most coefficients a germ sum examines before giving a floor
+SERIES_DEPTH = 2  # most coefficients a germ sum examines before giving a floor
 
 # The completed-L facts: completed zeta's simple poles (integer arguments)
 # with their residues, and the open strip of unknown orders.  Only
@@ -88,24 +89,20 @@ class DegenerateSymbol(GermError):
 # ---------------------------------------------------------------------------
 
 # An atom is its name: (kind, data), each datum the string its render
-# shows -- a class value, an argument, a derivative order.  Atoms sort as
-# plain tuples.
+# shows -- a class value, an argument.  Atoms sort as plain tuples.
 Atom = tuple[str, tuple[str, ...]]
 
-# A derivative-order datum k names a Taylor coefficient, not a derivative:
-# ``_value_series`` scales the k-th atom by a^k with no 1/k!, so
-# Lam^(k)(u), Lhat[c]^(k)(u) and eps[c]^(k)(u) are f^(k)(u)/k!.  Lam_c is
-# the constant coefficient of completed zeta at 1 and Lam_c{k} the
-# coefficient of x^(k-1) in its expansion at 1 + x.
+# Lam^(1)(u), Lhat[c]^(1)(u) and eps[c]^(1)(u) are first Taylor
+# coefficients, f'(u), of the completed zeta, L or epsilon at u; Lam_c is
+# the constant coefficient of completed zeta at 1.
 _ATOM_FORMATS = {
     "zconst": "Lam_c",
-    "zcoef": "Lam_c{0}",
     "zval": "Lam({0})",
-    "zder": "Lam^({1})({0})",
+    "zder": "Lam^(1)({0})",
     "lval": "Lhat[{0}]({1})",
-    "lder": "Lhat[{0}]^({2})({1})",
+    "lder": "Lhat[{0}]^(1)({1})",
     "epsv": "eps[{0}]({1})",
-    "epsder": "eps[{0}]^({2})({1})",
+    "epsder": "eps[{0}]^(1)({1})",
 }
 
 
@@ -120,8 +117,7 @@ def _known_nonzero(atom: Atom) -> bool:
         return True
     # forced by the source's "holomorphic and non-zero" cancellation
     # statements; verified numerically for the modulus-4 character
-    return kind == "lder" and data[0] == CharClass.QUADRATIC.value and data[2] == "1" \
-        and data[1] in ("0", "1")
+    return kind == "lder" and data[0] == CharClass.QUADRATIC.value and data[1] in ("0", "1")
 
 
 def _mod2(atom: Atom) -> bool:
@@ -290,11 +286,12 @@ class FormalScalar:
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent series over formal scalars
+# first-order jets: Laurent series of at most two coefficients
 # ---------------------------------------------------------------------------
 
 class Series:
-    """Truncated Laurent series sum_i coeffs[i] * delta^(ord+i) + O(delta^(ord+len(coeffs)))."""
+    """Truncated Laurent series sum_i coeffs[i] * delta^(ord+i) + O(delta^(ord+len(coeffs))),
+    with at most two coefficients."""
 
     __slots__ = ("ord", "coeffs")
 
@@ -307,30 +304,21 @@ class Series:
         return Series(0, [FormalScalar.rational(1)] + [FormalScalar.zero()] * (depth - 1))
 
     def __mul__(self, other: "Series") -> "Series":
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = [FormalScalar.zero() for _ in range(n)]
-        for i in range(n):
-            if self.coeffs[i].is_zero():
-                continue
-            for j in range(n - i):
-                if other.coeffs[j].is_zero():
-                    continue
-                out[i + j] = out[i + j] + self.coeffs[i] * other.coeffs[j]
+        """The product rule: c0 = a0*b0, c1 = a0*b1 + a1*b0."""
+        a, b = self.coeffs, other.coeffs
+        out = [a[0] * b[0]]
+        if len(a) > 1 and len(b) > 1:
+            out.append(a[0] * b[1] + a[1] * b[0])
         return Series(self.ord + other.ord, out)
 
     def inverse(self) -> "Series":
+        """The inverse rule: (a0 + a1*delta)^-1 = a0^-1 - a0^-1*a1*a0^-1*delta."""
         if not self.coeffs or self.coeffs[0].is_zero():
             raise IndeterminateLeading("cannot invert series with vanishing leading term")
         a0_inv = self.coeffs[0].inverse()
-        n = len(self.coeffs)
-        out = [FormalScalar.zero() for _ in range(n)]
-        out[0] = a0_inv
-        for k in range(1, n):
-            acc = FormalScalar.zero()
-            for j in range(1, k + 1):
-                if j < n and not self.coeffs[j].is_zero():
-                    acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -(a0_inv * acc)
+        out = [a0_inv]
+        if len(self.coeffs) > 1:
+            out.append(-(a0_inv * self.coeffs[1] * a0_inv))
         return Series(-self.ord, out)
 
     def power(self, e: int) -> "Series":
@@ -503,26 +491,21 @@ def _value_atoms(kind: str, eff: CharClass, n: int, m: int) -> Monomial:
 
 def _value_series(kind: str, eff: CharClass, u0: Q, der: str, data: tuple[str, ...], a: Q,
                   depth: int) -> Series:
-    """Taylor series of a value: its oriented atoms, then the k-th derivative
-    atom ``der`` at ``data`` times a^k."""
+    """Taylor series of a value to at most two coefficients: its oriented
+    atoms, then the first Taylor coefficient atom ``der`` at ``data`` times a."""
     head = FormalScalar.monomial(_value_atoms(kind, eff, u0.numerator, u0.denominator))
-    return Series(0, [head] + [FormalScalar.atom((der, data + (str(k),)), a ** k)
-                               for k in range(1, depth)])
+    return Series(0, [head, FormalScalar.atom((der, data), a)][:depth])
 
 
 def _zeta_pole_series(u0: int, a: Q, depth: int) -> Series:
     """Laurent series of completed zeta at argument u0 + a*delta, u0 in {0,1},
-    ``depth`` coefficients deep.
+    to at most two coefficients.
 
-    The expansion at 1 is 1/x + c + c2*x + ...; by the exact reflection the
-    expansion at 0 is -1/x + c - c2*x + ... with the same coefficients.
+    The expansion at 1 is 1/x + c + O(x); by the exact reflection the
+    expansion at 0 is -1/x + c + O(x) with the same c.
     """
-    sign = Q(1) if u0 == 1 else Q(-1)
-    coeffs = [FormalScalar.rational(ZETA_POLE_RESIDUES[u0] / a),
-              FormalScalar.atom(("zconst", ()))]
-    for k in range(2, depth):
-        coeffs.append(FormalScalar.atom(("zcoef", (str(k),)), sign ** k * a ** (k - 1)))
-    return Series(-1, coeffs[:depth])
+    return Series(-1, [FormalScalar.rational(ZETA_POLE_RESIDUES[u0] / a),
+                       FormalScalar.atom(("zconst", ()))][:depth])
 
 
 def _l_value_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
@@ -546,8 +529,8 @@ def _eps_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
 
 
 def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
-    """Laurent expansion of one symbol around s0 to ``depth`` coefficients
-    (non-strip only)."""
+    """Laurent expansion of one symbol around s0 to ``depth`` coefficients,
+    at most two (non-strip only)."""
     eff, n, m, site = _classify(sym, cls, s0.numerator, s0.denominator)
     if site == "strip":
         raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {ratio_str(n, m)}")
@@ -558,7 +541,7 @@ def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
     if eff is CharClass.TRIVIAL:
         if sym.kind == EPS:
             return Series.exact_one(depth)
-        # zeta derivatives reflect to u >= 1/2 with sign (-1)^k
+        # the zeta derivative reflects to u >= 1/2 with a sign
         v, sign = (u0, 1) if u0 >= 1 - u0 else (1 - u0, -1)
         return _value_series(L, eff, u0, "zder", (str(v),), sign * a, depth)
     if sym.kind == EPS:

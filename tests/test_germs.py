@@ -422,21 +422,17 @@ def test_symbol_series_has_the_requested_depth(sym, cls, s0):
 
 
 @pytest.mark.parametrize("sym, cls, s0, coeffs", [
-    (lsym(1, 0, 0), TR, Q(1), ["1", "Lam_c", "Lam_c2"]),
-    (lsym(1, 0, 0), TR, Q(2), ["Lam(2)", "Lam^(1)(2)", "Lam^(2)(2)"]),
-    (lsym(1, 0, 1, EPS), QU, Q(1, 4),
-     ["eps[quadratic](3/4)^-1", "eps[quadratic]^(1)(1/4)", "eps[quadratic]^(2)(1/4)"]),
+    (lsym(1, 0, 0), TR, Q(1), ["1", "Lam_c"]),
+    (lsym(1, 0, 0), TR, Q(2), ["Lam(2)", "Lam^(1)(2)"]),
+    (lsym(1, 0, 1, EPS), QU, Q(1, 4), ["eps[quadratic](3/4)^-1", "eps[quadratic]^(1)(1/4)"]),
     (lsym(1, 0), QU, Q(1), [
         "Lhat[quadratic](1)",
         "-eps[quadratic]^(1)(0)*eps[quadratic](1)*Lhat[quadratic](1)"
         "-eps[quadratic](1)^-1*Lhat[quadratic]^(1)(0)",
-        "eps[quadratic]^(1)(0)*Lhat[quadratic]^(1)(0)"
-        "+eps[quadratic]^(2)(0)*eps[quadratic](1)*Lhat[quadratic](1)"
-        "+eps[quadratic](1)^-1*Lhat[quadratic]^(2)(0)",
     ]),
 ])
 def test_symbol_series_renders(sym, cls, s0, coeffs):
-    assert [c.render() for c in symbol_series(sym, cls, s0, 3).coeffs] == coeffs
+    assert [c.render() for c in symbol_series(sym, cls, s0, 2).coeffs] == coeffs
 
 
 # ---------------------------------------------------------------------------

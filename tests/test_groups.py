@@ -15,18 +15,29 @@ remainders' sum, the leading term and the cancellation flag.  Regenerate
 the file only when outputs change on purpose:
 
     PYTHONPATH=src python tests/test_groups.py
+
+A contour oracle checks every sum numerically: its Laurent coefficients,
+taken by the trapezoidal rule on a small circle around s0 (Trefethen and
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+2014), vanish below the engine's order and equal its leading term there.
 """
 
+import cmath
 import json
 from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import product
 from pathlib import Path
 
-from sp4eis.characters import COSET_REPS, TARGETS, CharClass, reduce_power
+import pytest
+
+from sp4eis import germs
+from sp4eis.characters import COSET_REPS, TARGETS, CharClass, power_class, reduce_power
 from sp4eis.constant_term import PlaceProfile, _common_factor, evaluate_group, term_report
 from sp4eis.germs import SERIES_DEPTH, known_part_series, order_at, sum_germs, sum_series
 from sp4eis.localrules import ARCH, ActionRule, Condition, default_rules
+from sp4eis.normfactor import EPS
+from sp4eis.numerics import completed_dirichlet, completed_zeta, table_for_modulus
 
 PINS = Path(__file__).resolve().parent / "data" / "group_sums.tsv"
 GLOBAL_CLASSES = (CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER)
@@ -149,7 +160,7 @@ def test_remainders_are_strip_free_and_every_sum_has_a_leading_term():
             depth = depth_used(rems, weights, cls, s0)
             assert depth is not None, (case, cls, s0, weights)
             depths.append(depth)
-    assert max(depths) == 2
+    assert max(depths) == SERIES_DEPTH
 
 
 def test_group_sums_replay_pins():
@@ -159,6 +170,104 @@ def test_group_sums_replay_pins():
     got = [row for group in groups() for row in group_sums(*group)]
     assert len(got) == 56
     assert got == pinned
+
+
+# ---------------------------------------------------------------------------
+# the contour oracle
+# ---------------------------------------------------------------------------
+
+NODES = 64
+RADIUS = 1 / 16
+# z_j = r*omega_j with omega_j = exp(2 pi i (j + 1/2) / N): no node on the real axis
+CIRCLE = [RADIUS * cmath.exp(2j * cmath.pi * (j + 0.5) / NODES) for j in range(NODES)]
+
+
+def laurent(values: list[complex], k: int) -> complex:
+    """c_k = (1/N) sum_j f(s0 + z_j) z_j^-k of f given at s0 + ``CIRCLE``."""
+    return sum(v * z ** -k for v, z in zip(values, CIRCLE)) / NODES
+
+
+def completed_l(tbl, u: complex) -> complex:
+    """Completed zeta (``tbl`` None) or completed L of a real primitive
+    character at u; the latter has root number 1, so it is read at 1 - u
+    left of 1/2, where ``completed_dirichlet`` meets gamma poles."""
+    if tbl is None:
+        return completed_zeta(u)
+    return completed_dirichlet(tbl, u if u.real >= 0.5 else 1 - u)
+
+
+def coefficient(tbl, u0: float, k: int) -> complex:
+    """c_k of ``completed_l(tbl, .)`` at u0."""
+    return laurent([completed_l(tbl, u0 + z) for z in CIRCLE], k)
+
+
+def expression_value(expr, cls: CharClass, tbl, s: complex) -> complex:
+    """A canonical expression at s, with every epsilon factor 1."""
+    out = complex(expr.scalar)
+    for sym, e in expr.factors:
+        if sym.kind != EPS:
+            u = float(sym.arg.a) * s + float(sym.arg.b)
+            trivial = power_class(cls, sym.power) is CharClass.TRIVIAL
+            out *= completed_l(None if trivial else tbl, u) ** e
+    return out
+
+
+# each atom kind's number, from its data (a class value and an argument)
+# and the Dirichlet table: values are completed L-values, ``^(1)`` atoms
+# the coefficient c_1 at their argument, and epsilon is 1 for a real
+# primitive character
+ATOM_VALUES = {
+    "zconst": lambda tbl: coefficient(None, 1.0, 0),
+    "zval": lambda tbl, u: completed_l(None, float(Q(u))),
+    "zder": lambda tbl, u: coefficient(None, float(Q(u)), 1),
+    "lval": lambda tbl, c, u: completed_l(tbl, float(Q(u))),
+    "lder": lambda tbl, c, u: coefficient(tbl, float(Q(u)), 1),
+    "epsv": lambda tbl, c, u: 1.0,
+    "epsder": lambda tbl, c, u: 0.0,
+}
+
+
+def scalar_value(x, tbl) -> complex:
+    """A ``FormalScalar``'s number; an atom kind without one raises ``KeyError``."""
+    total = 0j
+    for mono, c in x.terms.items():
+        term = complex(c)
+        for (kind, data), e in mono:
+            term *= ATOM_VALUES[kind](tbl, *data) ** e
+        total += term
+    return total
+
+
+# class, Dirichlet table and number of sums: both parities among the conductors
+CHARACTERS = {"trivial": (CharClass.TRIVIAL, None, 32)}
+CHARACTERS.update({f"mod{q}": (CharClass.QUADRATIC, table_for_modulus(q), 24) for q in (3, 4, 5, 8)})
+
+
+def test_every_atom_kind_has_a_numeric_meaning():
+    assert ATOM_VALUES.keys() == germs._ATOM_FORMATS.keys()
+
+
+@pytest.mark.parametrize("character", CHARACTERS)
+def test_contour_oracle_agrees_with_every_group_sum(character):
+    cls, tbl, count = CHARACTERS[character]
+    checked = 0
+    for case, gcls, s0, members in groups():
+        if gcls is not cls:
+            continue
+        _, _, rems = remainders(case, cls, s0, members)
+        values = [[expression_value(r, cls, tbl, float(s0) + z) for z in CIRCLE] for r in rems]
+        for weights in WEIGHTS:
+            out = sum_germs(list(zip(rems, weights)), cls, s0)
+            order = out.order.base
+            g = [sum(w * v for w, v in zip(weights, at)) for at in zip(*values)]
+            where = (case, s0, [w.name for w in members], weights)
+            for k in (order - 2, order - 1):
+                assert abs(laurent(g, k)) < 1e-8, (where, k, laurent(g, k))
+            lead = scalar_value(out.leading, tbl)
+            assert abs(laurent(g, order) - lead) < 1e-6 * max(1, abs(lead)), \
+                (where, laurent(g, order), out.leading.render(), lead)
+            checked += 1
+    assert checked == count
 
 
 if __name__ == "__main__":

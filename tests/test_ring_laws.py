@@ -1,4 +1,4 @@
-"""Ring laws and canonical form of FormalScalar; identities of truncated Laurent Series."""
+"""Ring laws and canonical form of FormalScalar; identities of first-order jets (Series)."""
 
 from functools import reduce
 
@@ -10,7 +10,7 @@ from sp4eis.germs import FormalScalar, Series
 # square reduces to 1
 ATOMS = [
     ("zval", ("2",)),
-    ("zder", ("1", "1")),
+    ("zder", ("1",)),
     ("lval", ("quadratic", "1")),
     ("epsv", ("quadratic", "1/2")),
 ]
@@ -26,9 +26,9 @@ nonzero_monomials = st.builds(FormalScalar.monomial, monomials, coefficients.fil
 
 @st.composite
 def series(draw):
-    """A truncated series whose leading coefficient is an invertible monomial."""
+    """A jet of at most two coefficients whose leading one is an invertible monomial."""
     head = draw(nonzero_monomials)
-    tail = draw(st.lists(scalars, max_size=3))
+    tail = draw(st.lists(scalars, max_size=1))
     return Series(draw(st.integers(-2, 2)), [head] + tail)
 
 
@@ -71,6 +71,13 @@ def test_ring_operations_stay_canonical(x, y, c, m):
                 m.inverse(), m * m.inverse(), m * m):
         assert_canonical(out)
     assert x + FormalScalar.zero() is x and x.scale(1) is x
+
+
+@given(series(), series(), series())
+def test_jet_product_is_commutative_associative_and_unital(a, b, c):
+    assert same_series(a * b, b * a)
+    assert same_series((a * b) * c, a * (b * c))
+    assert same_series(a * Series.exact_one(len(a.coeffs)), a)
 
 
 @given(series())
