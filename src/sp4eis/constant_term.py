@@ -11,9 +11,10 @@ order, vanishing behavior, and image labels.
 Each summand's ``TermReport`` holds its parts, each computed once: the
 factor, its order and leading term, each place's pole and action rows
 (none for the identity) and the target.  Group weights, singleton groups
-and image labels read those reports and look nothing up again; a group
-of several members walks only their common factor, since a member's
-order is the common factor's plus its (strip-free) remainder's.
+and image labels read those reports and look nothing up again.  A member
+of a group is its common factor times a (strip-free) remainder, so each
+of the 14 groups of several members is built once (``_group_jets``): the
+common factor's order and every remainder's jet, which a sum only weights.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .characters import (
     render_value,
 )
 from .germs import (
-    FormalScalar, IndeterminateLeading, OrderValue, StripDep, germ_at, order_at, sum_germs,
+    SERIES_DEPTH, FormalScalar, IndeterminateLeading, OrderValue, Series, StripDep, germ_at,
+    known_part_series, order_at, sum_series,
 )
 from .localrules import (
     ARCH, CHOICES, ISO, KERNEL, NONARCH, ActionRule, PoleRule, RuleTable, UncoveredKey,
@@ -256,6 +258,18 @@ def _common_factor(exprs: list[LExpression]) -> LExpression:
     return LExpression.build(Q(1), common)
 
 
+@cache
+def _group_jets(case: str, members: tuple[WeylElement, ...], cls: CharClass,
+                s0: Q) -> tuple[OrderValue, tuple[Series, ...]]:
+    """The common factor's order and each member's remainder jet, keyed on Weyl
+    elements, never on expressions (whose hashes walk every ``Fraction``)."""
+    exprs = [factor_expression(case, w, cls) for w in members]
+    common = _common_factor(exprs)
+    inv = common.inverse()
+    return order_at(common, cls, s0), tuple(
+        known_part_series(e * inv, cls, s0, SERIES_DEPTH) for e in exprs)
+
+
 def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0: Q):
     """Per-member weights (+-1), base-kernel detection, and notes.
 
@@ -321,10 +335,8 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
             "grouped summands carry different local pole orders; cancellation not analyzed")
     shared_local = terms[0].local_order
 
-    common = _common_factor([t.expr for t in terms])
-    common_order = order_at(common, cls, s0)
-    inv = common.inverse()
-    out = sum_germs([(t.expr * inv, weights[t.w.name]) for t in terms], cls, s0)
+    common_order, jets = _group_jets(case, tuple(t.w for t in terms), cls, s0)
+    out = sum_series(list(zip(jets, [weights[t.w.name] for t in terms])))
     cancelled = common_order.base + out.order.base > min(t.factor_order.base for t in terms)
     total = (common_order + out.order).shifted(-shared_local)
     leading = out.leading.render() if out.leading is not None and out.order.is_known else None

@@ -43,9 +43,9 @@ common factor), with no ``FormalScalar`` at all.
 Series serve sums only.  ``symbol_series`` expands one symbol to at most
 two coefficients (refusing strip symbols): coefficient 0 from the same
 orientation table, coefficient 1 a first Taylor coefficient or the zeta
-constant.  ``known_part_series`` expands one expression; ``sum_germs``
-expands weighted expressions to one coefficient, then to two when the
-heads cancel formally.  Every group sum the engine meets has a formally
+constant.  ``known_part_series`` expands one expression to ``SERIES_DEPTH``
+and ``sum_series`` adds weighted expansions; truncation is exact, so no sum
+needs a shallower pass.  Every group sum the engine meets has a formally
 nonzero leading term within two coefficients; a sum that cancels through
 both is a floor at the truncation order.
 """
@@ -59,7 +59,7 @@ from typing import Iterable, Sequence
 from .characters import AffineForm, CharClass, power_class, ratio_str
 from .normfactor import EPS, L, LExpression, LSymbol
 
-SERIES_DEPTH = 2  # most coefficients a germ sum examines before giving a floor
+SERIES_DEPTH = 2  # coefficients of every jet a germ sum adds; it floors beyond them
 
 # The completed-L facts: completed zeta's simple poles (integer arguments)
 # with their residues, and the open strip of unknown orders.  Only
@@ -291,13 +291,13 @@ class FormalScalar:
 
 class Series:
     """Truncated Laurent series sum_i coeffs[i] * delta^(ord+i) + O(delta^(ord+len(coeffs))),
-    with at most two coefficients."""
+    with at most two coefficients, kept in a tuple so that a cached jet cannot change."""
 
     __slots__ = ("ord", "coeffs")
 
     def __init__(self, ord: int, coeffs: Sequence[FormalScalar]):
         self.ord = ord
-        self.coeffs = list(coeffs)
+        self.coeffs = tuple(coeffs)
 
     @staticmethod
     def exact_one(depth: int) -> "Series":
@@ -618,6 +618,7 @@ class GermSum:
 
 
 def sum_series(terms: list[tuple[Series, Q]]) -> GermSum:
+    """Weighted sum of jets: exact when its leading term is certified nonzero, else a floor."""
     total = Series.add([s.scale(w) for s, w in terms])
     got = total.leading()
     if got is None:
@@ -626,23 +627,6 @@ def sum_series(terms: list[tuple[Series, Q]]) -> GermSum:
     if lead.certified_nonzero():
         return GermSum(OrderValue.known(order), lead)
     return GermSum(OrderValue.at_least(order), lead)
-
-
-def sum_germs(terms: list[tuple[LExpression, Q]], cls: CharClass, s0: Q) -> GermSum:
-    """Weighted sum of expressions at s0 with exact cancellation detection.
-
-    The minimum order wins.  The sum starts from one Laurent coefficient
-    per expression; while its leading coefficients cancel formally, every
-    expression is expanded one coefficient deeper, up to ``SERIES_DEPTH``.
-    If the surviving coefficient cannot be certified nonzero, or everything
-    up to the cap cancels, the result is only a floor.  An expression with
-    a strip symbol raises ``StripOrderUnknown``.
-    """
-    for depth in range(1, SERIES_DEPTH + 1):
-        out = sum_series([(known_part_series(e, cls, s0, depth), w) for e, w in terms])
-        if out.leading is not None:
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------

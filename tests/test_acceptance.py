@@ -19,12 +19,13 @@ from sp4eis.checks import (
 from sp4eis.constant_term import (
     Place, PlaceProfile, evaluate_group, eisenstein_order, term_report,
 )
-from sp4eis.germs import OrderValue, apply_functional_equation, germ_at, order_at, sum_germs
+from sp4eis.germs import OrderValue, apply_functional_equation, germ_at, order_at
 from sp4eis.localrules import default_rules
 from sp4eis.normfactor import EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor
 from sp4eis.numerics import completed_zeta
 from sp4eis.roots import SP4, is_negative
 from sp4eis.theorems import theorem_ids, verify_theorem
+from test_germs import full_depth_sum
 
 SYS = SP4
 TR, QU, OT, SGN = (CharClass.TRIVIAL, CharClass.QUADRATIC,
@@ -154,7 +155,7 @@ def test_criterion_6_cancellations():
     # short-element pair at the Heisenberg origin
     rs = _expr("heisenberg", "s", TR)
     rsc1 = _expr("heisenberg", "sc1", TR)
-    out = sum_germs([(rs, Q(1)), (rsc1, Q(1))], TR, Q(0))
+    out = full_depth_sum([(rs, Q(1)), (rsc1, Q(1))], TR, Q(0))
     assert out.order == OrderValue.known(0)
     assert out.leading.render() == "2*Lam_c*Lam(2)^-1"
     assert out.leading.certified_nonzero()
@@ -182,7 +183,7 @@ def test_criterion_6_cancellations():
     assert g_even.order == OrderValue.known(-1)
     # the vanishing of the bracket is exact of order one
     f = AffineForm.of
-    bracket = sum_germs([
+    bracket = full_depth_sum([
         (LExpression.build(Q(1), {LSymbol(L, f(-1, Q(1, 2)), 1): 1}), Q(1)),
         (LExpression.build(Q(1), {LSymbol(L, f(1, Q(-1, 2)), 1): 1}), Q(-1)),
     ], QU, Q(1, 2))

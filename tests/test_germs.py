@@ -8,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from sp4eis.characters import AffineForm, CharClass, heisenberg_lambda, siegel_lambda
 from sp4eis.constant_term import (
-    PlaceProfile, _common_factor, coset_representatives, eisenstein_order, factor_expression,
+    PlaceProfile, _common_factor, _group_jets, coset_representatives, eisenstein_order,
+    factor_expression,
 )
 from sp4eis.germs import (
     SERIES_DEPTH, DegenerateSymbol, GermError, OrderValue, StripDep, StripOrderUnknown,
     _classify, _value_atoms, apply_functional_equation, germ_at, known_part_series, order_at,
-    sum_germs, sum_series, symbol_series,
+    sum_series, symbol_series,
 )
 from sp4eis.normfactor import (
     EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor,
@@ -43,6 +44,11 @@ def may_be_negative(ov: OrderValue) -> bool:
 
 def definitely_nonnegative(ov: OrderValue) -> bool:
     return ov.base >= 0 and all(d.coeff > 0 for d in ov.deps)
+
+
+def full_depth_sum(terms: list, cls: CharClass, s0: Q):
+    """Weighted sum of expressions at s0, each expanded to ``SERIES_DEPTH``."""
+    return sum_series([(known_part_series(e, cls, s0, SERIES_DEPTH), w) for e, w in terms])
 
 
 def spherical_groups(case: str, s0: Q, cls: CharClass):
@@ -262,7 +268,7 @@ def test_degenerate_constant_symbol():
 def test_sum_heisenberg_origin():
     rs = _expr("heisenberg", "s", TR)
     rsc1 = _expr("heisenberg", "c2s", TR)
-    out = sum_germs([(rs, Q(1)), (rsc1, Q(1))], TR, Q(0))
+    out = full_depth_sum([(rs, Q(1)), (rsc1, Q(1))], TR, Q(0))
     assert out.order == OrderValue.known(0)
     assert out.leading.render() == "2*Lam_c*Lam(2)^-1"
 
@@ -270,14 +276,14 @@ def test_sum_heisenberg_origin():
 def test_sum_at_one():
     rc1 = _expr("heisenberg", "sc2s", TR)
     rsc1 = _expr("heisenberg", "c2s", TR)
-    out = sum_germs([(rsc1, Q(1)), (rc1, Q(1))], TR, Q(1))
+    out = full_depth_sum([(rsc1, Q(1)), (rc1, Q(1))], TR, Q(1))
     assert out.order == OrderValue.known(0)
     assert out.leading.render() == "2*Lam_c*Lam(3)^-1"
 
 
 def test_sum_with_zero_weight_is_identity():
     e = _expr("heisenberg", "s", TR)
-    out = sum_germs([(e, Q(1)), (e, Q(0))], TR, Q(0))
+    out = full_depth_sum([(e, Q(1)), (e, Q(0))], TR, Q(0))
     assert out.order == order_at(e, TR, Q(0))
     assert out.leading.render() == germ_at(e, TR, Q(0))[1].render()
 
@@ -287,7 +293,7 @@ def test_sum_vanishing_at_minus_one():
     assert (order_at(rs, TR, Q(-1)), germ_at(rs, TR, Q(-1))[1].render()) == (OrderValue.known(0), "-1")
     # the identity summand cancels the value exactly; the next Laurent
     # coefficient only involves the certified zeta constant
-    out = sum_germs([(LExpression.one(), Q(1)), (rs, Q(1))], TR, Q(-1))
+    out = full_depth_sum([(LExpression.one(), Q(1)), (rs, Q(1))], TR, Q(-1))
     assert out.order == OrderValue.known(1)
     assert out.leading.render() == "2*Lam_c"
 
@@ -296,7 +302,7 @@ def test_sum_with_opaque_tail_gives_floor_only():
     # 1 - r(c1)^-1 at 0: the values cancel exactly but the next coefficient
     # involves an opaque derivative atom, so only a floor is reported
     rc1 = _expr("heisenberg", "sc2s", TR)
-    out = sum_germs([(LExpression.one(), Q(1)), (rc1, Q(-1))], TR, Q(0))
+    out = full_depth_sum([(LExpression.one(), Q(1)), (rc1, Q(-1))], TR, Q(0))
     assert not out.order.is_known
     assert out.order.base >= 1  # value vanishes at the point
 
@@ -304,7 +310,7 @@ def test_sum_with_opaque_tail_gives_floor_only():
 def test_sum_refuses_strip():
     rc1 = _expr("heisenberg", "sc2s", TR)
     with pytest.raises(StripOrderUnknown):
-        sum_germs([(LExpression.one(), Q(1)), (rc1, Q(-1))], TR, Q(-3, 2))
+        full_depth_sum([(LExpression.one(), Q(1)), (rc1, Q(-1))], TR, Q(-3, 2))
 
 
 def test_quadratic_bracket_exact_vanishing():
@@ -312,7 +318,7 @@ def test_quadratic_bracket_exact_vanishing():
     # nonzero derivative coefficient
     plus = expr_of(1, {lsym(-1, 0): 1})
     minus = expr_of(1, {lsym(1, 0): 1})
-    out = sum_germs([(plus, Q(1)), (minus, Q(-1))], QU, Q(0))
+    out = full_depth_sum([(plus, Q(1)), (minus, Q(-1))], QU, Q(0))
     assert out.order == OrderValue.known(1)
     assert out.leading.render() == "-2*Lhat[quadratic]^(1)(0)"
 
@@ -320,7 +326,7 @@ def test_quadratic_bracket_exact_vanishing():
 def test_double_pole_cancellation_siegel():
     sc2 = _expr("siegel", "sc2", TR)
     c2sc2 = _expr("siegel", "c2sc2", TR)
-    out = sum_germs([(sc2, Q(1)), (c2sc2, Q(1))], TR, Q(1, 2))
+    out = full_depth_sum([(sc2, Q(1)), (c2sc2, Q(1))], TR, Q(1, 2))
     # the double poles cancel, a simple pole with a nonzero coefficient remains
     assert out.order == OrderValue.known(-1)
     assert out.leading.render() == "Lam_c*Lam(2)^-2"
@@ -328,7 +334,7 @@ def test_double_pole_cancellation_siegel():
 
 def test_total_cancellation_floors_at_the_cap():
     e = _expr("heisenberg", "s", TR)
-    out = sum_germs([(e, Q(1)), (e, Q(-1))], TR, Q(0))
+    out = full_depth_sum([(e, Q(1)), (e, Q(-1))], TR, Q(0))
     assert out.leading is None
     assert out.order == OrderValue.at_least(order_at(e, TR, Q(0)).base + SERIES_DEPTH)
 
@@ -361,6 +367,16 @@ def test_singleton_germ_matches_full_depth(case, cls):
     assert checked > 100
 
 
+def deepening_sum(terms: list, cls: CharClass, s0: Q):
+    """The reference: one coefficient per expression, then one more while the
+    heads cancel formally, up to ``SERIES_DEPTH``."""
+    for depth in range(1, SERIES_DEPTH + 1):
+        out = sum_series([(known_part_series(e, cls, s0, depth), w) for e, w in terms])
+        if out.leading is not None:
+            break
+    return out
+
+
 def test_group_sum_matches_full_depth():
     # every sign pattern, since the rule table weights members by +-1
     checked = 0
@@ -372,13 +388,13 @@ def test_group_sum_matches_full_depth():
             inv = _common_factor(exprs).inverse()
             rems = [e * inv for e in exprs]
             orders = [order_at(r, cls, s0).base for r in rems]
-            series = [known_part_series(r, cls, s0, SERIES_DEPTH) for r in rems]
+            _, jets = _group_jets(case, tuple(group), cls, s0)
             for signs in itertools.product((Q(1), Q(-1)), repeat=len(group) - 1):
                 weights = (Q(1),) + signs
-                lazy = sum_germs(list(zip(rems, weights)), cls, s0)
-                full = sum_series(list(zip(series, weights)))
+                lazy = deepening_sum(list(zip(rems, weights)), cls, s0)
+                full = sum_series(list(zip(jets, weights)))
                 lazy_cancelled = lazy.order.base > min(orders)
-                full_cancelled = full.order.base > min(x.ord for x in series)
+                full_cancelled = full.order.base > min(x.ord for x in jets)
                 assert (lazy.order, _render(lazy.leading), lazy_cancelled) == \
                     (full.order, _render(full.leading), full_cancelled), \
                     ([w.name for w in group], s0, weights)
@@ -400,7 +416,7 @@ def test_floor_leading_terms_at_zero(case, cls, group, weights, order, lead):
     (members,) = [g for g in spherical_groups(case, Q(0), cls) if [w.name for w in g] == group]
     exprs = [factor_expression(case, w, cls) for w in members]
     inv = _common_factor(exprs).inverse()
-    out = sum_germs([(e * inv, Q(w)) for e, w in zip(exprs, weights)], cls, Q(0))
+    out = full_depth_sum([(e * inv, Q(w)) for e, w in zip(exprs, weights)], cls, Q(0))
     assert (out.order.render(), out.leading.render()) == (order, lead)
 
 

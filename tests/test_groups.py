@@ -33,11 +33,14 @@ import pytest
 
 from sp4eis import germs
 from sp4eis.characters import COSET_REPS, TARGETS, CharClass, power_class, reduce_power
-from sp4eis.constant_term import PlaceProfile, _common_factor, evaluate_group, term_report
-from sp4eis.germs import SERIES_DEPTH, known_part_series, order_at, sum_germs, sum_series
+from sp4eis.constant_term import (
+    PlaceProfile, _common_factor, _group_jets, eisenstein_order, evaluate_group, term_report,
+)
+from sp4eis.germs import SERIES_DEPTH, known_part_series, order_at, sum_series
 from sp4eis.localrules import ARCH, ActionRule, Condition, default_rules
 from sp4eis.normfactor import EPS
 from sp4eis.numerics import completed_dirichlet, completed_zeta, table_for_modulus
+from test_germs import full_depth_sum
 
 PINS = Path(__file__).resolve().parent / "data" / "group_sums.tsv"
 GLOBAL_CLASSES = (CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER)
@@ -111,7 +114,7 @@ def group_sums(case: str, cls: CharClass, s0: Q, members: tuple) -> list[tuple[s
         weighted = [replace(t, actions=(weight_row(case, t.w, members[0], wt),))
                     for t, wt in zip(terms, weights)]
         report = evaluate_group(case, weighted, PROFILE, s0, cls)
-        out = sum_germs(list(zip(rems, weights)), cls, s0)
+        out = full_depth_sum(list(zip(rems, weights)), cls, s0)
         assert report.weights == {t.w.name: str(wt) for t, wt in zip(terms, weights)}
         assert report.order == common_order + out.order
         rows.append((case, cls.value, str(s0), ",".join(w.name for w in members),
@@ -163,13 +166,42 @@ def test_remainders_are_strip_free_and_every_sum_has_a_leading_term():
     assert max(depths) == SERIES_DEPTH
 
 
+def pinned_rows() -> list[tuple[str, ...]]:
+    return [tuple(line.split("\t"))
+            for line in PINS.read_text(encoding="utf-8").splitlines()
+            if line and not line.startswith("#")]
+
+
 def test_group_sums_replay_pins():
-    pinned = [tuple(line.split("\t"))
-              for line in PINS.read_text(encoding="utf-8").splitlines()
-              if line and not line.startswith("#")]
     got = [row for group in groups() for row in group_sums(*group)]
     assert len(got) == 56
-    assert got == pinned
+    assert got == pinned_rows()
+
+
+def test_group_jet_cache_holds_the_fourteen_groups_unaltered():
+    _group_jets.cache_clear()
+    for case, cls in product(COSET_REPS, GLOBAL_CLASSES):
+        for k in range(-48, 49):
+            eisenstein_order(case, PROFILE, Q(k, 8), cls)
+    assert _group_jets.cache_info().currsize == 14
+    # the keys are the groups: looking each one up adds no entry
+    before = _group_jets.cache_info()
+    for case, cls, s0, members in groups():
+        _group_jets(case, members, cls, s0)
+    after = _group_jets.cache_info()
+    assert (after.currsize, after.hits - before.hits, after.misses) == (14, 14, before.misses)
+    # no replay alters a cached jet
+    pinned = pinned_rows()
+    for _ in range(2):
+        assert [row for group in groups() for row in group_sums(*group)] == pinned
+    for case, cls, s0, members in groups():
+        common_order, jets = _group_jets(case, members, cls, s0)
+        _, common, rems = remainders(case, cls, s0, members)
+        fresh = [known_part_series(r, cls, s0, SERIES_DEPTH) for r in rems]
+        assert common_order == order_at(common, cls, s0)
+        assert [(j.ord, [c.render() for c in j.coeffs]) for j in jets] == \
+            [(f.ord, [c.render() for c in f.coeffs]) for f in fresh]
+    assert _group_jets.cache_info().currsize == 14
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +289,7 @@ def test_contour_oracle_agrees_with_every_group_sum(character):
         _, _, rems = remainders(case, cls, s0, members)
         values = [[expression_value(r, cls, tbl, float(s0) + z) for z in CIRCLE] for r in rems]
         for weights in WEIGHTS:
-            out = sum_germs(list(zip(rems, weights)), cls, s0)
+            out = full_depth_sum(list(zip(rems, weights)), cls, s0)
             order = out.order.base
             g = [sum(w * v for w, v in zip(weights, at)) for at in zip(*values)]
             where = (case, s0, [w.name for w in members], weights)
