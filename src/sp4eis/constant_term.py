@@ -508,7 +508,17 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
 
 def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
                      rules: RuleTable | None = None) -> ConstantTermReport:
-    """Full constant-term report at s = s0 for one section profile."""
+    """Full constant-term report at s = s0 for one section profile.
+
+    Raises :class:`ProfileError` when no global character of class ``cls``
+    has the profile's local classes: a trivial character is trivial at
+    every place, and a quadratic one is nowhere of class ``other``.
+    """
+    for p in profile.places:
+        if (cls is CharClass.TRIVIAL and p.local_class is not CharClass.TRIVIAL
+                or cls is CharClass.QUADRATIC and p.local_class is CharClass.OTHER):
+            raise ProfileError(f"a {cls.value} global character cannot have local class "
+                               f"{p.local_class.value} ({p.kind} place)")
     rules = rules or default_rules()
     terms = [term_report(case, profile, w, s0, cls, rules) for w in coset_representatives(case)]
     group_terms = _by_target(terms)

@@ -285,6 +285,11 @@ RULE_EDITS = {
     # sc2s covers no member, so a non-spherical choice there is uncovered
     (["poles", "--case", "heisenberg", "--s0", "0", "--place", "arch:trivial:spherical",
       "nonarch:trivial:steinberg", "--rules", "{tmp}/wrong_base.txt"], "UncoveredKey"),
+    # no global character of the class has these local classes
+    (["poles", "--case", "heisenberg", "--char-class", "trivial", "--s0", "0",
+      "--place", "arch:sgn:spherical", "nonarch:quadratic:t2"], "ProfileError"),
+    (["poles", "--case", "siegel", "--char-class", "quadratic", "--s0", "1/2",
+      "--place", "arch:trivial:spherical", "nonarch:other:spherical"], "ProfileError"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     for name, text in WRONG_TYPES.items():

@@ -58,6 +58,28 @@ def test_profile_validation():
         PlaceProfile((arch(TR, "frobenius"),))
 
 
+@pytest.mark.parametrize("cls, places", [
+    (TR, (arch(SGN),)),
+    (TR, (arch(), nonarch(QU, "t2"))),
+    (TR, (arch(OT),)),
+    (QU, (arch(OT),)),
+    (QU, (arch(SGN), nonarch(QU), nonarch(OT))),
+])
+def test_local_classes_must_fit_the_global_class(cls, places):
+    # a trivial character is trivial at every place, a quadratic one is
+    # nowhere of class other
+    with pytest.raises(ProfileError):
+        eisenstein_order("heisenberg", PlaceProfile(places), Q(2), cls)
+
+
+def test_local_classes_a_global_class_can_have_are_accepted():
+    for cls, places in [(QU, (arch(SGN), nonarch(QU, "t2"), nonarch(TR))),
+                        (QU, (arch(), nonarch(QU))),
+                        (OT, (arch(SGN), nonarch(QU), nonarch(OT), nonarch(TR)))]:
+        profile = PlaceProfile(places)
+        assert eisenstein_order("heisenberg", profile, Q(2), cls).profile == profile
+
+
 # ---------------------------------------------------------------------------
 # grouping
 # ---------------------------------------------------------------------------
@@ -225,6 +247,11 @@ def test_combined_order_bounded_by_terms():
         for prof in profiles:
             for s0 in points:
                 for cls in (TR, QU):
+                    if cls is TR and any(p.local_class is not TR for p in prof.places):
+                        # no trivial global character is quadratic at a place
+                        with pytest.raises(ProfileError):
+                            eisenstein_order(case, prof, s0, cls)
+                        continue
                     try:
                         r = eisenstein_order(case, prof, s0, cls)
                     except (UncoveredKey, UnknownChoice):
