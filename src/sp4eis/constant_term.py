@@ -28,7 +28,7 @@ from .characters import (
     render_value,
 )
 from .germs import (
-    SERIES_DEPTH, FormalScalar, IndeterminateLeading, OrderValue, Series, StripDep, germ_at,
+    FormalScalar, IndeterminateLeading, OrderValue, Series, StripDep, germ_at,
     known_part_series, order_at, sum_series,
 )
 from .localrules import (
@@ -267,7 +267,7 @@ def _group_jets(case: str, members: tuple[WeylElement, ...], cls: CharClass,
     common = _common_factor(exprs)
     inv = common.inverse()
     return order_at(common, cls, s0), tuple(
-        known_part_series(e * inv, cls, s0, SERIES_DEPTH) for e in exprs)
+        known_part_series(e * inv, cls, s0) for e in exprs)
 
 
 def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0: Q):
@@ -336,10 +336,10 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
     shared_local = terms[0].local_order
 
     common_order, jets = _group_jets(case, tuple(t.w for t in terms), cls, s0)
-    out = sum_series(list(zip(jets, [weights[t.w.name] for t in terms])))
-    cancelled = common_order.base + out.order.base > min(t.factor_order.base for t in terms)
-    total = (common_order + out.order).shifted(-shared_local)
-    leading = out.leading.render() if out.leading is not None and out.order.is_known else None
+    order, lead = sum_series(list(zip(jets, [weights[t.w.name] for t in terms])))
+    cancelled = common_order.base + order.base > min(t.factor_order.base for t in terms)
+    total = (common_order + order).shifted(-shared_local)
+    leading = lead.render() if lead is not None and order.is_known else None
     return GroupReport(members, total, leading, cancelled=cancelled,
                        weights={k: str(v) for k, v in weights.items()},
                        note="; ".join(notes))

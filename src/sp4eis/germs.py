@@ -28,7 +28,7 @@ from ``ratio_str``, which prints n/m as ``str(Fraction)`` does.  A
 ``Fraction`` is built only for a value a report keeps: a ``StripDep``
 point, a zeta residue over the slope, and the arguments of
 ``symbol_series``, which serves group sums.  First-order jets, Laurent
-series of at most two coefficients over this scalar ring, drive
+series of exactly two coefficients over this scalar ring, drive
 cancellation detection in sums of germs.  Two atoms that are not plainly
 nonzero carry a nonzeroness assertion that the numeric layer
 cross-checks: the shared constant Laurent coefficient of completed zeta
@@ -40,14 +40,15 @@ order and leading coefficient from one walk over the symbols, each
 result; ``order_at`` is the same walk for the order alone (a group's
 common factor), with no ``FormalScalar`` at all.
 
-Series serve sums only.  ``symbol_series`` expands one symbol to at most
-two coefficients (refusing strip symbols): coefficient 0 from the same
-orientation table, coefficient 1 a first Taylor coefficient or the zeta
-constant.  ``known_part_series`` expands one expression to ``SERIES_DEPTH``
-and ``sum_series`` adds weighted expansions; truncation is exact, so no sum
-needs a shallower pass.  Every group sum the engine meets has a formally
-nonzero leading term within two coefficients; a sum that cancels through
-both is a floor at the truncation order.
+Series serve sums only.  A ``Series`` is a first-order jet: an order and
+exactly two coefficients, which its constructor enforces.
+``symbol_series`` expands one symbol (refusing strip symbols): coefficient
+0 from the same orientation table, coefficient 1 a first Taylor
+coefficient or the zeta constant.  ``known_part_series`` expands one
+expression and ``sum_series`` adds weighted expansions; the product, the
+inverse and the sum of jets are exact to first order.  Every group sum
+the engine meets has a formally nonzero leading term within two
+coefficients; a sum that cancels through both is a floor past them.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ from typing import Iterable, Sequence
 
 from .characters import AffineForm, CharClass, power_class, ratio_str
 from .normfactor import EPS, L, LExpression, LSymbol
-
-SERIES_DEPTH = 2  # coefficients of every jet a germ sum adds; it floors beyond them
 
 # The completed-L facts: completed zeta's simple poles (integer arguments)
 # with their residues, and the open strip of unknown orders.  Only
@@ -286,40 +285,34 @@ class FormalScalar:
 
 
 # ---------------------------------------------------------------------------
-# first-order jets: Laurent series of at most two coefficients
+# first-order jets: Laurent series of exactly two coefficients
 # ---------------------------------------------------------------------------
 
 class Series:
-    """Truncated Laurent series sum_i coeffs[i] * delta^(ord+i) + O(delta^(ord+len(coeffs))),
-    with at most two coefficients, kept in a tuple so that a cached jet cannot change."""
+    """First-order jet c0 * delta^ord + c1 * delta^(ord+1) + O(delta^(ord+2)),
+    its two coefficients kept in a tuple so that a cached jet cannot change."""
 
     __slots__ = ("ord", "coeffs")
 
     def __init__(self, ord: int, coeffs: Sequence[FormalScalar]):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != 2:
+            raise ValueError(f"a first-order jet has two coefficients, got {len(coeffs)}")
         self.ord = ord
-        self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def exact_one(depth: int) -> "Series":
-        return Series(0, [FormalScalar.rational(1)] + [FormalScalar.zero()] * (depth - 1))
+        self.coeffs = coeffs
 
     def __mul__(self, other: "Series") -> "Series":
         """The product rule: c0 = a0*b0, c1 = a0*b1 + a1*b0."""
-        a, b = self.coeffs, other.coeffs
-        out = [a[0] * b[0]]
-        if len(a) > 1 and len(b) > 1:
-            out.append(a[0] * b[1] + a[1] * b[0])
-        return Series(self.ord + other.ord, out)
+        (a0, a1), (b0, b1) = self.coeffs, other.coeffs
+        return Series(self.ord + other.ord, (a0 * b0, a0 * b1 + a1 * b0))
 
     def inverse(self) -> "Series":
         """The inverse rule: (a0 + a1*delta)^-1 = a0^-1 - a0^-1*a1*a0^-1*delta."""
-        if not self.coeffs or self.coeffs[0].is_zero():
+        a0, a1 = self.coeffs
+        if a0.is_zero():
             raise IndeterminateLeading("cannot invert series with vanishing leading term")
-        a0_inv = self.coeffs[0].inverse()
-        out = [a0_inv]
-        if len(self.coeffs) > 1:
-            out.append(-(a0_inv * self.coeffs[1] * a0_inv))
-        return Series(-self.ord, out)
+        a0_inv = a0.inverse()
+        return Series(-self.ord, (a0_inv, -(a0_inv * a1 * a0_inv)))
 
     def power(self, e: int) -> "Series":
         base = self if e > 0 else self.inverse()
@@ -333,14 +326,14 @@ class Series:
 
     @staticmethod
     def add(series: Iterable["Series"]) -> "Series":
+        """The sum to first order past the lowest order of its terms."""
         items = list(series)
         ord0 = min(s.ord for s in items)
-        n = min(s.ord + len(s.coeffs) for s in items) - ord0
-        out = [FormalScalar.zero() for _ in range(max(n, 0))]
+        out = [FormalScalar.zero(), FormalScalar.zero()]
         for s in items:
             off = s.ord - ord0
             for i, c in enumerate(s.coeffs):
-                if off + i < n:
+                if off + i < 2:
                     out[off + i] = out[off + i] + c
         return Series(ord0, out)
 
@@ -489,26 +482,29 @@ def _value_atoms(kind: str, eff: CharClass, n: int, m: int) -> Monomial:
     return ((("epsv" if kind == EPS else "lval", (eff.value, ratio_str(n, m))), 1),)
 
 
-def _value_series(kind: str, eff: CharClass, u0: Q, der: str, data: tuple[str, ...], a: Q,
-                  depth: int) -> Series:
-    """Taylor series of a value to at most two coefficients: its oriented
-    atoms, then the first Taylor coefficient atom ``der`` at ``data`` times a."""
+def _constant_jet(c: Q | int) -> Series:
+    return Series(0, (FormalScalar.rational(c), FormalScalar.zero()))
+
+
+def _value_series(kind: str, eff: CharClass, u0: Q, der: str, data: tuple[str, ...],
+                  a: Q) -> Series:
+    """Taylor jet of a value: its oriented atoms, then the first Taylor
+    coefficient atom ``der`` at ``data`` times a."""
     head = FormalScalar.monomial(_value_atoms(kind, eff, u0.numerator, u0.denominator))
-    return Series(0, [head, FormalScalar.atom((der, data), a)][:depth])
+    return Series(0, (head, FormalScalar.atom((der, data), a)))
 
 
-def _zeta_pole_series(u0: int, a: Q, depth: int) -> Series:
-    """Laurent series of completed zeta at argument u0 + a*delta, u0 in {0,1},
-    to at most two coefficients.
+def _zeta_pole_series(u0: int, a: Q) -> Series:
+    """Laurent jet of completed zeta at argument u0 + a*delta, u0 in {0,1}.
 
     The expansion at 1 is 1/x + c + O(x); by the exact reflection the
     expansion at 0 is -1/x + c + O(x) with the same c.
     """
-    return Series(-1, [FormalScalar.rational(ZETA_POLE_RESIDUES[u0] / a),
-                       FormalScalar.atom(("zconst", ()))][:depth])
+    return Series(-1, (FormalScalar.rational(ZETA_POLE_RESIDUES[u0] / a),
+                       FormalScalar.atom(("zconst", ()))))
 
 
-def _l_value_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
+def _l_value_series(cls: CharClass, u0: Q, a: Q) -> Series:
     """Series of a nontrivial completed L around argument u0 + a*delta.
 
     For a self-dual class right of the center the functional equation
@@ -517,36 +513,35 @@ def _l_value_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
     derivatives cancel structurally in grouped sums.
     """
     if cls.is_real and u0 > _HALF:
-        return _eps_series(cls, 1 - u0, -a, depth) * _l_value_series(cls, 1 - u0, -a, depth)
-    return _value_series(L, cls, u0, "lder", (cls.value, str(u0)), a, depth)
+        return _eps_series(cls, 1 - u0, -a) * _l_value_series(cls, 1 - u0, -a)
+    return _value_series(L, cls, u0, "lder", (cls.value, str(u0)), a)
 
 
-def _eps_series(cls: CharClass, u0: Q, a: Q, depth: int) -> Series:
+def _eps_series(cls: CharClass, u0: Q, a: Q) -> Series:
     if cls.is_real and u0 > _HALF:
         # eps(x) * eps(1-x) = 1 for a self-dual class
-        return _eps_series(cls, 1 - u0, -a, depth).inverse()
-    return _value_series(EPS, cls, u0, "epsder", (cls.value, str(u0)), a, depth)
+        return _eps_series(cls, 1 - u0, -a).inverse()
+    return _value_series(EPS, cls, u0, "epsder", (cls.value, str(u0)), a)
 
 
-def symbol_series(sym: LSymbol, cls: CharClass, s0: Q, depth: int) -> Series:
-    """Laurent expansion of one symbol around s0 to ``depth`` coefficients,
-    at most two (non-strip only)."""
+def symbol_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
+    """First-order Laurent jet of one symbol around s0 (non-strip only)."""
     eff, n, m, site = _classify(sym, cls, s0.numerator, s0.denominator)
     if site == "strip":
         raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {ratio_str(n, m)}")
     a = sym.arg.a
     if site == "pole":
-        return _zeta_pole_series(n // m, a, depth)
+        return _zeta_pole_series(n // m, a)
     u0 = Q(n, m)
     if eff is CharClass.TRIVIAL:
         if sym.kind == EPS:
-            return Series.exact_one(depth)
+            return _constant_jet(1)
         # the zeta derivative reflects to u >= 1/2 with a sign
         v, sign = (u0, 1) if u0 >= 1 - u0 else (1 - u0, -1)
-        return _value_series(L, eff, u0, "zder", (str(v),), sign * a, depth)
+        return _value_series(L, eff, u0, "zder", (str(v),), sign * a)
     if sym.kind == EPS:
-        return _eps_series(eff, u0, a, depth)
-    return _l_value_series(eff, u0, a, depth)
+        return _eps_series(eff, u0, a)
+    return _l_value_series(eff, u0, a)
 
 
 def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
@@ -569,11 +564,11 @@ def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
     return OrderValue.conditional(base, deps)
 
 
-def known_part_series(expr: LExpression, cls: CharClass, s0: Q, depth: int) -> Series:
-    """Product of the symbols' series, ``depth`` coefficients deep."""
-    out = Series.exact_one(depth).scale(expr.scalar)
+def known_part_series(expr: LExpression, cls: CharClass, s0: Q) -> Series:
+    """First-order jet of the expression: the product of its symbols' jets."""
+    out = _constant_jet(expr.scalar)
     for sym, e in expr.factors:
-        out = out * symbol_series(sym, cls, s0, depth).power(e)
+        out = out * symbol_series(sym, cls, s0).power(e)
     return out
 
 
@@ -609,24 +604,17 @@ def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> tuple[OrderValue, Forma
     return OrderValue.conditional(base, deps), leading
 
 
-@dataclass
-class GermSum:
-    """Result of a weighted sum: exact when certified, else a floor."""
-
-    order: OrderValue
-    leading: FormalScalar | None
-
-
-def sum_series(terms: list[tuple[Series, Q]]) -> GermSum:
-    """Weighted sum of jets: exact when its leading term is certified nonzero, else a floor."""
+def sum_series(terms: list[tuple[Series, Q]]) -> tuple[OrderValue, FormalScalar | None]:
+    """Order and leading coefficient of a weighted sum of jets: the order is
+    exact when the leading term is certified nonzero, else a floor."""
     total = Series.add([s.scale(w) for s, w in terms])
     got = total.leading()
     if got is None:
-        return GermSum(OrderValue.at_least(total.ord + len(total.coeffs)), None)
+        return OrderValue.at_least(total.ord + 2), None
     order, lead = got
     if lead.certified_nonzero():
-        return GermSum(OrderValue.known(order), lead)
-    return GermSum(OrderValue.at_least(order), lead)
+        return OrderValue.known(order), lead
+    return OrderValue.at_least(order), lead
 
 
 # ---------------------------------------------------------------------------

@@ -120,16 +120,14 @@ def raw_quotient_factors(lam: TorusCharacter, w: WeylElement) -> list[LExpressio
             for alpha in SP4.negative_set(w)]
 
 
-def canonicalize(expr: LExpression, cls: CharClass | None = None) -> LExpression:
+def canonicalize(expr: LExpression, cls: CharClass) -> LExpression:
     """Class-aware canonical form.
 
-    Without a class the expression is merely sorted and cancelled.  With a
-    class, chi powers are reduced (chi^2 collapses for quadratic classes)
-    and epsilon symbols of the resulting trivial character are dropped,
-    since the completed epsilon of the trivial character is identically 1.
+    Chi powers are reduced (chi^2 collapses for quadratic classes) and
+    epsilon symbols of the resulting trivial character are dropped, since
+    the completed epsilon of the trivial character is identically 1.  An
+    expression is already sorted and cancelled by ``LExpression.build``.
     """
-    if cls is None:
-        return LExpression.build(expr.scalar, expr.as_dict())
     d: dict[LSymbol, int] = {}
     for sym, e in expr.factors:
         k = reduce_power(cls, sym.power)

@@ -12,7 +12,7 @@ from sp4eis.constant_term import (
     factor_expression,
 )
 from sp4eis.germs import (
-    SERIES_DEPTH, DegenerateSymbol, GermError, OrderValue, StripDep, StripOrderUnknown,
+    DegenerateSymbol, FormalScalar, GermError, OrderValue, StripDep, StripOrderUnknown,
     _classify, _value_atoms, apply_functional_equation, germ_at, known_part_series, order_at,
     sum_series, symbol_series,
 )
@@ -47,8 +47,9 @@ def definitely_nonnegative(ov: OrderValue) -> bool:
 
 
 def full_depth_sum(terms: list, cls: CharClass, s0: Q):
-    """Weighted sum of expressions at s0, each expanded to ``SERIES_DEPTH``."""
-    return sum_series([(known_part_series(e, cls, s0, SERIES_DEPTH), w) for e, w in terms])
+    """Order and leading coefficient of a weighted sum of expressions at s0,
+    each expanded to its first-order jet."""
+    return sum_series([(known_part_series(e, cls, s0), w) for e, w in terms])
 
 
 def spherical_groups(case: str, s0: Q, cls: CharClass):
@@ -188,7 +189,7 @@ def test_symbol_head_matches_series_head(kind, power, a, b2, cls, s8):
     expr = expr_of(1, {sym: 1})
     s0 = Q(s8, 8)
     direct = _head_or_error(lambda: germ_at(expr, cls, s0))
-    series = _head_or_error(lambda: symbol_series(sym, cls, s0, 1))
+    series = _head_or_error(lambda: symbol_series(sym, cls, s0))
     if series is StripOrderUnknown:
         order, leading = direct
         assert order.kind == "conditional" and leading is None
@@ -256,7 +257,7 @@ def test_germ_refuses_strip():
     assert order.kind == "conditional" and leading is None
     (sym,) = [sym for sym, _ in rc1.factors if Q(*sym.arg.ratio(-3, 2)) == Q(1, 2)]
     with pytest.raises(StripOrderUnknown):
-        symbol_series(sym, TR, Q(-3, 2), 1)
+        symbol_series(sym, TR, Q(-3, 2))
 
 
 def test_degenerate_constant_symbol():
@@ -268,24 +269,24 @@ def test_degenerate_constant_symbol():
 def test_sum_heisenberg_origin():
     rs = _expr("heisenberg", "s", TR)
     rsc1 = _expr("heisenberg", "c2s", TR)
-    out = full_depth_sum([(rs, Q(1)), (rsc1, Q(1))], TR, Q(0))
-    assert out.order == OrderValue.known(0)
-    assert out.leading.render() == "2*Lam_c*Lam(2)^-1"
+    order, lead = full_depth_sum([(rs, Q(1)), (rsc1, Q(1))], TR, Q(0))
+    assert order == OrderValue.known(0)
+    assert lead.render() == "2*Lam_c*Lam(2)^-1"
 
 
 def test_sum_at_one():
     rc1 = _expr("heisenberg", "sc2s", TR)
     rsc1 = _expr("heisenberg", "c2s", TR)
-    out = full_depth_sum([(rsc1, Q(1)), (rc1, Q(1))], TR, Q(1))
-    assert out.order == OrderValue.known(0)
-    assert out.leading.render() == "2*Lam_c*Lam(3)^-1"
+    order, lead = full_depth_sum([(rsc1, Q(1)), (rc1, Q(1))], TR, Q(1))
+    assert order == OrderValue.known(0)
+    assert lead.render() == "2*Lam_c*Lam(3)^-1"
 
 
 def test_sum_with_zero_weight_is_identity():
     e = _expr("heisenberg", "s", TR)
-    out = full_depth_sum([(e, Q(1)), (e, Q(0))], TR, Q(0))
-    assert out.order == order_at(e, TR, Q(0))
-    assert out.leading.render() == germ_at(e, TR, Q(0))[1].render()
+    order, lead = full_depth_sum([(e, Q(1)), (e, Q(0))], TR, Q(0))
+    assert order == order_at(e, TR, Q(0))
+    assert lead.render() == germ_at(e, TR, Q(0))[1].render()
 
 
 def test_sum_vanishing_at_minus_one():
@@ -293,18 +294,18 @@ def test_sum_vanishing_at_minus_one():
     assert (order_at(rs, TR, Q(-1)), germ_at(rs, TR, Q(-1))[1].render()) == (OrderValue.known(0), "-1")
     # the identity summand cancels the value exactly; the next Laurent
     # coefficient only involves the certified zeta constant
-    out = full_depth_sum([(LExpression.one(), Q(1)), (rs, Q(1))], TR, Q(-1))
-    assert out.order == OrderValue.known(1)
-    assert out.leading.render() == "2*Lam_c"
+    order, lead = full_depth_sum([(LExpression.one(), Q(1)), (rs, Q(1))], TR, Q(-1))
+    assert order == OrderValue.known(1)
+    assert lead.render() == "2*Lam_c"
 
 
 def test_sum_with_opaque_tail_gives_floor_only():
     # 1 - r(c1)^-1 at 0: the values cancel exactly but the next coefficient
     # involves an opaque derivative atom, so only a floor is reported
     rc1 = _expr("heisenberg", "sc2s", TR)
-    out = full_depth_sum([(LExpression.one(), Q(1)), (rc1, Q(-1))], TR, Q(0))
-    assert not out.order.is_known
-    assert out.order.base >= 1  # value vanishes at the point
+    order, _ = full_depth_sum([(LExpression.one(), Q(1)), (rc1, Q(-1))], TR, Q(0))
+    assert not order.is_known
+    assert order.base >= 1  # value vanishes at the point
 
 
 def test_sum_refuses_strip():
@@ -318,29 +319,30 @@ def test_quadratic_bracket_exact_vanishing():
     # nonzero derivative coefficient
     plus = expr_of(1, {lsym(-1, 0): 1})
     minus = expr_of(1, {lsym(1, 0): 1})
-    out = full_depth_sum([(plus, Q(1)), (minus, Q(-1))], QU, Q(0))
-    assert out.order == OrderValue.known(1)
-    assert out.leading.render() == "-2*Lhat[quadratic]^(1)(0)"
+    order, lead = full_depth_sum([(plus, Q(1)), (minus, Q(-1))], QU, Q(0))
+    assert order == OrderValue.known(1)
+    assert lead.render() == "-2*Lhat[quadratic]^(1)(0)"
 
 
 def test_double_pole_cancellation_siegel():
     sc2 = _expr("siegel", "sc2", TR)
     c2sc2 = _expr("siegel", "c2sc2", TR)
-    out = full_depth_sum([(sc2, Q(1)), (c2sc2, Q(1))], TR, Q(1, 2))
+    order, lead = full_depth_sum([(sc2, Q(1)), (c2sc2, Q(1))], TR, Q(1, 2))
     # the double poles cancel, a simple pole with a nonzero coefficient remains
-    assert out.order == OrderValue.known(-1)
-    assert out.leading.render() == "Lam_c*Lam(2)^-2"
+    assert order == OrderValue.known(-1)
+    assert lead.render() == "Lam_c*Lam(2)^-2"
 
 
 def test_total_cancellation_floors_at_the_cap():
     e = _expr("heisenberg", "s", TR)
-    out = full_depth_sum([(e, Q(1)), (e, Q(-1))], TR, Q(0))
-    assert out.leading is None
-    assert out.order == OrderValue.at_least(order_at(e, TR, Q(0)).base + SERIES_DEPTH)
+    order, lead = full_depth_sum([(e, Q(1)), (e, Q(-1))], TR, Q(0))
+    assert lead is None
+    # the jets cancel through both coefficients: a floor past them
+    assert order == OrderValue.at_least(order_at(e, TR, Q(0)).base + 2)
 
 
 # ---------------------------------------------------------------------------
-# depth on demand gives the answers of a fixed depth
+# heads first, then whole jets, gives the answers of whole jets
 # ---------------------------------------------------------------------------
 
 CASE_CLASSES = [(case, cls) for case in ("heisenberg", "siegel") for cls in (TR, QU, OT)]
@@ -360,7 +362,7 @@ def test_singleton_germ_matches_full_depth(case, cls):
             if order_at(expr, cls, s0).deps:
                 continue
             lazy = germ_at(expr, cls, s0)[1]
-            order, lead = known_part_series(expr, cls, s0, SERIES_DEPTH).leading()
+            order, lead = known_part_series(expr, cls, s0).leading()
             assert (order_at(expr, cls, s0), lazy.render(), lazy.certified_nonzero()) == \
                 (OrderValue.known(order), lead.render(), lead.certified_nonzero()), (w.name, s0)
             checked += 1
@@ -368,13 +370,17 @@ def test_singleton_germ_matches_full_depth(case, cls):
 
 
 def deepening_sum(terms: list, cls: CharClass, s0: Q):
-    """The reference: one coefficient per expression, then one more while the
-    heads cancel formally, up to ``SERIES_DEPTH``."""
-    for depth in range(1, SERIES_DEPTH + 1):
-        out = sum_series([(known_part_series(e, cls, s0, depth), w) for e, w in terms])
-        if out.leading is not None:
-            break
-    return out
+    """The reference: the weighted sum of the heads (``germ_at``) at the lowest
+    order, and the whole first-order jets only while those heads cancel formally."""
+    heads = [(germ_at(e, cls, s0), w) for e, w in terms]
+    ord0 = min(order.base for (order, _), _ in heads)
+    head = FormalScalar.zero()
+    for (order, lead), w in heads:
+        if order.base == ord0:
+            head = head + lead.scale(w)
+    if head.is_zero():
+        return full_depth_sum(terms, cls, s0)
+    return OrderValue.known(ord0) if head.certified_nonzero() else OrderValue.at_least(ord0), head
 
 
 def test_group_sum_matches_full_depth():
@@ -391,12 +397,12 @@ def test_group_sum_matches_full_depth():
             _, jets = _group_jets(case, tuple(group), cls, s0)
             for signs in itertools.product((Q(1), Q(-1)), repeat=len(group) - 1):
                 weights = (Q(1),) + signs
-                lazy = deepening_sum(list(zip(rems, weights)), cls, s0)
-                full = sum_series(list(zip(jets, weights)))
-                lazy_cancelled = lazy.order.base > min(orders)
-                full_cancelled = full.order.base > min(x.ord for x in jets)
-                assert (lazy.order, _render(lazy.leading), lazy_cancelled) == \
-                    (full.order, _render(full.leading), full_cancelled), \
+                lazy_order, lazy_lead = deepening_sum(list(zip(rems, weights)), cls, s0)
+                full_order, full_lead = sum_series(list(zip(jets, weights)))
+                lazy_cancelled = lazy_order.base > min(orders)
+                full_cancelled = full_order.base > min(x.ord for x in jets)
+                assert (lazy_order, _render(lazy_lead), lazy_cancelled) == \
+                    (full_order, _render(full_lead), full_cancelled), \
                     ([w.name for w in group], s0, weights)
                 checked += 1
     assert checked == 28  # 14 same-target pairs, two sign patterns each
@@ -406,18 +412,18 @@ def test_group_sum_matches_full_depth():
 # exact renders of atoms and scalars that the golden reports never print
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("case, cls, group, weights, order, lead", [
+@pytest.mark.parametrize("case, cls, group, weights, want_order, want_lead", [
     ("heisenberg", TR, ["id", "sc2s"], (1, -1), ">= 1", "2*Lam^(1)(2)*Lam(2)^-1"),
     ("siegel", TR, ["id", "c2sc2"], (1, 1), ">= 1", "4*Lam_c+2*Lam^(1)(3/2)*Lam(3/2)^-1"),
     ("siegel", QU, ["id", "c2sc2"], (1, 1), ">= 0", "1-eps[quadratic](1/2)"),
     ("siegel", QU, ["id", "c2sc2"], (1, -1), ">= 0", "1+eps[quadratic](1/2)"),
 ])
-def test_floor_leading_terms_at_zero(case, cls, group, weights, order, lead):
+def test_floor_leading_terms_at_zero(case, cls, group, weights, want_order, want_lead):
     (members,) = [g for g in spherical_groups(case, Q(0), cls) if [w.name for w in g] == group]
     exprs = [factor_expression(case, w, cls) for w in members]
     inv = _common_factor(exprs).inverse()
-    out = full_depth_sum([(e * inv, Q(w)) for e, w in zip(exprs, weights)], cls, Q(0))
-    assert (out.order.render(), out.leading.render()) == (order, lead)
+    order, lead = full_depth_sum([(e * inv, Q(w)) for e, w in zip(exprs, weights)], cls, Q(0))
+    assert (order.render(), lead.render()) == (want_order, want_lead)
 
 
 @pytest.mark.parametrize("sym, cls, s0", [
@@ -432,9 +438,8 @@ def test_floor_leading_terms_at_zero(case, cls, group, weights, order, lead):
     (lsym(1, 0, 1, EPS), TR, Q(1)),       # trivial eps
 ])
 def test_symbol_series_has_the_requested_depth(sym, cls, s0):
-    for depth in range(1, SERIES_DEPTH + 1):
-        series = symbol_series(sym, cls, s0, depth)
-        assert len(series.coeffs) == depth
+    # every jet is first-order: two coefficients
+    assert len(symbol_series(sym, cls, s0).coeffs) == 2
 
 
 @pytest.mark.parametrize("sym, cls, s0, coeffs", [
@@ -448,7 +453,7 @@ def test_symbol_series_has_the_requested_depth(sym, cls, s0):
     ]),
 ])
 def test_symbol_series_renders(sym, cls, s0, coeffs):
-    assert [c.render() for c in symbol_series(sym, cls, s0, 2).coeffs] == coeffs
+    assert [c.render() for c in symbol_series(sym, cls, s0).coeffs] == coeffs
 
 
 # ---------------------------------------------------------------------------

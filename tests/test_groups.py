@@ -36,7 +36,7 @@ from sp4eis.characters import COSET_REPS, TARGETS, CharClass, power_class, reduc
 from sp4eis.constant_term import (
     PlaceProfile, _common_factor, _group_jets, eisenstein_order, evaluate_group, term_report,
 )
-from sp4eis.germs import SERIES_DEPTH, known_part_series, order_at, sum_series
+from sp4eis.germs import known_part_series, order_at, sum_series
 from sp4eis.localrules import ARCH, ActionRule, Condition, default_rules
 from sp4eis.normfactor import EPS
 from sp4eis.numerics import completed_dirichlet, completed_zeta, table_for_modulus
@@ -114,25 +114,23 @@ def group_sums(case: str, cls: CharClass, s0: Q, members: tuple) -> list[tuple[s
         weighted = [replace(t, actions=(weight_row(case, t.w, members[0], wt),))
                     for t, wt in zip(terms, weights)]
         report = evaluate_group(case, weighted, PROFILE, s0, cls)
-        out = full_depth_sum(list(zip(rems, weights)), cls, s0)
+        order, _ = full_depth_sum(list(zip(rems, weights)), cls, s0)
         assert report.weights == {t.w.name: str(wt) for t, wt in zip(terms, weights)}
-        assert report.order == common_order + out.order
+        assert report.order == common_order + order
         rows.append((case, cls.value, str(s0), ",".join(w.name for w in members),
                      ",".join(f"{wt:+d}" for wt in weights),
                      json.dumps(common_order.to_json(), sort_keys=True),
-                     json.dumps(out.order.to_json(), sort_keys=True),
+                     json.dumps(order.to_json(), sort_keys=True),
                      report.leading or "-", str(report.cancelled).lower()))
     return rows
 
 
 def depth_used(rems: list, weights: tuple, cls: CharClass, s0: Q) -> int | None:
-    """The fewest coefficients at which the weighted sum shows a leading term."""
-    for depth in range(1, SERIES_DEPTH + 1):
-        total = sum_series([(known_part_series(e, cls, s0, depth), wt)
-                            for e, wt in zip(rems, weights)])
-        if total.leading is not None:
-            return depth
-    return None
+    """The fewest coefficients at which the weighted sum shows a leading term:
+    its exponent less the lowest order of the jets, plus one."""
+    jets = [known_part_series(e, cls, s0) for e in rems]
+    order, lead = sum_series(list(zip(jets, weights)))
+    return None if lead is None else order.base - min(j.ord for j in jets) + 1
 
 
 def test_groups_are_the_fourteen_pairs():
@@ -163,7 +161,7 @@ def test_remainders_are_strip_free_and_every_sum_has_a_leading_term():
             depth = depth_used(rems, weights, cls, s0)
             assert depth is not None, (case, cls, s0, weights)
             depths.append(depth)
-    assert max(depths) == SERIES_DEPTH
+    assert max(depths) == 2
 
 
 def pinned_rows() -> list[tuple[str, ...]]:
@@ -197,7 +195,7 @@ def test_group_jet_cache_holds_the_fourteen_groups_unaltered():
     for case, cls, s0, members in groups():
         common_order, jets = _group_jets(case, members, cls, s0)
         _, common, rems = remainders(case, cls, s0, members)
-        fresh = [known_part_series(r, cls, s0, SERIES_DEPTH) for r in rems]
+        fresh = [known_part_series(r, cls, s0) for r in rems]
         assert common_order == order_at(common, cls, s0)
         assert [(j.ord, [c.render() for c in j.coeffs]) for j in jets] == \
             [(f.ord, [c.render() for c in f.coeffs]) for f in fresh]
@@ -289,15 +287,15 @@ def test_contour_oracle_agrees_with_every_group_sum(character):
         _, _, rems = remainders(case, cls, s0, members)
         values = [[expression_value(r, cls, tbl, float(s0) + z) for z in CIRCLE] for r in rems]
         for weights in WEIGHTS:
-            out = full_depth_sum(list(zip(rems, weights)), cls, s0)
-            order = out.order.base
+            sum_order, sum_lead = full_depth_sum(list(zip(rems, weights)), cls, s0)
+            order = sum_order.base
             g = [sum(w * v for w, v in zip(weights, at)) for at in zip(*values)]
             where = (case, s0, [w.name for w in members], weights)
             for k in (order - 2, order - 1):
                 assert abs(laurent(g, k)) < 1e-8, (where, k, laurent(g, k))
-            lead = scalar_value(out.leading, tbl)
+            lead = scalar_value(sum_lead, tbl)
             assert abs(laurent(g, order) - lead) < 1e-6 * max(1, abs(lead)), \
-                (where, laurent(g, order), out.leading.render(), lead)
+                (where, laurent(g, order), sum_lead.render(), lead)
             checked += 1
     assert checked == count
 

@@ -2,6 +2,7 @@
 
 from functools import reduce
 
+import pytest
 from hypothesis import given, strategies as st
 
 from sp4eis.germs import FormalScalar, Series
@@ -26,10 +27,17 @@ nonzero_monomials = st.builds(FormalScalar.monomial, monomials, coefficients.fil
 
 @st.composite
 def series(draw):
-    """A jet of at most two coefficients whose leading one is an invertible monomial."""
-    head = draw(nonzero_monomials)
-    tail = draw(st.lists(scalars, max_size=1))
-    return Series(draw(st.integers(-2, 2)), [head] + tail)
+    """A first-order jet whose leading coefficient is an invertible monomial."""
+    return Series(draw(st.integers(-2, 2)), [draw(nonzero_monomials), draw(scalars)])
+
+
+ONE = Series(0, [FormalScalar.rational(1), FormalScalar.zero()])
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_a_jet_has_exactly_two_coefficients(n):
+    with pytest.raises(ValueError):
+        Series(0, [FormalScalar.rational(1)] * n)
 
 
 def same_series(a: Series, b: Series) -> bool:
@@ -77,12 +85,12 @@ def test_ring_operations_stay_canonical(x, y, c, m):
 def test_jet_product_is_commutative_associative_and_unital(a, b, c):
     assert same_series(a * b, b * a)
     assert same_series((a * b) * c, a * (b * c))
-    assert same_series(a * Series.exact_one(len(a.coeffs)), a)
+    assert same_series(a * ONE, a)
 
 
 @given(series())
 def test_series_inverse_times_self_is_one(s):
-    assert same_series(s.inverse() * s, Series.exact_one(len(s.coeffs)))
+    assert same_series(s.inverse() * s, ONE)
 
 
 @given(series(), st.integers(-3, 3).filter(bool))
