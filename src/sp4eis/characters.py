@@ -259,10 +259,10 @@ def _unknown_case(case: str) -> ValueError:
     return ValueError(f"unknown case {case!r} (expected 'heisenberg' or 'siegel')")
 
 
-def lambda_for_case(case: str) -> tuple[TorusCharacter, RootVector]:
-    """Inducing character and the simple root kept positive, per case."""
+def lambda_for_case(case: str) -> TorusCharacter:
+    """Inducing character of the case."""
     try:
-        return _CASES[case]
+        return _CASES[case][0]
     except KeyError:
         raise _unknown_case(case) from None
 

@@ -114,7 +114,7 @@ def _theorem_id(name: str) -> str:
 
 
 def cmd_normfactor(args) -> int:
-    lam, _ = lambda_for_case(args.case)
+    lam = lambda_for_case(args.case)
     w = args.w  # parsed by _weyl_element
     expr = inverse_norm_factor(lam, w)
     cls = parse_class(args.char_class) if args.char_class else None

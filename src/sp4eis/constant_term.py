@@ -46,7 +46,7 @@ class ProfileError(ValueError):
 @cache
 def factor_expression(case: str, w: WeylElement, cls: CharClass) -> LExpression:
     """Canonicalized inverse normalizing factor, memoized per (case, w, class)."""
-    lam, _ = lambda_for_case(case)
+    lam = lambda_for_case(case)
     return canonicalize(inverse_norm_factor(lam, w), cls)
 
 

@@ -26,8 +26,7 @@ a nonzero value: zeta reflected to u >= 1/2, self-dual L and epsilon left
 of 1/2 sent through the functional equation; its argument strings come
 from ``ratio_str``, which prints n/m as ``str(Fraction)`` does.  A
 ``Fraction`` is built only for a value a report keeps: a ``StripDep``
-point, a zeta residue over the slope, and the arguments of
-``symbol_series``, which serves group sums.  First-order jets, Laurent
+point and a zeta residue over the slope.  First-order jets, Laurent
 series of exactly two coefficients over this scalar ring, drive
 cancellation detection in sums of germs.  Two atoms that are not plainly
 nonzero carry a nonzeroness assertion that the numeric layer
@@ -43,12 +42,18 @@ common factor), with no ``FormalScalar`` at all.
 Series serve sums only.  A ``Series`` is a first-order jet: an order and
 exactly two coefficients, which its constructor enforces.
 ``symbol_series`` expands one symbol (refusing strip symbols): coefficient
-0 from the same orientation table, coefficient 1 a first Taylor
-coefficient or the zeta constant.  ``known_part_series`` expands one
-expression and ``sum_series`` adds weighted expansions; the product, the
-inverse and the sum of jets are exact to first order.  Every group sum
-the engine meets has a formally nonzero leading term within two
-coefficients; a sum that cancels through both is a floor past them.
+0 is the head ``germ_at`` multiplies, coefficient 1 the zeta constant at a
+pole and otherwise the slope times one derivative rule.  The rule
+differentiates the value in the orientation ``_value_atoms`` gives it, at
+the same argument n/m: a derivative atom at u, reflected with a sign for
+zeta left of 1/2, and right of 1/2 for a self-dual class the derivative of
+eps(1-u)^-1 or of eps(1-u) L(1-u), with derivative atoms at 1-u.
+``known_part_series`` expands one expression and ``sum_series`` adds
+weighted expansions; the product, the inverse and the sum of jets, which
+only ``known_part_series`` and ``sum_series`` use, are exact to first
+order.  Every group sum the engine meets has a formally nonzero leading
+term within two coefficients; a sum that cancels through both is a floor
+past them.
 """
 
 from __future__ import annotations
@@ -438,9 +443,6 @@ class OrderValue:
 # symbol germs from the knowledge base
 # ---------------------------------------------------------------------------
 
-_HALF = Q(1, 2)
-
-
 def _classify(sym: LSymbol, cls: CharClass, p: int, q: int) -> tuple[CharClass, int, int, str]:
     """Effective class, argument n/m (m > 0, not reduced) and site of one
     symbol at s0 = p/q (lowest terms, q > 0).
@@ -486,62 +488,45 @@ def _constant_jet(c: Q | int) -> Series:
     return Series(0, (FormalScalar.rational(c), FormalScalar.zero()))
 
 
-def _value_series(kind: str, eff: CharClass, u0: Q, der: str, data: tuple[str, ...],
-                  a: Q) -> Series:
-    """Taylor jet of a value: its oriented atoms, then the first Taylor
-    coefficient atom ``der`` at ``data`` times a."""
-    head = FormalScalar.monomial(_value_atoms(kind, eff, u0.numerator, u0.denominator))
-    return Series(0, (head, FormalScalar.atom((der, data), a)))
-
-
-def _zeta_pole_series(u0: int, a: Q) -> Series:
-    """Laurent jet of completed zeta at argument u0 + a*delta, u0 in {0,1}.
-
-    The expansion at 1 is 1/x + c + O(x); by the exact reflection the
-    expansion at 0 is -1/x + c + O(x) with the same c.
-    """
-    return Series(-1, (FormalScalar.rational(ZETA_POLE_RESIDUES[u0] / a),
-                       FormalScalar.atom(("zconst", ()))))
-
-
-def _l_value_series(cls: CharClass, u0: Q, a: Q) -> Series:
-    """Series of a nontrivial completed L around argument u0 + a*delta.
-
-    For a self-dual class right of the center the functional equation
-    L(x) = eps(1-x) L(1-x) rebases the expansion on the reflected point,
-    so every derivative atom lives at an argument <= 1/2 and epsilon
-    derivatives cancel structurally in grouped sums.
-    """
-    if cls.is_real and u0 > _HALF:
-        return _eps_series(cls, 1 - u0, -a) * _l_value_series(cls, 1 - u0, -a)
-    return _value_series(L, cls, u0, "lder", (cls.value, str(u0)), a)
-
-
-def _eps_series(cls: CharClass, u0: Q, a: Q) -> Series:
-    if cls.is_real and u0 > _HALF:
-        # eps(x) * eps(1-x) = 1 for a self-dual class
-        return _eps_series(cls, 1 - u0, -a).inverse()
-    return _value_series(EPS, cls, u0, "epsder", (cls.value, str(u0)), a)
-
-
 def symbol_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
-    """First-order Laurent jet of one symbol around s0 (non-strip only)."""
+    """First-order Laurent jet of one symbol around s0 (non-strip only).
+
+    Coefficient 0 is the head ``germ_at`` multiplies.  At a zeta pole the
+    jet is the residue over the slope a, then the constant ``Lam_c``: the
+    expansion at 1 is 1/x + c + O(x), and by the exact reflection the one
+    at 0 is -1/x + c + O(x) with the same c.  Any other value has its
+    ``_value_atoms``, then a times the derivative of that orientation.
+    """
     eff, n, m, site = _classify(sym, cls, s0.numerator, s0.denominator)
     if site == "strip":
         raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {ratio_str(n, m)}")
     a = sym.arg.a
     if site == "pole":
-        return _zeta_pole_series(n // m, a)
-    u0 = Q(n, m)
+        return Series(-1, (FormalScalar.rational(ZETA_POLE_RESIDUES[n // m] / a),
+                           FormalScalar.atom(("zconst", ()))))
+    u, v = ratio_str(n, m), ratio_str(m - n, m)
     if eff is CharClass.TRIVIAL:
+        # a trivial epsilon is 1; the zeta derivative reflects to u >= 1/2 with a sign
         if sym.kind == EPS:
-            return _constant_jet(1)
-        # the zeta derivative reflects to u >= 1/2 with a sign
-        v, sign = (u0, 1) if u0 >= 1 - u0 else (1 - u0, -1)
-        return _value_series(L, eff, u0, "zder", (str(v),), sign * a)
-    if sym.kind == EPS:
-        return _eps_series(eff, u0, a)
-    return _l_value_series(eff, u0, a)
+            der = FormalScalar.zero()
+        elif 2 * n < m:
+            der = FormalScalar.atom(("zder", (v,)), -a)
+        else:
+            der = FormalScalar.atom(("zder", (u,)), a)
+    elif not (eff.is_real and 2 * n > m):
+        der = FormalScalar.atom(("epsder" if sym.kind == EPS else "lder", (eff.value, u)), a)
+    else:
+        # right of 1/2 a self-dual class differentiates eps(u) = eps(1-u)^-1
+        # and L(u) = eps(1-u) L(1-u), where eps(1-u) = e^-1 and L(1-u) = e L(u)
+        # for e = eps(u)
+        e, epsder = ("epsv", (eff.value, u)), ("epsder", (eff.value, v))
+        if sym.kind == EPS:
+            der = FormalScalar.monomial(((e, 2), (epsder, 1)), a)
+        else:
+            lder, lval = ("lder", (eff.value, v)), ("lval", (eff.value, u))
+            der = (FormalScalar.monomial(((e, -1), (lder, 1)), -a)
+                   + FormalScalar.monomial(((e, 1), (lval, 1), (epsder, 1)), -a))
+    return Series(0, (FormalScalar.monomial(_value_atoms(sym.kind, eff, n, m)), der))
 
 
 def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
@@ -580,10 +565,9 @@ def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> tuple[OrderValue, Forma
     conditional.  Otherwise each symbol's head is the coefficient 0 of
     its ``symbol_series``, a nonzero monomial: a zeta pole gives its
     residue over the argument's slope, any other symbol its
-    ``_value_atoms`` (right of 1/2 the series' self-dual rebase cancels
-    its epsilon pair, leaving the same atoms).  The leading coefficient
-    is the product of the heads: the rationals multiply and the atom
-    exponents add, and the monomial is normalized once at the end.
+    ``_value_atoms``.  The leading coefficient is the product of the
+    heads: the rationals multiply and the atom exponents add, and the
+    monomial is normalized once at the end.
     """
     base = 0
     deps: list[StripDep] = []

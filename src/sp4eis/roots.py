@@ -4,13 +4,15 @@ Everything here is exact: root coordinates are :class:`fractions.Fraction`
 tuples, Weyl elements are stored both in normal form (permutation, signs)
 and as a reduced word over the simple reflections, with the traditional
 generator names ``s`` (swap of the two coordinates) and ``c2`` (sign flip
-of the second coordinate).  The group has eight elements and is built
+of the second coordinate).  One product rule, ``_product``, serves both
+``multiply`` and the construction of the group: the breadth-first closure
+of the identity under it, whose first word to reach an element is a
+shortest, hence reduced, one.  The group has eight elements and is built
 once, as the shared instance :data:`SP4`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Iterable
@@ -46,14 +48,15 @@ class WeylElement:
     ``w(e_i) = signs[i] * e_{perm[i]}`` (0-indexed).  ``word`` is the
     canonical reduced word over the simple reflections, each entry a
     generator name such as ``"s"`` or ``"c2"``.  Equality and hashing use
-    the normal form only, so ``sc2s`` and any other expression of the same
-    signed permutation compare equal.  ``name``, ``length`` and the
-    identity flag are computed once, when the element is built.
+    the normal form only (every other field is ``compare=False``), so
+    ``sc2s`` and any other expression of the same signed permutation
+    compare equal.  ``name``, ``length`` and the identity flag are
+    computed once, when the element is built.
     """
 
     perm: tuple[int, ...]
     signs: tuple[int, ...]
-    word: tuple[str, ...]
+    word: tuple[str, ...] = field(compare=False)
     name: str = field(init=False, compare=False)
     length: int = field(init=False, compare=False)
     _identity: bool = field(init=False, repr=False, compare=False)
@@ -67,14 +70,6 @@ class WeylElement:
     @property
     def rank(self) -> int:
         return len(self.perm)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.perm == other.perm and self.signs == other.signs
-
-    def __hash__(self) -> int:
-        return hash((self.perm, self.signs))
 
     def is_identity(self) -> bool:
         return self._identity
@@ -93,6 +88,12 @@ class WeylElement:
         return f"WeylElement({self.name})"
 
 
+def _product(w1: WeylElement, w2: WeylElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Normal form (perm, signs) of w1*w2 acting as v -> w1(w2(v))."""
+    return (tuple(w1.perm[j] for j in w2.perm),
+            tuple(s * w1.signs[j] for s, j in zip(w2.signs, w2.perm)))
+
+
 ALIASES = {
     # traditional names used for the sign flips, and for the identity
     "c1": "sc2s",
@@ -108,9 +109,11 @@ class CRootSystem:
 
     The positive roots, in height order, are ``e1 - e2``, ``2 e2``,
     ``e1 + e2`` and ``2 e1``; the first two are simple, with reflections
-    ``s`` and ``c2``.  Elements are sorted by (length, word), so output
-    is reproducible.  Roots, elements and the name table are built once
-    in the constructor.
+    ``s`` and ``c2``.  The elements are the breadth-first closure of the
+    identity under left multiplication by ``s``, then ``c2``; each keeps
+    the first word that reaches it.  They are sorted by (length, word), so
+    output is reproducible.  Roots, elements and the name table are built
+    once in the constructor.
     """
 
     def __init__(self):
@@ -121,12 +124,18 @@ class CRootSystem:
             "s": WeylElement((1, 0), (1, 1), ("s",)),
             "c2": WeylElement((0, 1), (1, -1), ("c2",)),
         }
-        self._elements = sorted(
-            (self._with_reduced_word(perm, signs)
-             for perm in itertools.permutations(range(2))
-             for signs in itertools.product((1, -1), repeat=2)),
-            key=WeylElement.sort_key)
-        self._by_form = {(w.perm, w.signs): w for w in self._elements}
+        self._by_form = {((0, 1), (1, 1)): WeylElement((0, 1), (1, 1), ())}
+        frontier = list(self._by_form.values())
+        while frontier:
+            grown = []
+            for w in frontier:
+                for g, gen in self._generators.items():
+                    form = _product(gen, w)
+                    if form not in self._by_form:
+                        self._by_form[form] = WeylElement(*form, (g,) + w.word)
+                        grown.append(self._by_form[form])
+            frontier = grown
+        self._elements = sorted(self._by_form.values(), key=WeylElement.sort_key)
         by_name = {w.name: w for w in self._elements}
         self._by_name = by_name | {a: by_name[name] for a, name in ALIASES.items()}
 
@@ -158,36 +167,13 @@ class CRootSystem:
 
     def multiply(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
         """Product w1*w2 acting as v -> w1(w2(v))."""
-        perm = tuple(w1.perm[j] for j in w2.perm)
-        signs = tuple(s * w1.signs[j] for s, j in zip(w2.signs, w2.perm))
-        return self._by_form[(perm, signs)]
+        return self._by_form[_product(w1, w2)]
 
     def from_word(self, word: Iterable[str]) -> WeylElement:
         w = self.identity()
         for g in word:
             w = self.multiply(w, self.generator(g))
         return w
-
-    def _with_reduced_word(self, perm: tuple[int, ...], signs: tuple[int, ...]) -> WeylElement:
-        """Attach the canonical reduced word to a normal form.
-
-        Greedy descent: repeatedly strip the lowest-index simple reflection
-        sent negative.  This yields a deterministic reduced word whose
-        length equals the number of positive roots made negative.
-        """
-        word_rev: list[str] = []
-        cur = WeylElement(perm, signs, ())
-        while not cur.is_identity():
-            for (g, gen), alpha in zip(self._generators.items(), self._simple):
-                if is_negative(cur.apply(alpha)):
-                    word_rev.append(g)
-                    cur = WeylElement(tuple(cur.perm[j] for j in gen.perm),
-                                      tuple(s * cur.signs[j] for s, j in zip(gen.signs, gen.perm)),
-                                      ())
-                    break
-            else:  # pragma: no cover - impossible for a valid signed permutation
-                raise RuntimeError("descent search failed")
-        return WeylElement(perm, signs, tuple(reversed(word_rev)))
 
     def elements(self) -> list[WeylElement]:
         """All eight Weyl elements, sorted by (length, word)."""

@@ -12,9 +12,9 @@ from sp4eis.constant_term import (
     factor_expression,
 )
 from sp4eis.germs import (
-    DegenerateSymbol, FormalScalar, GermError, OrderValue, StripDep, StripOrderUnknown,
-    _classify, _value_atoms, apply_functional_equation, germ_at, known_part_series, order_at,
-    sum_series, symbol_series,
+    ZETA_POLE_RESIDUES, DegenerateSymbol, FormalScalar, GermError, OrderValue, Series, StripDep,
+    StripOrderUnknown, _classify, _value_atoms, apply_functional_equation, germ_at,
+    known_part_series, order_at, sum_series, symbol_series,
 )
 from sp4eis.normfactor import (
     EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor,
@@ -201,6 +201,65 @@ def test_symbol_head_matches_series_head(kind, power, a, b2, cls, s8):
     order, leading = direct
     assert (order, order_at(expr, cls, s0), series.coeffs[0].terms) == \
         (OrderValue.known(series.ord), OrderValue.known(series.ord), leading.terms)
+
+
+def _rebase_value(kind, eff, u0: Q, der: str, data: tuple, a: Q) -> Series:
+    head = FormalScalar.monomial(_value_atoms(kind, eff, u0.numerator, u0.denominator))
+    return Series(0, (head, FormalScalar.atom((der, data), a)))
+
+
+def _rebase_l(cls: CharClass, u0: Q, a: Q) -> Series:
+    # right of 1/2: L(x) = eps(1-x) L(1-x), expanded at the reflected point
+    if cls.is_real and u0 > Q(1, 2):
+        return _rebase_eps(cls, 1 - u0, -a) * _rebase_l(cls, 1 - u0, -a)
+    return _rebase_value(L, cls, u0, "lder", (cls.value, str(u0)), a)
+
+
+def _rebase_eps(cls: CharClass, u0: Q, a: Q) -> Series:
+    # right of 1/2: eps(x) = eps(1-x)^-1
+    if cls.is_real and u0 > Q(1, 2):
+        return _rebase_eps(cls, 1 - u0, -a).inverse()
+    return _rebase_value(EPS, cls, u0, "epsder", (cls.value, str(u0)), a)
+
+
+def rebase_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
+    """The reference jet of one symbol: a self-dual value right of 1/2 is
+    rebuilt from the jets at the reflected point by ``Series`` products and
+    inverses, in ``Fraction`` arithmetic."""
+    eff, n, m, site = _classify(sym, cls, s0.numerator, s0.denominator)
+    if site == "strip":
+        raise StripOrderUnknown(sym.render())
+    a, u0 = sym.arg.a, Q(n, m)
+    if site == "pole":
+        return Series(-1, (FormalScalar.rational(ZETA_POLE_RESIDUES[n // m] / a),
+                           FormalScalar.atom(("zconst", ()))))
+    if eff is CharClass.TRIVIAL:
+        if sym.kind == EPS:
+            return Series(0, (FormalScalar.rational(1), FormalScalar.zero()))
+        v, sign = (u0, 1) if u0 >= 1 - u0 else (1 - u0, -1)
+        return _rebase_value(L, eff, u0, "zder", (str(v),), sign * a)
+    return (_rebase_eps if sym.kind == EPS else _rebase_l)(eff, u0, a)
+
+
+@settings(max_examples=500)
+@given(kind=st.sampled_from((L, EPS)), power=st.integers(0, 2), a=st.integers(-2, 2),
+       b4=st.integers(-12, 12), cls=st.sampled_from((TR, QU, OT, CharClass.SGN)),
+       s8=st.integers(-48, 48))
+@example(kind=EPS, power=1, a=1, b4=0, cls=QU, s8=14)   # eps right of 1/2
+@example(kind=L, power=1, a=-2, b4=0, cls=QU, s8=-8)    # self-dual L right of 1/2
+@example(kind=L, power=1, a=0, b4=8, cls=QU, s8=0)      # constant self-dual L right of 1/2
+@example(kind=L, power=1, a=1, b4=0, cls=CharClass.SGN, s8=-4)  # self-dual L left of 1/2
+@example(kind=L, power=0, a=-1, b4=0, cls=OT, s8=0)     # zeta pole at 0, negative slope
+@example(kind=L, power=0, a=1, b4=-12, cls=TR, s8=0)    # zeta left of 1/2
+def test_symbol_series_matches_the_rebase_reference(kind, power, a, b4, cls, s8):
+    sym = lsym(a, Q(b4, 4), power, kind)
+    s0 = Q(s8, 8)
+    got = _head_or_error(lambda: symbol_series(sym, cls, s0))
+    want = _head_or_error(lambda: rebase_series(sym, cls, s0))
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert (got.ord, [c.terms for c in got.coeffs]) == (want.ord, [c.terms for c in want.coeffs])
 
 
 # every symbol of the 24 canonical factor expressions (2 cases x 4 elements x 3 classes)
@@ -446,6 +505,8 @@ def test_symbol_series_has_the_requested_depth(sym, cls, s0):
     (lsym(1, 0, 0), TR, Q(1), ["1", "Lam_c"]),
     (lsym(1, 0, 0), TR, Q(2), ["Lam(2)", "Lam^(1)(2)"]),
     (lsym(1, 0, 1, EPS), QU, Q(1, 4), ["eps[quadratic](3/4)^-1", "eps[quadratic]^(1)(1/4)"]),
+    (lsym(1, 0, 1, EPS), QU, Q(7, 4), [
+        "eps[quadratic](7/4)", "eps[quadratic]^(1)(-3/4)*eps[quadratic](7/4)^2"]),
     (lsym(1, 0), QU, Q(1), [
         "Lhat[quadratic](1)",
         "-eps[quadratic]^(1)(0)*eps[quadratic](1)*Lhat[quadratic](1)"

@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from sp4eis.roots import SP4, is_negative, vector
+from sp4eis.characters import TARGETS
+from sp4eis.roots import SP4, WeylElement, is_negative, vector
 
 SYS = SP4
 
@@ -68,6 +69,18 @@ def test_words_reproduce_normal_form():
     for w in SYS.elements():
         assert SYS.from_word(w.word) == w
         assert w.length == len(SYS.negative_set(w))
+
+
+def test_an_element_is_its_normal_form():
+    # the word plays no part in equality or hashing, so any word finds the
+    # element, also as a key of the per-case target tables
+    for w in SYS.elements():
+        other = WeylElement(w.perm, w.signs, ("x",))
+        assert other == w and hash(other) == hash(w)
+        for targets in TARGETS.values():
+            if w in targets:
+                assert targets[other] is targets[w]
+    assert sum(w in targets for targets in TARGETS.values() for w in SYS.elements()) == 8
 
 
 def test_negative_sets_match_brute_force():

@@ -1,10 +1,17 @@
-"""Deleting any row of the local rule table is noticed.
+"""Deleting any row of the local rule table, or changing one of its values,
+is noticed.
 
 Each row of ``data/local_rules.txt`` is blanked in turn (so every other
 row keeps its line number) and the rest is parsed with ``parse_rules``.
 Either the load fails, or some answer changes: the full report JSON, or
 the class of the typed error, of a theorem-grid row or of a probe.  A row
 whose deletion nothing notices is listed in ``SURVIVORS`` with its reason.
+
+The value mutants change one value of one row instead: an action value
+flipped (+1 and -1, iso and kernel on base rows), a first-order pole row
+set to order 0, or an ``eq:`` point moved by 1/8 either way.  Each must
+change some answer; the ones that do not are listed in
+``VALUE_SURVIVORS``.
 """
 
 import importlib.resources
@@ -17,7 +24,7 @@ from sp4eis.constant_term import Place, PlaceProfile, eisenstein_order
 from sp4eis.localrules import RuleTableError, parse_rules
 from sp4eis.theorems import THEOREMS
 
-TR, QU, OT = CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER
+TR, QU, OT, SGN = CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER, CharClass.SGN
 
 TEXT = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text(
     encoding="utf-8")
@@ -31,6 +38,18 @@ PROBES = [
      PlaceProfile((Place("arch", TR), Place("nonarch", QU, "steinberg")))),
 ]
 
+# (case, class, s0, profile): points where a value of an action row decides
+# the report
+VALUE_PROBES = [
+    ("heisenberg", TR, Q(0),
+     PlaceProfile((Place("arch", TR), Place("nonarch", TR, "langlands")))),
+    ("heisenberg", QU, Q(0), PlaceProfile((Place("arch", SGN),))),
+    ("heisenberg", QU, Q(0),
+     PlaceProfile((Place("arch", SGN), Place("nonarch", QU, "t1")))),
+    ("siegel", QU, Q(1, 2),
+     PlaceProfile((Place("arch", TR), Place("nonarch", QU, "t1")))),
+]
+
 # the catch-all pole rows, which the loader requires
 LOAD_FAILS = {61, 77}
 
@@ -42,6 +61,20 @@ SURVIVORS = {
 }
 
 
+_UNREACHED_103 = ("line 103 (the sc2 base row, Siegel 1/2, quadratic) is read only "
+                  "for choices line 102 (the c2 base row) lists, and 102 refuses "
+                  "'steinberg'; 103's other entries equal what a base summand with "
+                  "no row gets")
+
+VALUE_SURVIVORS = {
+    (103, "steinberg=kernel -> steinberg=iso"): _UNREACHED_103,
+    (103, "eq:1/2 -> eq:3/8"): _UNREACHED_103,
+    (103, "eq:1/2 -> eq:5/8"): _UNREACHED_103,
+}
+
+_FLIP = {"+1": "-1", "-1": "+1", "iso": "kernel", "kernel": "iso"}
+
+
 def _keys():
     for theorem_id, (_, build) in THEOREMS.items():
         case = "heisenberg" if theorem_id.startswith("H") else "siegel"
@@ -49,6 +82,7 @@ def _keys():
             for row in clause.rows:
                 yield case, row.cls, row.s0, row.profile
     yield from PROBES
+    yield from VALUE_PROBES
 
 
 KEYS = list(_keys())
@@ -77,9 +111,43 @@ def _without(lineno: int) -> str:
     return "\n".join(lines)
 
 
+def _with_line(lineno: int, line: str) -> str:
+    lines = TEXT.splitlines()
+    lines[lineno - 1] = line
+    return "\n".join(lines)
+
+
+def _value_mutants():
+    """(line number, change, mutated table) for every single value mutant."""
+    for lineno in _row_lines():
+        fields = TEXT.splitlines()[lineno - 1].split("|")
+        cond = 5 if fields[0] == "pole" else 6
+        changes = []
+        if fields[0] == "action":
+            pairs = fields[7].split(",")
+            for i, pair in enumerate(pairs):
+                choice, value = pair.split("=")
+                if value in ("iso", "kernel") and fields[3] != "base":
+                    continue
+                flipped = f"{choice}={_FLIP[value]}"
+                changes.append((f"{pair} -> {flipped}", 7,
+                                ",".join(pairs[:i] + [flipped] + pairs[i + 1:])))
+        elif fields[6] == "1":
+            changes.append(("order 1 -> order 0", 6, "0"))
+        if fields[cond].startswith("eq:"):
+            point = Q(fields[cond][3:])
+            for moved in (point - Q(1, 8), point + Q(1, 8)):
+                changes.append((f"{fields[cond]} -> eq:{moved}", cond, f"eq:{moved}"))
+        for change, index, value in changes:
+            mutated = fields[:index] + [value] + fields[index + 1:]
+            yield lineno, change, _with_line(lineno, "|".join(mutated))
+
+
 def test_probes_need_the_listed_choices():
     # with the whole table both probes name a choice their base row does not list
-    assert _answers(parse_rules(TEXT))[-len(PROBES):] == ["UnknownChoice"] * len(PROBES)
+    answers = _answers(parse_rules(TEXT))
+    start = KEYS.index(PROBES[0])
+    assert answers[start:start + len(PROBES)] == ["UnknownChoice"] * len(PROBES)
 
 
 def test_every_row_deletion_is_noticed():
@@ -95,3 +163,12 @@ def test_every_row_deletion_is_noticed():
             survivors.add(lineno)
     assert load_fails == LOAD_FAILS
     assert survivors == set(SURVIVORS)
+
+
+def test_every_value_mutant_is_noticed():
+    reference = _answers(parse_rules(TEXT))
+    mutants = list(_value_mutants())
+    survivors = {(lineno, change) for lineno, change, text in mutants
+                 if _answers(parse_rules(text)) == reference}
+    assert len(mutants) == 81
+    assert survivors == set(VALUE_SURVIVORS)
