@@ -8,14 +8,17 @@ Subcommands:
     verify      run the theorem grids (H+, H-, S+, S-)
     numcheck    run the numeric verification battery
 
-Identical inputs produce byte-identical output (keys sorted, no
-timestamps).  The exit code is 0 exactly when every requested check
-passed, 1 when a check failed, and 2 when the input could not be
-answered: a usage error, or one of the typed errors in ``INPUT_ERRORS``,
-which is printed as one line ``sp4eis: <Class>: <message>`` on stderr;
-an ``--out`` file that cannot be written is one of them (``OutputError``).
-It is 141 (128 + SIGPIPE), silently, when the reader of stdout closed
-the pipe early, as in ``sp4eis numcheck | head -1``.
+Each ``cmd_*`` returns its JSON payload, its text lines and its exit
+code; ``main`` alone prints, the payload under ``--json`` and the lines
+otherwise, to stdout or to the ``--out`` file.  Identical inputs produce
+byte-identical output (keys sorted, no timestamps).  The exit code is 0
+exactly when every requested check passed, 1 when a check failed, and 2
+when the input could not be answered: a usage error, or one of the
+typed errors in ``INPUT_ERRORS``, which is printed as one line
+``sp4eis: <Class>: <message>`` on stderr; an ``--out`` file that cannot
+be written is one of them (``OutputError``).  It is 141 (128 +
+SIGPIPE), silently, when the reader of stdout closed the pipe early, as
+in ``sp4eis numcheck | head -1``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .characters import TARGETS, coset_representatives, lambda_for_case, parse_class
@@ -45,9 +49,11 @@ class OutputError(Exception):
 INPUT_ERRORS = (ScenarioError, ProfileError, RuleTableError, UncoveredKey, UnknownChoice,
                 IndeterminateLeading, OutputError)
 
+Output = tuple[dict, list[str], int]  # JSON payload, text lines, exit code
+
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         # only the file is guarded: a closed stdout must still reach main as
         # a BrokenPipeError
         try:
@@ -61,7 +67,7 @@ def _emit(args, text: str) -> None:
 
 # ---------------------------------------------------------------------------
 
-def cmd_weyl(args) -> int:
+def cmd_weyl(args) -> Output:
     cases = ["heisenberg", "siegel"] if args.case == "all" else [args.case]
     payload = {"schema": "sp4eis-weyl/1", "cases": {}}
     lines = []
@@ -85,8 +91,7 @@ def cmd_weyl(args) -> int:
                             for w in SP4.elements()]
         for w in SP4.elements():
             lines.append(f"{'group':11} {w.name:7} length={w.length}")
-    _emit(args, json.dumps(payload, **JSON_KW) if args.json else "\n".join(lines))
-    return 0
+    return payload, lines, 0
 
 
 def _weyl_element(name: str) -> WeylElement:
@@ -113,22 +118,18 @@ def _theorem_id(name: str) -> str:
     return name
 
 
-def cmd_normfactor(args) -> int:
+def cmd_normfactor(args) -> Output:
     lam = lambda_for_case(args.case)
     w = args.w  # parsed by _weyl_element
     expr = inverse_norm_factor(lam, w)
     cls = parse_class(args.char_class) if args.char_class else None
     rendered = canonicalize(expr, cls).render() if cls else expr.render()
-    if args.json:
-        _emit(args, json.dumps({
-            "schema": "sp4eis-normfactor/1",
-            "case": args.case, "w": w.name,
-            "char_class": args.char_class,
-            "inverse_factor": rendered,
-        }, **JSON_KW))
-    else:
-        _emit(args, rendered)
-    return 0
+    return {
+        "schema": "sp4eis-normfactor/1",
+        "case": args.case, "w": w.name,
+        "char_class": args.char_class,
+        "inverse_factor": rendered,
+    }, [rendered], 0
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -150,58 +151,48 @@ def _scenario_from_args(args) -> Scenario:
     return scenario_from_dict(data, source="<args>")
 
 
-def cmd_poles(args) -> int:
+def cmd_poles(args) -> Output:
     scenario = _scenario_from_args(args)
     rules = load_rules(args.rules) if args.rules else None
     reports = [eisenstein_order(scenario.case, scenario.profile, s0,
                                 scenario.char_class, rules=rules)
                for s0 in scenario.s0_list]
-    if args.json:
-        _emit(args, json.dumps({
-            "schema": "sp4eis-poles/1",
-            "scenario": scenario.to_json(),
-            "reports": [r.to_json() for r in reports],
-        }, **JSON_KW))
-    else:
-        lines = []
-        for r in reports:
-            pole = r.pole_order if r.pole_order is not None else "conditional"
-            cond = "".join(f" [{d.symbol} at {d.point}]" for d in r.conditional_on)
-            lines.append(f"{r.case} chi={r.char_class.value} s0={r.s0}: "
-                         f"pole order {pole}{cond}"
-                         + (" constant term vanishes at the point" if r.vanishes_at_point else ""))
-            for t in r.terms:
-                lines.append(f"  {t.w.name:6} factor {t.expr.render()}")
-                lines.append(f"         order {t.order.render()}  target {t.target}")
-            for e in r.image:
-                lines.append(f"  image at {e.place}: {e.label} ({e.structure})"
-                             + (f" - {e.note}" if e.note else ""))
-        _emit(args, "\n".join(lines))
-    return 0
+    lines = []
+    for r in reports:
+        pole = r.pole_order if r.pole_order is not None else "conditional"
+        cond = "".join(f" [{d.symbol} at {d.point}]" for d in r.combined_order.deps)
+        lines.append(f"{r.case} chi={r.char_class.value} s0={r.s0}: "
+                     f"pole order {pole}{cond}"
+                     + (" constant term vanishes at the point" if r.vanishes_at_point else ""))
+        for t in r.terms:
+            lines.append(f"  {t.w.name:6} factor {t.expr.render()}")
+            lines.append(f"         order {t.order.render()}  target {t.target}")
+        for e in r.image:
+            lines.append(f"  image at {e.place}: {e.label} ({e.structure})"
+                         + (f" - {e.note}" if e.note else ""))
+    return {
+        "schema": "sp4eis-poles/1",
+        "scenario": scenario.to_json(),
+        "reports": [r.to_json() for r in reports],
+    }, lines, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     from .theorems import theorem_ids, verify_theorem  # only verify reads the theorem grids
 
     rules = load_rules(args.rules) if args.rules else None
     ids = args.theorem or theorem_ids()
     reports = [verify_theorem(tid, rules=rules) for tid in ids]
     ok = all(r.passed for r in reports)
-    if args.json:
-        _emit(args, json.dumps({
-            "schema": "sp4eis-verify/1",
-            "passed": ok,
-            "theorems": [r.to_json() for r in reports],
-        }, **JSON_KW))
-    else:
-        lines = []
-        for r in reports:
-            lines.extend(r.render_lines())
-        _emit(args, "\n".join(lines))
-    return 0 if ok else 1
+    lines = [line for r in reports for line in r.render_lines()]
+    return {
+        "schema": "sp4eis-verify/1",
+        "passed": ok,
+        "theorems": [r.to_json() for r in reports],
+    }, lines, 0 if ok else 1
 
 
-def cmd_numcheck(args) -> int:
+def cmd_numcheck(args) -> Output:
     modulus = args.modulus
     if args.scenario:
         scenario = load_scenario(args.scenario)
@@ -211,18 +202,14 @@ def cmd_numcheck(args) -> int:
         raise ScenarioError(f"no built-in quadratic character of conductor {modulus}")
     rows = run_numeric_checks(modulus)
     ok = all(r.ok for r in rows)
-    if args.json:
-        _emit(args, json.dumps({
-            "schema": "sp4eis-numcheck/1",
-            "passed": ok,
-            "checks": [r.to_json() for r in rows],
-        }, **JSON_KW))
-    else:
-        lines = [r.render() for r in rows]
-        lines.append(f"{'PASS' if ok else 'FAIL'} numcheck overall "
-                     f"({sum(r.ok for r in rows)}/{len(rows)})")
-        _emit(args, "\n".join(lines))
-    return 0 if ok else 1
+    lines = [r.render() for r in rows]
+    lines.append(f"{'PASS' if ok else 'FAIL'} numcheck overall "
+                 f"({sum(r.ok for r in rows)}/{len(rows)})")
+    return {
+        "schema": "sp4eis-numcheck/1",
+        "passed": ok,
+        "checks": [r.to_json() for r in rows],
+    }, lines, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weyl", help="coset tables, negative sets, lengths")
     p.add_argument("--case", choices=["heisenberg", "siegel", "all"], default="all")
     p.add_argument("--full", action="store_true", help="also list the full Weyl group")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write output to a file")
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("normfactor", help="inverse normalizing factor of one element")
@@ -247,41 +232,44 @@ def build_parser() -> argparse.ArgumentParser:
                    help="element name (id, s, c2s, sc2s / c1, sc1, c2, sc2, c2sc2)")
     p.add_argument("--char-class", choices=["trivial", "quadratic", "other"],
                    help="reduce chi powers for this class")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_normfactor)
 
     p = sub.add_parser("poles", help="constant-term pole/image report")
+    # argparse reads an argument that starts with "-" as an option unless it
+    # matches this pattern, which covers only -n and -n.m; extend it to -p/q
+    # so that `--s0 -1/2 -3/2` gives two points.  _negative_number_matcher is
+    # a private argparse attribute (the same from 3.6 to 3.13)
+    p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
     p.add_argument("--scenario", help="TOML scenario file")
     p.add_argument("--case", choices=["heisenberg", "siegel"], default="heisenberg")
     p.add_argument("--char-class", default="trivial")
     p.add_argument("--s0", nargs="*", help="rational points, e.g. 2 -1/2")
     p.add_argument("--place", nargs="*", help="KIND:CLASS:CHOICE, e.g. nonarch:trivial:steinberg")
     p.add_argument("--rules", help="override the local rule table file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_poles)
 
     p = sub.add_parser("verify", help="run the theorem grids")
     p.add_argument("theorem", nargs="*", type=_theorem_id, help="H+ H- S+ S- (default: all)")
     p.add_argument("--rules", help="override the local rule table file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("numcheck", help="numeric verification battery")
     p.add_argument("--modulus", type=int, default=4, help="quadratic character modulus")
     p.add_argument("--scenario", help="TOML scenario file (modulus override)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_numcheck)
+
+    # main prints every subcommand's output, so each takes the same two options
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--out", help="write output to a file")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        payload, lines, code = args.func(args)
+        _emit(args, json.dumps(payload, **JSON_KW) if args.json else "\n".join(lines))
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except INPUT_ERRORS as exc:

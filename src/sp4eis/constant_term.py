@@ -170,20 +170,23 @@ class TermReport:
 
 @dataclass
 class GroupReport:
-    members: list[str]
+    terms: list[TermReport]        # the members' reports, shortest first
     order: OrderValue | None       # None when the group is killed by a kernel
     leading: str | None
     cancelled: bool                # a pole/leading actually cancelled in the sum
-    kernel_killed: bool = False
     weights: dict[str, str] = field(default_factory=dict)
     note: str = ""
 
+    @property
+    def members(self) -> list[str]:
+        return [t.w.name for t in self.terms]
+
     def to_json(self) -> dict:
         out: dict = {"members": self.members, "cancelled": self.cancelled}
-        if self.kernel_killed:
+        if self.order is None:
             out["kernel_killed"] = True
         else:
-            out["order"] = self.order.to_json() if self.order is not None else None
+            out["order"] = self.order.to_json()
             if self.leading is not None:
                 out["leading"] = self.leading
         if self.weights:
@@ -215,9 +218,8 @@ class ConstantTermReport:
     profile: PlaceProfile
     terms: list[TermReport]
     groups: list[GroupReport]
-    combined_order: OrderValue
+    combined_order: OrderValue      # its deps are the possible strip poles
     pole_order: int | None          # None when only conditional poles exist
-    conditional_on: list[StripDep]
     vanishes_at_point: bool
     image: list[ImageEntry]
     notes: list[str]
@@ -234,7 +236,7 @@ class ConstantTermReport:
             "combined": {
                 "order": self.combined_order.to_json(),
                 "pole_order": self.pole_order,
-                "conditional_on": [d.to_json() for d in self.conditional_on],
+                "conditional_on": [d.to_json() for d in self.combined_order.deps],
                 "vanishes_at_point": self.vanishes_at_point,
             },
             "image": [e.to_json() for e in self.image],
@@ -294,7 +296,7 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
                 row = None
             if row is None:
                 if p.choice == "spherical" or is_base:
-                    if len(terms) > 1 and not is_base:
+                    if not is_base:
                         defaulted = True
                     continue
                 raise UncoveredKey(
@@ -316,18 +318,16 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
 def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
                    s0: Q, cls: CharClass) -> GroupReport:
     """Order (and leading, when certified) of one same-target group."""
-    members = [t.w.name for t in terms]
-
     weights, kernel, notes = _group_weights(case, terms, profile, s0)
     if kernel:
-        return GroupReport(members, None, None, cancelled=False, kernel_killed=True,
+        return GroupReport(terms, None, None, cancelled=False,
                            weights={k: str(v) for k, v in weights.items()},
                            note="; ".join(notes))
 
     if len(terms) == 1:
         (t,) = terms
         leading = t.leading.render() if t.leading is not None else None
-        return GroupReport(members, t.order, leading, cancelled=False,
+        return GroupReport(terms, t.order, leading, cancelled=False,
                            note="; ".join(notes))
 
     if len({t.local_order for t in terms}) != 1:
@@ -340,7 +340,7 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
     cancelled = common_order.base + order.base > min(t.factor_order.base for t in terms)
     total = (common_order + order).shifted(-shared_local)
     leading = lead.render() if lead is not None and order.is_known else None
-    return GroupReport(members, total, leading, cancelled=cancelled,
+    return GroupReport(terms, total, leading, cancelled=cancelled,
                        weights={k: str(v) for k, v in weights.items()},
                        note="; ".join(notes))
 
@@ -349,18 +349,18 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
 # combined report
 # ---------------------------------------------------------------------------
 
-def _combine_orders(groups: list[GroupReport]) -> tuple[OrderValue, int | None, list[StripDep], bool]:
-    """Minimum over group orders, conditional deps, and vanishing flag.
+def _combine_orders(groups: list[GroupReport]) -> tuple[OrderValue, int | None, bool]:
+    """Minimum over group orders, pole order, and vanishing flag.
 
     Groups whose order is only bounded below (floor-only sums and
     numerator-strip conditionals) cannot decrease the minimum beneath
     their floor, so the combined order is exact whenever some known order
     sits at or below every floor.  Possible poles from denominator strip
-    zeros are reported as conditional dependencies.
+    zeros are the combined order's conditional dependencies.
     """
-    live = [g.order for g in groups if not g.kernel_killed and g.order is not None]
+    live = [g.order for g in groups if g.order is not None]
     if not live:
-        return OrderValue.known(0), 0, [], True
+        return OrderValue.known(0), 0, True
     vanishes = all(o.definitely_positive() for o in live)
     neg_deps: list[StripDep] = []
     for o in live:
@@ -372,11 +372,11 @@ def _combine_orders(groups: list[GroupReport]) -> tuple[OrderValue, int | None, 
     if neg_deps:
         combined = OrderValue.conditional(min(floors), tuple(neg_deps))
         pole = -min(known_vals) if known_vals and min(known_vals) < 0 else None
-        return combined, pole, neg_deps, vanishes
+        return combined, pole, vanishes
     if known_vals and min(known_vals) <= min(floors):
         m = min(known_vals)
-        return OrderValue.known(m), max(0, -m), [], vanishes
-    return OrderValue.at_least(min(floors)), (0 if min(floors) > 0 else None), [], vanishes
+        return OrderValue.known(m), max(0, -m), vanishes
+    return OrderValue.at_least(min(floors)), (0 if min(floors) > 0 else None), vanishes
 
 
 def _render_exponent(n: int, m: int) -> str:
@@ -454,8 +454,7 @@ def choice_label(case: str, place: Place, s0: Q, token: str, longest: TermReport
 
 
 def describe_image(case: str, profile: PlaceProfile, s0: Q,
-                   groups: list[GroupReport], group_terms: list[list[TermReport]],
-                   vanishes: bool) -> list[ImageEntry]:
+                   groups: list[GroupReport], vanishes: bool) -> list[ImageEntry]:
     """Label-level image description per ramified place.
 
     When the identity summand survives at the minimal order the map embeds
@@ -469,40 +468,33 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
     """
     if vanishes:
         return []
-    longest = max((t for ts in group_terms for t in ts), key=lambda t: t.w.length)
-    live = [(g, ts) for g, ts in zip(groups, group_terms)
-            if not g.kernel_killed and g.order is not None]
-    floor = min(g.order.base for g, _ in live)
-    leaders = [(g, ts) for g, ts in live if g.order.base == floor]
-    id_leads = any(ts[0].w.is_identity() for _, ts in leaders)
+    longest = max((t for g in groups for t in g.terms), key=lambda t: t.w.length)
+    live = [g for g in groups if g.order is not None]
+    floor = min(g.order.base for g in live)
+    leaders = [g for g in live if g.order.base == floor]
+    id_leads = any(g.terms[0].w.is_identity() for g in leaders)
+    if id_leads and all(p.choice == "spherical" for p in profile.places):
+        return [ImageEntry("all", "full-induced", "embedding",
+                           "identity summand uncancelled: whole module embeds")]
 
+    # a chosen constituent spans itself; when non-identity summands carry the
+    # pole (or leading term), a spherical place spans the image of the
+    # spherical vector under the longest of them
+    lead = max((t for g in leaders for t in g.terms), key=lambda t: t.w.length)
     entries: list[ImageEntry] = []
-    if id_leads:
-        ramified = [p for p in profile.places if p.choice != "spherical"]
-        if not ramified:
-            return [ImageEntry("all", "full-induced", "embedding",
-                               "identity summand uncancelled: whole module embeds")]
-        for i, p in enumerate(profile.places):
-            entries.append(ImageEntry(
-                i, choice_label(case, p, s0, p.choice, longest, i),
-                "irreducible-constituent"))
-        return entries
-
-    # pole (or leading term) carried by non-identity summands
-    lead = max((t for _, ts in leaders for t in ts), key=lambda t: t.w.length)
     for i, p in enumerate(profile.places):
-        if p.choice == "spherical":
-            label = langlands_label(lead, p.local_class)
-            if lead.rows[i].order > 0:
-                carrier = choice_label(case, p, s0, "carrier", longest, i)
-                entries.append(ImageEntry(i, label, "length-two",
-                                          f"semisimplification {label}+{carrier}"))
-            else:
-                entries.append(ImageEntry(i, label, "spherical-constituent"))
-        else:
+        if id_leads or p.choice != "spherical":
             entries.append(ImageEntry(
                 i, choice_label(case, p, s0, p.choice, longest, i),
                 "irreducible-constituent"))
+            continue
+        label = langlands_label(lead, p.local_class)
+        if lead.rows[i].order > 0:
+            carrier = choice_label(case, p, s0, "carrier", longest, i)
+            entries.append(ImageEntry(i, label, "length-two",
+                                      f"semisimplification {label}+{carrier}"))
+        else:
+            entries.append(ImageEntry(i, label, "spherical-constituent"))
     return entries
 
 
@@ -521,14 +513,13 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
                                f"{p.local_class.value} ({p.kind} place)")
     rules = rules or default_rules()
     terms = [term_report(case, profile, w, s0, cls, rules) for w in coset_representatives(case)]
-    group_terms = _by_target(terms)
-    groups = [evaluate_group(case, ts, profile, s0, cls) for ts in group_terms]
-    combined, pole, deps, vanishes = _combine_orders(groups)
-    image = describe_image(case, profile, s0, groups, group_terms, vanishes)
+    groups = [evaluate_group(case, ts, profile, s0, cls) for ts in _by_target(terms)]
+    combined, pole, vanishes = _combine_orders(groups)
+    image = describe_image(case, profile, s0, groups, vanishes)
     notes = [g.note for g in groups if g.note]
     return ConstantTermReport(
         case=case, char_class=cls, s0=s0, profile=profile,
         terms=terms, groups=groups,
-        combined_order=combined, pole_order=pole, conditional_on=deps,
+        combined_order=combined, pole_order=pole,
         vanishes_at_point=vanishes, image=image, notes=notes,
     )

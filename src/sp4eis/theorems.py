@@ -89,7 +89,7 @@ class RowResult:
                 "pole": self.report.pole_order,
                 "order": self.report.combined_order.to_json(),
                 "vanishes": self.report.vanishes_at_point,
-                "conditional_on": [d.to_json() for d in self.report.conditional_on],
+                "conditional_on": [d.to_json() for d in self.report.combined_order.deps],
                 "image": [e.to_json() for e in self.report.image],
             },
             "details": self.details,
@@ -131,10 +131,10 @@ def _check_row(report: ConstantTermReport, exp: Expected) -> list[str]:
     if exp.conditional_symbol is not None:
         if report.pole_order is not None:
             problems.append(f"expected a conditional order, got pole {report.pole_order}")
-        if not any(exp.conditional_symbol in d.symbol for d in report.conditional_on):
+        if not any(exp.conditional_symbol in d.symbol for d in report.combined_order.deps):
             problems.append(
                 f"missing dependency on {exp.conditional_symbol!r} "
-                f"(got {[d.symbol for d in report.conditional_on]})")
+                f"(got {[d.symbol for d in report.combined_order.deps]})")
     elif exp.pole is not None:
         if report.pole_order != exp.pole:
             problems.append(f"pole order {report.pole_order} != expected {exp.pole}")

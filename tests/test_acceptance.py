@@ -243,7 +243,7 @@ def test_criterion_8_structural():
                     if not r.combined_order.is_known:
                         continue
                     floors = [g.order.base for g in r.groups
-                              if not g.kernel_killed and g.order is not None]
+                              if g.order is not None]
                     assert r.combined_order.base >= min(floors)
                     known_terms = [t.order.base for t in r.terms if t.order.is_known]
                     if known_terms:

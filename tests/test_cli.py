@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,58 @@ def test_numcheck_json_pinned(capsys, modulus):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NUMCHECK_SHA256[modulus]
 
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# sha256 of stdout for the outputs no other pin covers: the text of every
+# subcommand (siegel_strip_window.toml renders a strip-conditional order,
+# `0 -ord[L(s+3/2,1) at 1/2]`), normfactor --json, and an element named
+# by a word that is neither a canonical name nor an alias (`ss`)
+OUTPUT_SHA256 = {
+    "poles --scenario heisenberg_poles.toml":
+        "857d74cec3afad884ae274aced4a1c9aa66af04f1d14df1cd55d7f95467c6778",
+    "poles --scenario heisenberg_steinberg_tower.toml":
+        "0810f5b8fbfe20badcfc7c7fb30204b1f399b39f03834200654441efea6f38ef",
+    "poles --scenario siegel_half_quadratic.toml":
+        "9812f97c7618685ad9f61ac7417a598d9a896dcf0da944e0ef7351a955ea5449",
+    "poles --scenario siegel_strip_window.toml":
+        "c5c0ab38b2ac4fad29de96d6782d712f574b1e4b01268c6216dbf64f70e961aa",
+    "verify": "49dd7de03f8285d30c8fc3cd7a4215e760f46fb287e83409ec1c8f8bfbef69cd",
+    "weyl --full": "e8fb3f20eed0b88c6fd537ed9568e4d29a98e07722c50717c27109a1bd9ebc73",
+    "numcheck --modulus 4": "32e07f504e61957cf8d3c634cd019d857f84b3e7c7eb6d28f354c9acca405aaf",
+    "normfactor --case siegel --w c2sc2s --char-class quadratic --json":
+        "a4f13a3de27862f61a7248d3703a59d156c9235889dcd6b394bd409190becdcb",
+    "normfactor --case siegel --w ss":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+}
+
+
+def _argv(command: str) -> list[str]:
+    return [str(SCENARIOS / a) if a.endswith(".toml") else a for a in command.split()]
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+def test_output_pinned(capsys, command):
+    code, out = run(capsys, *_argv(command))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", [
+    "weyl --case siegel",
+    "normfactor --case heisenberg --w c1 --char-class quadratic",
+    "poles --scenario siegel_strip_window.toml",
+    "verify H+",
+    "numcheck --modulus 5",
+])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_out_writes_what_stdout_would(tmp_path, capsys, command, json_flag):
+    argv = _argv(command) + json_flag
+    code, out = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "")
+    assert target.read_text(encoding="utf-8") == out
+
+
 def test_closed_pipe_exits_141_quietly(monkeypatch, capsys):
     # a pipe whose reading end is already closed: every write fails with
     # EPIPE, as after `sp4eis numcheck | head -1` once head has exited
@@ -123,6 +176,19 @@ def test_poles_inline_and_json(capsys):
     _, out2 = run(capsys, "poles", "--case", "heisenberg",
                   "--char-class", "trivial", "--s0", "2", "-1", "--json")
     assert out == out2
+
+
+def test_poles_negative_fractions(tmp_path, capsys):
+    # argparse's own negative-number pattern knows -2 and -0.5 but not -1/2
+    code, out = run(capsys, "poles", "--case", "siegel", "--s0", "-1/2", "-3/2", "2", "--json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["s0"] for r in reports] == ["-1/2", "-3/2", "2"]
+    p = tmp_path / "points.toml"
+    p.write_text('case = "siegel"\ns0 = ["-1/2", "-3/2", "2"]\n', encoding="utf-8")
+    code, out = run(capsys, "poles", "--scenario", str(p), "--json")
+    assert code == 0
+    assert json.loads(out)["reports"] == reports
 
 
 def test_poles_place_flags(capsys):

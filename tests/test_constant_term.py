@@ -260,7 +260,7 @@ def test_combined_order_bounded_by_terms():
                         continue
                     if not r.combined_order.is_known:
                         continue
-                    live = [g for g in r.groups if not g.kernel_killed]
+                    live = [g for g in r.groups if g.order is not None]
                     floors = [g.order.base for g in live]
                     assert r.combined_order.base >= min(floors)
                     if not any(g.cancelled for g in live):
