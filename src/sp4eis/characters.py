@@ -111,7 +111,7 @@ class AffineForm:
     def __neg__(self) -> "AffineForm":
         return AffineForm(-self.a, -self.b)
 
-    def scale(self, c: Q) -> "AffineForm":
+    def scale(self, c: int | Q) -> "AffineForm":
         return AffineForm(self.a * c, self.b * c)
 
     def shift(self, c: int | Q) -> "AffineForm":
@@ -204,19 +204,15 @@ def siegel_lambda() -> TorusCharacter:
 
 
 def compose_coroot(lam: TorusCharacter, coroot: RootVector) -> tuple[int, AffineForm]:
-    """Character of GL(1) obtained by composing with a coroot.
+    """Character of GL(1) obtained by composing with an integral coroot.
 
-    The coroot must have integer coordinates (true for all type-C coroots).
     Returns (chi power, affine exponent).
     """
     power = 0
     form = AffineForm.of(0, 0)
     for c, (k, f) in zip(coroot, lam.coords):
-        if c.denominator != 1:
-            raise ValueError(f"coroot has non-integer coordinate: {coroot}")
-        ci = int(c)
-        power += ci * k
-        form = form + f.scale(Q(ci))
+        power += c * k
+        form = form + f.scale(c)
     return power, form
 
 

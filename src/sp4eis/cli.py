@@ -132,14 +132,22 @@ def cmd_normfactor(args) -> Output:
     }, [rendered], 0
 
 
+# the inline profile options of ``poles``, which a scenario file replaces
+PROFILE_FLAGS = {"case": "--case", "char_class": "--char-class", "s0": "--s0", "place": "--place"}
+
+
 def _scenario_from_args(args) -> Scenario:
+    given = [flag for dest, flag in PROFILE_FLAGS.items() if getattr(args, dest) is not None]
     if args.scenario:
+        if given:
+            raise ScenarioError(f"--scenario cannot be combined with {', '.join(given)}")
         return load_scenario(args.scenario)
-    data = {
-        "case": args.case,
-        "char_class": args.char_class,
-        "s0": args.s0 or ["0"],
-    }
+    # an option not given is left out, so the scenario defaults apply
+    data = {"case": args.case or "heisenberg"}
+    if args.char_class is not None:
+        data["char_class"] = args.char_class
+    if args.s0:
+        data["s0"] = args.s0
     if args.place:
         places = []
         for item in args.place:
@@ -241,10 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     # a private argparse attribute (the same from 3.6 to 3.13)
     p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
     p.add_argument("--scenario", help="TOML scenario file")
-    p.add_argument("--case", choices=["heisenberg", "siegel"], default="heisenberg")
-    p.add_argument("--char-class", default="trivial")
-    p.add_argument("--s0", nargs="*", help="rational points, e.g. 2 -1/2")
-    p.add_argument("--place", nargs="*", help="KIND:CLASS:CHOICE, e.g. nonarch:trivial:steinberg")
+    # the inline profile options default to None, so that _scenario_from_args
+    # can tell which were given; --s0 and --place add to earlier uses
+    p.add_argument("--case", choices=["heisenberg", "siegel"])
+    p.add_argument("--char-class")
+    p.add_argument("--s0", nargs="*", action="extend", help="rational points, e.g. 2 -1/2")
+    p.add_argument("--place", nargs="*", action="extend",
+                   help="KIND:CLASS:CHOICE, e.g. nonarch:trivial:steinberg")
     p.add_argument("--rules", help="override the local rule table file")
     p.set_defaults(func=cmd_poles)
 

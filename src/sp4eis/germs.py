@@ -63,7 +63,7 @@ from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
 from .characters import AffineForm, CharClass, power_class, ratio_str
-from .normfactor import EPS, L, LExpression, LSymbol
+from .normfactor import EPS, L, LExpression, LSymbol, canonicalize
 
 # The completed-L facts: completed zeta's simple poles (integer arguments)
 # with their residues, and the open strip of unknown orders.  Only
@@ -622,8 +622,6 @@ def apply_functional_equation(expr: LExpression, cls: CharClass | None = None) -
     powers (so for self-dual classes the result matches the classical
     single-character form).
     """
-    from .normfactor import canonicalize  # local import to avoid cycle
-
     d: dict[LSymbol, int] = {}
     for sym, e in expr.factors:
         if sym.kind == L and not _oriented(sym.arg):

@@ -1,35 +1,22 @@
 """The type-C2 root system of Sp(4) and its Weyl group as signed permutations.
 
-Everything here is exact: root coordinates are :class:`fractions.Fraction`
-tuples, Weyl elements are stored both in normal form (permutation, signs)
-and as a reduced word over the simple reflections, with the traditional
-generator names ``s`` (swap of the two coordinates) and ``c2`` (sign flip
-of the second coordinate).  One product rule, ``_product``, serves both
-``multiply`` and the construction of the group: the breadth-first closure
-of the identity under it, whose first word to reach an element is a
-shortest, hence reduced, one.  The group has eight elements and is built
-once, as the shared instance :data:`SP4`.
+Everything here is exact: roots and coroots are tuples of ``int`` (every
+type-C2 root and coroot is integral), and Weyl elements are stored both in
+normal form (permutation, signs) and as a reduced word over the simple
+reflections, with the traditional generator names ``s`` (swap of the two
+coordinates) and ``c2`` (sign flip of the second coordinate).  One product
+rule, ``_product``, serves both ``multiply`` and the construction of the
+group: the breadth-first closure of the identity under it, whose first word
+to reach an element is a shortest, hence reduced, one.  The group has eight
+elements and is built once, as the shared instance :data:`SP4`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 from typing import Iterable
 
-RootVector = tuple[Q, ...]
-
-
-def vector(*coords: int | str | Q) -> RootVector:
-    """Build an exact coordinate vector."""
-    return tuple(Q(c) for c in coords)
-
-
-def dot(x: RootVector, y: RootVector) -> Q:
-    """Exact standard inner product."""
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(x, y)), Q(0))
+RootVector = tuple[int, ...]
 
 
 def is_negative(v: RootVector) -> bool:
@@ -75,8 +62,8 @@ class WeylElement:
         return self._identity
 
     def apply(self, v: RootVector) -> RootVector:
-        """Signed-permutation action on a coordinate vector."""
-        out = [Q(0)] * self.rank
+        """Signed-permutation action on a coordinate vector of any numbers."""
+        out = [0] * self.rank
         for i, c in enumerate(v):
             out[self.perm[i]] += self.signs[i] * c
         return tuple(out)
@@ -117,8 +104,8 @@ class CRootSystem:
     """
 
     def __init__(self):
-        self._simple = [vector(1, -1), vector(0, 2)]
-        self._positive = self._simple + [vector(1, 1), vector(2, 0)]
+        self._simple = [(1, -1), (0, 2)]
+        self._positive = self._simple + [(1, 1), (2, 0)]
         self._roots = set(self._positive) | {tuple(-c for c in a) for a in self._positive}
         self._generators = {
             "s": WeylElement((1, 0), (1, 1), ("s",)),
@@ -146,11 +133,11 @@ class CRootSystem:
         return list(self._simple)
 
     def coroot(self, alpha: RootVector) -> RootVector:
-        """Coroot 2*alpha/<alpha,alpha>; rejects vectors that are not roots."""
+        """Coroot 2*alpha/<alpha,alpha>, in integers; rejects non-roots."""
         if alpha not in self._roots:
             raise ValueError(f"not a type-C root: {alpha}")
-        n2 = dot(alpha, alpha)
-        return tuple(2 * c / n2 for c in alpha)
+        n2 = sum(c * c for c in alpha)
+        return tuple(2 * c // n2 for c in alpha)
 
     # ----- Weyl group ---------------------------------------------------
 

@@ -406,11 +406,12 @@ def _siegel_neg() -> list[Clause]:
     ]
 
 
+# id -> (case, grid builder); the sign names the halfplane of the grid
 THEOREMS: dict[str, tuple[str, callable]] = {
-    "H+": ("heisenberg, nonnegative halfplane", _heisenberg_nonneg),
-    "H-": ("heisenberg, negative halfplane", _heisenberg_neg),
-    "S+": ("siegel, nonnegative halfplane", _siegel_nonneg),
-    "S-": ("siegel, negative halfplane", _siegel_neg),
+    "H+": ("heisenberg", _heisenberg_nonneg),
+    "H-": ("heisenberg", _heisenberg_neg),
+    "S+": ("siegel", _siegel_nonneg),
+    "S-": ("siegel", _siegel_neg),
 }
 
 
@@ -422,8 +423,7 @@ def verify_theorem(theorem_id: str, rules: RuleTable | None = None) -> TheoremRe
     """Run every grid row of one theorem and collect pass/fail results."""
     if theorem_id not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem_id!r}; expected one of {list(THEOREMS)}")
-    case = "heisenberg" if theorem_id.startswith("H") else "siegel"
-    _, build = THEOREMS[theorem_id]
+    case, build = THEOREMS[theorem_id]
     clauses = build()
     results: list[RowResult] = []
     for clause in clauses:

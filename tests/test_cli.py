@@ -201,6 +201,36 @@ def test_poles_place_flags(capsys):
     assert data["reports"][0]["combined"]["pole_order"] == 1
 
 
+def test_poles_repeated_options_accumulate(capsys):
+    # a repeated --s0 or --place adds to its earlier uses
+    once = run(capsys, "poles", "--case", "siegel", "--s0", "1/2", "3/2", "--json")
+    twice = run(capsys, "poles", "--case", "siegel", "--s0", "1/2", "--s0", "3/2", "--json")
+    assert twice == once
+    assert [r["s0"] for r in json.loads(twice[1])["reports"]] == ["1/2", "3/2"]
+    once = run(capsys, "poles", "--case", "siegel", "--s0", "1/2",
+               "--place", "arch:trivial:spherical", "nonarch:trivial:t2")
+    twice = run(capsys, "poles", "--case", "siegel", "--s0", "1/2",
+                "--place", "arch:trivial:spherical", "--place", "nonarch:trivial:t2")
+    assert twice == once
+    assert once[0] == 0
+
+
+def test_poles_scenario_excludes_profile_flags(capsys):
+    code = main(["poles", "--scenario", str(SCENARIOS / "heisenberg_poles.toml"),
+                 "--case", "siegel", "--s0", "5", "--place", "arch:trivial:carrier"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("sp4eis: ScenarioError: --scenario cannot be combined "
+                            "with --case, --s0, --place\n")
+    # a bare --s0 is given too, and still means s0 = 0 without a file
+    assert main(["poles", "--scenario", str(SCENARIOS / "heisenberg_poles.toml"), "--s0"]) == 2
+    assert "with --s0\n" in capsys.readouterr().err
+    code, out = run(capsys, "poles", "--s0", "--json")
+    assert code == 0
+    assert [r["s0"] for r in json.loads(out)["reports"]] == ["0"]
+
+
 def test_poles_scenario_file(tmp_path, capsys):
     p = tmp_path / "scan.toml"
     p.write_text(SCENARIO, encoding="utf-8")

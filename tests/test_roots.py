@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sp4eis.characters import TARGETS
-from sp4eis.roots import SP4, WeylElement, is_negative, vector
+from sp4eis.roots import SP4, WeylElement, is_negative
 
 SYS = SP4
 
-E1 = vector(1, 0)
-E2 = vector(0, 1)
-A1 = vector(1, -1)   # e1 - e2
-A2 = vector(0, 2)    # 2 e2
-B1 = vector(1, 1)    # e1 + e2
-B2 = vector(2, 0)    # 2 e1
+E1 = (1, 0)
+E2 = (0, 1)
+A1 = (1, -1)   # e1 - e2
+A2 = (0, 2)    # 2 e2
+B1 = (1, 1)    # e1 + e2
+B2 = (2, 0)    # 2 e1
 
 
 def test_positive_roots_rank2():
@@ -31,10 +31,15 @@ def test_coroots():
     assert SYS.coroot(A2) == E2
     assert SYS.coroot(B1) == B1
     assert SYS.coroot(B2) == E1
+    # all eight coroots are integral: +-(1,-1), +-(0,1), +-(1,1), +-(1,0)
+    roots = [A1, A2, B1, B2]
+    roots += [tuple(-c for c in a) for a in roots]
+    for a in roots:
+        assert all(type(c) is int for c in SYS.coroot(a)), a
     with pytest.raises(ValueError):
-        SYS.coroot(vector(1, 2))
+        SYS.coroot((1, 2))
     with pytest.raises(ValueError):
-        SYS.coroot(vector(3, 0))
+        SYS.coroot((3, 0))
 
 
 def test_generator_actions():
@@ -42,7 +47,7 @@ def test_generator_actions():
     c2 = SYS.generator("c2")
     assert s.apply(E1) == E2
     assert s.apply(E2) == E1
-    assert c2.apply(E2) == vector(0, -1)
+    assert c2.apply(E2) == (0, -1)
     assert c2.apply(E1) == E1
     ident = SYS.identity()
     assert ident.apply(B1) == B1
@@ -160,7 +165,7 @@ def test_word_products_consistent(word):
     assert SYS.from_word(w.word) == w
     assert w.length == len(SYS.negative_set(w))
     # group action property against a direct fold
-    v = vector(Q(3), Q(-5))
+    v = (Q(3), Q(-5))
     folded = v
     for g in reversed(word):
         folded = SYS.generator(g).apply(folded)

@@ -76,8 +76,7 @@ _FLIP = {"+1": "-1", "-1": "+1", "iso": "kernel", "kernel": "iso"}
 
 
 def _keys():
-    for theorem_id, (_, build) in THEOREMS.items():
-        case = "heisenberg" if theorem_id.startswith("H") else "siegel"
+    for case, build in THEOREMS.values():
         for clause in build():
             for row in clause.rows:
                 yield case, row.cls, row.s0, row.profile
