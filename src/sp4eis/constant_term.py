@@ -24,8 +24,7 @@ from fractions import Fraction as Q
 from functools import cache
 
 from .characters import (
-    TARGETS, CharClass, TorusCharacter, coset_representatives, lambda_for_case, power_class,
-    render_value,
+    TARGETS, CharClass, coset_representatives, lambda_for_case, power_class, render_value,
 )
 from .germs import (
     FormalScalar, IndeterminateLeading, OrderValue, Series, StripDep, germ_at,
@@ -128,7 +127,7 @@ def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
     local = sum(row.order_for(p.choice) for row, p in zip(rows, places))
     factor_order, leading = germ_at(expr, cls, s0)
     return TermReport(w, expr, factor_order, leading, local, rows, actions,
-                      target.value_key(s0, cls), target)
+                      target.value_key(s0, cls))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,6 @@ class TermReport:
     rows: tuple[PoleRule, ...]     # each place's pole row, in place order; () for the identity
     actions: tuple[ActionRule | None, ...]  # each place's action row; () for the identity
     value: tuple                   # the target at the point: its ``value_key``
-    character: TorusCharacter      # the target: w applied to the inducing character
 
     @property
     def order(self) -> OrderValue:
@@ -390,8 +388,8 @@ def _chi_prefix(k: int, cls: CharClass) -> str:
 def langlands_label(term: TermReport, cls: CharClass) -> str:
     """Langlands-quotient label of a summand's target at the point.
 
-    Exponents come from ``term.value``, chi powers from the target itself
-    (read in the place's class ``cls``).  Coordinates with negative
+    Exponents and chi powers come from ``term.value``, the powers read
+    again in the place's class ``cls``.  Coordinates with negative
     exponent are inverted, the positive ones sorted decreasingly as GL1
     data; zero-exponent coordinates form the tempered part (the spherical
     tempered constituent for a quadratic class, the full unitary
@@ -399,7 +397,7 @@ def langlands_label(term: TermReport, cls: CharClass) -> str:
     """
     gl1: list[tuple[int, int, int]] = []
     temperate: list[int] = []
-    for (k, _), (_, n, m) in zip(term.character.coords, term.value):
+    for k, n, m in term.value:
         if n == 0:
             temperate.append(k)
         elif n > 0:

@@ -5,7 +5,9 @@ class, point), the pole order of the local operator on the degenerate
 induced module, the constituent carrying the pole, and the signed actions
 used for same-target cancellation bookkeeping.  The rows live in a
 human-auditable data file (``data/local_rules.txt``); nothing here derives
-representation theory, rows are conclusions stored as data.
+representation theory, rows are conclusions stored as data.  One reader,
+``load_rules``, reads that file and any override; ``parse_rules`` checks
+each row once, as it reads it, so every row error names file and line.
 
 A key is (case, element, place kind, local class, point); its kind and
 class arrive checked by ``PlaceProfile``.  A ``RuleTable`` indexes its
@@ -20,10 +22,10 @@ denominator) pairs at parse time, and a point p/q in lowest terms is
 matched in integers.  The pole row answers every later question about
 its key: the order a section choice meets (``PoleRule.order_for``) and
 the constituent carrying the pole.  Every row keeps the file line it was
-read from, so errors name it.  Four facts live in code, not in rows, and
-the loader refuses a row that restates them: the identity carries no
-operator (no row names it), ``carrier`` meets every pole and
-``spherical`` none (no pole row lists either), a kernel sits on a base.
+read from.  Four facts live in code, not in rows, and the loader refuses
+a row that restates them: the identity carries no operator (no row names
+it), ``carrier`` meets every pole and ``spherical`` none (no pole row
+lists either), a kernel sits on a base.
 
 Also exposed: the SL2/GL2 reducibility predicates that govern where local
 poles may occur (a pole at a negative parameter requires the corresponding
@@ -32,7 +34,6 @@ local induced representation to be reducible).
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cache
@@ -200,8 +201,8 @@ def _matching(rows: tuple, local_class: CharClass, s0: Q):
 class RuleTable:
     """Pole and action rows in file order, indexed once by (case, element, place)."""
 
-    poles: list[PoleRule] = field(default_factory=list)
-    actions: list[ActionRule] = field(default_factory=list)
+    poles: list[PoleRule]
+    actions: list[ActionRule]
 
     def __post_init__(self):
         self._pole_rows = _index(self.poles, lambda r: r.elements)
@@ -234,6 +235,9 @@ class RuleTable:
 
 
 def parse_rules(text: str, source: str = "<string>") -> RuleTable:
+    """The table in ``text``: each row split into its fields and checked
+    (``_check_row``) where it is read, so an error names ``source`` and the
+    line; then every case must have a catch-all pole row."""
     pole_rows: list[PoleRule] = []
     action_rows: list[ActionRule] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -246,81 +250,65 @@ def parse_rules(text: str, source: str = "<string>") -> RuleTable:
             if kind == "pole":
                 (_, case, elements, place, classes, cond, order,
                  carrier, pole_choices, note) = fields
-                rule = PoleRule(
-                    case=case,
-                    elements=tuple(elements.split(",")),
-                    place=place,
-                    classes=tuple(classes.split(",")),
-                    condition=Condition.parse(cond),
-                    order=int(order),
-                    carrier=carrier,
-                    pole_choices=tuple(t for t in pole_choices.split(",") if t),
-                    note=note, line=lineno,
-                )
+                rule = PoleRule(case=case, elements=tuple(elements.split(",")), place=place,
+                                classes=tuple(classes.split(",")), condition=Condition.parse(cond),
+                                order=int(order), carrier=carrier,
+                                pole_choices=tuple(t for t in pole_choices.split(",") if t),
+                                note=note, line=lineno)
             elif kind == "action":
                 (_, case, element, base, place, classes, cond, actions, note) = fields
-                pairs = []
-                for item in actions.split(","):
-                    token, _, value = item.partition("=")
-                    if value not in ("+1", "-1", ISO, KERNEL):
-                        raise RuleTableError(f"bad action value {value!r}")
-                    if value == KERNEL and base != "base":
-                        raise RuleTableError(f"kernel on a row relative to {base!r}, not a base row")
-                    pairs.append((token, value))
-                rule = ActionRule(
-                    case=case, element=element, base=base, place=place,
-                    classes=tuple(classes.split(",")),
-                    condition=Condition.parse(cond),
-                    actions=tuple(pairs), note=note, line=lineno,
-                )
+                rule = ActionRule(case=case, element=element, base=base, place=place,
+                                  classes=tuple(classes.split(",")), note=note, line=lineno,
+                                  condition=Condition.parse(cond),
+                                  actions=tuple(item.partition("=")[::2]  # (choice, value)
+                                                for item in actions.split(",")))
             else:
                 raise RuleTableError(f"unknown record kind {kind!r}")
-            _check_tokens(rule)
+            _check_row(rule)
             (pole_rows if kind == "pole" else action_rows).append(rule)
         except (ValueError, IndexError) as exc:
             raise RuleTableError(f"{source}:{lineno}: {exc}") from exc
-    _sanity_check(pole_rows, source)
+    for case in _ELEMENT_NAMES:
+        if not any(r.condition.kind == "always" for r in pole_rows if r.case == case):
+            raise RuleTableError(f"{source}: missing {case} catch-all pole row")
     return RuleTable(pole_rows, action_rows)
 
 
-def _check_tokens(rule: PoleRule | ActionRule) -> None:
-    """Refuse a token outside its field's vocabulary: a misspelt token
-    would make its row match nothing and silently change answers."""
+def _check_row(rule: PoleRule | ActionRule) -> None:
+    """Refuse a row the engine would misread: a token outside its field's
+    vocabulary (its row would match nothing and silently change answers), a
+    pole order other than 0 or 1, a first-order pole without a carrier, an
+    order-0 row listing a carrier or pole choices, or a kernel off a base row."""
     names = _ELEMENT_NAMES.get(rule.case, ())
     fields = [("case", (rule.case,), tuple(_ELEMENT_NAMES)),
               ("place", (rule.place,), (NONARCH, ARCH, "*")),
               ("class", rule.classes, tuple(c.value for c in CharClass) + ("*",))]
     if isinstance(rule, PoleRule):
+        if rule.order not in (0, 1):
+            raise RuleTableError(f"pole order must be 0 or 1, got {rule.order}")
+        if rule.order == 1 and not rule.carrier:
+            raise RuleTableError("first-order pole rows need a carrier")
+        if rule.order == 0 and (rule.carrier or rule.pole_choices):
+            raise RuleTableError("order-0 pole rows list no carrier and no pole choices")
         fields += [("element", rule.elements, names),
-                   ("pole choice", rule.pole_choices, POLE_CHOICES)]
+                   ("pole choice", rule.pole_choices, POLE_CHOICES),
+                   ("carrier", (rule.carrier,), CARRIERS)]
     else:
+        if rule.base != "base" and any(value == KERNEL for _, value in rule.actions):
+            raise RuleTableError(f"kernel on a row relative to {rule.base!r}, not a base row")
         fields += [("element", (rule.element,), names),
                    ("action base", (rule.base,), ("-", "base") + names),
-                   ("action choice", [t for t, _ in rule.actions], CHOICES + ("any",))]
+                   ("action choice", [t for t, _ in rule.actions], CHOICES + ("any",)),
+                   ("action value", [v for _, v in rule.actions], ("+1", "-1", ISO, KERNEL))]
     for what, tokens, allowed in fields:
         for token in tokens:
             if token not in allowed:
                 raise RuleTableError(f"unknown {what} {token!r}")
 
 
-def _sanity_check(poles: list[PoleRule], source: str) -> None:
-    for case in _ELEMENT_NAMES:
-        if not any(r.condition.kind == "always" for r in poles if r.case == case):
-            raise RuleTableError(f"{source}: missing {case} catch-all pole row")
-    for r in poles:
-        if r.order not in (0, 1):
-            raise RuleTableError(f"{source}:{r.line}: pole order must be 0 or 1, got {r.order}")
-        if r.order == 1 and not r.carrier:
-            raise RuleTableError(f"{source}:{r.line}: first-order pole rows need a carrier")
-        if r.carrier not in CARRIERS:
-            raise RuleTableError(f"{source}:{r.line}: unknown carrier {r.carrier!r}")
-
-
-def load_rules(path: str | Path | None = None) -> RuleTable:
-    """Load the shipped rule table, or an override file for auditing."""
-    if path is None:
-        res = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt")
-        return parse_rules(res.read_text(encoding="utf-8"), source="data/local_rules.txt")
+def load_rules(path: str | Path) -> RuleTable:
+    """The rule table in the UTF-8 file at ``path``: the shipped one or an
+    override for auditing.  Every error names the file."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -333,7 +321,8 @@ def load_rules(path: str | Path | None = None) -> RuleTable:
 
 @cache
 def default_rules() -> RuleTable:
-    return load_rules()
+    """The shipped table, ``data/local_rules.txt`` beside this module, read once."""
+    return load_rules(Path(__file__).with_name("data") / "local_rules.txt")
 
 
 # ---------------------------------------------------------------------------

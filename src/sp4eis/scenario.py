@@ -27,7 +27,7 @@ regenerates the benchmark references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -49,9 +49,9 @@ class Scenario:
     char_class: CharClass
     s0_list: list[Q]
     profile: PlaceProfile
-    modulus: int | None = None
-    checks: list[str] = field(default_factory=lambda: ["poles"])
-    theorems: list[str] = field(default_factory=lambda: ["H+", "H-", "S+", "S-"])
+    modulus: int | None
+    checks: list[str]
+    theorems: list[str]
 
     def to_json(self) -> dict:
         return {

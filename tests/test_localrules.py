@@ -209,7 +209,7 @@ SIEGEL_CATCH_ALL = "pole|siegel|c2,sc2,c2sc2|*|*|always|0|||ok\n"
 
 
 def test_malformed_tables_rejected():
-    # the row checks that run after parsing name their line too
+    # every row check runs as its row is parsed, so each error names its line
     with pytest.raises(RuleTableError, match=r"^<string>:1: pole order must be 0 or 1, got 3$"):
         parse_rules("pole|heisenberg|s|nonarch|trivial|eq:-2|3|x|steinberg|note\n"
                     + HEISENBERG_CATCH_ALL + SIEGEL_CATCH_ALL)
@@ -268,11 +268,21 @@ def test_malformed_tables_rejected():
     ("action|siegel|sc2|c2s|*|trivial|eq:1/2|any=+1|n", "unknown action base 'c2s'"),
     ("action|siegel|s|-|*|trivial|eq:1/2|any=+1|n", "unknown element 's'"),
     ("action|siegel|sc2|base|*|quadratic,sgn|eq:1/2|t3=+1|n", "unknown action choice 't3'"),
+    ("action|siegel|sc2|base|*|quadratic,sgn|eq:1/2|t1=+2|n", "unknown action value '\\+2'"),
 ])
 def test_misspelt_tokens_rejected(row, error):
     # a token outside its field's vocabulary would make the row match nothing
     with pytest.raises(RuleTableError, match=rf"^rules\.txt:2: {error}$"):
         parse_rules(HEISENBERG_CATCH_ALL + row + "\n" + SIEGEL_CATCH_ALL, source="rules.txt")
+
+
+def test_order_zero_rows_list_no_carrier_or_pole_choices():
+    # an order-0 row's carrier and pole choices are never read: listing one is a slip
+    for fields in ("st_gl2|", "|steinberg", "st_gl2|steinberg"):
+        row = f"pole|heisenberg|s|nonarch|trivial|eq:-2|0|{fields}|n\n"
+        with pytest.raises(RuleTableError, match=r"^rules\.txt:2: order-0 pole rows list "
+                                                 r"no carrier and no pole choices$"):
+            parse_rules(HEISENBERG_CATCH_ALL + row + SIEGEL_CATCH_ALL, source="rules.txt")
 
 
 def test_rows_keep_their_line_out_of_equality():

@@ -9,7 +9,8 @@ whose deletion nothing notices is listed in ``SURVIVORS`` with its reason.
 
 The value mutants change one value of one row instead: an action value
 flipped (+1 and -1, iso and kernel on base rows), a first-order pole row
-set to order 0, or an ``eq:`` point moved by 1/8 either way.  Each must
+set to order 0 (its carrier and pole choices emptied, as an order-0 row
+has none), or an ``eq:`` point moved by 1/8 either way.  Each must
 change some answer; the ones that do not are listed in
 ``VALUE_SURVIVORS``.
 """
@@ -130,15 +131,16 @@ def _value_mutants():
                     continue
                 flipped = f"{choice}={_FLIP[value]}"
                 changes.append((f"{pair} -> {flipped}", 7,
-                                ",".join(pairs[:i] + [flipped] + pairs[i + 1:])))
+                                [",".join(pairs[:i] + [flipped] + pairs[i + 1:])]))
         elif fields[6] == "1":
-            changes.append(("order 1 -> order 0", 6, "0"))
+            # an order-0 row lists no carrier and no pole choices
+            changes.append(("order 1 -> order 0", 6, ["0", "", ""]))
         if fields[cond].startswith("eq:"):
             point = Q(fields[cond][3:])
             for moved in (point - Q(1, 8), point + Q(1, 8)):
-                changes.append((f"{fields[cond]} -> eq:{moved}", cond, f"eq:{moved}"))
-        for change, index, value in changes:
-            mutated = fields[:index] + [value] + fields[index + 1:]
+                changes.append((f"{fields[cond]} -> eq:{moved}", cond, [f"eq:{moved}"]))
+        for change, index, values in changes:
+            mutated = fields[:index] + values + fields[index + len(values):]
             yield lineno, change, _with_line(lineno, "|".join(mutated))
 
 
