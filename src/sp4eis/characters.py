@@ -105,14 +105,8 @@ class AffineForm:
     def of(a: int | str | Q, b: int | str | Q) -> "AffineForm":
         return AffineForm(Q(a), Q(b))
 
-    def __add__(self, other: "AffineForm") -> "AffineForm":
-        return AffineForm(self.a + other.a, self.b + other.b)
-
     def __neg__(self) -> "AffineForm":
         return AffineForm(-self.a, -self.b)
-
-    def scale(self, c: int | Q) -> "AffineForm":
-        return AffineForm(self.a * c, self.b * c)
 
     def shift(self, c: int | Q) -> "AffineForm":
         return AffineForm(self.a, self.b + c)
@@ -208,12 +202,12 @@ def compose_coroot(lam: TorusCharacter, coroot: RootVector) -> tuple[int, Affine
 
     Returns (chi power, affine exponent).
     """
-    power = 0
-    form = AffineForm.of(0, 0)
+    power, a, b = 0, Q(0), Q(0)
     for c, (k, f) in zip(coroot, lam.coords):
         power += c * k
-        form = form + f.scale(c)
-    return power, form
+        a += c * f.a
+        b += c * f.b
+    return power, AffineForm(a, b)
 
 
 def weyl_act(w: WeylElement, lam: TorusCharacter) -> TorusCharacter:

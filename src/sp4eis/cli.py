@@ -203,9 +203,11 @@ def cmd_verify(args) -> Output:
 def cmd_numcheck(args) -> Output:
     modulus = args.modulus
     if args.scenario:
-        scenario = load_scenario(args.scenario)
-        if scenario.modulus is not None:
-            modulus = scenario.modulus
+        if modulus is not None:
+            raise ScenarioError("--scenario cannot be combined with --modulus")
+        modulus = load_scenario(args.scenario).modulus
+    if modulus is None:
+        modulus = 4
     if modulus not in QUADRATIC_DISCRIMINANTS:
         raise ScenarioError(f"no built-in quadratic character of conductor {modulus}")
     rows = run_numeric_checks(modulus)
@@ -265,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("numcheck", help="numeric verification battery")
-    p.add_argument("--modulus", type=int, default=4, help="quadratic character modulus")
-    p.add_argument("--scenario", help="TOML scenario file (modulus override)")
+    # --modulus defaults to None, so that a scenario file can refuse it
+    p.add_argument("--modulus", type=int, help="quadratic character modulus (default 4)")
+    p.add_argument("--scenario", help="TOML scenario file, read for its modulus")
     p.set_defaults(func=cmd_numcheck)
 
     # main prints every subcommand's output, so each takes the same two options

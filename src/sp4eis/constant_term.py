@@ -356,9 +356,8 @@ def _combine_orders(groups: list[GroupReport]) -> tuple[OrderValue, int | None, 
     sits at or below every floor.  Possible poles from denominator strip
     zeros are the combined order's conditional dependencies.
     """
+    # never empty: the identity, base of its group, has no action row to kill it
     live = [g.order for g in groups if g.order is not None]
-    if not live:
-        return OrderValue.known(0), 0, True
     vanishes = all(o.definitely_positive() for o in live)
     neg_deps: list[StripDep] = []
     for o in live:

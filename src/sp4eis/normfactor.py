@@ -6,8 +6,9 @@ over the positive roots sent negative by w of
     L(e, chi^k) / ( L(e+1, chi^k) * eps(e+1, chi^k) )
 
 where (k, e) is the composition of the inducing character with the coroot.
-Expressions are kept in a canonical form: a rational scalar together with
-a symbol -> exponent mapping, sorted deterministically for rendering.
+``inverse_norm_factor`` sums their exponents in one symbol -> exponent
+map and builds the expression once: a rational scalar with the nonzero
+exponents, sorted deterministically for rendering.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class LExpression:
 
     scalar: Q
     factors: tuple[tuple[LSymbol, int], ...]
-
-    @staticmethod
-    def one() -> "LExpression":
-        return LExpression(Q(1), ())
 
     @staticmethod
     def build(scalar: Q, factors: dict[LSymbol, int]) -> "LExpression":
@@ -93,31 +90,20 @@ class LExpression:
         return f"{head}{num_s} / {den_s}"
 
 
-def quotient_factor(power: int, form: AffineForm) -> LExpression:
-    """The single factor L(e,chi^k) / (L(e+1,chi^k) eps(e+1,chi^k))."""
-    return LExpression.build(Q(1), {
-        LSymbol(L, form, power): 1,
-        LSymbol(L, form.shift(1), power): -1,
-        LSymbol(EPS, form.shift(1), power): -1,
-    })
-
-
 def inverse_norm_factor(lam: TorusCharacter, w: WeylElement) -> LExpression:
-    """Inverse normalizing factor r^-1 for the element w, canonicalized.
+    """Inverse normalizing factor r^-1 for the element w, sorted and cancelled.
 
-    Identical L-symbols occurring in both numerator and denominator cancel
-    automatically through the exponent bookkeeping.
+    Each root that w makes negative adds L(e,chi^k) with exponent +1 and
+    L(e+1,chi^k), eps(e+1,chi^k) with exponent -1 to one exponent map,
+    (k, e) being lam composed with the root's coroot.
     """
-    expr = LExpression.one()
-    for factor in raw_quotient_factors(lam, w):
-        expr = expr * factor
-    return expr
-
-
-def raw_quotient_factors(lam: TorusCharacter, w: WeylElement) -> list[LExpression]:
-    """Per-root factors before any cancellation (one per negative root)."""
-    return [quotient_factor(*compose_coroot(lam, SP4.coroot(alpha)))
-            for alpha in SP4.negative_set(w)]
+    d: dict[LSymbol, int] = {}
+    for alpha in SP4.negative_set(w):
+        k, e = compose_coroot(lam, SP4.coroot(alpha))
+        e1 = e.shift(1)
+        for sym, n in ((LSymbol(L, e, k), 1), (LSymbol(L, e1, k), -1), (LSymbol(EPS, e1, k), -1)):
+            d[sym] = d.get(sym, 0) + n
+    return LExpression.build(Q(1), d)
 
 
 def canonicalize(expr: LExpression, cls: CharClass) -> LExpression:

@@ -5,7 +5,7 @@ Schema (all keys optional unless noted):
     case = "heisenberg"            # required: "heisenberg" | "siegel"
     char_class = "trivial"         # "trivial" | "quadratic" | "other"
     modulus = 4                    # Dirichlet modulus for numeric checks
-    s0 = ["2", "-1/2"]             # rational points, as strings
+    s0 = ["2", "-1/2"]             # rational points, as strings; at least one
     checks = ["poles"]             # any of "poles", "verify", "numcheck"
     theorems = ["H+", "H-"]        # any strings
 
@@ -109,6 +109,8 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
         s0_list = [Q(str(x)) for x in _list(data, "s0", ["0"], source)]
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"{source}: bad s0 entry: {exc}") from None
+    if not s0_list:
+        raise ScenarioError(f"{source}: 's0' lists no point")
     places_data = _list(data, "places", [], source)
     if places_data:
         places = []

@@ -107,10 +107,7 @@ def test_affine_arithmetic(a, b, s0):
         return Q(*form.ratio(s0.numerator, s0.denominator))
 
     f = AffineForm(a, b)
-    g = AffineForm(b, a)
-    assert at(f + g) == at(f) + at(g)
     assert at(-f) == -at(f)
-    assert at(f.scale(Q(3))) == 3 * at(f)
     assert at(f.reflect()) == 1 - at(f)
 
 

@@ -231,6 +231,34 @@ def test_poles_scenario_excludes_profile_flags(capsys):
     assert [r["s0"] for r in json.loads(out)["reports"]] == ["0"]
 
 
+def test_numcheck_scenario_excludes_modulus(tmp_path, capsys):
+    # --modulus beside a scenario file was once ignored for the file's modulus
+    code = main(["numcheck", "--scenario", str(SCENARIOS / "siegel_half_quadratic.toml"),
+                 "--modulus", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "sp4eis: ScenarioError: --scenario cannot be combined with --modulus\n"
+    # a file without a modulus and a bare numcheck both run conductor 4
+    p = tmp_path / "no_modulus.toml"
+    p.write_text('case = "siegel"\n', encoding="utf-8")
+    for argv in (["--scenario", str(p)], []):
+        code, out = run(capsys, "numcheck", *argv, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NUMCHECK_SHA256[4]
+
+
+def test_empty_s0_is_refused(tmp_path, capsys):
+    # an empty s0 once computed nothing and exited 0
+    with pytest.raises(ScenarioError, match="'s0' lists no point"):
+        scenario_from_dict({"case": "siegel", "s0": []})
+    p = tmp_path / "no_point.toml"
+    p.write_text('case = "siegel"\ns0 = []\n', encoding="utf-8")
+    code = main(["poles", "--scenario", str(p)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"sp4eis: ScenarioError: {p}: 's0' lists no point\n"
+
+
 def test_poles_scenario_file(tmp_path, capsys):
     p = tmp_path / "scan.toml"
     p.write_text(SCENARIO, encoding="utf-8")
@@ -310,7 +338,8 @@ def test_scenario_default_profile():
     assert sc.profile.places[0].local_class.value == "other"
 
 
-# scenario files with a value of the wrong type, after a valid case line
+# scenario files with a value of the wrong type or an unknown value, after
+# a valid case line
 WRONG_TYPES = {
     "class_int.toml": "char_class = 1\n",
     "place_class_int.toml": '[[places]]\nkind = "arch"\nclass = 3\n',
@@ -319,6 +348,7 @@ WRONG_TYPES = {
     "checks_str.toml": 'checks = "poles"\n',
     "modulus_float.toml": "modulus = 4.5\n",
     "modulus_zero.toml": "modulus = 0\n",
+    "place_kind.toml": '[[places]]\nkind = "arch"\n\n[[places]]\nkind = "finite"\n',
     "unknown_key.toml": 'char-class = "quadratic"\n',
     "place_unknown_key.toml": '[[places]]\nkind = "arch"\nclas = "sgn"\n',
 }
@@ -327,12 +357,15 @@ WRONG_TYPES = {
 SHIPPED_RULES = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
 
 # rule tables with one malformed field: condition points with a zero
-# denominator, a misspelt carrier, a restated carrier choice and a kernel
-# on a relative row; and one with a relative row naming the wrong base
+# denominator, a misspelt parity, an unknown condition kind, a misspelt
+# carrier, a restated carrier choice and a kernel on a relative row; and
+# one with a relative row naming the wrong base
 RULE_EDITS = {
     "zero_eq.txt": ("|nonarch|trivial|eq:-2|", "|nonarch|trivial|eq:-2/0|"),
     "zero_shift.txt": ("|arch|trivial|int:0:even:lt-1|", "|arch|trivial|int:1/0:even:lt-1|"),
     "zero_bound.txt": ("|arch|trivial|int:0:even:lt-1|", "|arch|trivial|int:0:even:lt1/0|"),
+    "bad_parity.txt": ("|arch|trivial|int:0:even:lt-1|", "|arch|trivial|int:0:evn:lt-1|"),
+    "bad_condition.txt": ("|nonarch|trivial|eq:-2|", "|nonarch|trivial|ne:-2|"),
     "carrier_typo.txt": ("|st_gl2|", "|st_gl3|"),
     "carrier_listed.txt": ("|st_gl2|steinberg|", "|st_gl2|steinberg,carrier|"),
     "relative_kernel.txt": ("|c2s|s|*|trivial|eq:0|spherical=+1,langlands=+1,steinberg=+1|",
@@ -386,6 +419,11 @@ RULE_EDITS = {
       "--place", "arch:sgn:spherical", "nonarch:quadratic:t2"], "ProfileError"),
     (["poles", "--case", "siegel", "--char-class", "quadratic", "--s0", "1/2",
       "--place", "arch:trivial:spherical", "nonarch:other:spherical"], "ProfileError"),
+    # new rows go last, so the earlier rows keep their test ids
+    (["poles", "--scenario", "{tmp}/no_case.toml"], "ScenarioError"),
+    (["poles", "--scenario", "{tmp}/place_kind.toml"], "ProfileError"),
+    (["verify", "H-", "--rules", "{tmp}/bad_parity.txt"], "RuleTableError"),
+    (["verify", "H-", "--rules", "{tmp}/bad_condition.txt"], "RuleTableError"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     for name, text in WRONG_TYPES.items():
@@ -394,6 +432,7 @@ def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
         assert old in SHIPPED_RULES
         (tmp_path / name).write_text(SHIPPED_RULES.replace(old, new), encoding="utf-8")
     (tmp_path / "malformed.toml").write_text("case = \n", encoding="utf-8")
+    (tmp_path / "no_case.toml").write_text('char_class = "trivial"\n', encoding="utf-8")
     (tmp_path / "malformed.txt").write_text("nonsense|row\n", encoding="utf-8")
     (tmp_path / "latin1.toml").write_bytes(b"\xff\xfe")
     (tmp_path / "latin1.txt").write_bytes(b"\xff\xfe")

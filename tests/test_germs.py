@@ -353,7 +353,7 @@ def test_sum_vanishing_at_minus_one():
     assert (order_at(rs, TR, Q(-1)), germ_at(rs, TR, Q(-1))[1].render()) == (OrderValue.known(0), "-1")
     # the identity summand cancels the value exactly; the next Laurent
     # coefficient only involves the certified zeta constant
-    order, lead = full_depth_sum([(LExpression.one(), Q(1)), (rs, Q(1))], TR, Q(-1))
+    order, lead = full_depth_sum([(LExpression.build(Q(1), {}), Q(1)), (rs, Q(1))], TR, Q(-1))
     assert order == OrderValue.known(1)
     assert lead.render() == "2*Lam_c"
 
@@ -362,7 +362,7 @@ def test_sum_with_opaque_tail_gives_floor_only():
     # 1 - r(c1)^-1 at 0: the values cancel exactly but the next coefficient
     # involves an opaque derivative atom, so only a floor is reported
     rc1 = _expr("heisenberg", "sc2s", TR)
-    order, _ = full_depth_sum([(LExpression.one(), Q(1)), (rc1, Q(-1))], TR, Q(0))
+    order, _ = full_depth_sum([(LExpression.build(Q(1), {}), Q(1)), (rc1, Q(-1))], TR, Q(0))
     assert not order.is_known
     assert order.base >= 1  # value vanishes at the point
 
@@ -370,7 +370,7 @@ def test_sum_with_opaque_tail_gives_floor_only():
 def test_sum_refuses_strip():
     rc1 = _expr("heisenberg", "sc2s", TR)
     with pytest.raises(StripOrderUnknown):
-        full_depth_sum([(LExpression.one(), Q(1)), (rc1, Q(-1))], TR, Q(-3, 2))
+        full_depth_sum([(LExpression.build(Q(1), {}), Q(1)), (rc1, Q(-1))], TR, Q(-3, 2))
 
 
 def test_quadratic_bracket_exact_vanishing():
