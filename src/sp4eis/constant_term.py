@@ -34,7 +34,7 @@ from .localrules import (
     ARCH, CHOICES, ISO, KERNEL, NONARCH, ActionRule, PoleRule, RuleTable, UncoveredKey,
     default_rules,
 )
-from .normfactor import LExpression, canonicalize, inverse_norm_factor
+from .normfactor import LExpression, LSymbol, canonicalize, inverse_norm_factor
 from .roots import WeylElement
 
 
@@ -242,32 +242,31 @@ class ConstantTermReport:
         }
 
 
-def _common_factor(exprs: list[LExpression]) -> LExpression:
-    """Largest monomial dividing all expressions (shared strip content)."""
-    dicts = [e.as_dict() for e in exprs]
-    syms = set()
-    for d in dicts:
-        syms.update(d)
-    common: dict = {}
-    for sym in syms:
-        exps = [d.get(sym, 0) for d in dicts]
+def _common_factor(maps: list[dict[LSymbol, int]]) -> dict[LSymbol, int]:
+    """Largest monomial dividing all exponent maps (shared strip content):
+    a common symbol occurs in every map, so only the first map's are tried."""
+    common: dict[LSymbol, int] = {}
+    for sym in maps[0]:
+        exps = [d.get(sym, 0) for d in maps]
         if all(e > 0 for e in exps):
             common[sym] = min(exps)
         elif all(e < 0 for e in exps):
             common[sym] = max(exps)
-    return LExpression.build(Q(1), common)
+    return common
 
 
 @cache
 def _group_jets(case: str, members: tuple[WeylElement, ...], cls: CharClass,
                 s0: Q) -> tuple[OrderValue, tuple[Series, ...]]:
-    """The common factor's order and each member's remainder jet, keyed on Weyl
-    elements, never on expressions (whose hashes walk every ``Fraction``)."""
-    exprs = [factor_expression(case, w, cls) for w in members]
-    common = _common_factor(exprs)
-    inv = common.inverse()
-    return order_at(common, cls, s0), tuple(
-        known_part_series(e * inv, cls, s0) for e in exprs)
+    """The common factor's order and each member's remainder jet (its exponent
+    map less the common map), keyed on Weyl elements, never on expressions
+    (whose hashes walk every ``Fraction``)."""
+    maps = [dict(factor_expression(case, w, cls).factors) for w in members]
+    common = _common_factor(maps)
+    return order_at(LExpression.build(common), cls, s0), tuple(
+        known_part_series(LExpression.build(
+            {sym: e - common.get(sym, 0) for sym, e in d.items()}), cls, s0)
+        for d in maps)
 
 
 def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0: Q):

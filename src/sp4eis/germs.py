@@ -135,6 +135,7 @@ def _mod2(atom: Atom) -> bool:
 Monomial = tuple[tuple[Atom, int], ...]
 
 _ONE: Monomial = ()
+_RATIONAL_ONE = Q(1)  # the head of an empty product, built once for ``germ_at``
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -217,9 +218,6 @@ class FormalScalar:
 
     def __neg__(self) -> "FormalScalar":
         return FormalScalar({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "FormalScalar") -> "FormalScalar":
-        return self + (-other)
 
     def __mul__(self, other: "FormalScalar") -> "FormalScalar":
         d: dict[Monomial, Q] = {}
@@ -484,10 +482,6 @@ def _value_atoms(kind: str, eff: CharClass, n: int, m: int) -> Monomial:
     return ((("epsv" if kind == EPS else "lval", (eff.value, ratio_str(n, m))), 1),)
 
 
-def _constant_jet(c: Q | int) -> Series:
-    return Series(0, (FormalScalar.rational(c), FormalScalar.zero()))
-
-
 def symbol_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
     """First-order Laurent jet of one symbol around s0 (non-strip only).
 
@@ -551,7 +545,7 @@ def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
 
 def known_part_series(expr: LExpression, cls: CharClass, s0: Q) -> Series:
     """First-order jet of the expression: the product of its symbols' jets."""
-    out = _constant_jet(expr.scalar)
+    out = Series(0, (FormalScalar.rational(1), FormalScalar.zero()))
     for sym, e in expr.factors:
         out = out * symbol_series(sym, cls, s0).power(e)
     return out
@@ -571,7 +565,7 @@ def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> tuple[OrderValue, Forma
     """
     base = 0
     deps: list[StripDep] = []
-    coeff = expr.scalar
+    coeff = _RATIONAL_ONE
     exps: dict[Atom, int] = {}
     p, q = s0.numerator, s0.denominator
     for sym, e in expr.factors:
@@ -630,5 +624,5 @@ def apply_functional_equation(expr: LExpression, cls: CharClass | None = None) -
                 d[new] = d.get(new, 0) + e
         else:
             d[sym] = d.get(sym, 0) + e
-    out = LExpression.build(expr.scalar, d)
+    out = LExpression.build(d)
     return canonicalize(out, cls) if cls is not None else out

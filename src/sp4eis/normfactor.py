@@ -7,14 +7,14 @@ over the positive roots sent negative by w of
 
 where (k, e) is the composition of the inducing character with the coroot.
 ``inverse_norm_factor`` sums their exponents in one symbol -> exponent
-map and builds the expression once: a rational scalar with the nonzero
-exponents, sorted deterministically for rendering.
+map and builds the expression once: the nonzero exponents, sorted
+deterministically for rendering.  The product has no constant, so an
+expression is its exponent map and nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .characters import AffineForm, CharClass, TorusCharacter, compose_coroot, reduce_power
 from .roots import SP4, WeylElement
@@ -41,32 +41,16 @@ class LSymbol:
 
 @dataclass(frozen=True)
 class LExpression:
-    """Formal product of L/eps symbols with integer exponents and a scalar."""
+    """Formal product of L/eps symbols: its nonzero integer exponents, sorted."""
 
-    scalar: Q
     factors: tuple[tuple[LSymbol, int], ...]
 
     @staticmethod
-    def build(scalar: Q, factors: dict[LSymbol, int]) -> "LExpression":
-        if scalar == 0:
-            raise ValueError("expression scalar must be nonzero")
-        items = tuple(sorted(
+    def build(factors: dict[LSymbol, int]) -> "LExpression":
+        return LExpression(tuple(sorted(
             ((sym, e) for sym, e in factors.items() if e != 0),
             key=lambda it: it[0].sort_key(),
-        ))
-        return LExpression(scalar, items)
-
-    def as_dict(self) -> dict[LSymbol, int]:
-        return dict(self.factors)
-
-    def __mul__(self, other: "LExpression") -> "LExpression":
-        d = self.as_dict()
-        for sym, e in other.factors:
-            d[sym] = d.get(sym, 0) + e
-        return LExpression.build(self.scalar * other.scalar, d)
-
-    def inverse(self) -> "LExpression":
-        return LExpression.build(1 / self.scalar, {s: -e for s, e in self.factors})
+        )))
 
     def render(self) -> str:
         num = [(s, e) for s, e in self.factors if e > 0]
@@ -78,16 +62,13 @@ class LExpression:
                 parts.append(sym.render() + (f"^{e}" if e > 1 else ""))
             return "*".join(parts)
 
-        head = "" if self.scalar == 1 else f"{self.scalar}*"
-        if not num and not den:
-            return f"{self.scalar}"
         num_s = side(num) if num else "1"
         if not den:
-            return head + num_s
+            return num_s
         den_s = side(den)
         if len(den) > 1:
             den_s = f"({den_s})"
-        return f"{head}{num_s} / {den_s}"
+        return f"{num_s} / {den_s}"
 
 
 def inverse_norm_factor(lam: TorusCharacter, w: WeylElement) -> LExpression:
@@ -103,7 +84,7 @@ def inverse_norm_factor(lam: TorusCharacter, w: WeylElement) -> LExpression:
         e1 = e.shift(1)
         for sym, n in ((LSymbol(L, e, k), 1), (LSymbol(L, e1, k), -1), (LSymbol(EPS, e1, k), -1)):
             d[sym] = d.get(sym, 0) + n
-    return LExpression.build(Q(1), d)
+    return LExpression.build(d)
 
 
 def canonicalize(expr: LExpression, cls: CharClass) -> LExpression:
@@ -121,4 +102,4 @@ def canonicalize(expr: LExpression, cls: CharClass) -> LExpression:
             continue
         key = LSymbol(sym.kind, sym.arg, k)
         d[key] = d.get(key, 0) + e
-    return LExpression.build(expr.scalar, d)
+    return LExpression.build(d)

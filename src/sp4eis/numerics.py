@@ -389,7 +389,7 @@ def eval_expression(expr: LExpression, cls: CharClass, s: complex,
     """
     if known is None:
         known = {}
-    out = complex(float(expr.scalar))
+    out = 1 + 0j
     for sym, e in expr.factors:
         if sym.kind == EPS:
             continue
@@ -430,8 +430,10 @@ def estimate_order(expr: LExpression, cls: CharClass, s0: Q,
     """
     xs, ys = [], []
     for d in DELTA_LADDER:
-        v = eval_expression(expr, cls, float(s0) + d, table, known)
-        m = abs(v)
+        try:
+            m = abs(eval_expression(expr, cls, float(s0) + d, table, known))
+        except OverflowError:  # a float power past the range raises, not inf
+            m = math.inf
         if not (1e-280 < m < 1e280):
             raise NumericsError(f"magnitude {m} out of range at delta={d}")
         xs.append(math.log(d))

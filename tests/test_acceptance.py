@@ -134,12 +134,12 @@ def test_criterion_5_eps_identity():
     f = AffineForm.of
     # the product of the two rewritten functional equations:
     # [L(1-s,chi)/L(s,chi)] * [L(-s,chi)/L(1+s,chi)]
-    e = LExpression.build(Q(1), {
+    e = LExpression.build({
         LSymbol(L, f(-1, 1), 1): 1, LSymbol(L, f(-1, 0), 1): 1,
         LSymbol(L, f(1, 0), 1): -1, LSymbol(L, f(1, 1), 1): -1,
     })
     rewritten = apply_functional_equation(e, QU)
-    assert rewritten.as_dict() == {
+    assert dict(rewritten.factors) == {
         LSymbol(EPS, f(1, 0), 1): 1, LSymbol(EPS, f(1, 1), 1): 1,
     }, "the L-values cancel, leaving eps(s,chi)*eps(s+1,chi)"
     assert (order_at(rewritten, QU, Q(0)), germ_at(rewritten, QU, Q(0))[1].render()) == \
@@ -187,8 +187,8 @@ def test_criterion_6_cancellations():
     # the vanishing of the bracket is exact of order one
     f = AffineForm.of
     bracket_order, _ = full_depth_sum([
-        (LExpression.build(Q(1), {LSymbol(L, f(-1, Q(1, 2)), 1): 1}), Q(1)),
-        (LExpression.build(Q(1), {LSymbol(L, f(1, Q(-1, 2)), 1): 1}), Q(-1)),
+        (LExpression.build({LSymbol(L, f(-1, Q(1, 2)), 1): 1}), Q(1)),
+        (LExpression.build({LSymbol(L, f(1, Q(-1, 2)), 1): 1}), Q(-1)),
     ], QU, Q(1, 2))
     assert bracket_order == OrderValue.known(1)
     _report(6, "pole cancellations verified: short pair at the origin "

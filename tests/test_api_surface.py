@@ -5,6 +5,11 @@ as a ``Name`` node, an ``Attribute`` node or a string constant, other
 than its own definition.  A dotted string such as ``"RuleTable.local_pole"``
 (the form of ``perfbench/layertrace.py``'s ``SPANNED``) counts for each of
 its parts.  Dunder methods are called by the language and are exempt.
+
+The check is by name, so it cannot see an unused dunder, nor an unused
+method whose name another class's method shares and src calls (an
+``inverse`` counts as used while ``Series.inverse`` is).  Such surface has
+to be found by reading.
 """
 
 import ast

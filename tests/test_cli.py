@@ -527,11 +527,24 @@ def test_bad_pole_order_names_its_line(tmp_path, capsys):
         f"sp4eis: RuleTableError: {p}:{lineno}: pole order must be 0 or 1, got 2\n"
 
 
+def _fresh_python(*argv) -> subprocess.CompletedProcess:
+    """A new interpreter run with ``argv``, the checkout's ``src`` first on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
 def test_cli_import_leaves_out_toml_and_theorems():
     # only load_scenario reads TOML and only verify reads the theorem grids
     code = "import sys, sp4eis.cli; print(sorted({'tomllib', 'sp4eis.theorems'} & set(sys.modules)))"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out == "[]\n"
+    done = _fresh_python("-c", code)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_python_m_sp4eis_runs_main_and_returns_its_exit_code():
+    done = _fresh_python("-m", "sp4eis", "numcheck", "--modulus", "4", "--json")
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode("utf-8")).hexdigest() == NUMCHECK_SHA256[4]
+    done = _fresh_python("-m", "sp4eis", "verify", "XX")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "error: argument theorem: unknown theorem id 'XX'" in done.stderr

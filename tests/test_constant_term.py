@@ -304,3 +304,5 @@ def test_coset_representatives_per_case():
         ["id", "s", "c2s", "sc2s"]
     assert [w.name for w in coset_representatives("siegel")] == \
         ["id", "c2", "sc2", "c2sc2"]
+    with pytest.raises(ValueError):
+        coset_representatives("x")

@@ -24,6 +24,7 @@ from sp4eis.characters import COSET_REPS, TARGETS, AffineForm, CharClass, TorusC
 from sp4eis.constant_term import PlaceProfile, eisenstein_order, factor_expression
 from sp4eis.germs import apply_functional_equation, order_at
 from sp4eis.normfactor import EPS, LExpression, LSymbol, canonicalize
+from test_germs import multiply
 
 GLOBAL_CLASSES = (CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER)
 # each global class with every real-place class a character of that class can have
@@ -51,8 +52,8 @@ def dual_target(target: TorusCharacter) -> TorusCharacter:
 
 def dual_factor(expr: LExpression) -> LExpression:
     """A factor at -s with chi -> chi^-1."""
-    return LExpression.build(expr.scalar, {LSymbol(sym.kind, reflect(sym.arg), -sym.power): e
-                                           for sym, e in expr.factors})
+    return LExpression.build({LSymbol(sym.kind, reflect(sym.arg), -sym.power): e
+                              for sym, e in expr.factors})
 
 
 def eps_reduced(expr: LExpression, cls: CharClass) -> LExpression:
@@ -63,7 +64,7 @@ def eps_reduced(expr: LExpression, cls: CharClass) -> LExpression:
         if sym.kind == EPS and (sym.arg.sort_key(), sym.power) < (refl.arg.sort_key(), refl.power):
             sym, e = refl, -e
         d[sym] = d.get(sym, 0) + e
-    return canonicalize(LExpression.build(expr.scalar, d), cls)
+    return canonicalize(LExpression.build(d), cls)
 
 
 def normal_form(expr: LExpression, cls: CharClass) -> LExpression:
@@ -77,8 +78,8 @@ def test_factor_functional_equation_per_summand(case, cls):
     for w in reps:
         (w_dual,) = [v for v in reps if dual_target(TARGETS[case][v]) == TARGETS[case][w]]
         lhs = factor_expression(case, w, cls)
-        rhs = factor_expression(case, longest(case), cls) \
-            * canonicalize(dual_factor(factor_expression(case, w_dual, cls)), cls)
+        rhs = multiply(factor_expression(case, longest(case), cls),
+                       canonicalize(dual_factor(factor_expression(case, w_dual, cls)), cls))
         assert normal_form(lhs, cls) == normal_form(rhs, cls), (w.name, w_dual.name)
 
 

@@ -34,8 +34,22 @@ def lsym(a, b, power=1, kind=L) -> LSymbol:
     return LSymbol(kind, AffineForm.of(a, b), power)
 
 
-def expr_of(scalar, factors) -> LExpression:
-    return LExpression.build(Q(scalar), factors)
+def multiply(x: LExpression, y: LExpression) -> LExpression:
+    """The product of two expressions: their exponent maps add."""
+    d = dict(x.factors)
+    for sym, e in y.factors:
+        d[sym] = d.get(sym, 0) + e
+    return LExpression.build(d)
+
+
+def inverse(x: LExpression) -> LExpression:
+    return LExpression.build({sym: -e for sym, e in x.factors})
+
+
+def over_common_factor(exprs: list[LExpression]) -> list[LExpression]:
+    """Each expression times the inverse of the group's common factor."""
+    inv = inverse(LExpression.build(_common_factor([dict(e.factors) for e in exprs])))
+    return [multiply(e, inv) for e in exprs]
 
 
 def may_be_negative(ov: OrderValue) -> bool:
@@ -131,6 +145,14 @@ def test_siegel_strip_windows():
         assert may_be_negative(order_at(sc2, TR, s0)) == in_sc2, s0
 
 
+def test_a_floor_does_not_absorb_a_possible_pole():
+    pole = OrderValue.conditional(0, [StripDep("L(s,1)", Q(1, 2), -1)])
+    with pytest.raises(GermError):
+        OrderValue.at_least(1) + pole
+    zero = OrderValue.conditional(0, [StripDep("L(s,1)", Q(1, 2), 1)])
+    assert OrderValue.at_least(1) + zero == OrderValue.at_least(1)
+
+
 def test_order_multiplicativity_and_inversion():
     points = [Q(0), Q(1), Q(2), Q(-1), Q(-2), Q(5, 2)]
     exprs = [_expr("heisenberg", w, TR) for w in ("sc2s", "s", "c2s")]
@@ -138,7 +160,7 @@ def test_order_multiplicativity_and_inversion():
         for e2 in exprs:
             for s0 in points:
                 o1, o2 = order_at(e1, TR, s0), order_at(e2, TR, s0)
-                both = order_at(e1 * e2, TR, s0)
+                both = order_at(multiply(e1, e2), TR, s0)
                 assert both.base == o1.base + o2.base
                 if o1.is_known and o2.is_known:
                     assert both.is_known
@@ -147,7 +169,7 @@ def test_order_multiplicativity_and_inversion():
             ov = order_at(e, TR, s0)
             negated = OrderValue.conditional(
                 -ov.base, [StripDep(d.symbol, d.point, -d.coeff) for d in ov.deps])
-            assert order_at(e.inverse(), TR, s0) == negated
+            assert order_at(inverse(e), TR, s0) == negated
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +181,10 @@ def test_germ_examples():
     assert (order_at(rc1, TR, Q(0)), germ_at(rc1, TR, Q(0))[1].render()) == (OrderValue.known(0), "1")
 
     # completed zeta at argument s+1 around 0: simple pole, residue +1
-    e = expr_of(1, {lsym(1, 1, 0): 1})
+    e = LExpression.build({lsym(1, 1, 0): 1})
     assert (order_at(e, TR, Q(0)), germ_at(e, TR, Q(0))[1].render()) == (OrderValue.known(-1), "1")
 
-    e = expr_of(1, {lsym(1, 2, 1, EPS): 1})
+    e = LExpression.build({lsym(1, 2, 1, EPS): 1})
     assert order_at(e, QU, Q(0)) == OrderValue.known(0)
     assert germ_at(e, QU, Q(0))[1].render() == "eps[quadratic](2)"
 
@@ -186,7 +208,7 @@ def _head_or_error(fn):
 @example(kind=L, power=1, a=1, b2=0, cls=OT, s8=4)      # strip argument
 def test_symbol_head_matches_series_head(kind, power, a, b2, cls, s8):
     sym = lsym(a, Q(b2, 2), power, kind)
-    expr = expr_of(1, {sym: 1})
+    expr = LExpression.build({sym: 1})
     s0 = Q(s8, 8)
     direct = _head_or_error(lambda: germ_at(expr, cls, s0))
     series = _head_or_error(lambda: symbol_series(sym, cls, s0))
@@ -320,7 +342,7 @@ def test_germ_refuses_strip():
 
 
 def test_degenerate_constant_symbol():
-    e = expr_of(1, {lsym(0, 1): 1})  # completed zeta pinned at its pole
+    e = LExpression.build({lsym(0, 1): 1})  # completed zeta pinned at its pole
     with pytest.raises(DegenerateSymbol):
         germ_at(e, TR, Q(7))
 
@@ -353,7 +375,7 @@ def test_sum_vanishing_at_minus_one():
     assert (order_at(rs, TR, Q(-1)), germ_at(rs, TR, Q(-1))[1].render()) == (OrderValue.known(0), "-1")
     # the identity summand cancels the value exactly; the next Laurent
     # coefficient only involves the certified zeta constant
-    order, lead = full_depth_sum([(LExpression.build(Q(1), {}), Q(1)), (rs, Q(1))], TR, Q(-1))
+    order, lead = full_depth_sum([(LExpression.build({}), Q(1)), (rs, Q(1))], TR, Q(-1))
     assert order == OrderValue.known(1)
     assert lead.render() == "2*Lam_c"
 
@@ -362,7 +384,7 @@ def test_sum_with_opaque_tail_gives_floor_only():
     # 1 - r(c1)^-1 at 0: the values cancel exactly but the next coefficient
     # involves an opaque derivative atom, so only a floor is reported
     rc1 = _expr("heisenberg", "sc2s", TR)
-    order, _ = full_depth_sum([(LExpression.build(Q(1), {}), Q(1)), (rc1, Q(-1))], TR, Q(0))
+    order, _ = full_depth_sum([(LExpression.build({}), Q(1)), (rc1, Q(-1))], TR, Q(0))
     assert not order.is_known
     assert order.base >= 1  # value vanishes at the point
 
@@ -370,14 +392,14 @@ def test_sum_with_opaque_tail_gives_floor_only():
 def test_sum_refuses_strip():
     rc1 = _expr("heisenberg", "sc2s", TR)
     with pytest.raises(StripOrderUnknown):
-        full_depth_sum([(LExpression.build(Q(1), {}), Q(1)), (rc1, Q(-1))], TR, Q(-3, 2))
+        full_depth_sum([(LExpression.build({}), Q(1)), (rc1, Q(-1))], TR, Q(-3, 2))
 
 
 def test_quadratic_bracket_exact_vanishing():
     # L(-s,chi) - L(s,chi) vanishes to first order at 0 with a certified
     # nonzero derivative coefficient
-    plus = expr_of(1, {lsym(-1, 0): 1})
-    minus = expr_of(1, {lsym(1, 0): 1})
+    plus = LExpression.build({lsym(-1, 0): 1})
+    minus = LExpression.build({lsym(1, 0): 1})
     order, lead = full_depth_sum([(plus, Q(1)), (minus, Q(-1))], QU, Q(0))
     assert order == OrderValue.known(1)
     assert lead.render() == "-2*Lhat[quadratic]^(1)(0)"
@@ -450,8 +472,7 @@ def test_group_sum_matches_full_depth():
             if len(group) == 1:
                 continue
             exprs = [factor_expression(case, w, cls) for w in group]
-            inv = _common_factor(exprs).inverse()
-            rems = [e * inv for e in exprs]
+            rems = over_common_factor(exprs)
             orders = [order_at(r, cls, s0).base for r in rems]
             _, jets = _group_jets(case, tuple(group), cls, s0)
             for signs in itertools.product((Q(1), Q(-1)), repeat=len(group) - 1):
@@ -480,8 +501,8 @@ def test_group_sum_matches_full_depth():
 def test_floor_leading_terms_at_zero(case, cls, group, weights, want_order, want_lead):
     (members,) = [g for g in spherical_groups(case, Q(0), cls) if [w.name for w in g] == group]
     exprs = [factor_expression(case, w, cls) for w in members]
-    inv = _common_factor(exprs).inverse()
-    order, lead = full_depth_sum([(e * inv, Q(w)) for e, w in zip(exprs, weights)], cls, Q(0))
+    rems = over_common_factor(exprs)
+    order, lead = full_depth_sum([(r, Q(w)) for r, w in zip(rems, weights)], cls, Q(0))
     assert (order.render(), lead.render()) == (want_order, want_lead)
 
 
@@ -522,19 +543,24 @@ def test_symbol_series_renders(sym, cls, s0, coeffs):
 # ---------------------------------------------------------------------------
 
 def test_fe_rewrite_example():
-    e = expr_of(1, {lsym(-1, 0): 1})  # L(-s, chi)
+    e = LExpression.build({lsym(-1, 0): 1})  # L(-s, chi)
     out = apply_functional_equation(e, QU)
-    assert out.as_dict() == {lsym(1, 1): 1, lsym(1, 1, 1, EPS): 1}
+    assert dict(out.factors) == {lsym(1, 1): 1, lsym(1, 1, 1, EPS): 1}
     assert out.render() == "L(s+1,chi)*eps(s+1,chi)"
 
 
 def test_fe_oriented_symbol_unchanged():
-    e = expr_of(1, {lsym(1, 0): 1})
+    e = LExpression.build({lsym(1, 0): 1})
     assert apply_functional_equation(e) == e
+    # a constant argument is oriented by its value: L(1,chi) stays, L(0,chi) reflects
+    e = LExpression.build({lsym(0, 1): 1})
+    assert apply_functional_equation(e) == e
+    out = apply_functional_equation(LExpression.build({lsym(0, 0): 1}))
+    assert dict(out.factors) == {lsym(0, 1, -1): 1, lsym(0, 1, -1, EPS): 1}
 
 
 def test_fe_idempotent():
-    e = expr_of(1, {lsym(-1, 0): 1, lsym(-2, Q(1, 2)): 2, lsym(1, -5): 1})
+    e = LExpression.build({lsym(-1, 0): 1, lsym(-2, Q(1, 2)): 2, lsym(1, -5): 1})
     once = apply_functional_equation(e, QU)
     assert apply_functional_equation(once, QU) == once
 
@@ -543,9 +569,9 @@ def test_fe_derives_eps_pair_identity():
     # multiply the two rewrites L(1-s,chi)=eps(s,chi)L(s,chi) and
     # L(-s,chi)=eps(1+s,chi)L(1+s,chi): the L-values cancel and the product
     # of epsilon factors at s=0 is forced to be 1
-    e = expr_of(1, {lsym(-1, 1): 1, lsym(-1, 0): 1, lsym(1, 0): -1, lsym(1, 1): -1})
+    e = LExpression.build({lsym(-1, 1): 1, lsym(-1, 0): 1, lsym(1, 0): -1, lsym(1, 1): -1})
     rewritten = apply_functional_equation(e, QU)
-    assert rewritten.as_dict() == {lsym(1, 0, 1, EPS): 1, lsym(1, 1, 1, EPS): 1}
+    assert dict(rewritten.factors) == {lsym(1, 0, 1, EPS): 1, lsym(1, 1, 1, EPS): 1}
     assert (order_at(rewritten, QU, Q(0)), germ_at(rewritten, QU, Q(0))[1].render()) == \
         (OrderValue.known(0), "1")
     # and the original expression is exactly 1 at the point as well
@@ -561,7 +587,7 @@ def _order_signature(ov: OrderValue):
 
 def test_fe_preserves_orders():
     for cls in (TR, QU):
-        e = expr_of(1, {lsym(-1, Q(1, 2)): 1, lsym(2, 1, 2): -1})
+        e = LExpression.build({lsym(-1, Q(1, 2)): 1, lsym(2, 1, 2): -1})
         out = apply_functional_equation(e, cls)
         for s8 in range(-16, 17):
             s0 = Q(s8, 8)
@@ -570,6 +596,6 @@ def test_fe_preserves_orders():
 
 
 def test_other_class_keeps_inverse_powers():
-    e = expr_of(1, {lsym(-1, 0): 1})
+    e = LExpression.build({lsym(-1, 0): 1})
     out = apply_functional_equation(e)  # no class: chi stays abstract
-    assert out.as_dict() == {lsym(1, 1, -1): 1, lsym(1, 1, -1, EPS): 1}
+    assert dict(out.factors) == {lsym(1, 1, -1): 1, lsym(1, 1, -1, EPS): 1}

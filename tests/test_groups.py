@@ -38,9 +38,9 @@ from sp4eis.constant_term import (
 )
 from sp4eis.germs import known_part_series, order_at, sum_series
 from sp4eis.localrules import ARCH, ActionRule, Condition, default_rules
-from sp4eis.normfactor import EPS
+from sp4eis.normfactor import EPS, LExpression
 from sp4eis.numerics import completed_dirichlet, completed_zeta, table_for_modulus
-from test_germs import full_depth_sum
+from test_germs import full_depth_sum, inverse, multiply
 
 PINS = Path(__file__).resolve().parent / "data" / "group_sums.tsv"
 GLOBAL_CLASSES = (CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER)
@@ -101,8 +101,8 @@ def weight_row(case: str, w, base, weight: int) -> ActionRule:
 
 def remainders(case: str, cls: CharClass, s0: Q, members: tuple):
     terms = [term_report(case, PROFILE, w, s0, cls, default_rules()) for w in members]
-    common = _common_factor([t.expr for t in terms])
-    return terms, common, [t.expr * common.inverse() for t in terms]
+    common = LExpression.build(_common_factor([dict(t.expr.factors) for t in terms]))
+    return terms, common, [multiply(t.expr, inverse(common)) for t in terms]
 
 
 def group_sums(case: str, cls: CharClass, s0: Q, members: tuple) -> list[tuple[str, ...]]:
@@ -233,7 +233,7 @@ def coefficient(tbl, u0: float, k: int) -> complex:
 
 def expression_value(expr, cls: CharClass, tbl, s: complex) -> complex:
     """A canonical expression at s, with every epsilon factor 1."""
-    out = complex(expr.scalar)
+    out = 1 + 0j
     for sym, e in expr.factors:
         if sym.kind != EPS:
             u = float(sym.arg.a) * s + float(sym.arg.b)

@@ -72,7 +72,7 @@ def test_tracer_installs_on_every_name_and_restores_each_original():
         for (owner, name), original in zip(hooks, hook_originals):
             assert owner.__dict__[name] is not original, f"{owner.__name__}.{name} not counted"
         # a by-name import is wrapped too: constant_term binds order_at itself
-        expr = LExpression.build(Q(1), {})
+        expr = LExpression.build({})
         germs.order_at(expr, CharClass.TRIVIAL, Q(0))
         constant_term.order_at(expr, CharClass.TRIVIAL, Q(0))
         assert tracer.ncalls["germs.order_at"] == 2

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from sp4eis.characters import COSET_REPS, CharClass
 from sp4eis.localrules import (
-    ARCH, NONARCH, RuleTable, RuleTableError, UncoveredKey, UnknownChoice,
+    ARCH, NONARCH, Condition, RuleTable, RuleTableError, UncoveredKey, UnknownChoice,
     default_rules, gl2_reducible, load_rules, parse_rules, sl2_reducible,
 )
 
@@ -41,6 +41,9 @@ def test_sl2_arch():
     assert sl2_reducible(ARCH, SGN, Q(-4))
     assert not sl2_reducible(ARCH, SGN, Q(-3))
     assert not sl2_reducible(ARCH, TR, Q(-1, 2))
+    assert not sl2_reducible(ARCH, QU, Q(1))  # a quadratic class has no archimedean parity
+    with pytest.raises(ValueError):
+        sl2_reducible("finite", TR, Q(1))
 
 
 def test_gl2():
@@ -50,6 +53,8 @@ def test_gl2():
     assert gl2_reducible(ARCH, TR, Q(-3))
     assert gl2_reducible(ARCH, SGN, Q(-2))
     assert not gl2_reducible(ARCH, SGN, Q(-3))
+    with pytest.raises(ValueError):
+        gl2_reducible("finite", TR, Q(1))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +175,9 @@ def test_table_is_exactly_the_stated_clauses():
         for r in RULES.poles if r.order == 1
     }
     assert got == exceptional
+    # every other row is a catch-all
+    assert {r.condition.render() for r in RULES.poles if r.order == 0} == {"always"}
+    assert Condition.parse("always").render() == "always"
     # every row carries a human-readable justification
     assert all(r.note for r in RULES.poles if r.order == 1)
     assert all(r.note for r in RULES.actions)

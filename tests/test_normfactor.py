@@ -1,7 +1,5 @@
 """Golden tests for the six inverse normalizing factors and canonicalization."""
 
-from fractions import Fraction as Q
-
 import pytest
 
 from sp4eis.characters import (
@@ -9,6 +7,7 @@ from sp4eis.characters import (
 )
 from sp4eis.normfactor import EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor
 from sp4eis.roots import SP4
+from test_germs import multiply
 
 SYS = SP4
 TR, QU = CharClass.TRIVIAL, CharClass.QUADRATIC
@@ -45,29 +44,28 @@ def test_golden_formula_structure():
     w = SYS.element_by_name("sc2s")
     expr = inverse_norm_factor(heisenberg_lambda(), w)
     f = AffineForm.of
-    assert expr.as_dict() == {
+    assert dict(expr.factors) == {
         LSymbol(L, f(1, -1), 1): 1,
         LSymbol(L, f(1, 2), 1): -1,
         LSymbol(EPS, f(1, 0), 1): -1,
         LSymbol(EPS, f(1, 1), 1): -1,
         LSymbol(EPS, f(1, 2), 1): -1,
     }
-    assert expr.scalar == 1
 
 
 def test_identity_gives_empty_product():
-    assert inverse_norm_factor(_lambda("heisenberg"), SYS.identity()) == LExpression.build(Q(1), {})
+    assert inverse_norm_factor(_lambda("heisenberg"), SYS.identity()) == LExpression.build({})
     assert inverse_norm_factor(_lambda("siegel"), SYS.identity()).render() == "1"
 
 
 def folded_factor(lam, w) -> LExpression:
     """The reference r^-1: one expression per negative root,
     L(e,chi^k) / (L(e+1,chi^k) eps(e+1,chi^k)), multiplied together from 1."""
-    expr = LExpression.build(Q(1), {})
+    expr = LExpression.build({})
     for alpha in SYS.negative_set(w):
         k, e = compose_coroot(lam, SYS.coroot(alpha))
-        expr = expr * LExpression.build(Q(1), {
-            LSymbol(L, e, k): 1, LSymbol(L, e.shift(1), k): -1, LSymbol(EPS, e.shift(1), k): -1})
+        expr = multiply(expr, LExpression.build({
+            LSymbol(L, e, k): 1, LSymbol(L, e.shift(1), k): -1, LSymbol(EPS, e.shift(1), k): -1}))
     return expr
 
 
@@ -76,13 +74,6 @@ def test_one_pass_matches_the_per_root_fold():
         lam = _lambda(case)
         for w in SYS.elements():
             assert inverse_norm_factor(lam, w) == folded_factor(lam, w), (case, w.name)
-
-
-def test_cancellation_in_products():
-    f = AffineForm.of
-    sym = LSymbol(L, f(1, 0), 1)
-    e = LExpression.build(Q(1), {sym: 1})
-    assert e * e.inverse() == LExpression.build(Q(1), {})
 
 
 def test_trivial_class_drops_epsilons():
@@ -102,11 +93,5 @@ def test_quadratic_class_reduces_squares():
 def test_render_with_powers_and_scalar():
     f = AffineForm.of
     sym = LSymbol(L, f(1, 0), 1)
-    e = LExpression.build(Q(3, 2), {sym: 2})
-    assert e.render() == "3/2*L(s,chi)^2"
-    assert e.inverse().render() == "2/3*1 / L(s,chi)^2"
-
-
-def test_scalar_zero_rejected():
-    with pytest.raises(ValueError):
-        LExpression.build(Q(0), {})
+    assert LExpression.build({sym: 2}).render() == "L(s,chi)^2"
+    assert LExpression.build({sym: -2}).render() == "1 / L(s,chi)^2"

@@ -6,9 +6,9 @@ from fractions import Fraction as Q
 import pytest
 
 from sp4eis import numerics
-from sp4eis.characters import CharClass, coset_representatives, heisenberg_lambda
+from sp4eis.characters import AffineForm, CharClass, coset_representatives, heisenberg_lambda
 from sp4eis.constant_term import factor_expression
-from sp4eis.normfactor import canonicalize, inverse_norm_factor
+from sp4eis.normfactor import L, LExpression, LSymbol, canonicalize, inverse_norm_factor
 from sp4eis.numerics import (
     IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_MIN, ZETA_M, NotEvaluable,
     NumericsError, PoleProximity, _em_coefficients, bernoulli_numbers, completed_dirichlet,
@@ -57,11 +57,15 @@ def test_zeta_closed_forms():
 def test_zeta_direct_agrees():
     for s in (2.5, 3.0, 3.5 + 1.0j, 4.0):
         assert abs(zeta_direct(s) - zeta_em(s)) < 1e-10
+    with pytest.raises(NumericsError):
+        zeta_direct(1.0)
 
 
 def test_hurwitz():
     assert abs(hurwitz_zeta(2, 0.5) - math.pi ** 2 / 2) < 1e-12
     assert abs(hurwitz_zeta(3.0, 1.0) - zeta_em(3.0)) < 1e-13
+    with pytest.raises(ValueError):
+        hurwitz_zeta(2.0, 0)
 
 
 def test_completed_zeta():
@@ -101,6 +105,11 @@ def test_kronecker():
     assert [kronecker_symbol(-4, n) for n in range(1, 8, 2)] == [1, -1, 1, -1]
     assert kronecker_symbol(8, 3) == -1
     assert kronecker_symbol(12, 5) == -1
+    # a negative n: (a|n) = (a|-1) (a|-n), where (a|-1) is the sign of a
+    for a in range(-30, 31):
+        for n in range(-30, 0):
+            assert kronecker_symbol(a, n) == (-1 if a < 0 else 1) * kronecker_symbol(a, -n), (a, n)
+    assert kronecker_symbol(-3, -1) == -1
 
 
 def test_quadratic_tables():
@@ -174,6 +183,15 @@ def test_estimate_order_basic():
     assert est.fitted == -1 and est.residual < 0.05
     est = estimate_order(rc1, TR, Q(5))
     assert est.fitted == 0 and est.residual < 0.05
+
+
+@pytest.mark.parametrize("k", [145, -145, -400, 400])
+def test_estimate_order_refuses_magnitudes_out_of_range(k):
+    # zeta(s)^k near s = 1: past 1e280, past float range (k = 400), or
+    # underflowing to 0, each is a NumericsError
+    expr = LExpression.build({LSymbol(L, AffineForm.of(1, 0), 0): k})
+    with pytest.raises(NumericsError):
+        estimate_order(expr, TR, Q(1))
 
 
 def test_eval_expression_needs_table_for_quadratic():

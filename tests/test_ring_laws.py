@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from sp4eis.germs import FormalScalar, Series
+from sp4eis.germs import FormalScalar, IndeterminateLeading, Series
 
 # a few atoms of different kinds, including the self-dual eps(1/2) whose
 # square reduces to 1
@@ -75,7 +75,7 @@ def assert_canonical(x: FormalScalar) -> None:
 
 @given(scalars, scalars, coefficients, nonzero_monomials)
 def test_ring_operations_stay_canonical(x, y, c, m):
-    for out in (x + y, x - x, (x + y) - y, x * y, (x + y) * (x - y), -x, x.scale(c),
+    for out in (x + y, x + (-x), (x + y) + (-y), x * y, (x + y) * (x + (-y)), -x, x.scale(c),
                 m.inverse(), m * m.inverse(), m * m):
         assert_canonical(out)
     assert x + FormalScalar.zero() is x and x.scale(1) is x
@@ -91,6 +91,14 @@ def test_jet_product_is_commutative_associative_and_unital(a, b, c):
 @given(series())
 def test_series_inverse_times_self_is_one(s):
     assert same_series(s.inverse() * s, ONE)
+
+
+def test_inverse_of_a_non_monomial_head_is_refused():
+    two_terms = FormalScalar.rational(1) + FormalScalar.atom(ATOMS[0])
+    with pytest.raises(IndeterminateLeading):
+        two_terms.inverse()
+    with pytest.raises(IndeterminateLeading):
+        Series(0, [FormalScalar.zero(), FormalScalar.rational(1)]).inverse()
 
 
 @given(series(), st.integers(-3, 3).filter(bool))

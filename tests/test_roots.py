@@ -51,6 +51,11 @@ def test_generator_actions():
     assert c2.apply(E1) == E1
     ident = SYS.identity()
     assert ident.apply(B1) == B1
+    with pytest.raises(KeyError):
+        SYS.generator("x")
+    assert is_negative((0, -1)) and not is_negative((1, -1))
+    with pytest.raises(ValueError):
+        is_negative((0, 0))
 
 
 def test_group_order_and_axioms():
