@@ -10,16 +10,16 @@ order, vanishing behavior, and image labels.
 
 Each summand's ``TermReport`` holds its parts, each computed once: the
 factor, its order and leading term, each place's pole and action rows
-(none for the identity) and the target.  Group weights, singleton groups
+(none for the identity) and the target.  Group signs, singleton groups
 and image labels read those reports and look nothing up again.  A member
 of a group is its common factor times a (strip-free) remainder, so each
 of the 14 groups of several members is built once (``_group_jets``): the
-common factor's order and every remainder's jet, which a sum only weights.
+common factor's order and every remainder's jet, which a sum signs and adds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
 
@@ -172,7 +172,7 @@ class GroupReport:
     order: OrderValue | None       # None when the group is killed by a kernel
     leading: str | None
     cancelled: bool                # a pole/leading actually cancelled in the sum
-    weights: dict[str, str] = field(default_factory=dict)
+    weights: tuple[int, ...] = ()  # each member's sign, +1 or -1; () for a live singleton
     note: str = ""
 
     @property
@@ -188,7 +188,7 @@ class GroupReport:
             if self.leading is not None:
                 out["leading"] = self.leading
         if self.weights:
-            out["weights"] = self.weights
+            out["weights"] = {t.w.name: str(w) for t, w in zip(self.terms, self.weights)}
         if self.note:
             out["note"] = self.note
         return out
@@ -270,9 +270,10 @@ def _group_jets(case: str, members: tuple[WeylElement, ...], cls: CharClass,
 
 
 def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0: Q):
-    """Per-member weights (+-1), base-kernel detection, and notes.
+    """Each member's sign (+1 or -1, in member order), base-kernel detection, notes.
 
-    The shortest member is the base: its ``base`` action rows supply
+    A sign is the product of the ``+1``/``-1`` actions of its rows (``iso``
+    leaves it alone).  The shortest member is the base: its ``base`` action rows supply
     kernel information, and each other member's rows naming the base
     ("-" for the identity) its relative sign.  The rows are the ones each
     report holds (none for the identity).  A missing row is tolerated for
@@ -281,7 +282,7 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
     """
     base = terms[0]
     relative_to = "-" if base.w.is_identity() else base.w.name
-    weights: dict[str, int] = {}
+    weights: list[int] = []
     notes: list[str] = []
     kernel = False
     defaulted = False
@@ -303,13 +304,13 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
                 kernel = True
             elif value != ISO:
                 weight *= int(value)
-        weights[t.w.name] = weight
+        weights.append(weight)
     if kernel:
         notes.append("summand killed: a chosen constituent lies in the kernel of the operator")
     if defaulted:
         notes.append("no action row at this point; spherical sections carried "
                      "with weight +1 (unramified compatibility)")
-    return weights, kernel, notes
+    return tuple(weights), kernel, notes
 
 
 def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
@@ -317,8 +318,7 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
     """Order (and leading, when certified) of one same-target group."""
     weights, kernel, notes = _group_weights(case, terms, profile, s0)
     if kernel:
-        return GroupReport(terms, None, None, cancelled=False,
-                           weights={k: str(v) for k, v in weights.items()},
+        return GroupReport(terms, None, None, cancelled=False, weights=weights,
                            note="; ".join(notes))
 
     if len(terms) == 1:
@@ -333,12 +333,11 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
     shared_local = terms[0].local_order
 
     common_order, jets = _group_jets(case, tuple(t.w for t in terms), cls, s0)
-    order, lead = sum_series(list(zip(jets, [weights[t.w.name] for t in terms])))
+    order, lead = sum_series(list(zip(jets, weights)))
     cancelled = common_order.base + order.base > min(t.factor_order.base for t in terms)
     total = (common_order + order).shifted(-shared_local)
     leading = lead.render() if lead is not None and order.is_known else None
-    return GroupReport(terms, total, leading, cancelled=cancelled,
-                       weights={k: str(v) for k, v in weights.items()},
+    return GroupReport(terms, total, leading, cancelled=cancelled, weights=weights,
                        note="; ".join(notes))
 
 
@@ -498,10 +497,13 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
                      rules: RuleTable | None = None) -> ConstantTermReport:
     """Full constant-term report at s = s0 for one section profile.
 
-    Raises :class:`ProfileError` when no global character of class ``cls``
-    has the profile's local classes: a trivial character is trivial at
-    every place, and a quadratic one is nowhere of class ``other``.
+    Raises :class:`ProfileError` when ``cls`` is the local class ``sgn`` or
+    no global character of class ``cls`` has the profile's local classes: a
+    trivial character is trivial at every place, and a quadratic one is
+    nowhere of class ``other``.
     """
+    if cls is CharClass.SGN:
+        raise ProfileError("sgn is a local class of the archimedean place, not a global one")
     for p in profile.places:
         if (cls is CharClass.TRIVIAL and p.local_class is not CharClass.TRIVIAL
                 or cls is CharClass.QUADRATIC and p.local_class is CharClass.OTHER):

@@ -39,8 +39,8 @@ order and leading coefficient from one walk over the symbols, each
 result; ``order_at`` is the same walk for the order alone (a group's
 common factor), with no ``FormalScalar`` at all.
 
-Series serve sums only.  A ``Series`` is a first-order jet: an order and
-exactly two coefficients, which its constructor enforces.
+Series serve signed sums only.  A ``Series`` is a first-order jet: an
+order and exactly two coefficients, which its constructor enforces.
 ``symbol_series`` expands one symbol (refusing strip symbols): coefficient
 0 is the head ``germ_at`` multiplies, coefficient 1 the zeta constant at a
 pole and otherwise the slope times one derivative rule.  The rule
@@ -49,11 +49,11 @@ the same argument n/m: a derivative atom at u, reflected with a sign for
 zeta left of 1/2, and right of 1/2 for a self-dual class the derivative of
 eps(1-u)^-1 or of eps(1-u) L(1-u), with derivative atoms at 1-u.
 ``known_part_series`` expands one expression and ``sum_series`` adds
-weighted expansions; the product, the inverse and the sum of jets, which
-only ``known_part_series`` and ``sum_series`` use, are exact to first
-order.  Every group sum the engine meets has a formally nonzero leading
-term within two coefficients; a sum that cancels through both is a floor
-past them.
+expansions, each with its sign +1 or -1; the product and the inverse of
+jets, which only ``known_part_series`` uses, and the signed sum are exact
+to first order.  Every group sum the engine meets has a formally nonzero
+leading term within two coefficients; a sum that cancels through both is
+a floor past them.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ def _mod2(atom: Atom) -> bool:
 # exponent is 0 and every ``_mod2`` exponent is 1.
 Monomial = tuple[tuple[Atom, int], ...]
 
-_ONE: Monomial = ()
 _RATIONAL_ONE = Q(1)  # the head of an empty product, built once for ``germ_at``
 
 
@@ -170,8 +169,8 @@ class FormalScalar:
     """Rational linear combination of atom monomials.
 
     ``terms`` is canonical: canonical monomials, no zero coefficient.  The
-    constructor trusts that; ``rational``, ``monomial`` and ``atom``
-    canonicalize, and every ring operation keeps it.
+    constructor trusts that; ``monomial`` and ``atom`` canonicalize, and
+    every ring operation keeps it.
     """
 
     __slots__ = ("terms",)
@@ -180,15 +179,6 @@ class FormalScalar:
         self.terms: dict[Monomial, Q] = terms if terms is not None else {}
 
     # -- constructors --
-
-    @staticmethod
-    def zero() -> "FormalScalar":
-        return FormalScalar()
-
-    @staticmethod
-    def rational(c: Q | int) -> "FormalScalar":
-        c = Q(c)
-        return FormalScalar({_ONE: c} if c else None)
 
     @staticmethod
     def monomial(m: Monomial, c: Q | int = 1) -> "FormalScalar":
@@ -227,14 +217,6 @@ class FormalScalar:
                 old = d.get(m)
                 d[m] = c1 * c2 if old is None else old + c1 * c2
         return FormalScalar({m: c for m, c in d.items() if c})
-
-    def scale(self, c: Q | int) -> "FormalScalar":
-        if c == 1:
-            return self
-        if not c:
-            return FormalScalar()
-        c = Q(c)
-        return FormalScalar({m: cc * c for m, cc in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -323,22 +305,6 @@ class Series:
         for _ in range(abs(e) - 1):
             out = out * base
         return out
-
-    def scale(self, c: Q | int) -> "Series":
-        return Series(self.ord, [x.scale(c) for x in self.coeffs])
-
-    @staticmethod
-    def add(series: Iterable["Series"]) -> "Series":
-        """The sum to first order past the lowest order of its terms."""
-        items = list(series)
-        ord0 = min(s.ord for s in items)
-        out = [FormalScalar.zero(), FormalScalar.zero()]
-        for s in items:
-            off = s.ord - ord0
-            for i, c in enumerate(s.coeffs):
-                if off + i < 2:
-                    out[off + i] = out[off + i] + c
-        return Series(ord0, out)
 
     def leading(self) -> tuple[int, FormalScalar] | None:
         """Exponent and coefficient of the first formally nonzero term."""
@@ -496,13 +462,13 @@ def symbol_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
         raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {ratio_str(n, m)}")
     a = sym.arg.a
     if site == "pole":
-        return Series(-1, (FormalScalar.rational(ZETA_POLE_RESIDUES[n // m] / a),
+        return Series(-1, (FormalScalar.monomial((), ZETA_POLE_RESIDUES[n // m] / a),
                            FormalScalar.atom(("zconst", ()))))
     u, v = ratio_str(n, m), ratio_str(m - n, m)
     if eff is CharClass.TRIVIAL:
         # a trivial epsilon is 1; the zeta derivative reflects to u >= 1/2 with a sign
         if sym.kind == EPS:
-            der = FormalScalar.zero()
+            der = FormalScalar()
         elif 2 * n < m:
             der = FormalScalar.atom(("zder", (v,)), -a)
         else:
@@ -545,7 +511,7 @@ def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
 
 def known_part_series(expr: LExpression, cls: CharClass, s0: Q) -> Series:
     """First-order jet of the expression: the product of its symbols' jets."""
-    out = Series(0, (FormalScalar.rational(1), FormalScalar.zero()))
+    out = Series(0, (FormalScalar.monomial(()), FormalScalar()))
     for sym, e in expr.factors:
         out = out * symbol_series(sym, cls, s0).power(e)
     return out
@@ -582,13 +548,19 @@ def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> tuple[OrderValue, Forma
     return OrderValue.conditional(base, deps), leading
 
 
-def sum_series(terms: list[tuple[Series, Q]]) -> tuple[OrderValue, FormalScalar | None]:
-    """Order and leading coefficient of a weighted sum of jets: the order is
-    exact when the leading term is certified nonzero, else a floor."""
-    total = Series.add([s.scale(w) for s, w in terms])
-    got = total.leading()
+def sum_series(terms: list[tuple[Series, int]]) -> tuple[OrderValue, FormalScalar | None]:
+    """Order and leading coefficient of a signed sum of jets, each jet with
+    its sign +1 or -1, to first order past the lowest order of the jets: the
+    order is exact when the leading term is certified nonzero, else a floor."""
+    ord0 = min(s.ord for s, _ in terms)
+    out = [FormalScalar(), FormalScalar()]
+    for s, sign in terms:
+        for i, c in enumerate(s.coeffs, s.ord - ord0):
+            if i < 2:
+                out[i] = out[i] + (c if sign > 0 else -c)
+    got = Series(ord0, out).leading()
     if got is None:
-        return OrderValue.at_least(total.ord + 2), None
+        return OrderValue.at_least(ord0 + 2), None
     order, lead = got
     if lead.certified_nonzero():
         return OrderValue.known(order), lead

@@ -278,7 +278,8 @@ def _check_row(rule: PoleRule | ActionRule) -> None:
     """Refuse a row the engine would misread: a token outside its field's
     vocabulary (its row would match nothing and silently change answers), a
     pole order other than 0 or 1, a first-order pole without a carrier, an
-    order-0 row listing a carrier or pole choices, or a kernel off a base row."""
+    order-0 row listing a carrier or pole choices, a kernel off a base row, or
+    an action choice listed twice (``action_for`` reads only the first)."""
     names = _ELEMENT_NAMES.get(rule.case, ())
     fields = [("case", (rule.case,), tuple(_ELEMENT_NAMES)),
               ("place", (rule.place,), (NONARCH, ARCH, "*")),
@@ -296,9 +297,13 @@ def _check_row(rule: PoleRule | ActionRule) -> None:
     else:
         if rule.base != "base" and any(value == KERNEL for _, value in rule.actions):
             raise RuleTableError(f"kernel on a row relative to {rule.base!r}, not a base row")
+        choices = [t for t, _ in rule.actions]
+        twice = next((t for i, t in enumerate(choices) if t in choices[:i]), None)
+        if twice is not None:
+            raise RuleTableError(f"action choice {twice!r} listed twice")
         fields += [("element", (rule.element,), names),
                    ("action base", (rule.base,), ("-", "base") + names),
-                   ("action choice", [t for t, _ in rule.actions], CHOICES + ("any",)),
+                   ("action choice", choices, CHOICES + ("any",)),
                    ("action value", [v for _, v in rule.actions], ("+1", "-1", ISO, KERNEL))]
     for what, tokens, allowed in fields:
         for token in tokens:

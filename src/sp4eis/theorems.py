@@ -46,7 +46,7 @@ class Expected:
     pole: int | None = None            # asserted pole order (None: not asserted)
     conditional_symbol: str | None = None  # substring of a strip dependency
     vanishes: bool = False
-    images: tuple[tuple[object, str, str], ...] = ()  # (place, label-sub, structure-sub)
+    images: tuple[tuple[int | str, str, str], ...] = ()  # (place, label-sub, structure-sub)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _check_row(report: ConstantTermReport, exp: Expected) -> list[str]:
     for place, label_sub, structure_sub in exp.images:
         hit = False
         for e in report.image:
-            if place not in ("any", e.place):
+            if place != e.place:
                 continue
             if label_sub in e.label and structure_sub in e.structure:
                 hit = True

@@ -371,6 +371,8 @@ RULE_EDITS = {
     "relative_kernel.txt": ("|c2s|s|*|trivial|eq:0|spherical=+1,langlands=+1,steinberg=+1|",
                             "|c2s|s|*|trivial|eq:0|spherical=+1,langlands=+1,steinberg=kernel|"),
     "wrong_base.txt": ("|c2s|s|*|trivial|eq:0|", "|c2s|sc2s|*|trivial|eq:0|"),
+    "repeated_choice.txt": ("|spherical=iso,langlands=iso,steinberg=kernel|",
+                            "|spherical=iso,langlands=iso,steinberg=kernel,steinberg=+1|"),
 }
 
 
@@ -424,6 +426,7 @@ RULE_EDITS = {
     (["poles", "--scenario", "{tmp}/place_kind.toml"], "ProfileError"),
     (["verify", "H-", "--rules", "{tmp}/bad_parity.txt"], "RuleTableError"),
     (["verify", "H-", "--rules", "{tmp}/bad_condition.txt"], "RuleTableError"),
+    (["verify", "--rules", "{tmp}/repeated_choice.txt"], "RuleTableError"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     for name, text in WRONG_TYPES.items():

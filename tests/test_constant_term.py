@@ -72,6 +72,13 @@ def test_local_classes_must_fit_the_global_class(cls, places):
         eisenstein_order("heisenberg", PlaceProfile(places), Q(2), cls)
 
 
+@pytest.mark.parametrize("case, s0", [("siegel", Q(1, 2)), ("heisenberg", Q(0))])
+def test_sgn_is_not_a_global_class(case, s0):
+    # sgn is the sign character of the archimedean place only
+    with pytest.raises(ProfileError, match="^sgn is a local class"):
+        eisenstein_order(case, PlaceProfile.spherical(SGN), s0, SGN)
+
+
 def test_local_classes_a_global_class_can_have_are_accepted():
     for cls, places in [(QU, (arch(SGN), nonarch(QU, "t2"), nonarch(TR))),
                         (QU, (arch(), nonarch(QU))),

@@ -115,7 +115,8 @@ def group_sums(case: str, cls: CharClass, s0: Q, members: tuple) -> list[tuple[s
                     for t, wt in zip(terms, weights)]
         report = evaluate_group(case, weighted, PROFILE, s0, cls)
         order, _ = full_depth_sum(list(zip(rems, weights)), cls, s0)
-        assert report.weights == {t.w.name: str(wt) for t, wt in zip(terms, weights)}
+        assert report.weights == weights
+        assert report.to_json()["weights"] == {t.w.name: str(wt) for t, wt in zip(terms, weights)}
         assert report.order == common_order + order
         rows.append((case, cls.value, str(s0), ",".join(w.name for w in members),
                      ",".join(f"{wt:+d}" for wt in weights),

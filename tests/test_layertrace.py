@@ -76,7 +76,7 @@ def test_tracer_installs_on_every_name_and_restores_each_original():
         germs.order_at(expr, CharClass.TRIVIAL, Q(0))
         constant_term.order_at(expr, CharClass.TRIVIAL, Q(0))
         assert tracer.ncalls["germs.order_at"] == 2
-        germs.FormalScalar.rational(1)
+        germs.FormalScalar.monomial(())
         assert tracer.counters["germs.scalar_new"] == 1
     finally:
         tracer.uninstall()

@@ -257,7 +257,11 @@ def test_malformed_tables_rejected():
             ("action|heisenberg|c2s|s|*|trivial|eq:0|steinberg=kernel|n",
              "kernel on a row relative to 's', not a base row"),
             ("action|heisenberg|sc2s|-|*|trivial|eq:0|any=kernel|n",
-             "kernel on a row relative to '-', not a base row")):
+             "kernel on a row relative to '-', not a base row"),
+            # action_for reads a choice's first value only
+            ("action|heisenberg|s|base|*|trivial|eq:0|"
+             "spherical=iso,langlands=iso,steinberg=kernel,steinberg=+1|n",
+             "action choice 'steinberg' listed twice")):
         with pytest.raises(RuleTableError, match=rf"^rules\.txt:2: {error}$"):
             parse_rules(HEISENBERG_CATCH_ALL + row + "\n" + SIEGEL_CATCH_ALL,
                         source="rules.txt")
