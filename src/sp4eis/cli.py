@@ -53,7 +53,7 @@ Output = tuple[dict, list[str], int]  # JSON payload, text lines, exit code
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    if args.out is not None:
         # only the file is guarded: a closed stdout must still reach main as
         # a BrokenPipeError
         try:
@@ -95,7 +95,7 @@ def cmd_weyl(args) -> Output:
 
 
 def _weyl_element(name: str) -> WeylElement:
-    """argparse type for ``--w``: an unknown word is a usage error."""
+    """argparse type for ``--w``: an unknown element name is a usage error."""
     try:
         return SP4.element_by_name(name)
     except ValueError as exc:
@@ -138,17 +138,18 @@ PROFILE_FLAGS = {"case": "--case", "char_class": "--char-class", "s0": "--s0", "
 
 def _scenario_from_args(args) -> Scenario:
     given = [flag for dest, flag in PROFILE_FLAGS.items() if getattr(args, dest) is not None]
-    if args.scenario:
+    if args.scenario is not None:
         if given:
             raise ScenarioError(f"--scenario cannot be combined with {', '.join(given)}")
         return load_scenario(args.scenario)
-    # an option not given is left out, so the scenario defaults apply
+    # an option not given is left out, so the scenario defaults apply; one
+    # given an empty value is passed on, so it is refused as in a file
     data = {"case": args.case or "heisenberg"}
     if args.char_class is not None:
         data["char_class"] = args.char_class
-    if args.s0:
+    if args.s0 is not None:
         data["s0"] = args.s0
-    if args.place:
+    if args.place is not None:
         places = []
         for item in args.place:
             bits = item.split(":")
@@ -161,7 +162,7 @@ def _scenario_from_args(args) -> Scenario:
 
 def cmd_poles(args) -> Output:
     scenario = _scenario_from_args(args)
-    rules = load_rules(args.rules) if args.rules else None
+    rules = load_rules(args.rules) if args.rules is not None else None
     reports = [eisenstein_order(scenario.case, scenario.profile, s0,
                                 scenario.char_class, rules=rules)
                for s0 in scenario.s0_list]
@@ -188,7 +189,7 @@ def cmd_poles(args) -> Output:
 def cmd_verify(args) -> Output:
     from .theorems import theorem_ids, verify_theorem  # only verify reads the theorem grids
 
-    rules = load_rules(args.rules) if args.rules else None
+    rules = load_rules(args.rules) if args.rules is not None else None
     ids = args.theorem or theorem_ids()
     reports = [verify_theorem(tid, rules=rules) for tid in ids]
     ok = all(r.passed for r in reports)
@@ -202,7 +203,7 @@ def cmd_verify(args) -> Output:
 
 def cmd_numcheck(args) -> Output:
     modulus = args.modulus
-    if args.scenario:
+    if args.scenario is not None:
         if modulus is not None:
             raise ScenarioError("--scenario cannot be combined with --modulus")
         modulus = load_scenario(args.scenario).modulus
@@ -239,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normfactor", help="inverse normalizing factor of one element")
     p.add_argument("--case", choices=["heisenberg", "siegel"], required=True)
     p.add_argument("--w", required=True, type=_weyl_element,
-                   help="element name (id, s, c2s, sc2s / c1, sc1, c2, sc2, c2sc2)")
+                   help="element name (id, s, c2, sc2, c2s, c2sc2, sc2s, c2sc2s) "
+                        "or alias (c1, sc1, c1s, 1, e)")
     p.add_argument("--char-class", choices=["trivial", "quadratic", "other"],
                    help="reduce chi powers for this class")
     p.set_defaults(func=cmd_normfactor)

@@ -56,6 +56,9 @@ POLE_CHOICES = ("langlands", "steinberg", "t1", "t2")  # those a pole row may li
 CHOICES = ("spherical", *POLE_CHOICES, "carrier")
 # pole-row carriers of a first-order pole; order-0 rows leave the field empty
 CARRIERS = ("st_gl2", "st_sl2", "tempered_t2", "arch_nonlanglands", "")
+# the local class a place of each kind cannot have: sgn is the real place's
+# quadratic class, so neither place kind has the other's
+_FOREIGN_CLASS = {NONARCH: CharClass.SGN.value, ARCH: CharClass.QUADRATIC.value}
 
 
 class UncoveredKey(KeyError):
@@ -276,10 +279,11 @@ def parse_rules(text: str, source: str = "<string>") -> RuleTable:
 
 def _check_row(rule: PoleRule | ActionRule) -> None:
     """Refuse a row the engine would misread: a token outside its field's
-    vocabulary (its row would match nothing and silently change answers), a
-    pole order other than 0 or 1, a first-order pole without a carrier, an
-    order-0 row listing a carrier or pole choices, a kernel off a base row, or
-    an action choice listed twice (``action_for`` reads only the first)."""
+    vocabulary or a class its place cannot have (either way the row would
+    match nothing and silently change answers), a pole order other than 0
+    or 1, a first-order pole without a carrier, an order-0 row listing a
+    carrier or pole choices, a kernel off a base row, or an action choice
+    listed twice (``action_for`` reads only the first)."""
     names = _ELEMENT_NAMES.get(rule.case, ())
     fields = [("case", (rule.case,), tuple(_ELEMENT_NAMES)),
               ("place", (rule.place,), (NONARCH, ARCH, "*")),
@@ -309,6 +313,9 @@ def _check_row(rule: PoleRule | ActionRule) -> None:
         for token in tokens:
             if token not in allowed:
                 raise RuleTableError(f"unknown {what} {token!r}")
+    if _FOREIGN_CLASS.get(rule.place) in rule.classes:
+        raise RuleTableError(f"class {_FOREIGN_CLASS[rule.place]!r} "
+                             f"cannot occur at place {rule.place!r}")
 
 
 def load_rules(path: str | Path) -> RuleTable:

@@ -4,11 +4,11 @@ Everything here is exact: roots and coroots are tuples of ``int`` (every
 type-C2 root and coroot is integral), and Weyl elements are stored both in
 normal form (permutation, signs) and as a reduced word over the simple
 reflections, with the traditional generator names ``s`` (swap of the two
-coordinates) and ``c2`` (sign flip of the second coordinate).  One product
-rule, ``_product``, serves both ``multiply`` and the construction of the
-group: the breadth-first closure of the identity under it, whose first word
-to reach an element is a shortest, hence reduced, one.  The group has eight
-elements and is built once, as the shared instance :data:`SP4`.
+coordinates) and ``c2`` (sign flip of the second coordinate).  The group is
+the breadth-first closure of the identity under left multiplication by the
+generators (``_product``), whose first word to reach an element is a
+shortest, hence reduced, one.  It has eight elements, is built once, as the
+shared instance :data:`SP4`, and is looked up by element name.
 """
 
 from __future__ import annotations
@@ -141,37 +141,16 @@ class CRootSystem:
 
     # ----- Weyl group ---------------------------------------------------
 
-    def generator_names(self) -> list[str]:
-        return list(self._generators)
-
-    def generator(self, name: str) -> WeylElement:
-        if name not in self._generators:
-            raise KeyError(f"unknown generator {name!r}")
-        return self._generators[name]
-
-    def identity(self) -> WeylElement:
-        return self._by_name["id"]
-
-    def multiply(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
-        """Product w1*w2 acting as v -> w1(w2(v))."""
-        return self._by_form[_product(w1, w2)]
-
-    def from_word(self, word: Iterable[str]) -> WeylElement:
-        w = self.identity()
-        for g in word:
-            w = self.multiply(w, self.generator(g))
-        return w
-
     def elements(self) -> list[WeylElement]:
         """All eight Weyl elements, sorted by (length, word)."""
         return list(self._elements)
 
     def element_by_name(self, name: str) -> WeylElement:
-        """Look up an element by its canonical word name, a known alias, or
-        any word over the generators."""
-        if name in self._by_name:
+        """The element with this canonical name or alias; no word is parsed."""
+        try:
             return self._by_name[name]
-        return self.from_word(_split_word(name, self.generator_names()))
+        except KeyError:
+            raise ValueError(f"unknown Weyl element {name!r}") from None
 
     # ----- derived sets --------------------------------------------------
 
@@ -193,21 +172,6 @@ class CRootSystem:
             w for w in self._elements
             if all(not is_negative(w.apply(a)) for a in keep)
         ]
-
-
-def _split_word(text: str, names: list[str]) -> list[str]:
-    out = []
-    i = 0
-    by_len = sorted(names, key=len, reverse=True)
-    while i < len(text):
-        for g in by_len:
-            if text.startswith(g, i):
-                out.append(g)
-                i += len(g)
-                break
-        else:
-            raise ValueError(f"cannot parse Weyl word {text!r}")
-    return out
 
 
 SP4 = CRootSystem()

@@ -26,6 +26,7 @@ from sp4eis.numerics import completed_zeta
 from sp4eis.roots import SP4, is_negative
 from sp4eis.theorems import theorem_ids, verify_theorem
 from test_germs import full_depth_sum
+from test_roots import product
 
 SYS = SP4
 TR, QU, OT, SGN = (CharClass.TRIVIAL, CharClass.QUADRATIC,
@@ -216,12 +217,12 @@ def test_criterion_8_structural():
     elements = SYS.elements()
     assert len(elements) == 8
     for g in ("s", "c2"):
-        assert SYS.multiply(SYS.generator(g), SYS.generator(g)).is_identity()
-    sc2 = SYS.multiply(SYS.generator("s"), SYS.generator("c2"))
+        assert product(SYS.element_by_name(g), SYS.element_by_name(g)).is_identity()
+    sc2 = product(SYS.element_by_name("s"), SYS.element_by_name("c2"))
     p = sc2
     for _ in range(3):
         assert not p.is_identity()
-        p = SYS.multiply(p, sc2)
+        p = product(p, sc2)
     assert p.is_identity()
     for w in elements:
         assert len(SYS.negative_set(w)) == w.length

@@ -10,6 +10,7 @@ from sp4eis.characters import (
     power_class, ratio_str, reduce_power, render_value, siegel_lambda, weyl_act,
 )
 from sp4eis.roots import SP4
+from test_roots import product
 
 SYS = SP4
 TR, QU, OT = CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER
@@ -65,7 +66,7 @@ def test_weyl_act_is_group_action():
     lam = siegel_lambda()
     for w1 in SYS.elements():
         for w2 in SYS.elements():
-            lhs = weyl_act(SYS.multiply(w1, w2), lam)
+            lhs = weyl_act(product(w1, w2), lam)
             rhs = weyl_act(w1, weyl_act(w2, lam))
             assert lhs == rhs
 
@@ -74,7 +75,7 @@ def test_weyl_act_compatible_with_coroots():
     lam = heisenberg_lambda()
     positive = SYS.negative_set(SYS.elements()[-1])  # the longest element
     for w in SYS.elements():
-        (winv,) = [v for v in SYS.elements() if SYS.multiply(w, v).is_identity()]
+        (winv,) = [v for v in SYS.elements() if product(w, v).is_identity()]
         for alpha in positive:
             lhs = compose_coroot(weyl_act(w, lam), SYS.coroot(alpha))
             rhs = compose_coroot(lam, SYS.coroot(winv.apply(alpha)))

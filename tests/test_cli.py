@@ -89,8 +89,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 # sha256 of stdout for the outputs no other pin covers: the text of every
 # subcommand (siegel_strip_window.toml renders a strip-conditional order,
-# `0 -ord[L(s+3/2,1) at 1/2]`), normfactor --json, and an element named
-# by a word that is neither a canonical name nor an alias (`ss`)
+# `0 -ord[L(s+3/2,1) at 1/2]`) and normfactor --json
 OUTPUT_SHA256 = {
     "poles --scenario heisenberg_poles.toml":
         "857d74cec3afad884ae274aced4a1c9aa66af04f1d14df1cd55d7f95467c6778",
@@ -105,8 +104,6 @@ OUTPUT_SHA256 = {
     "numcheck --modulus 4": "32e07f504e61957cf8d3c634cd019d857f84b3e7c7eb6d28f354c9acca405aaf",
     "normfactor --case siegel --w c2sc2s --char-class quadratic --json":
         "a4f13a3de27862f61a7248d3703a59d156c9235889dcd6b394bd409190becdcb",
-    "normfactor --case siegel --w ss":
-        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
 }
 
 
@@ -223,12 +220,12 @@ def test_poles_scenario_excludes_profile_flags(capsys):
     assert captured.out == ""
     assert captured.err == ("sp4eis: ScenarioError: --scenario cannot be combined "
                             "with --case, --s0, --place\n")
-    # a bare --s0 is given too, and still means s0 = 0 without a file
+    # a bare --s0 is given too; without a file it lists no point, as an
+    # empty s0 array in a scenario file does
     assert main(["poles", "--scenario", str(SCENARIOS / "heisenberg_poles.toml"), "--s0"]) == 2
     assert "with --s0\n" in capsys.readouterr().err
-    code, out = run(capsys, "poles", "--s0", "--json")
-    assert code == 0
-    assert [r["s0"] for r in json.loads(out)["reports"]] == ["0"]
+    assert main(["poles", "--s0", "--json"]) == 2
+    assert capsys.readouterr().err == "sp4eis: ScenarioError: <args>: 's0' lists no point\n"
 
 
 def test_numcheck_scenario_excludes_modulus(tmp_path, capsys):
@@ -359,7 +356,8 @@ SHIPPED_RULES = importlib.resources.files("sp4eis").joinpath("data/local_rules.t
 # rule tables with one malformed field: condition points with a zero
 # denominator, a misspelt parity, an unknown condition kind, a misspelt
 # carrier, a restated carrier choice and a kernel on a relative row; and
-# one with a relative row naming the wrong base
+# one with a relative row naming the wrong base; two with a class foreign to
+# the row's place
 RULE_EDITS = {
     "zero_eq.txt": ("|nonarch|trivial|eq:-2|", "|nonarch|trivial|eq:-2/0|"),
     "zero_shift.txt": ("|arch|trivial|int:0:even:lt-1|", "|arch|trivial|int:1/0:even:lt-1|"),
@@ -373,6 +371,8 @@ RULE_EDITS = {
     "wrong_base.txt": ("|c2s|s|*|trivial|eq:0|", "|c2s|sc2s|*|trivial|eq:0|"),
     "repeated_choice.txt": ("|spherical=iso,langlands=iso,steinberg=kernel|",
                             "|spherical=iso,langlands=iso,steinberg=kernel,steinberg=+1|"),
+    "arch_quadratic.txt": ("|arch|sgn|int:0:odd:lt-1|", "|arch|sgn,quadratic|int:0:odd:lt-1|"),
+    "nonarch_sgn.txt": ("|nonarch|trivial|eq:-2|", "|nonarch|trivial,sgn|eq:-2|"),
 }
 
 
@@ -427,6 +427,15 @@ RULE_EDITS = {
     (["verify", "H-", "--rules", "{tmp}/bad_parity.txt"], "RuleTableError"),
     (["verify", "H-", "--rules", "{tmp}/bad_condition.txt"], "RuleTableError"),
     (["verify", "--rules", "{tmp}/repeated_choice.txt"], "RuleTableError"),
+    # a class its place cannot have would make the row match nothing
+    (["verify", "--rules", "{tmp}/arch_quadratic.txt"], "RuleTableError"),
+    (["poles", "--rules", "{tmp}/nonarch_sgn.txt"], "RuleTableError"),
+    # an option given an empty value is refused, not read as absent
+    (["poles", "--case", "siegel", "--s0"], "ScenarioError"),
+    (["poles", "--scenario", ""], "ScenarioError"),
+    (["numcheck", "--scenario", ""], "ScenarioError"),
+    (["verify", "--rules", ""], "RuleTableError"),
+    (["weyl", "--out", ""], "OutputError"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     for name, text in WRONG_TYPES.items():
@@ -456,10 +465,12 @@ def test_unknown_theorem_id_is_a_usage_error(capsys):
 
 
 def test_unknown_weyl_word_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["normfactor", "--case", "heisenberg", "--w", "zz"])
-    assert exc.value.code == 2
-    assert "cannot parse Weyl word 'zz'" in capsys.readouterr().err
+    # --w takes an element name or alias; a word such as `ss` is not parsed
+    for name in ("zz", "ss", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["normfactor", "--case", "heisenberg", "--w", name])
+        assert exc.value.code == 2
+        assert f"unknown Weyl element {name!r}" in capsys.readouterr().err
 
 
 def test_misspelt_rule_token_exit_2(tmp_path, capsys):

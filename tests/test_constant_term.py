@@ -129,7 +129,7 @@ def test_term_order_examples():
     c1 = SYS.element_by_name("sc2s")
     ov = term_report("heisenberg", SPH, c1, Q(2), TR, RULES).order
     assert ov.is_known and ov.base == -1
-    ov = term_report("heisenberg", SPH, SYS.identity(), Q(7, 5), TR, RULES).order
+    ov = term_report("heisenberg", SPH, SYS.element_by_name("id"), Q(7, 5), TR, RULES).order
     assert ov.is_known and ov.base == 0
     prof = PlaceProfile((arch(), nonarch(TR, "steinberg"), nonarch(TR, "steinberg")))
     ov = term_report("heisenberg", prof, c1, Q(-2), TR, RULES).order

@@ -281,9 +281,15 @@ def test_malformed_tables_rejected():
     ("action|siegel|s|-|*|trivial|eq:1/2|any=+1|n", "unknown element 's'"),
     ("action|siegel|sc2|base|*|quadratic,sgn|eq:1/2|t3=+1|n", "unknown action choice 't3'"),
     ("action|siegel|sc2|base|*|quadratic,sgn|eq:1/2|t1=+2|n", "unknown action value '\\+2'"),
+    # a class the row's place cannot have matches no profile
+    ("pole|heisenberg|s|arch|trivial,quadratic|eq:-2|1|st_gl2|steinberg|n",
+     "class 'quadratic' cannot occur at place 'arch'"),
+    ("action|siegel|sc2|base|nonarch|sgn|eq:1/2|t1=+1|n",
+     "class 'sgn' cannot occur at place 'nonarch'"),
 ])
 def test_misspelt_tokens_rejected(row, error):
-    # a token outside its field's vocabulary would make the row match nothing
+    # a token outside its field's vocabulary, or a class foreign to the
+    # row's place, would make the row match nothing
     with pytest.raises(RuleTableError, match=rf"^rules\.txt:2: {error}$"):
         parse_rules(HEISENBERG_CATCH_ALL + row + "\n" + SIEGEL_CATCH_ALL, source="rules.txt")
 

@@ -54,8 +54,8 @@ def test_golden_formula_structure():
 
 
 def test_identity_gives_empty_product():
-    assert inverse_norm_factor(_lambda("heisenberg"), SYS.identity()) == LExpression.build({})
-    assert inverse_norm_factor(_lambda("siegel"), SYS.identity()).render() == "1"
+    assert inverse_norm_factor(_lambda("heisenberg"), SYS.element_by_name("id")) == LExpression.build({})
+    assert inverse_norm_factor(_lambda("siegel"), SYS.element_by_name("id")).render() == "1"
 
 
 def folded_factor(lam, w) -> LExpression:

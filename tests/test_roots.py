@@ -18,6 +18,28 @@ B1 = (1, 1)    # e1 + e2
 B2 = (2, 0)    # 2 e1
 
 
+def _with_action(images):
+    """The element sending e1, e2 to ``images``, found by its action alone."""
+    (w,) = [w for w in SYS.elements() if [w.apply(e) for e in (E1, E2)] == images]
+    return w
+
+
+def product(a, b):
+    """The element acting as v -> a(b(v)), built from ``WeylElement.apply``."""
+    return _with_action([a.apply(b.apply(e)) for e in (E1, E2)])
+
+
+def word_element(word):
+    """The element a word over the generators names: the generators' actions
+    folded right to left, looked up by normal form."""
+    images = []
+    for e in (E1, E2):
+        for g in reversed(word):
+            e = SYS.element_by_name(g).apply(e)
+        images.append(e)
+    return _with_action(images)
+
+
 def test_positive_roots_rank2():
     # the longest element sends every positive root negative
     longest = SYS.elements()[-1]
@@ -43,16 +65,16 @@ def test_coroots():
 
 
 def test_generator_actions():
-    s = SYS.generator("s")
-    c2 = SYS.generator("c2")
+    s = SYS.element_by_name("s")
+    c2 = SYS.element_by_name("c2")
     assert s.apply(E1) == E2
     assert s.apply(E2) == E1
     assert c2.apply(E2) == (0, -1)
     assert c2.apply(E1) == E1
-    ident = SYS.identity()
+    ident = SYS.element_by_name("id")
     assert ident.apply(B1) == B1
-    with pytest.raises(KeyError):
-        SYS.generator("x")
+    with pytest.raises(ValueError):
+        SYS.element_by_name("x")
     assert is_negative((0, -1)) and not is_negative((1, -1))
     with pytest.raises(ValueError):
         is_negative((0, 0))
@@ -61,23 +83,23 @@ def test_generator_actions():
 def test_group_order_and_axioms():
     elements = SYS.elements()
     assert len(elements) == 8
-    s = SYS.generator("s")
-    c2 = SYS.generator("c2")
-    assert SYS.multiply(s, s).is_identity()
-    assert SYS.multiply(c2, c2).is_identity()
+    s = SYS.element_by_name("s")
+    c2 = SYS.element_by_name("c2")
+    assert product(s, s).is_identity()
+    assert product(c2, c2).is_identity()
     # braid relation: s*c2 has order 4
-    sc2 = SYS.multiply(s, c2)
+    sc2 = product(s, c2)
     power = sc2
     orders = []
     for k in range(1, 5):
         orders.append(power.is_identity())
-        power = SYS.multiply(power, sc2)
+        power = product(power, sc2)
     assert orders == [False, False, False, True]
 
 
 def test_words_reproduce_normal_form():
     for w in SYS.elements():
-        assert SYS.from_word(w.word) == w
+        assert word_element(w.word) == w
         assert w.length == len(SYS.negative_set(w))
 
 
@@ -104,19 +126,19 @@ def test_negative_set_examples():
     c1 = SYS.element_by_name("c1")
     assert SYS.negative_set(c1) == [A1, B1, B2]
     assert SYS.negative_set(SYS.element_by_name("c2s")) == [A1, B2]
-    assert SYS.negative_set(SYS.identity()) == []
+    assert SYS.negative_set(SYS.element_by_name("id")) == []
 
 
 def test_c1_aliases():
     assert SYS.element_by_name("c1").name == "sc2s"
     assert SYS.element_by_name("sc1").name == "c2s"
-    assert SYS.element_by_name("c1") == SYS.from_word(["s", "c2", "s"])
+    assert SYS.element_by_name("c1") == word_element(["s", "c2", "s"])
 
 
 def test_inverse_negative_set_relation():
     # negatives of the inverse are the negated images of the negatives
     for w in SYS.elements():
-        (winv,) = [v for v in SYS.elements() if SYS.multiply(w, v).is_identity()]
+        (winv,) = [v for v in SYS.elements() if product(w, v).is_identity()]
         lhs = set(SYS.negative_set(winv))
         rhs = {tuple(-c for c in w.apply(a)) for a in SYS.negative_set(w)}
         assert lhs == rhs
@@ -125,15 +147,15 @@ def test_inverse_negative_set_relation():
 def _coset_reps_by_words(keep):
     """Independent oracle: enumerate reduced words breadth-first and filter."""
     seen = {}
-    frontier = [SYS.identity()]
+    frontier = [SYS.element_by_name("id")]
     while frontier:
         nxt = []
         for w in frontier:
             if (w.perm, w.signs) in seen:
                 continue
             seen[(w.perm, w.signs)] = w
-            for g in SYS.generator_names():
-                nxt.append(SYS.multiply(w, SYS.generator(g)))
+            for g in ("s", "c2"):
+                nxt.append(product(w, SYS.element_by_name(g)))
         frontier = nxt
     reps = [w for w in seen.values()
             if all(not is_negative(w.apply(a)) for a in keep)]
@@ -164,14 +186,14 @@ def test_coset_reps_rejects_non_simple():
 
 @given(st.lists(st.sampled_from(["s", "c2"]), max_size=12))
 def test_word_products_consistent(word):
-    w = SYS.from_word(word)
+    w = word_element(word)
     # the stored word is reduced and reproduces the same signed permutation
     assert len(w.word) <= len(word)
-    assert SYS.from_word(w.word) == w
+    assert word_element(w.word) == w
     assert w.length == len(SYS.negative_set(w))
     # group action property against a direct fold
     v = (Q(3), Q(-5))
     folded = v
     for g in reversed(word):
-        folded = SYS.generator(g).apply(folded)
+        folded = SYS.element_by_name(g).apply(folded)
     assert w.apply(v) == folded
