@@ -23,9 +23,9 @@ The point engine decides on n and m and ``ratio_str`` prints n/m as
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .roots import SP4, RootVector, WeylElement
 
@@ -82,24 +82,27 @@ def ratio_str(n: int, m: int) -> str:
     return str(n // g) if g == m else f"{n // g}/{m // g}"
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class _AffineFields(NamedTuple):
+    a: Q
+    b: Q
+    ints: tuple[int, int, int]
+
+
+class AffineForm(_AffineFields):
     """Exact affine form a*s + b.
 
     ``ints`` is (A, B, D) with a = A/D, b = B/D and D > 0 the least common
-    denominator, computed when the form is built; equality and hashing
-    stay on (a, b).
+    denominator, computed when the form is built.  It follows from (a, b),
+    so equality and hashing over all three fields are equality and hashing
+    on (a, b).
     """
 
-    a: Q
-    b: Q
-    ints: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    def __new__(cls, a: Q, b: Q) -> "AffineForm":
         d = lcm(a.denominator, b.denominator)
-        object.__setattr__(self, "ints", (a.numerator * (d // a.denominator),
-                                          b.numerator * (d // b.denominator), d))
+        return tuple.__new__(cls, (a, b, (a.numerator * (d // a.denominator),
+                                          b.numerator * (d // b.denominator), d)))
 
     @staticmethod
     def of(a: int | str | Q, b: int | str | Q) -> "AffineForm":
@@ -138,8 +141,7 @@ class AffineForm:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class TorusCharacter:
+class TorusCharacter(NamedTuple):
     """Per-coordinate (chi power, affine exponent) data."""
 
     coords: tuple[tuple[int, AffineForm], ...]

@@ -12,8 +12,8 @@ order at more than thirty points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Q
+from typing import NamedTuple
 
 from .characters import CharClass
 from .constant_term import factor_expression
@@ -29,8 +29,7 @@ TR = CharClass.TRIVIAL
 QU = CharClass.QUADRATIC
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     measured: str

@@ -51,6 +51,9 @@ INPUT_ERRORS = (ScenarioError, ProfileError, RuleTableError, UncoveredKey, Unkno
 
 Output = tuple[dict, list[str], int]  # JSON payload, text lines, exit code
 
+# the file options, each with the typed error a problem with its file raises
+FILE_OPTIONS = {"scenario": ScenarioError, "rules": RuleTableError, "out": OutputError}
+
 
 def _emit(args, text: str) -> None:
     if args.out is not None:
@@ -284,6 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, error in FILE_OPTIONS.items():
+            # an empty path would be read as "." (pathlib) or fail unnamed (open)
+            if getattr(args, dest, None) == "":
+                raise error(f"--{dest} is empty: expected a file path")
         payload, lines, code = args.func(args)
         _emit(args, json.dumps(payload, **JSON_KW) if args.json else "\n".join(lines))
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -19,9 +19,9 @@ common factor's order and every remainder's jet, which a sum signs and adds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
+from typing import NamedTuple
 
 from .characters import (
     TARGETS, CharClass, coset_representatives, lambda_for_case, power_class, render_value,
@@ -49,8 +49,7 @@ def factor_expression(case: str, w: WeylElement, cls: CharClass) -> LExpression:
     return canonicalize(inverse_norm_factor(lam, w), cls)
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """One ramified place: kind, local character class, section choice."""
 
     kind: str                 # "arch" | "nonarch"
@@ -61,21 +60,25 @@ class Place:
         return {"kind": self.kind, "class": self.local_class.value, "choice": self.choice}
 
 
-@dataclass(frozen=True)
-class PlaceProfile:
+class _ProfileFields(NamedTuple):
+    places: tuple[Place, ...]
+
+
+class PlaceProfile(_ProfileFields):
     """The finite ramified set S; everything outside S is spherical.
 
     Exactly one archimedean place is required (it belongs to S).  Places
     outside S never influence orders or signs, so they are not modeled.
+    A profile is checked when it is built.
     """
 
-    places: tuple[Place, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        arch = [p for p in self.places if p.kind == ARCH]
+    def __new__(cls, places: tuple[Place, ...]) -> "PlaceProfile":
+        arch = [p for p in places if p.kind == ARCH]
         if len(arch) != 1:
             raise ProfileError("exactly one archimedean place is required")
-        for p in self.places:
+        for p in places:
             if p.kind not in (ARCH, NONARCH):
                 raise ProfileError(f"unknown place kind {p.kind!r}")
             if p.kind == ARCH and p.local_class is CharClass.QUADRATIC:
@@ -84,6 +87,7 @@ class PlaceProfile:
                 raise ProfileError("sgn class only occurs at the archimedean place")
             if p.choice not in CHOICES:
                 raise ProfileError(f"unknown section choice {p.choice!r}")
+        return tuple.__new__(cls, (places,))
 
     @staticmethod
     def spherical(arch_class: CharClass = CharClass.TRIVIAL) -> "PlaceProfile":
@@ -134,8 +138,7 @@ def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
 # group evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TermReport:
+class TermReport(NamedTuple):
     w: WeylElement
     expr: LExpression
     factor_order: OrderValue
@@ -166,8 +169,7 @@ class TermReport:
         }
 
 
-@dataclass
-class GroupReport:
+class GroupReport(NamedTuple):
     terms: list[TermReport]        # the members' reports, shortest first
     order: OrderValue | None       # None when the group is killed by a kernel
     leading: str | None
@@ -194,8 +196,7 @@ class GroupReport:
         return out
 
 
-@dataclass
-class ImageEntry:
+class ImageEntry(NamedTuple):
     place: int | str
     label: str
     structure: str
@@ -208,8 +209,7 @@ class ImageEntry:
         return out
 
 
-@dataclass
-class ConstantTermReport:
+class ConstantTermReport(NamedTuple):
     case: str
     char_class: CharClass
     s0: Q

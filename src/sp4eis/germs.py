@@ -58,9 +58,8 @@ a floor past them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .characters import AffineForm, CharClass, power_class, ratio_str
 from .normfactor import EPS, L, LExpression, LSymbol, canonicalize
@@ -318,8 +317,7 @@ class Series:
 # order values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StripDep:
+class StripDep(NamedTuple):
     """Unknown vanishing order of one L-value in the open critical strip."""
 
     symbol: str
@@ -336,8 +334,7 @@ class StripDep:
         return {"symbol": self.symbol, "at": str(self.point), "coeff": self.coeff}
 
 
-@dataclass(frozen=True)
-class OrderValue:
+class OrderValue(NamedTuple):
     """Order of vanishing at a point: exact, floor-only, or strip-conditional.
 
     ``known(n)`` is an exact order (negative for poles).  ``conditional``

@@ -34,10 +34,10 @@ local induced representation to be reducible).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .characters import COSET_REPS, CharClass, ratio_str
 
@@ -82,8 +82,7 @@ def _point(text: str) -> tuple[int, int]:
     return v.numerator, v.denominator
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """Point predicate: exact rational, shifted-integer parity below a bound, or all.
 
     Rationals are (numerator, denominator) pairs in lowest terms.
@@ -138,8 +137,22 @@ class Condition:
         return f"s{shift} {par} integer < {ratio_str(*self.below)}"
 
 
-@dataclass(frozen=True)
-class PoleRule:
+# A row keeps the file line it was read from as its last field, which takes
+# no part in equality or hashing: the same row read from another line is
+# the same rule.
+def _row_eq(self, other):
+    return type(other) is type(self) and self[:-1] == other[:-1]
+
+
+def _row_ne(self, other):
+    return not _row_eq(self, other)
+
+
+def _row_hash(self):
+    return hash(self[:-1])
+
+
+class PoleRule(NamedTuple):
     case: str
     elements: tuple[str, ...]
     place: str            # nonarch | arch | *
@@ -149,15 +162,16 @@ class PoleRule:
     carrier: str
     pole_choices: tuple[str, ...]
     note: str
-    line: int = field(default=0, compare=False)  # the rule-file line it was read from
+    line: int = 0         # the rule-file line it was read from
+
+    __eq__, __ne__, __hash__ = _row_eq, _row_ne, _row_hash
 
     def order_for(self, choice: str) -> int:
         """Pole order met by a section choice: the carrier meets every pole."""
         return self.order if choice == "carrier" or choice in self.pole_choices else 0
 
 
-@dataclass(frozen=True)
-class ActionRule:
+class ActionRule(NamedTuple):
     case: str
     element: str
     base: str             # "base", or the group base it is relative to ("-": the identity)
@@ -166,7 +180,9 @@ class ActionRule:
     condition: Condition
     actions: tuple[tuple[str, str], ...]
     note: str
-    line: int = field(default=0, compare=False)  # the rule-file line it was read from
+    line: int = 0         # the rule-file line it was read from
+
+    __eq__, __ne__, __hash__ = _row_eq, _row_ne, _row_hash
 
     def action_for(self, choice: str) -> str:
         for token, value in self.actions:
@@ -200,14 +216,12 @@ def _matching(rows: tuple, local_class: CharClass, s0: Q):
             if ("*" in r.classes or cls in r.classes) and r.condition.matches(p, q))
 
 
-@dataclass
 class RuleTable:
     """Pole and action rows in file order, indexed once by (case, element, place)."""
 
-    poles: list[PoleRule]
-    actions: list[ActionRule]
-
-    def __post_init__(self):
+    def __init__(self, poles: list[PoleRule], actions: list[ActionRule]):
+        self.poles = poles
+        self.actions = actions
         self._pole_rows = _index(self.poles, lambda r: r.elements)
         self._action_rows = _index(self.actions, lambda r: (r.element,))
 

@@ -14,7 +14,7 @@ expression is its exponent map and nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import AffineForm, CharClass, TorusCharacter, compose_coroot, reduce_power
 from .roots import SP4, WeylElement
@@ -23,8 +23,7 @@ L = "L"
 EPS = "eps"
 
 
-@dataclass(frozen=True)
-class LSymbol:
+class LSymbol(NamedTuple):
     """One L- or epsilon-symbol with affine argument and chi power."""
 
     kind: str  # "L" or "eps"
@@ -39,8 +38,7 @@ class LSymbol:
         return (0 if self.kind == L else 1, self.power, self.arg.sort_key())
 
 
-@dataclass(frozen=True)
-class LExpression:
+class LExpression(NamedTuple):
     """Formal product of L/eps symbols: its nonzero integer exponents, sorted."""
 
     factors: tuple[tuple[LSymbol, int], ...]

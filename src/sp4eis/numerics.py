@@ -47,9 +47,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cache
+from typing import NamedTuple
 
 from .characters import CharClass, power_class
 from .normfactor import EPS, LExpression
@@ -307,8 +307,7 @@ def kronecker_symbol(a: int, n: int) -> int:
     return k if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class DirichletTable:
+class DirichletTable(NamedTuple):
     """Value table on 0..q-1 of a built-in real primitive character.
 
     Only :func:`table_for_modulus` builds one: chi is the Kronecker symbol
@@ -316,13 +315,26 @@ class DirichletTable:
     primitive and nontrivial by construction.  ``parity`` is 0 (even) for
     d > 0 and 1 (odd) for d < 0.  ``residues`` pairs chi(a) with
     ``_bases(a / q)`` for each residue a with chi(a) != 0; it follows from
-    the other fields and takes no part in equality, hashing or repr.
+    the other fields, so equality, hashing and repr read only those (a
+    table is hashed at every ``known`` lookup of ``eval_expression``).
     """
 
     modulus: int
     values: tuple[int, ...]
     parity: int
-    residues: tuple[tuple[int, tuple[float, ...]], ...] = field(compare=False, repr=False)
+    residues: tuple[tuple[int, tuple[float, ...]], ...]
+
+    def __eq__(self, other):
+        return type(other) is DirichletTable and self[:3] == other[:3]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+    def __repr__(self) -> str:
+        return f"DirichletTable(modulus={self.modulus}, values={self.values}, parity={self.parity})"
 
 
 # fundamental discriminant of the real primitive character of each built-in conductor
@@ -411,8 +423,7 @@ def eval_expression(expr: LExpression, cls: CharClass, s: complex,
     return out
 
 
-@dataclass
-class OrderEstimate:
+class OrderEstimate(NamedTuple):
     slope: float
     fitted: int
     residual: float

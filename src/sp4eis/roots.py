@@ -13,7 +13,6 @@ shared instance :data:`SP4`, and is looked up by element name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 RootVector = tuple[int, ...]
@@ -27,32 +26,43 @@ def is_negative(v: RootVector) -> bool:
     raise ValueError("zero vector has no sign")
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """Signed permutation in normal form plus a canonical reduced word.
 
     ``perm`` and ``signs`` encode the action on basis vectors:
     ``w(e_i) = signs[i] * e_{perm[i]}`` (0-indexed).  ``word`` is the
     canonical reduced word over the simple reflections, each entry a
-    generator name such as ``"s"`` or ``"c2"``.  Equality and hashing use
-    the normal form only (every other field is ``compare=False``), so
-    ``sc2s`` and any other expression of the same signed permutation
-    compare equal.  ``name``, ``length`` and the identity flag are
-    computed once, when the element is built.
+    generator name such as ``"s"`` or ``"c2"``.  Equality and hashing read
+    the normal form only, so ``sc2s`` and any other expression of the same
+    signed permutation compare equal.  ``name``, ``length``, the identity
+    flag and the hash are computed once, when the element is built, and
+    no attribute can be set afterwards.
     """
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-    word: tuple[str, ...] = field(compare=False)
-    name: str = field(init=False, compare=False)
-    length: int = field(init=False, compare=False)
-    _identity: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("perm", "signs", "word", "name", "length", "_identity", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", "".join(self.word) if self.word else "id")
-        object.__setattr__(self, "length", len(self.word))
-        object.__setattr__(self, "_identity", self.perm == tuple(range(self.rank))
-                           and all(s == 1 for s in self.signs))
+    def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...], word: tuple[str, ...]):
+        for attr, value in (
+            ("perm", perm), ("signs", signs), ("word", word),
+            ("name", "".join(word) if word else "id"), ("length", len(word)),
+            ("_identity", perm == tuple(range(len(perm))) and all(s == 1 for s in signs)),
+            ("_hash", hash((perm, signs))),
+        ):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"WeylElement is immutable: cannot set {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"WeylElement is immutable: cannot delete {attr!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return self.perm == other.perm and self.signs == other.signs
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def rank(self) -> int:

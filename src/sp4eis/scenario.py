@@ -27,9 +27,9 @@ regenerates the benchmark references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
+from typing import NamedTuple
 
 from .characters import CharClass, parse_class
 from .constant_term import Place, PlaceProfile
@@ -43,8 +43,7 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     case: str
     char_class: CharClass
     s0_list: list[Q]

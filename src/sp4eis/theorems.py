@@ -14,8 +14,8 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from typing import NamedTuple
 
 from .characters import CharClass
 from .constant_term import (
@@ -41,16 +41,14 @@ def _n(cls: CharClass, choice: str = "spherical") -> Place:
     return Place("nonarch", cls, choice)
 
 
-@dataclass(frozen=True)
-class Expected:
+class Expected(NamedTuple):
     pole: int | None = None            # asserted pole order (None: not asserted)
     conditional_symbol: str | None = None  # substring of a strip dependency
     vanishes: bool = False
     images: tuple[tuple[int | str, str, str], ...] = ()  # (place, label-sub, structure-sub)
 
 
-@dataclass(frozen=True)
-class GridRow:
+class GridRow(NamedTuple):
     label: str
     cls: CharClass
     s0: Q
@@ -58,21 +56,19 @@ class GridRow:
     expected: Expected
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     key: str
     claim: str
     rows: tuple[GridRow, ...]
 
 
-@dataclass
-class RowResult:
+class RowResult(NamedTuple):
     clause: str
     label: str
     ok: bool
     expected: Expected
     report: ConstantTermReport
-    details: list[str] = field(default_factory=list)
+    details: list[str]            # the row's problems; empty when it passes
 
     def to_json(self) -> dict:
         return {
@@ -96,8 +92,7 @@ class RowResult:
         }
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     theorem: str
     clauses: list[Clause]
     rows: list[RowResult]

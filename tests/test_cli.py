@@ -436,6 +436,10 @@ RULE_EDITS = {
     (["numcheck", "--scenario", ""], "ScenarioError"),
     (["verify", "--rules", ""], "RuleTableError"),
     (["weyl", "--out", ""], "OutputError"),
+    # ... and its message says so
+    (["poles", "--scenario", ""], "ScenarioError: --scenario is empty"),
+    (["verify", "--rules", ""], "RuleTableError: --rules is empty"),
+    (["weyl", "--out", ""], "OutputError: --out is empty"),
 ])
 def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     for name, text in WRONG_TYPES.items():
@@ -454,7 +458,8 @@ def test_typed_errors_one_line_exit_2(tmp_path, capsys, argv, error):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"sp4eis: {error}: "), lines[0]
+    name, _, message = error.partition(": ")  # a row may pin its message's start
+    assert lines[0].startswith(f"sp4eis: {name}: {message}"), lines[0]
 
 
 def test_unknown_theorem_id_is_a_usage_error(capsys):
@@ -553,6 +558,15 @@ def test_cli_import_leaves_out_toml_and_theorems():
     code = "import sys, sp4eis.cli; print(sorted({'tomllib', 'sp4eis.theorems'} & set(sys.modules)))"
     done = _fresh_python("-c", code)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_cli_and_theorems_imports_leave_out_dataclasses():
+    # the records are NamedTuples or __slots__ classes, so no import of the
+    # package loads dataclasses, or inspect, which dataclasses would load
+    for module in ("sp4eis.cli", "sp4eis.theorems"):
+        code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+        done = _fresh_python("-c", code)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stderr)
 
 
 def test_python_m_sp4eis_runs_main_and_returns_its_exit_code():

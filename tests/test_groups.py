@@ -24,7 +24,6 @@ Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
 
 import cmath
 import json
-from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import product
 from pathlib import Path
@@ -111,7 +110,7 @@ def group_sums(case: str, cls: CharClass, s0: Q, members: tuple) -> list[tuple[s
     common_order = order_at(common, cls, s0)
     rows = []
     for weights in WEIGHTS:
-        weighted = [replace(t, actions=(weight_row(case, t.w, members[0], wt),))
+        weighted = [t._replace(actions=(weight_row(case, t.w, members[0], wt),))
                     for t, wt in zip(terms, weights)]
         report = evaluate_group(case, weighted, PROFILE, s0, cls)
         order, _ = full_depth_sum(list(zip(rems, weights)), cls, s0)
