@@ -14,7 +14,7 @@ summands and renders (``render_value``).
 Points are read as integers.  A point is s0 = p/q in lowest terms
 (q > 0), and each ``AffineForm`` a*s + b carries integers (A, B, D) with
 a = A/D and b = B/D, fixed when the form is built, so its value at the
-point is the integer n = A*p + B*q over m = D*q > 0 (``AffineForm.ratio``).
+point is the integer n = A*p + B*q over m = D*q > 0, not reduced.
 The point engine decides on n and m and ``ratio_str`` prints n/m as
 ``str(Fraction)`` does; a target is evaluated once per point, into its
 ``value_key``, which reports and labels read.
@@ -118,12 +118,6 @@ class AffineForm(_AffineFields):
         """The form 1 - (a*s + b)."""
         return AffineForm(-self.a, 1 - self.b)
 
-    def ratio(self, p: int, q: int) -> tuple[int, int]:
-        """The value at s = p/q (q > 0) as integers (n, m) with m > 0, not
-        reduced to lowest terms."""
-        A, B, D = self.ints
-        return A * p + B * q, D * q
-
     def render(self) -> str:
         if self.a == 0:
             return str(self.b)
@@ -167,8 +161,8 @@ class TorusCharacter(NamedTuple):
         """
         p, q = s0.numerator, s0.denominator
         out = []
-        for k, form in self.coords:
-            n, m = form.ratio(p, q)
+        for k, (_, _, (A, B, D)) in self.coords:
+            n, m = A * p + B * q, D * q
             g = gcd(n, m)
             out.append((reduce_power(cls, k), n // g, m // g))
         return tuple(out)

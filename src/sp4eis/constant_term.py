@@ -118,19 +118,25 @@ def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
                 cls: CharClass, rules: RuleTable) -> TermReport:
     """One constant-term summand at s = s0, each of its parts computed once.
 
-    Each place's pole and action rows are looked up here, once; the
-    identity carries no operator, so it has none.  The local order is the
-    sum of the orders the profile's choices meet in the pole rows.
+    Each place's pole and action rows are looked up here, once per
+    distinct (kind, class) of the profile's places; the identity carries
+    no operator, so it has none.  The local order is the sum of the orders
+    the profile's choices meet in the pole rows.
     """
     expr = factor_expression(case, w, cls)
     target = TARGETS[case][w]
-    places = () if w.is_identity() else profile.places
-    keys = [(case, w.name, p.kind, p.local_class, s0) for p in places]
-    rows = tuple(rules.local_pole(*key) for key in keys)
-    actions = tuple(rules.action_rule(*key) for key in keys)
-    local = sum(row.order_for(p.choice) for row, p in zip(rows, places))
+    rows, actions, local, found = [], [], 0, {}
+    for kind, local_class, choice in () if w.is_identity() else profile.places:
+        got = found.get((kind, local_class))
+        if got is None:  # the first place of its (kind, class)
+            got = found[kind, local_class] = (
+                rules.local_pole(case, w.name, kind, local_class, s0),
+                rules.action_rule(case, w.name, kind, local_class, s0))
+        rows.append(got[0])
+        actions.append(got[1])
+        local += got[0].order_for(choice)
     factor_order, leading = germ_at(expr, cls, s0)
-    return TermReport(w, expr, factor_order, leading, local, rows, actions,
+    return TermReport(w, expr, factor_order, leading, local, tuple(rows), tuple(actions),
                       target.value_key(s0, cls))
 
 

@@ -4,10 +4,11 @@ Orders of vanishing are computed exactly from a few completed-L facts,
 stated once as ``ZETA_POLE_RESIDUES`` and ``OPEN_STRIP``.  Only
 ``_classify`` tests a point against them: it places one symbol in the
 strip, at a zeta pole, or at a nonzero value.  It decides in integers: at
-s0 = p/q in lowest terms a symbol's argument is the integer n over
-m = D*q > 0 (``AffineForm.ratio``), so the strip is 0 < n < m, a pole
-has n/m among the residue table's keys, and a value is oriented left of
-1/2 when 2n < m.  The facts are:
+s0 = p/q in lowest terms a symbol's argument (A, B, D) is the integer
+n = A*p + B*q over m = D*q > 0, so the strip is 0 < n < m, a pole has
+n/m among the residue table's keys, and a value is oriented left of 1/2
+when 2n < m.  Expressions are canonical, so a symbol is of the trivial
+class exactly when its chi-power is 0.  The facts are:
 
 * the completed zeta function has simple poles at arguments 0 and 1 with
   residues -1 and +1, no zeros outside the open strip (0,1), and unknown
@@ -34,10 +35,10 @@ cross-checks: the shared constant Laurent coefficient of completed zeta
 at its poles, and the derivative of a quadratic completed L at 0.
 
 A single expression needs only its leading term.  ``germ_at`` gives its
-order and leading coefficient from one walk over the symbols, each
-``_classify``-ed once, with no ``Series`` and no ``FormalScalar`` but the
-result; ``order_at`` is the same walk for the order alone (a group's
-common factor), with no ``FormalScalar`` at all.
+order and leading coefficient from one integer walk over the symbols
+(``_walk``, each symbol ``_classify``-ed once), then value atoms only if
+no strip symbol was met; ``order_at`` is the walk for the order alone
+(a group's common factor).  Neither builds a ``Series``.
 
 Series serve signed sums only.  A ``Series`` is a first-order jet: an
 order and exactly two coefficients, which its constructor enforces.
@@ -61,7 +62,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Iterable, NamedTuple, Sequence
 
-from .characters import AffineForm, CharClass, power_class, ratio_str
+from .characters import AffineForm, CharClass, ratio_str
 from .normfactor import EPS, L, LExpression, LSymbol, canonicalize
 
 # The completed-L facts: completed zeta's simple poles (integer arguments)
@@ -404,49 +405,49 @@ class OrderValue(NamedTuple):
 # symbol germs from the knowledge base
 # ---------------------------------------------------------------------------
 
-def _classify(sym: LSymbol, cls: CharClass, p: int, q: int) -> tuple[CharClass, int, int, str]:
-    """Effective class, argument n/m (m > 0, not reduced) and site of one
-    symbol at s0 = p/q (lowest terms, q > 0).
+def _classify(kind: str, power: int, A: int, n: int, m: int) -> str:
+    """Site of one canonical symbol whose argument, of slope numerator A,
+    is n/m (m > 0, not reduced) at the point.
 
     The site is "strip" for an L-symbol in the open strip (order unknown),
-    "pole" for completed zeta at one of its poles and "value" for every
-    other symbol, epsilon symbols included.  A constant symbol at a pole
-    raises ``DegenerateSymbol``.
+    "pole" for completed zeta (chi-power 0) at one of its poles and
+    "value" for every other symbol, epsilon symbols included.  A constant
+    symbol at a pole raises ``DegenerateSymbol``.
     """
-    eff = power_class(cls, sym.power)
-    n, m = sym.arg.ratio(p, q)
-    if sym.kind == EPS:
-        return eff, n, m, "value"
+    if kind == EPS:
+        return "value"
     lo, hi = OPEN_STRIP
     if lo * m < n < hi * m:
-        return eff, n, m, "strip"
-    if eff is CharClass.TRIVIAL and not n % m and n // m in ZETA_POLE_RESIDUES:
-        if sym.arg.a == 0:
-            raise DegenerateSymbol(f"symbol {sym.render()} is constant at a completed-zeta pole")
-        return eff, n, m, "pole"
-    return eff, n, m, "value"
+        return "strip"
+    if not power and not n % m and n // m in ZETA_POLE_RESIDUES:
+        if not A:
+            raise DegenerateSymbol(f"symbol L({ratio_str(n, m)},1) is constant "
+                                   "at a completed-zeta pole")
+        return "pole"
+    return "value"
 
 
-def _value_atoms(kind: str, eff: CharClass, n: int, m: int) -> Monomial:
+def _value_atoms(kind: str, c: str | None, real: bool, n: int, m: int) -> Monomial:
     """Monomial of a symbol's nonzero value at u = n/m (m > 0), oriented by
-    the functional equation.
+    the functional equation, for a class of value ``c`` (``None``: trivial)
+    that is self-dual when ``real``.
 
     A zeta value reflects to u >= 1/2 and a trivial epsilon is 1.  Left of
     1/2 a self-dual class rewrites L(u) = eps(1-u) L(1-u) and
     eps(u) = eps(1-u)^-1; every other value is one atom at u.
     """
-    if eff is CharClass.TRIVIAL:
+    if c is None:
         return () if kind == EPS else ((("zval", (ratio_str(max(n, m - n), m),)), 1),)
-    if eff.is_real and 2 * n < m:
-        v = (eff.value, ratio_str(m - n, m))
+    if real and 2 * n < m:
+        v = (c, ratio_str(m - n, m))
         if kind == EPS:
             return ((("epsv", v), -1),)
         return ((("epsv", v), 1), (("lval", v), 1))
-    return ((("epsv" if kind == EPS else "lval", (eff.value, ratio_str(n, m))), 1),)
+    return ((("epsv" if kind == EPS else "lval", (c, ratio_str(n, m))), 1),)
 
 
 def symbol_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
-    """First-order Laurent jet of one symbol around s0 (non-strip only).
+    """First-order Laurent jet of one canonical symbol around s0 (non-strip only).
 
     Coefficient 0 is the head ``germ_at`` multiplies.  At a zeta pole the
     jet is the residue over the slope a, then the constant ``Lam_c``: the
@@ -454,36 +455,60 @@ def symbol_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
     at 0 is -1/x + c + O(x) with the same c.  Any other value has its
     ``_value_atoms``, then a times the derivative of that orientation.
     """
-    eff, n, m, site = _classify(sym, cls, s0.numerator, s0.denominator)
+    kind, (a, _, (A, B, D)), power = sym
+    n, m = A * s0.numerator + B * s0.denominator, D * s0.denominator
+    site = _classify(kind, power, A, n, m)
     if site == "strip":
         raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {ratio_str(n, m)}")
-    a = sym.arg.a
     if site == "pole":
         return Series(-1, (FormalScalar.monomial((), ZETA_POLE_RESIDUES[n // m] / a),
                            FormalScalar.atom(("zconst", ()))))
+    c, real = (cls.value if power else None), cls.is_real
     u, v = ratio_str(n, m), ratio_str(m - n, m)
-    if eff is CharClass.TRIVIAL:
+    if c is None:
         # a trivial epsilon is 1; the zeta derivative reflects to u >= 1/2 with a sign
-        if sym.kind == EPS:
+        if kind == EPS:
             der = FormalScalar()
         elif 2 * n < m:
             der = FormalScalar.atom(("zder", (v,)), -a)
         else:
             der = FormalScalar.atom(("zder", (u,)), a)
-    elif not (eff.is_real and 2 * n > m):
-        der = FormalScalar.atom(("epsder" if sym.kind == EPS else "lder", (eff.value, u)), a)
+    elif not (real and 2 * n > m):
+        der = FormalScalar.atom(("epsder" if kind == EPS else "lder", (c, u)), a)
     else:
         # right of 1/2 a self-dual class differentiates eps(u) = eps(1-u)^-1
         # and L(u) = eps(1-u) L(1-u), where eps(1-u) = e^-1 and L(1-u) = e L(u)
         # for e = eps(u)
-        e, epsder = ("epsv", (eff.value, u)), ("epsder", (eff.value, v))
-        if sym.kind == EPS:
+        e, epsder = ("epsv", (c, u)), ("epsder", (c, v))
+        if kind == EPS:
             der = FormalScalar.monomial(((e, 2), (epsder, 1)), a)
         else:
-            lder, lval = ("lder", (eff.value, v)), ("lval", (eff.value, u))
+            lder, lval = ("lder", (c, v)), ("lval", (c, u))
             der = (FormalScalar.monomial(((e, -1), (lder, 1)), -a)
                    + FormalScalar.monomial(((e, 1), (lval, 1), (epsder, 1)), -a))
-    return Series(0, (FormalScalar.monomial(_value_atoms(sym.kind, eff, n, m)), der))
+    return Series(0, (FormalScalar.monomial(_value_atoms(kind, c, real, n, m)), der))
+
+
+def _walk(expr: LExpression, s0: Q):
+    """The order's base, strip dependencies, residue product num/den and
+    value symbols (kind, chi-power, n, m, exponent) of a canonical expression."""
+    p, q = s0.numerator, s0.denominator
+    base, num, den = 0, 1, 1
+    deps: list[StripDep] = []
+    values = []
+    for sym, e in expr.factors:
+        kind, (_, _, (A, B, D)), power = sym
+        n, m = A * p + B * q, D * q
+        site = _classify(kind, power, A, n, m)
+        if site == "value":
+            values.append((kind, power, n, m, e))
+        elif site == "pole":
+            base -= e
+            r = ZETA_POLE_RESIDUES[n // m] * D  # residue over the slope A/D: r/A
+            num, den = (num * r ** e, den * A ** e) if e > 0 else (num * A ** -e, den * r ** -e)
+        else:
+            deps.append(StripDep(sym.render(), Q(n, m), e))
+    return base, deps, num, den, values
 
 
 def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
@@ -494,15 +519,7 @@ def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
     of its poles -1, and every other symbol (epsilon factors included) is
     finite and nonzero.
     """
-    base = 0
-    deps: list[StripDep] = []
-    p, q = s0.numerator, s0.denominator
-    for sym, e in expr.factors:
-        _, n, m, site = _classify(sym, cls, p, q)
-        if site == "strip":
-            deps.append(StripDep(sym.render(), Q(n, m), e))
-        elif site == "pole":
-            base -= e
+    base, deps, _, _, _ = _walk(expr, s0)
     return OrderValue.conditional(base, deps)
 
 
@@ -517,32 +534,26 @@ def known_part_series(expr: LExpression, cls: CharClass, s0: Q) -> Series:
 def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> tuple[OrderValue, FormalScalar | None]:
     """Order (as ``order_at``) and leading coefficient of the expression at s0.
 
-    ``expr`` is ``canonicalize(expr, cls)``-canonical.  The leading
-    coefficient is ``None`` when a strip symbol leaves the order
-    conditional.  Otherwise each symbol's head is the coefficient 0 of
-    its ``symbol_series``, a nonzero monomial: a zeta pole gives its
-    residue over the argument's slope, any other symbol its
-    ``_value_atoms``.  The leading coefficient is the product of the
-    heads: the rationals multiply and the atom exponents add, and the
-    monomial is normalized once at the end.
+    ``expr`` is ``canonicalize(expr, cls)``-canonical.  Every symbol is
+    classified first; the leading coefficient is ``None`` when a strip
+    symbol leaves the order conditional, and no value atom is built then.
+    Otherwise each symbol's head is the coefficient 0 of its
+    ``symbol_series``, a nonzero monomial: a zeta pole gives its residue
+    over the argument's slope, any other symbol its ``_value_atoms``.  The
+    leading coefficient is the product of the heads: the residues multiply
+    in integers and the atom exponents add, and the monomial is normalized
+    once at the end.
     """
-    base = 0
-    deps: list[StripDep] = []
-    coeff = _RATIONAL_ONE
+    base, deps, num, den, values = _walk(expr, s0)
+    if deps:
+        return OrderValue.conditional(base, deps), None
+    c, real = cls.value, cls.is_real
     exps: dict[Atom, int] = {}
-    p, q = s0.numerator, s0.denominator
-    for sym, e in expr.factors:
-        eff, n, m, site = _classify(sym, cls, p, q)
-        if site == "strip":
-            deps.append(StripDep(sym.render(), Q(n, m), e))
-        elif site == "pole":
-            base -= e
-            coeff *= (ZETA_POLE_RESIDUES[n // m] / sym.arg.a) ** e
-        elif not deps:  # after a strip symbol there is no leading term to build
-            for a, k in _value_atoms(sym.kind, eff, n, m):
-                exps[a] = exps.get(a, 0) + k * e
-    leading = None if deps else FormalScalar({_mono_normalize(exps): coeff})
-    return OrderValue.conditional(base, deps), leading
+    for kind, power, n, m, e in values:
+        for a, k in _value_atoms(kind, c if power else None, real, n, m):
+            exps[a] = exps.get(a, 0) + k * e
+    coeff = _RATIONAL_ONE if num == den == 1 else Q(num, den)
+    return OrderValue.known(base), FormalScalar({_mono_normalize(exps): coeff})
 
 
 def sum_series(terms: list[tuple[Series, int]]) -> tuple[OrderValue, FormalScalar | None]:

@@ -11,18 +11,17 @@ each row once, as it reads it, so every row error names file and line.
 
 A key is (case, element, place kind, local class, point); its kind and
 class arrive checked by ``PlaceProfile``.  A ``RuleTable`` indexes its
-rows once, when ``parse_rules`` builds it, by (case, element, place
-kind), in file order; a row for several elements or for both place kinds
-("*") sits under each of its keys, and an unknown case, element or kind
-has no rows.  ``RuleTable.local_pole`` and ``RuleTable.action_rule``
-then test class and condition on their key's rows only: the pole row is
-the highest-order match (the first among equals), the action row the
-first match.  Conditions store their points as integer (numerator,
-denominator) pairs at parse time, and a point p/q in lowest terms is
-matched in integers.  The pole row answers every later question about
-its key: the order a section choice meets (``PoleRule.order_for``) and
-the constituent carrying the pole.  Every row keeps the file line it was
-read from.  Four facts live in code, not in rows, and the loader refuses
+rows once, when it is built, by (case, element, place kind, class), each
+row with its condition as an int tuple; a row for several elements, for
+both place kinds or for every class ("*") sits under each of its keys,
+and an unknown case, element or kind has no rows.  A key's action rows
+keep file order and its pole rows sit highest order first, file order
+among equals, so ``RuleTable.local_pole`` and ``RuleTable.action_rule``
+test only the condition, in integers at a point p/q in lowest terms,
+and return the first match.  The pole row answers every later question
+about its key: the order a section choice meets (``PoleRule.order_for``)
+and the constituent carrying the pole.  Every row keeps the file line it
+was read from.  Four facts live in code, not in rows, and the loader refuses
 a row that restates them: the identity carries no operator (no row names
 it), ``carrier`` meets every pole and ``spherical`` none (no pole row
 lists either), a kernel sits on a base.
@@ -59,6 +58,7 @@ CARRIERS = ("st_gl2", "st_sl2", "tempered_t2", "arch_nonlanglands", "")
 # the local class a place of each kind cannot have: sgn is the real place's
 # quadratic class, so neither place kind has the other's
 _FOREIGN_CLASS = {NONARCH: CharClass.SGN.value, ARCH: CharClass.QUADRATIC.value}
+_CLASSES = tuple(c.value for c in CharClass)
 
 
 class UncoveredKey(KeyError):
@@ -111,20 +111,6 @@ class Condition(NamedTuple):
                 below = _point(parts[3][2:])
             return Condition("int", shift, 0 if par == "even" else 1, below)
         raise RuleTableError(f"bad condition {text!r}")
-
-    def matches(self, p: int, q: int) -> bool:
-        """Whether the point p/q (lowest terms, q > 0) satisfies the predicate."""
-        if self.kind == "always":
-            return True
-        vn, vd = self.value
-        if self.kind == "eq":
-            return p == vn and q == vd
-        # p/q + vn/vd, both in lowest terms, is an integer only when q == vd
-        if q != vd or (p + vn) % q:
-            return False
-        t = (p + vn) // q
-        bn, bd = self.below
-        return t * bd < bn and t % 2 == self.parity
 
     def render(self) -> str:
         if self.kind == "always":
@@ -195,41 +181,56 @@ class ActionRule(NamedTuple):
             f"choice {choice!r} not covered by action rule for {self.case}/{self.element} at {self.condition.render()}")
 
 
-def _index(rows: list, elements) -> dict[tuple[str, str, str], tuple]:
-    """Rows by (case, element, place kind), each key's rows in file order.
-
-    ``elements`` gives a row's elements; a "*" row sits under both kinds.
-    """
-    out: dict[tuple[str, str, str], list] = {}
+def _index(rows: list, elements) -> dict[tuple[str, str, str, str], tuple]:
+    """(condition, row) pairs by (case, element, place kind, class), in the
+    order of ``rows``; ``elements`` gives a row's elements.  A condition is
+    () for always, (vn, vd) for eq and (vn, vd, parity, bn, bd) for int."""
+    out: dict[tuple[str, str, str, str], list] = {}
     for r in rows:
+        c = r.condition
+        cond = () if c.kind == "always" else c.value if c.kind == "eq" else (
+            *c.value, c.parity, *c.below)
         places = (NONARCH, ARCH) if r.place == "*" else (r.place,)
+        classes = _CLASSES if "*" in r.classes else r.classes
         for element in elements(r):
             for place in places:
-                out.setdefault((r.case, element, place), []).append(r)
+                for cls in classes:
+                    out.setdefault((r.case, element, place, cls), []).append((cond, r))
     return {key: tuple(rs) for key, rs in out.items()}
 
 
-def _matching(rows: tuple, local_class: CharClass, s0: Q):
-    """The rows whose class and condition cover the point, in file order."""
-    cls, p, q = local_class.value, s0.numerator, s0.denominator
-    return (r for r in rows
-            if ("*" in r.classes or cls in r.classes) and r.condition.matches(p, q))
+def _first(rows: tuple, p: int, q: int):
+    """The first row whose condition holds at p/q (lowest terms, q > 0), or ``None``."""
+    for cond, row in rows:
+        if len(cond) < 5:
+            if not cond or cond == (p, q):
+                return row
+            continue
+        # p/q + vn/vd, both in lowest terms, is an integer only when q == vd
+        vn, vd, parity, bn, bd = cond
+        t, r = divmod(p + vn, q)
+        if q == vd and not r and t * bd < bn and t % 2 == parity:
+            return row
+    return None
 
 
 class RuleTable:
-    """Pole and action rows in file order, indexed once by (case, element, place)."""
+    """Pole and action rows in file order, indexed once by (case, element,
+    place kind, class); a key's pole rows sit highest order first."""
 
     def __init__(self, poles: list[PoleRule], actions: list[ActionRule]):
         self.poles = poles
         self.actions = actions
-        self._pole_rows = _index(self.poles, lambda r: r.elements)
-        self._action_rows = _index(self.actions, lambda r: (r.element,))
+        # a stable sort: among rows of one order the first in file order leads
+        self._pole_rows = _index(sorted(poles, key=lambda r: -r.order), lambda r: r.elements)
+        self._action_rows = _index(actions, lambda r: (r.element,))
 
     # -- queries --
 
     def local_pole(self, case: str, element: str, place: str,
                    local_class: CharClass, s0: Q) -> PoleRule:
-        """The pole row that fixes a key's order: the highest-order match.
+        """The pole row that fixes a key's order: the highest-order match,
+        the first in file order among equals.
 
         Order-0 keys need a catch-all row; an order-0 row's carrier and pole
         choices are never read.
@@ -237,8 +238,8 @@ class RuleTable:
         Raises :class:`UncoveredKey` when no row covers the key (an unknown
         case, element or place kind has none).
         """
-        rows = self._pole_rows.get((case, element, place), ())
-        hit = max(_matching(rows, local_class, s0), key=lambda r: r.order, default=None)
+        hit = _first(self._pole_rows.get((case, element, place, local_class.value), ()),
+                     s0.numerator, s0.denominator)
         if hit is None:
             raise UncoveredKey(f"no pole rule covers {case}/{element} at a {place} place, "
                                f"class {local_class.value}, s={s0}")
@@ -247,8 +248,8 @@ class RuleTable:
     def action_rule(self, case: str, element: str, place: str,
                     local_class: CharClass, s0: Q) -> ActionRule | None:
         """The first action row matching the key, or ``None``."""
-        rows = self._action_rows.get((case, element, place), ())
-        return next(_matching(rows, local_class, s0), None)
+        return _first(self._action_rows.get((case, element, place, local_class.value), ()),
+                      s0.numerator, s0.denominator)
 
 
 def parse_rules(text: str, source: str = "<string>") -> RuleTable:
@@ -301,7 +302,7 @@ def _check_row(rule: PoleRule | ActionRule) -> None:
     names = _ELEMENT_NAMES.get(rule.case, ())
     fields = [("case", (rule.case,), tuple(_ELEMENT_NAMES)),
               ("place", (rule.place,), (NONARCH, ARCH, "*")),
-              ("class", rule.classes, tuple(c.value for c in CharClass) + ("*",))]
+              ("class", rule.classes, _CLASSES + ("*",))]
     if isinstance(rule, PoleRule):
         if rule.order not in (0, 1):
             raise RuleTableError(f"pole order must be 0 or 1, got {rule.order}")

@@ -101,11 +101,18 @@ def test_lambda_for_case():
         lambda_for_case("klingen")
 
 
+def ratio(form: AffineForm, s0: Q) -> tuple[int, int]:
+    """The form's value at s0 from its integers, as the point engine reads it:
+    (A*p + B*q, D*q) at s0 = p/q in lowest terms."""
+    A, B, D = form.ints
+    return A * s0.numerator + B * s0.denominator, D * s0.denominator
+
+
 @given(st.fractions(max_denominator=8), st.fractions(max_denominator=8),
        st.fractions(max_denominator=8))
 def test_affine_arithmetic(a, b, s0):
     def at(form):
-        return Q(*form.ratio(s0.numerator, s0.denominator))
+        return Q(*ratio(form, s0))
 
     f = AffineForm(a, b)
     assert at(-f) == -at(f)
@@ -115,7 +122,7 @@ def test_affine_arithmetic(a, b, s0):
 @given(st.fractions(max_denominator=12) | st.just(Q(0)), st.fractions(max_denominator=12),
        st.fractions(max_denominator=16))
 def test_affine_at_is_exact(a, b, s0):
-    n, m = AffineForm(a, b).ratio(s0.numerator, s0.denominator)
+    n, m = ratio(AffineForm(a, b), s0)
     assert type(n) is int and type(m) is int
     assert Q(n, m) == a * s0 + b
 
@@ -126,7 +133,7 @@ def test_affine_ratio_is_the_value(a, b, s0):
     f = AffineForm(a, b)
     A, B, D = f.ints
     assert (Q(A, D), Q(B, D)) == (a, b)
-    n, m = f.ratio(s0.numerator, s0.denominator)
+    n, m = ratio(f, s0)
     assert m > 0 and Q(n, m) == a * s0 + b
     assert ratio_str(n, m) == str(a * s0 + b)
 

@@ -150,6 +150,13 @@ def test_term_order_propagates_strip():
      [(0, "length-two"), (1, "L(nu^(3/2)St_GL2;1)"), (2, "L(nu^(3/2)St_GL2;1)")]),
     # the grids row "s=-4 trivial, non-Langlands real constituent": a carrier label
     (PlaceProfile((arch(TR, "carrier"),)), Q(-4), [(0, "L(delta*nu^(5/2),3;1)")]),
+    # the grids row "s=-2 trivial, 5 twisted-Steinberg place(s)": five equal
+    # nonarch places share one lookup per summand
+    (PlaceProfile((arch(),) + (nonarch(TR, "steinberg"),) * 5), Q(-2),
+     [(0, "length-two")] + [(i, "L(nu^(3/2)St_GL2;1)") for i in range(1, 6)]),
+    # two nonarch classes and the arch place: three lookups per summand
+    (PlaceProfile((arch(), nonarch(QU, "t1"), nonarch(TR), nonarch(QU, "t2"))), Q(-1, 2),
+     [(0, "spherical"), (1, "T1"), (2, "spherical"), (3, "T2")]),
 ])
 def test_one_pole_row_lookup_per_summand_and_place(monkeypatch, profile, s0, image):
     calls = Counter()
@@ -174,12 +181,15 @@ def test_one_pole_row_lookup_per_summand_and_place(monkeypatch, profile, s0, ima
         return out
 
     monkeypatch.setattr(constant_term, "_group_weights", no_lookups)
-    report = eisenstein_order("heisenberg", profile, s0, TR)
+    cls = QU if any(p.local_class is QU for p in profile.places) else TR
+    report = eisenstein_order("heisenberg", profile, s0, cls)
     assert [(e.place, e.structure if e.structure == "length-two" else e.label)
             for e in report.image] == image
-    # the identity carries no operator: only the three other summands
-    assert calls["local_pole"] == 3 * len(profile.places)
-    assert calls["action_rule"] == 3 * len(profile.places)
+    # the identity carries no operator: only the three other summands, each
+    # once per distinct (kind, class) of the places
+    distinct = len({(p.kind, p.local_class) for p in profile.places})
+    assert calls["local_pole"] == 3 * distinct
+    assert calls["action_rule"] == 3 * distinct
 
 
 @pytest.mark.parametrize("case, s0, cls", [
@@ -192,14 +202,15 @@ def test_one_symbol_walk_per_summand(monkeypatch, case, s0, cls):
     seen = Counter()
     classify = germs._classify
 
-    def counted(sym, *args):
-        seen[sym] += 1
-        return classify(sym, *args)
+    def counted(kind, power, A, n, m):
+        seen[kind, power, A, Q(n, m)] += 1
+        return classify(kind, power, A, n, m)
 
     monkeypatch.setattr(germs, "_classify", counted)
     report = eisenstein_order(case, SPH, s0, cls)
     assert all(len(g.members) == 1 for g in report.groups)
-    assert seen == Counter(sym for t in report.terms for sym, _ in t.expr.factors)
+    assert seen == Counter((sym.kind, sym.power, sym.arg.ints[0], sym.arg.a * s0 + sym.arg.b)
+                           for t in report.terms for sym, _ in t.expr.factors)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sp4eis.characters import AffineForm, CharClass, heisenberg_lambda, siegel_lambda
+from sp4eis.characters import (
+    AffineForm, CharClass, heisenberg_lambda, power_class, reduce_power, siegel_lambda,
+)
 from sp4eis.constant_term import (
     PlaceProfile, _common_factor, _group_jets, coset_representatives, eisenstein_order,
     factor_expression,
@@ -189,6 +191,14 @@ def test_germ_examples():
     assert germ_at(e, QU, Q(0))[1].render() == "eps[quadratic](2)"
 
 
+def _site(sym: LSymbol, cls: CharClass, s0: Q) -> tuple[CharClass, int, int, str]:
+    """A reduced symbol's class, argument n/m and ``_classify`` site at s0."""
+    A, B, D = sym.arg.ints
+    n, m = A * s0.numerator + B * s0.denominator, D * s0.denominator
+    eff = cls if sym.power else TR
+    return eff, n, m, _classify(sym.kind, sym.power, A, n, m)
+
+
 def _head_or_error(fn):
     try:
         return fn()
@@ -207,7 +217,7 @@ def _head_or_error(fn):
 @example(kind=L, power=0, a=0, b2=2, cls=OT, s8=0)      # constant symbol at a pole
 @example(kind=L, power=1, a=1, b2=0, cls=OT, s8=4)      # strip argument
 def test_symbol_head_matches_series_head(kind, power, a, b2, cls, s8):
-    sym = lsym(a, Q(b2, 2), power, kind)
+    sym = lsym(a, Q(b2, 2), reduce_power(cls, power), kind)  # reduced, as canonicalize leaves it
     expr = LExpression.build({sym: 1})
     s0 = Q(s8, 8)
     direct = _head_or_error(lambda: germ_at(expr, cls, s0))
@@ -226,7 +236,8 @@ def test_symbol_head_matches_series_head(kind, power, a, b2, cls, s8):
 
 
 def _rebase_value(kind, eff, u0: Q, der: str, data: tuple, a: Q) -> Series:
-    head = FormalScalar.monomial(_value_atoms(kind, eff, u0.numerator, u0.denominator))
+    c = None if eff is CharClass.TRIVIAL else eff.value
+    head = FormalScalar.monomial(_value_atoms(kind, c, eff.is_real, u0.numerator, u0.denominator))
     return Series(0, (head, FormalScalar.atom((der, data), a)))
 
 
@@ -248,7 +259,7 @@ def rebase_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
     """The reference jet of one symbol: a self-dual value right of 1/2 is
     rebuilt from the jets at the reflected point by ``Series`` products and
     inverses, in ``Fraction`` arithmetic."""
-    eff, n, m, site = _classify(sym, cls, s0.numerator, s0.denominator)
+    eff, n, m, site = _site(sym, cls, s0)
     if site == "strip":
         raise StripOrderUnknown(sym.render())
     a, u0 = sym.arg.a, Q(n, m)
@@ -274,7 +285,7 @@ def rebase_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
 @example(kind=L, power=0, a=-1, b4=0, cls=OT, s8=0)     # zeta pole at 0, negative slope
 @example(kind=L, power=0, a=1, b4=-12, cls=TR, s8=0)    # zeta left of 1/2
 def test_symbol_series_matches_the_rebase_reference(kind, power, a, b4, cls, s8):
-    sym = lsym(a, Q(b4, 4), power, kind)
+    sym = lsym(a, Q(b4, 4), reduce_power(cls, power), kind)  # reduced, as canonicalize leaves it
     s0 = Q(s8, 8)
     got = _head_or_error(lambda: symbol_series(sym, cls, s0))
     want = _head_or_error(lambda: rebase_series(sym, cls, s0))
@@ -318,15 +329,16 @@ def _fraction_atoms(kind: str, eff: CharClass, u: Q) -> tuple:
 @example(Q(1, 2))
 @example(Q(-3, 2))
 def test_integer_site_and_atoms_equal_fraction_arithmetic(s0):
-    p, q = s0.numerator, s0.denominator
     for sym, cls in FACTOR_SYMBOLS:
-        eff, n, m, site = _classify(sym, cls, p, q)
+        eff, n, m, site = _site(sym, cls, s0)
         u = sym.arg.a * s0 + sym.arg.b
         assert m > 0 and Q(n, m) == u
         assert site == _fraction_site(sym, eff, u)
         assert (2 * n < m) == (u < Q(1, 2))
         if site == "value":
-            assert _value_atoms(sym.kind, eff, n, m) == _fraction_atoms(sym.kind, eff, u)
+            c = None if eff is TR else eff.value
+            assert _value_atoms(sym.kind, c, eff.is_real, n, m) == \
+                _fraction_atoms(sym.kind, eff, u)
 
 
 def test_germ_refuses_strip():
@@ -336,13 +348,13 @@ def test_germ_refuses_strip():
     order, leading = germ_at(rc1, TR, Q(-3, 2))
     assert order == order_at(rc1, TR, Q(-3, 2))
     assert order.kind == "conditional" and leading is None
-    (sym,) = [sym for sym, _ in rc1.factors if Q(*sym.arg.ratio(-3, 2)) == Q(1, 2)]
+    (sym,) = [sym for sym, _ in rc1.factors if sym.arg.a * Q(-3, 2) + sym.arg.b == Q(1, 2)]
     with pytest.raises(StripOrderUnknown):
         symbol_series(sym, TR, Q(-3, 2))
 
 
 def test_degenerate_constant_symbol():
-    e = LExpression.build({lsym(0, 1): 1})  # completed zeta pinned at its pole
+    e = LExpression.build({lsym(0, 1, 0): 1})  # completed zeta pinned at its pole
     with pytest.raises(DegenerateSymbol):
         germ_at(e, TR, Q(7))
 
@@ -441,6 +453,39 @@ def test_singleton_germ_matches_full_depth(case, cls):
                 (OrderValue.known(order), lead.render(), lead.certified_nonzero()), (w.name, s0)
             checked += 1
     assert checked > 100
+
+
+@st.composite
+def fuzz_points(draw) -> Q:
+    """s0 = p/q with q <= 10**6 and |s0| <= 14."""
+    q = draw(st.integers(1, 10**6))
+    return Q(draw(st.integers(-14 * q, 14 * q)), q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_points())
+@example(Q(0))
+@example(Q(1, 2))
+@example(Q(-1, 2))
+@example(Q(-2))
+@example(Q(-3, 2))
+def test_germ_at_agrees_with_order_at_and_the_series(s0):
+    """On all 24 canonical factors: germ_at's order is order_at's, and away
+    from the strip its leading term is the series' leading term."""
+    for case, cls in CASE_CLASSES:
+        for w in coset_representatives(case):
+            expr = factor_expression(case, w, cls)
+            # the canonical precondition: a chi-power is 0 exactly when it is trivial
+            for sym, _ in expr.factors:
+                assert power_class(cls, sym.power) is (TR if sym.power == 0 else cls)
+            order, lead = germ_at(expr, cls, s0)
+            assert order == order_at(expr, cls, s0)
+            if order.deps:
+                assert lead is None
+                continue
+            n, want = known_part_series(expr, cls, s0).leading()
+            assert (order, lead.render(), lead.certified_nonzero()) == \
+                (OrderValue.known(n), want.render(), want.certified_nonzero()), (w.name, s0)
 
 
 def deepening_sum(terms: list, cls: CharClass, s0: Q):
@@ -580,7 +625,7 @@ def _order_signature(ov: OrderValue):
 
 def test_fe_preserves_orders():
     for cls in (TR, QU):
-        e = LExpression.build({lsym(-1, Q(1, 2)): 1, lsym(2, 1, 2): -1})
+        e = canonicalize(LExpression.build({lsym(-1, Q(1, 2)): 1, lsym(2, 1, 2): -1}), cls)
         out = apply_functional_equation(e, cls)
         for s8 in range(-16, 17):
             s0 = Q(s8, 8)

@@ -370,3 +370,68 @@ def test_indexed_lookup_equals_linear_scan(case, index, place, table, s0):
     assert got is expected
     assert table.action_rule(case, element, kind, cls, s0) is \
         _scan_action(table, case, element, kind, cls, s0)
+
+
+# a table whose rows name "*" places and classes and tie on order: the
+# Heisenberg catch-all comes first in the file but below every first-order
+# row, row b ties row a at -2, row f is shadowed by row e, and the Siegel
+# rows split one element's classes between a "*" place and an arch place
+STARRED = parse_rules(
+    HEISENBERG_CATCH_ALL
+    + "pole|heisenberg|s,sc2s|*|*|int:0:even:lt-1|1|st_gl2|steinberg|a\n"
+    + "pole|heisenberg|s|nonarch|trivial|eq:-2|1|st_gl2|langlands|b\n"
+    + "pole|heisenberg|c2s|arch|*|eq:-3|1|arch_nonlanglands|steinberg|c\n"
+    + "pole|heisenberg|c2s|*|other|eq:-3|0|||d\n"
+    + "action|heisenberg|s|base|*|*|eq:0|any=+1|e\n"
+    + "action|heisenberg|s|base|nonarch|trivial|eq:0|any=-1|f\n"
+    + "action|heisenberg|c2s|-|arch|*|int:0:odd|any=+1|g\n"
+    + SIEGEL_CATCH_ALL
+    + "pole|siegel|c2|*|quadratic,other|eq:1/2|1|tempered_t2|t2|h\n"
+    + "pole|siegel|c2|arch|trivial,sgn|int:1/2:odd:lt0|1|arch_nonlanglands|steinberg|i\n",
+    source="starred.txt")
+
+
+def _condition_points(table: RuleTable) -> set[Q]:
+    """Each eq condition's point and each bounded int condition's own
+    point, where s0 + shift reaches the bound."""
+    out = set()
+    for r in table.poles + table.actions:
+        c = r.condition
+        if c.kind == "eq":
+            out.add(Q(*c.value))
+        elif c.kind == "int" and c.below != (0, 1):
+            out.add(Q(*c.below) - Q(*c.value))
+    return out
+
+
+def _line_or_uncovered(lookup):
+    try:
+        row = lookup()
+    except UncoveredKey:
+        return UncoveredKey
+    return row if row is None or row is UncoveredKey else row.line
+
+
+@pytest.mark.parametrize("table", [RULES, STARRED], ids=["shipped", "starred"])
+def test_class_index_matches_file_order_scan(table):
+    """The class index answers as a scan of the rows in file order: the
+    highest-order pole row, the first among equals, and the first action row."""
+    points = {Q(k, 8) for k in range(-48, 49)} | _condition_points(table)
+    checked = 0
+    for case, reps in COSET_REPS.items():
+        for element in (w.name for w in reps):
+            for place in (NONARCH, ARCH):
+                for cls in CharClass:
+                    for s0 in sorted(points):
+                        got = _line_or_uncovered(
+                            lambda: table.local_pole(case, element, place, cls, s0))
+                        want = _line_or_uncovered(
+                            lambda: _scan_pole(table, case, element, place, cls, s0))
+                        assert got == want, (case, element, place, cls, s0)
+                        got = _line_or_uncovered(
+                            lambda: table.action_rule(case, element, place, cls, s0))
+                        want = _line_or_uncovered(
+                            lambda: _scan_action(table, case, element, place, cls, s0))
+                        assert got == want, (case, element, place, cls, s0)
+                        checked += 1
+    assert checked == 2 * 4 * 2 * 4 * len(points)
