@@ -5,6 +5,13 @@ affine exponent).  The inducing characters of the two degenerate series
 are provided as constructors: ``heisenberg_lambda`` is chi nu^s (x) nu^-1
 and ``siegel_lambda`` is chi nu^(s-1/2) (x) chi nu^(s+1/2).
 
+A character class (``CharClass``) is a ``StrEnum`` member, equal to its
+name: it hashes, compares and formats as that string, so rule rows, atom
+data, JSON and messages take it as it is.  A plain string is no member:
+``reduce_power`` and ``power_class`` test members with ``is``, so where a
+profile or a report is built a class must be a member.  Which class a
+place may carry is stated once, in ``localrules.LOCAL_CLASSES``.
+
 ``COSET_REPS`` holds the four Weyl elements of each case's constant term
 and ``TARGETS`` the character each one carries the inducing character
 to.  Neither depends on s, so both are built once at import; at a point,
@@ -30,7 +37,7 @@ from typing import NamedTuple
 from .roots import SP4, RootVector, WeylElement
 
 
-class CharClass(enum.Enum):
+class CharClass(enum.StrEnum):
     """Coarse class of the unitary character chi (global or local).
 
     ``SGN`` is the nontrivial quadratic class of a real place and is only
@@ -113,10 +120,6 @@ class AffineForm(_AffineFields):
 
     def shift(self, c: int | Q) -> "AffineForm":
         return AffineForm(self.a, self.b + c)
-
-    def reflect(self) -> "AffineForm":
-        """The form 1 - (a*s + b)."""
-        return AffineForm(-self.a, 1 - self.b)
 
     def render(self) -> str:
         if self.a == 0:

@@ -227,7 +227,7 @@ def check_order_oracle() -> list[CheckResult]:
         est = estimate_order(expr, cls, s0, tbl, known)
         ok = (symbolic.is_known and symbolic.base == expected
               and est.fitted == expected and est.residual < 0.05)
-        name = f"order-{case[:4]}-{element}-{cls.value[:4]}-at-{s0}"
+        name = f"order-{case[:4]}-{element}-{cls[:4]}-at-{s0}"
         out.append(CheckResult(
             name, ok,
             f"symbolic={symbolic.render()} fitted={est.fitted} residual={est.residual:.4f}",

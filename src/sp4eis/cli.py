@@ -33,7 +33,7 @@ from .characters import TARGETS, coset_representatives, lambda_for_case, parse_c
 from .checks import run_numeric_checks
 from .constant_term import ProfileError, eisenstein_order
 from .germs import IndeterminateLeading
-from .localrules import RuleTableError, UncoveredKey, UnknownChoice, load_rules
+from .localrules import LOCAL_CLASSES, RuleTableError, UncoveredKey, UnknownChoice, load_rules
 from .normfactor import canonicalize, inverse_norm_factor
 from .numerics import QUADRATIC_DISCRIMINANTS
 from .roots import SP4, WeylElement
@@ -173,7 +173,7 @@ def cmd_poles(args) -> Output:
     for r in reports:
         pole = r.pole_order if r.pole_order is not None else "conditional"
         cond = "".join(f" [{d.symbol} at {d.point}]" for d in r.combined_order.deps)
-        lines.append(f"{r.case} chi={r.char_class.value} s0={r.s0}: "
+        lines.append(f"{r.case} chi={r.char_class} s0={r.s0}: "
                      f"pole order {pole}{cond}"
                      + (" constant term vanishes at the point" if r.vanishes_at_point else ""))
         for t in r.terms:
@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True, type=_weyl_element,
                    help="element name (id, s, c2, sc2, c2s, c2sc2, sc2s, c2sc2s) "
                         "or alias (c1, sc1, c1s, 1, e)")
-    p.add_argument("--char-class", choices=["trivial", "quadratic", "other"],
+    # plain strings: argparse prints each choice's repr
+    p.add_argument("--char-class", choices=[str(c) for c in LOCAL_CLASSES],
                    help="reduce chi powers for this class")
     p.set_defaults(func=cmd_normfactor)
 

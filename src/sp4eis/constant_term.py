@@ -6,7 +6,10 @@ operators applied to the section).  This module combines, for a chosen
 section profile, the exact order data of the global factors with the
 local pole/action tables, detects cancellations between summands whose
 target characters coincide at the point, and reports the resulting pole
-order, vanishing behavior, and image labels.
+order, vanishing behavior, and image labels.  Which local classes a
+place may carry is read from ``localrules.LOCAL_CLASSES``: a profile is
+checked against it per place kind when it is built, and a report per
+global class, each class as a ``CharClass`` member.
 
 Each summand's ``TermReport`` holds its parts, each computed once: the
 factor, its order and leading term, each place's pole and action rows
@@ -31,8 +34,8 @@ from .germs import (
     known_part_series, order_at, sum_series,
 )
 from .localrules import (
-    ARCH, CHOICES, ISO, KERNEL, NONARCH, ActionRule, PoleRule, RuleTable, UncoveredKey,
-    default_rules,
+    ARCH, CHOICES, ISO, KERNEL, LOCAL_CLASSES, PLACE_CLASSES, ActionRule, PoleRule, RuleTable,
+    UncoveredKey, default_rules,
 )
 from .normfactor import LExpression, LSymbol, canonicalize, inverse_norm_factor
 from .roots import WeylElement
@@ -57,11 +60,18 @@ class Place(NamedTuple):
     choice: str = "spherical"
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "class": self.local_class.value, "choice": self.choice}
+        return {"kind": self.kind, "class": self.local_class, "choice": self.choice}
 
 
 class _ProfileFields(NamedTuple):
     places: tuple[Place, ...]
+
+
+def _check_member(cls: CharClass) -> None:
+    """Refuse a class that is no ``CharClass`` member: a plain string equals
+    one but fails the ``is`` tests that reduce chi powers."""
+    if type(cls) is not CharClass:
+        raise ProfileError(f"class {cls!r} is not a CharClass member")
 
 
 class PlaceProfile(_ProfileFields):
@@ -69,7 +79,9 @@ class PlaceProfile(_ProfileFields):
 
     Exactly one archimedean place is required (it belongs to S).  Places
     outside S never influence orders or signs, so they are not modeled.
-    A profile is checked when it is built.
+    A profile is checked when it is built: each place's class must be a
+    ``CharClass`` member that a place of its kind may carry
+    (``PLACE_CLASSES``, from ``LOCAL_CLASSES``).
     """
 
     __slots__ = ()
@@ -79,12 +91,11 @@ class PlaceProfile(_ProfileFields):
         if len(arch) != 1:
             raise ProfileError("exactly one archimedean place is required")
         for p in places:
-            if p.kind not in (ARCH, NONARCH):
+            if p.kind not in PLACE_CLASSES:
                 raise ProfileError(f"unknown place kind {p.kind!r}")
-            if p.kind == ARCH and p.local_class is CharClass.QUADRATIC:
-                raise ProfileError("use the sgn class for the archimedean quadratic character")
-            if p.kind == NONARCH and p.local_class is CharClass.SGN:
-                raise ProfileError("sgn class only occurs at the archimedean place")
+            _check_member(p.local_class)
+            if p.local_class not in PLACE_CLASSES[p.kind]:
+                raise ProfileError(f"class '{p.local_class}' cannot occur at place {p.kind!r}")
             if p.choice not in CHOICES:
                 raise ProfileError(f"unknown section choice {p.choice!r}")
         return tuple.__new__(cls, (places,))
@@ -232,7 +243,7 @@ class ConstantTermReport(NamedTuple):
         return {
             "schema": "sp4eis-report/1",
             "case": self.case,
-            "char_class": self.char_class.value,
+            "char_class": self.char_class,
             "s0": str(self.s0),
             "profile": self.profile.to_json(),
             "terms": [t.to_json() for t in self.terms],
@@ -503,18 +514,18 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
                      rules: RuleTable | None = None) -> ConstantTermReport:
     """Full constant-term report at s = s0 for one section profile.
 
-    Raises :class:`ProfileError` when ``cls`` is the local class ``sgn`` or
-    no global character of class ``cls`` has the profile's local classes: a
-    trivial character is trivial at every place, and a quadratic one is
-    nowhere of class ``other``.
+    Raises :class:`ProfileError` when ``cls`` is no ``CharClass`` member,
+    has no row in ``LOCAL_CLASSES`` (``sgn``, a local class only) or does
+    not list one of the profile's local classes for its place kind.
     """
-    if cls is CharClass.SGN:
-        raise ProfileError("sgn is a local class of the archimedean place, not a global one")
+    _check_member(cls)
+    allowed = LOCAL_CLASSES.get(cls)
+    if allowed is None:
+        raise ProfileError(f"{cls} is a local class of the archimedean place, not a global one")
     for p in profile.places:
-        if (cls is CharClass.TRIVIAL and p.local_class is not CharClass.TRIVIAL
-                or cls is CharClass.QUADRATIC and p.local_class is CharClass.OTHER):
-            raise ProfileError(f"a {cls.value} global character cannot have local class "
-                               f"{p.local_class.value} ({p.kind} place)")
+        if p.local_class not in allowed[p.kind]:
+            raise ProfileError(f"a {cls} global character cannot have local class "
+                               f"{p.local_class} ({p.kind} place)")
     rules = rules or default_rules()
     terms = [term_report(case, profile, w, s0, cls, rules) for w in coset_representatives(case)]
     groups = [evaluate_group(case, ts, profile, s0, cls) for ts in _by_target(terms)]

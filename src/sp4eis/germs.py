@@ -62,8 +62,8 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Iterable, NamedTuple, Sequence
 
-from .characters import AffineForm, CharClass, ratio_str
-from .normfactor import EPS, L, LExpression, LSymbol, canonicalize
+from .characters import CharClass, ratio_str
+from .normfactor import EPS, LExpression, LSymbol
 
 # The completed-L facts: completed zeta's simple poles (integer arguments)
 # with their residues, and the open strip of unknown orders.  Only
@@ -121,13 +121,13 @@ def _known_nonzero(atom: Atom) -> bool:
         return True
     # forced by the source's "holomorphic and non-zero" cancellation
     # statements; verified numerically for the modulus-4 character
-    return kind == "lder" and data[0] == CharClass.QUADRATIC.value and data[1] in ("0", "1")
+    return kind == "lder" and data[0] == CharClass.QUADRATIC and data[1] in ("0", "1")
 
 
 def _mod2(atom: Atom) -> bool:
     """eps(1/2) of a self-dual class: its square is 1, so its exponent reduces mod 2."""
     kind, data = atom
-    return kind == "epsv" and data[1] == "1/2" and data[0] != CharClass.OTHER.value
+    return kind == "epsv" and data[1] == "1/2" and data[0] != CharClass.OTHER
 
 
 # A monomial is canonical when its atoms are distinct and sorted, no
@@ -427,9 +427,9 @@ def _classify(kind: str, power: int, A: int, n: int, m: int) -> str:
     return "value"
 
 
-def _value_atoms(kind: str, c: str | None, real: bool, n: int, m: int) -> Monomial:
+def _value_atoms(kind: str, c: CharClass | None, real: bool, n: int, m: int) -> Monomial:
     """Monomial of a symbol's nonzero value at u = n/m (m > 0), oriented by
-    the functional equation, for a class of value ``c`` (``None``: trivial)
+    the functional equation, for a class ``c`` (``None``: trivial)
     that is self-dual when ``real``.
 
     A zeta value reflects to u >= 1/2 and a trivial epsilon is 1.  Left of
@@ -463,7 +463,7 @@ def symbol_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
     if site == "pole":
         return Series(-1, (FormalScalar.monomial((), ZETA_POLE_RESIDUES[n // m] / a),
                            FormalScalar.atom(("zconst", ()))))
-    c, real = (cls.value if power else None), cls.is_real
+    c, real = (cls if power else None), cls.is_real
     u, v = ratio_str(n, m), ratio_str(m - n, m)
     if c is None:
         # a trivial epsilon is 1; the zeta derivative reflects to u >= 1/2 with a sign
@@ -547,10 +547,10 @@ def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> tuple[OrderValue, Forma
     base, deps, num, den, values = _walk(expr, s0)
     if deps:
         return OrderValue.conditional(base, deps), None
-    c, real = cls.value, cls.is_real
+    real = cls.is_real
     exps: dict[Atom, int] = {}
     for kind, power, n, m, e in values:
-        for a, k in _value_atoms(kind, c if power else None, real, n, m):
+        for a, k in _value_atoms(kind, cls if power else None, real, n, m):
             exps[a] = exps.get(a, 0) + k * e
     coeff = _RATIONAL_ONE if num == den == 1 else Q(num, den)
     return OrderValue.known(base), FormalScalar({_mono_normalize(exps): coeff})
@@ -573,36 +573,3 @@ def sum_series(terms: list[tuple[Series, int]]) -> tuple[OrderValue, FormalScala
     if lead.certified_nonzero():
         return OrderValue.known(order), lead
     return OrderValue.at_least(order), lead
-
-
-# ---------------------------------------------------------------------------
-# functional-equation rewrite on expressions
-# ---------------------------------------------------------------------------
-
-def _oriented(arg: AffineForm) -> bool:
-    if arg.a > 0:
-        return True
-    if arg.a < 0:
-        return False
-    return arg.b >= Q(1, 2)
-
-
-def apply_functional_equation(expr: LExpression, cls: CharClass | None = None) -> LExpression:
-    """Rewrite L-symbols toward arguments in the half-plane Re >= 1/2.
-
-    Each L(u, chi^k) with a left-oriented argument u becomes
-    eps(1-u, chi^-k) * L(1-u, chi^-k).  Epsilon symbols are left alone.
-    The rewrite is idempotent; passing a class additionally reduces chi
-    powers (so for self-dual classes the result matches the classical
-    single-character form).
-    """
-    d: dict[LSymbol, int] = {}
-    for sym, e in expr.factors:
-        if sym.kind == L and not _oriented(sym.arg):
-            refl = sym.arg.reflect()
-            for new in (LSymbol(L, refl, -sym.power), LSymbol(EPS, refl, -sym.power)):
-                d[new] = d.get(new, 0) + e
-        else:
-            d[sym] = d.get(sym, 0) + e
-    out = LExpression.build(d)
-    return canonicalize(out, cls) if cls is not None else out

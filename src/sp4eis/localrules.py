@@ -9,6 +9,9 @@ representation theory, rows are conclusions stored as data.  One reader,
 ``load_rules``, reads that file and any override; ``parse_rules`` checks
 each row once, as it reads it, so every row error names file and line.
 
+``LOCAL_CLASSES`` states, once, which local classes a place of each kind
+may carry under a global character of each class; ``PlaceProfile``,
+``eisenstein_order``, the scenario reader and this loader all read it.
 A key is (case, element, place kind, local class, point); its kind and
 class arrive checked by ``PlaceProfile``.  A ``RuleTable`` indexes its
 rows once, when it is built, by (case, element, place kind, class), each
@@ -21,7 +24,8 @@ test only the condition, in integers at a point p/q in lowest terms,
 and return the first match.  The pole row answers every later question
 about its key: the order a section choice meets (``PoleRule.order_for``)
 and the constituent carrying the pole.  Every row keeps the file line it
-was read from.  Four facts live in code, not in rows, and the loader refuses
+was read from, and a row compares and hashes on every field, that line
+included.  Four facts live in code, not in rows, and the loader refuses
 a row that restates them: the identity carries no operator (no row names
 it), ``carrier`` meets every pole and ``spherical`` none (no pole row
 lists either), a kernel sits on a base.
@@ -55,10 +59,21 @@ POLE_CHOICES = ("langlands", "steinberg", "t1", "t2")  # those a pole row may li
 CHOICES = ("spherical", *POLE_CHOICES, "carrier")
 # pole-row carriers of a first-order pole; order-0 rows leave the field empty
 CARRIERS = ("st_gl2", "st_sl2", "tempered_t2", "arch_nonlanglands", "")
-# the local class a place of each kind cannot have: sgn is the real place's
-# quadratic class, so neither place kind has the other's
-_FOREIGN_CLASS = {NONARCH: CharClass.SGN.value, ARCH: CharClass.QUADRATIC.value}
-_CLASSES = tuple(c.value for c in CharClass)
+_TR, _QU, _OT, _SGN = CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER, CharClass.SGN
+# global class -> place kind -> the local classes a place of that kind may
+# carry: a trivial character is trivial at every place, a quadratic one is
+# nowhere of class other, and a real place's quadratic class is sgn.  sgn
+# has no row: it is no global class
+LOCAL_CLASSES = {
+    _TR: {NONARCH: (_TR,), ARCH: (_TR,)},
+    _QU: {NONARCH: (_TR, _QU), ARCH: (_TR, _SGN)},
+    _OT: {NONARCH: (_TR, _QU, _OT), ARCH: (_TR, _SGN, _OT)},
+}
+# the local classes a place of each kind may carry under some global class
+PLACE_CLASSES = {kind: tuple(dict.fromkeys(c for by_kind in LOCAL_CLASSES.values()
+                                           for c in by_kind[kind]))
+                 for kind in (NONARCH, ARCH)}
+_CLASSES = tuple(CharClass)
 
 
 class UncoveredKey(KeyError):
@@ -123,21 +138,6 @@ class Condition(NamedTuple):
         return f"s{shift} {par} integer < {ratio_str(*self.below)}"
 
 
-# A row keeps the file line it was read from as its last field, which takes
-# no part in equality or hashing: the same row read from another line is
-# the same rule.
-def _row_eq(self, other):
-    return type(other) is type(self) and self[:-1] == other[:-1]
-
-
-def _row_ne(self, other):
-    return not _row_eq(self, other)
-
-
-def _row_hash(self):
-    return hash(self[:-1])
-
-
 class PoleRule(NamedTuple):
     case: str
     elements: tuple[str, ...]
@@ -149,8 +149,6 @@ class PoleRule(NamedTuple):
     pole_choices: tuple[str, ...]
     note: str
     line: int = 0         # the rule-file line it was read from
-
-    __eq__, __ne__, __hash__ = _row_eq, _row_ne, _row_hash
 
     def order_for(self, choice: str) -> int:
         """Pole order met by a section choice: the carrier meets every pole."""
@@ -167,8 +165,6 @@ class ActionRule(NamedTuple):
     actions: tuple[tuple[str, str], ...]
     note: str
     line: int = 0         # the rule-file line it was read from
-
-    __eq__, __ne__, __hash__ = _row_eq, _row_ne, _row_hash
 
     def action_for(self, choice: str) -> str:
         for token, value in self.actions:
@@ -238,17 +234,17 @@ class RuleTable:
         Raises :class:`UncoveredKey` when no row covers the key (an unknown
         case, element or place kind has none).
         """
-        hit = _first(self._pole_rows.get((case, element, place, local_class.value), ()),
+        hit = _first(self._pole_rows.get((case, element, place, local_class), ()),
                      s0.numerator, s0.denominator)
         if hit is None:
             raise UncoveredKey(f"no pole rule covers {case}/{element} at a {place} place, "
-                               f"class {local_class.value}, s={s0}")
+                               f"class {local_class}, s={s0}")
         return hit
 
     def action_rule(self, case: str, element: str, place: str,
                     local_class: CharClass, s0: Q) -> ActionRule | None:
         """The first action row matching the key, or ``None``."""
-        return _first(self._action_rows.get((case, element, place, local_class.value), ()),
+        return _first(self._action_rows.get((case, element, place, local_class), ()),
                       s0.numerator, s0.denominator)
 
 
@@ -328,9 +324,10 @@ def _check_row(rule: PoleRule | ActionRule) -> None:
         for token in tokens:
             if token not in allowed:
                 raise RuleTableError(f"unknown {what} {token!r}")
-    if _FOREIGN_CLASS.get(rule.place) in rule.classes:
-        raise RuleTableError(f"class {_FOREIGN_CLASS[rule.place]!r} "
-                             f"cannot occur at place {rule.place!r}")
+    may_carry = PLACE_CLASSES.get(rule.place, _CLASSES)  # a "*" row may name any class
+    for token in rule.classes:
+        if token != "*" and token not in may_carry:
+            raise RuleTableError(f"class {token!r} cannot occur at place {rule.place!r}")
 
 
 def load_rules(path: str | Path) -> RuleTable:

@@ -413,7 +413,7 @@ def eval_expression(expr: LExpression, cls: CharClass, s: complex,
                 raise NotEvaluable("a Dirichlet table is needed for quadratic classes")
             tbl = table
         else:
-            raise NotEvaluable(f"no numeric stand-in for class {eff.value}")
+            raise NotEvaluable(f"no numeric stand-in for class {eff}")
         A, B, D = sym.arg.ints
         arg = A / D * s + B / D  # A / D rounds once, to float(Fraction(A, D))
         key = (eff, tbl, arg)

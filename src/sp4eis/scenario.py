@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 from .characters import CharClass, parse_class
 from .constant_term import Place, PlaceProfile
+from .localrules import LOCAL_CLASSES
 
 VALID_CHECKS = ("poles", "verify", "numcheck")
 SCENARIO_KEYS = ("case", "char_class", "modulus", "s0", "checks", "theorems", "places")
@@ -55,7 +56,7 @@ class Scenario(NamedTuple):
     def to_json(self) -> dict:
         return {
             "case": self.case,
-            "char_class": self.char_class.value,
+            "char_class": self.char_class,
             "s0": [str(s) for s in self.s0_list],
             "profile": self.profile.to_json(),
             "modulus": self.modulus,
@@ -102,8 +103,8 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
     if case not in ("heisenberg", "siegel"):
         raise ScenarioError(f"{source}: unknown case {case!r}")
     cls = _class(data.get("char_class", "trivial"), source)
-    if cls is CharClass.SGN:
-        raise ScenarioError(f"{source}: 'sgn' is a local class; use char_class='quadratic'")
+    if cls not in LOCAL_CLASSES:
+        raise ScenarioError(f"{source}: '{cls}' is a local class; use char_class='quadratic'")
     try:
         s0_list = [Q(str(x)) for x in _list(data, "s0", ["0"], source)]
     except (ValueError, ZeroDivisionError) as exc:

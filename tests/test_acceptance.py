@@ -19,13 +19,13 @@ from sp4eis.checks import (
 from sp4eis.constant_term import (
     Place, PlaceProfile, evaluate_group, eisenstein_order, term_report,
 )
-from sp4eis.germs import OrderValue, apply_functional_equation, germ_at, order_at
+from sp4eis.germs import OrderValue, germ_at, order_at
 from sp4eis.localrules import default_rules
 from sp4eis.normfactor import EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor
 from sp4eis.numerics import completed_zeta
 from sp4eis.roots import SP4, is_negative
 from sp4eis.theorems import theorem_ids, verify_theorem
-from test_germs import full_depth_sum
+from test_germs import apply_functional_equation, full_depth_sum
 from test_roots import product
 
 SYS = SP4

@@ -25,9 +25,6 @@ KEPT = {
     # the reference that tests/test_localrules.py checks the rule table against
     "sl2_reducible": "reducibility reference for the pole table",
     "gl2_reducible": "reducibility reference for the pole table",
-    # the global functional-equation oracle is its caller
-    "apply_functional_equation":
-        "tests/test_functional_equation.py::test_factor_functional_equation_per_summand",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

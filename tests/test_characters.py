@@ -116,7 +116,7 @@ def test_affine_arithmetic(a, b, s0):
 
     f = AffineForm(a, b)
     assert at(-f) == -at(f)
-    assert at(f.reflect()) == 1 - at(f)
+    assert at(f.shift(1)) == at(f) + 1
 
 
 @given(st.fractions(max_denominator=12) | st.just(Q(0)), st.fractions(max_denominator=12),

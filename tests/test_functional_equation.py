@@ -22,18 +22,15 @@ from hypothesis import given, strategies as st
 
 from sp4eis.characters import COSET_REPS, TARGETS, AffineForm, CharClass, TorusCharacter
 from sp4eis.constant_term import PlaceProfile, eisenstein_order, factor_expression
-from sp4eis.germs import apply_functional_equation, order_at
+from sp4eis.germs import order_at
+from sp4eis.localrules import ARCH, LOCAL_CLASSES
 from sp4eis.normfactor import EPS, LExpression, LSymbol, canonicalize
-from test_germs import multiply
+from test_germs import apply_functional_equation, multiply, one_minus
 
-GLOBAL_CLASSES = (CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER)
+GLOBAL_CLASSES = tuple(LOCAL_CLASSES)
 # each global class with every real-place class a character of that class can have
-ARCH_CLASSES = {
-    CharClass.TRIVIAL: (CharClass.TRIVIAL,),
-    CharClass.QUADRATIC: (CharClass.TRIVIAL, CharClass.SGN),
-    CharClass.OTHER: (CharClass.TRIVIAL, CharClass.SGN, CharClass.OTHER),
-}
-SPHERICAL = [(cls, PlaceProfile.spherical(a)) for cls, arch in ARCH_CLASSES.items() for a in arch]
+SPHERICAL = [(cls, PlaceProfile.spherical(a))
+             for cls, by_kind in LOCAL_CLASSES.items() for a in by_kind[ARCH]]
 
 
 def longest(case: str):
@@ -60,7 +57,7 @@ def eps_reduced(expr: LExpression, cls: CharClass) -> LExpression:
     """eps(u, chi^k) = eps(1-u, chi^-k)^-1, applied toward the larger (u, k)."""
     d: dict[LSymbol, int] = {}
     for sym, e in expr.factors:
-        refl = LSymbol(EPS, sym.arg.reflect(), -sym.power)
+        refl = LSymbol(EPS, one_minus(sym.arg), -sym.power)
         if sym.kind == EPS and (sym.arg.sort_key(), sym.power) < (refl.arg.sort_key(), refl.power):
             sym, e = refl, -e
         d[sym] = d.get(sym, 0) + e
@@ -72,7 +69,7 @@ def normal_form(expr: LExpression, cls: CharClass) -> LExpression:
 
 
 @pytest.mark.parametrize("case", sorted(COSET_REPS))
-@pytest.mark.parametrize("cls", GLOBAL_CLASSES, ids=lambda c: c.value)
+@pytest.mark.parametrize("cls", GLOBAL_CLASSES, ids=str)
 def test_factor_functional_equation_per_summand(case, cls):
     reps = COSET_REPS[case]
     for w in reps:

@@ -26,21 +26,10 @@ from fractions import Fraction as Q
 from sp4eis.characters import COSET_REPS, CharClass
 from sp4eis.constant_term import PlaceProfile, eisenstein_order, factor_expression
 from sp4eis.germs import order_at
-from sp4eis.localrules import ARCH, KERNEL, NONARCH, default_rules
+from sp4eis.localrules import ARCH, KERNEL, LOCAL_CLASSES, NONARCH, PLACE_CLASSES, default_rules
 
-# each global class with every real-place class a character of that class can have
-ARCH_CLASSES = {
-    CharClass.TRIVIAL: (CharClass.TRIVIAL,),
-    CharClass.QUADRATIC: (CharClass.TRIVIAL, CharClass.SGN),
-    CharClass.OTHER: (CharClass.TRIVIAL, CharClass.SGN, CharClass.OTHER),
-}
 POINTS = [Q(k, 8) for k in range(-48, 49)]  # (1/8)Z in [-6, 6]
 HALF_POINTS = [Q(k, 2) for k in range(-12, 13)]  # (1/2)Z in [-6, 6]
-# the local classes a place of each kind can have
-LOCAL_CLASSES = {
-    NONARCH: (CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER),
-    ARCH: (CharClass.TRIVIAL, CharClass.SGN, CharClass.OTHER),
-}
 
 
 def _unstated(line: int) -> str:
@@ -90,14 +79,14 @@ def test_local_reciprocity():
     stated, unstated = 0, {}
     for case in sorted(COSET_REPS):
         w_p = COSET_REPS[case][-1].name
-        for place, classes in LOCAL_CLASSES.items():
+        for place, classes in PLACE_CLASSES.items():
             for cls in classes:
                 for s0 in HALF_POINTS:
                     if rules.local_pole(case, w_p, place, cls, s0).order:
                         continue  # the law speaks only where N(w_P, s0) is holomorphic
                     pole = rules.local_pole(case, w_p, place, cls, -s0)
                     kernel = stated_kernel(rules, case, w_p, place, cls, s0)
-                    key = (case, place, cls.value, s0)
+                    key = (case, place, cls, s0)
                     if kernel is None:
                         if pole.order:
                             unstated[key] = _unstated(pole.line)
@@ -112,9 +101,10 @@ def test_global_functional_equation():
     seen = Counter()
     for case in sorted(COSET_REPS):
         w_p = COSET_REPS[case][-1]
-        for cls, arch_classes in ARCH_CLASSES.items():
+        # each global class with every real-place class it may have
+        for cls, by_kind in LOCAL_CLASSES.items():
             factor = factor_expression(case, w_p, cls)
-            for arch in arch_classes:
+            for arch in by_kind[ARCH]:
                 profile = PlaceProfile.spherical(arch)
                 for s0 in POINTS:
                     here = eisenstein_order(case, profile, s0, cls).combined_order

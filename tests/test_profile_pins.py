@@ -24,17 +24,15 @@ from pathlib import Path
 
 from sp4eis.characters import CharClass
 from sp4eis.constant_term import Place, PlaceProfile, eisenstein_order
-from sp4eis.localrules import CHOICES, default_rules
+from sp4eis.localrules import ARCH, CHOICES, LOCAL_CLASSES, NONARCH, default_rules
 
 PINS = Path(__file__).resolve().parent / "data" / "profile_pins.tsv"
 SEED = 20261019
 PER_CELL = 110
 POINTS = [str(Q(k, 2)) for k in range(-12, 13)]
 # the local classes a global character of each class can have, per place kind
-NONARCH_CLASSES = {"trivial": ("trivial",), "quadratic": ("trivial", "quadratic"),
-                   "other": ("trivial", "quadratic", "other")}
-ARCH_CLASSES = {"trivial": ("trivial",), "quadratic": ("trivial", "sgn"),
-                "other": ("trivial", "sgn", "other")}
+NONARCH_CLASSES = {cls: by_kind[NONARCH] for cls, by_kind in LOCAL_CLASSES.items()}
+ARCH_CLASSES = {cls: by_kind[ARCH] for cls, by_kind in LOCAL_CLASSES.items()}
 CELLS = [(case, cls, local, choice) for case in ("heisenberg", "siegel")
          for cls in NONARCH_CLASSES for local in NONARCH_CLASSES[cls] for choice in CHOICES]
 

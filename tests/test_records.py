@@ -3,8 +3,8 @@
 The records are NamedTuples or ``__slots__`` classes.  Those that serve as
 cache keys (``factor_expression``, ``_group_jets``, ``eval_expression``'s
 ``known`` map) must not change after they are built, and a field that
-follows from the others, or that only says where a row was read, takes no
-part in equality or hashing.
+follows from the others takes no part in equality or hashing.  A rule
+row compares on all its fields, the line it was read from included.
 """
 
 from fractions import Fraction as Q
