@@ -31,11 +31,13 @@ an integral exponent |n| <= 100, which complex arithmetic computes by
 repeated multiplication and float arithmetic by libm ``pow``: at an
 integer s a value may differ in the last bits (at most 4 ulp).
 
-Within one check, ``eval_expression`` and ``estimate_order`` can share a
-caller-owned mapping of the completed values already computed, so each
-(class, table, point) is evaluated once; no value is cached across calls.
-What is built once are constants: the tail weights, the partial-sum bases
-n + a of zeta and of each table's residues, and those of ``zeta_direct``.
+Each family of the battery (``checks``) evaluates each completed value
+once per call: ``eval_expression`` and ``estimate_order`` share a
+caller-owned mapping of the values already computed, keyed on (class,
+table, point), and the other checks keep theirs for the call; nothing
+outlives the call.  What is built once are constants: the tail weights,
+the partial-sum bases n + a with x = ZETA_N + a and log x, for zeta and
+for each table's residues, and the bases of ``zeta_direct``.
 
 Epsilon symbols are never evaluated standalone: they are entire and
 nonvanishing, so for order estimation they are replaced by 1, and epsilon
@@ -107,7 +109,6 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C[1:], start=1))
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
@@ -127,19 +128,26 @@ def _sin(w: complex) -> complex:
 
 
 def gamma(z: complex) -> float | complex:
-    """Lanczos approximation, reflected for Re(z) < 1/2; a float for a real z."""
+    """Lanczos approximation, reflected for Re(z) < 1/2; a float for a real z.
+
+    The sum is taken once, at z or at the reflected point 1 - z (whose
+    real part is at least 1/2), with its terms written out in index order.
+    """
     z = _point(z)
-    if z.real < 0.5:
+    reflect = z.real < 0.5
+    if reflect:
         if abs(z.imag) < GAMMA_POLE_TOL and abs(z.real - round(z.real)) < GAMMA_POLE_TOL \
                 and round(z.real) <= 0:
             raise PoleProximity(f"gamma pole at z={z}")
-        return math.pi / (_sin(math.pi * z) * gamma(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS_C[0]
-    for i, c in _LANCZOS_TERMS:
-        x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * _exp(-t) * x
+        w = 1.0 - z - 1.0  # (1 - z) - 1 rounds twice, as the sum at 1 - z did; not -z
+    else:
+        w = z - 1.0
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS_C
+    x = (c0 + c1 / (w + 1) + c2 / (w + 2) + c3 / (w + 3) + c4 / (w + 4)
+         + c5 / (w + 5) + c6 / (w + 6) + c7 / (w + 7) + c8 / (w + 8))
+    t = w + _LANCZOS_G + 0.5
+    g = _SQRT_2PI * t ** (w + 0.5) * _exp(-t) * x
+    return math.pi / (_sin(math.pi * z) * g) if reflect else g
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +173,27 @@ def _phi_expm1(w: complex) -> complex:
     return (_exp(w) - 1.0) / w
 
 
-def _bases(a: float) -> tuple[float, ...]:
-    """n + a for n = 0..ZETA_N: the partial-sum bases of shift a, then x."""
-    return tuple(n + a for n in range(ZETA_N + 1))
+# (head, x, log x): the partial-sum bases n + a, then x = ZETA_N + a and log x
+_Bases = tuple[tuple[float, ...], float, float]
+
+
+def _bases(a: float) -> _Bases:
+    """(head, x, log x) of shift a: head holds the partial-sum bases n + a
+    for n = 0..ZETA_N-1, and x = ZETA_N + a starts the tail."""
+    x = ZETA_N + a
+    return tuple(n + a for n in range(ZETA_N)), x, math.log(x)
 
 
 _ZETA_BASES = _bases(1.0)
 
 
-def _hurwitz_regular(s: complex, bases: tuple[float, ...]) -> complex:
+def _hurwitz_regular(s: complex, bases: _Bases) -> complex:
     """Hurwitz zeta at s less its pole term 1/(s-1), by Euler-Maclaurin.
 
-    ``bases`` is ``_bases(a)``: the first ZETA_N entries make the partial
-    sum, the last is x = ZETA_N + a.  The integral term x^(1-s)/(s-1) is
-    rewritten as 1/(s-1) - log(x)*phi(w) with w = (1-s) log(x), and only
-    -log(x)*phi(w) is kept.
+    ``bases`` is ``_bases(a)``: the partial-sum bases, x = ZETA_N + a and
+    log x.  The integral term x^(1-s)/(s-1) is rewritten as
+    1/(s-1) - log(x)*phi(w) with w = (1-s) log(x), and only -log(x)*phi(w)
+    is kept.
 
     The tail adds t_k = b_k (s)_(2k-1) x^(-s-2k+1) for k = 1..ZETA_M and
     stops at the first t_k of modulus m for which total + m and total - m
@@ -192,17 +206,17 @@ def _hurwitz_regular(s: complex, bases: tuple[float, ...]) -> complex:
     """
     if abs(s.imag) > IM_LIMIT or not RE_MIN <= s.real <= RE_LIMIT:
         raise NumericsError(f"s={s} outside the documented accuracy domain")
+    head, x, lx = bases
     ms = -s
     total = 0.0
-    for b in bases[:ZETA_N]:
+    for b in head:
         total += b ** ms
-    x = bases[ZETA_N]
-    lx = math.log(x)
     total += -lx * _phi_expm1((1.0 - s) * lx)  # x^(1-s)/(s-1) - 1/(s-1)
     total += 0.5 * x ** ms
     power = x ** (ms - 1.0)
     rising = s  # (s)_(2k-1) built incrementally
     unit = 1.0 if isinstance(s, float) else 1.0 + 1.0j  # m * unit moves every part by m
+    x2 = x * x
     for k, b in enumerate(_em_coefficients(), start=1):
         t = b * rising * power
         step = abs(t) * unit
@@ -210,7 +224,7 @@ def _hurwitz_regular(s: complex, bases: tuple[float, ...]) -> complex:
             break
         total += t
         rising *= (s + 2 * k - 1) * (s + 2 * k)
-        power /= x * x
+        power /= x2
     return total
 
 
@@ -270,7 +284,8 @@ def completed_zeta(s: complex) -> float | complex:
         raise PoleProximity(f"completed zeta pole at s={s}")
     if s.real < 0.5:
         s = 1.0 - s
-    return _exp(-s / 2.0 * _LOG_PI) * gamma(s / 2.0) * zeta_em(s)
+    zeta = _hurwitz_regular(s, _ZETA_BASES) + 1.0 / (s - 1.0)  # zeta_em(s), s normalized
+    return _exp(-s / 2.0 * _LOG_PI) * gamma(s / 2.0) * zeta
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +337,7 @@ class DirichletTable(NamedTuple):
     modulus: int
     values: tuple[int, ...]
     parity: int
-    residues: tuple[tuple[int, tuple[float, ...]], ...]
+    residues: tuple[tuple[int, _Bases], ...]
 
     def __eq__(self, other):
         return type(other) is DirichletTable and self[:3] == other[:3]
@@ -402,10 +417,10 @@ def eval_expression(expr: LExpression, cls: CharClass, s: complex,
     if known is None:
         known = {}
     out = 1 + 0j
-    for sym, e in expr.factors:
-        if sym.kind == EPS:
+    for (kind, (_, _, (A, B, D)), power), e in expr.factors:
+        if kind == EPS:
             continue
-        eff = power_class(cls, sym.power)
+        eff = power_class(cls, power)
         if eff is CharClass.TRIVIAL:
             tbl = None
         elif eff is CharClass.QUADRATIC:
@@ -414,12 +429,13 @@ def eval_expression(expr: LExpression, cls: CharClass, s: complex,
             tbl = table
         else:
             raise NotEvaluable(f"no numeric stand-in for class {eff}")
-        A, B, D = sym.arg.ints
         arg = A / D * s + B / D  # A / D rounds once, to float(Fraction(A, D))
         key = (eff, tbl, arg)
-        if key not in known:
-            known[key] = completed_zeta(arg) if tbl is None else completed_dirichlet(tbl, arg)
-        out *= known[key] ** e
+        value = known.get(key)  # a completed value is never None
+        if value is None:
+            value = known[key] = (completed_zeta(arg) if tbl is None
+                                  else completed_dirichlet(tbl, arg))
+        out *= value ** e
     return out
 
 

@@ -115,7 +115,8 @@ def test_early_stop_matches_full_tail_bit_for_bit():
 
 def test_zeta_direct_matches_its_reference_bit_for_bit():
     rng = random.Random(SEED)
-    points = [2.0, 3.0, 3.5 + 1.0j, 12.0, complex(1.75, -IM_LIMIT), Q(17, 8)]
+    points = [2.5, 3.0, 3.5 + 1.0j, 4.0, complex(1.75, -IM_LIMIT)]  # the battery's, then an edge
+    points += [Q(k, 8) for k in range(16, 97)]  # (1/8)Z in [2, 12]
     points += [complex(rng.uniform(1.6, RE_LIMIT), rng.uniform(-IM_LIMIT, IM_LIMIT))
                for _ in range(4)]
     for s in points:
