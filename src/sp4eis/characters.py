@@ -14,17 +14,14 @@ place may carry is stated once, in ``localrules.LOCAL_CLASSES``.
 
 ``COSET_REPS`` holds the four Weyl elements of each case's constant term
 and ``TARGETS`` the character each one carries the inducing character
-to.  Neither depends on s, so both are built once at import; at a point,
-``value_key`` evaluates a target once, and that one tuple both groups the
-summands and renders (``render_value``).
-
-Points are read as integers.  A point is s0 = p/q in lowest terms
-(q > 0), and each ``AffineForm`` a*s + b carries integers (A, B, D) with
-a = A/D and b = B/D, fixed when the form is built, so its value at the
-point is the integer n = A*p + B*q over m = D*q > 0, not reduced.
-The point engine decides on n and m and ``ratio_str`` prints n/m as
-``str(Fraction)`` does; a target is evaluated once per point, into its
-``value_key``, which reports and labels read.
+to.  Neither depends on s, so both are built once at import, and so is
+``REDUCED_TARGETS``, each target compiled per class.  Points are read as
+integers: at s0 = p/q in lowest terms (q > 0) an ``AffineForm`` a*s + b,
+which carries (A, B, D) with a = A/D and b = B/D, is the integer
+n = A*p + B*q over m = D*q > 0, not reduced, and ``ratio_str`` prints n/m
+as ``str(Fraction)`` does.  ``value_key`` evaluates a compiled target
+once per point into the tuple that groups the summands and renders
+(``render_value``).
 """
 
 from __future__ import annotations
@@ -70,10 +67,7 @@ def reduce_power(cls: CharClass, k: int) -> int:
 
 def power_class(cls: CharClass, k: int) -> CharClass:
     """Class of chi^k given the class of chi."""
-    k = reduce_power(cls, k)
-    if k == 0:
-        return CharClass.TRIVIAL
-    return cls
+    return cls if reduce_power(cls, k) else CharClass.TRIVIAL
 
 
 def parse_class(text: str) -> CharClass:
@@ -143,10 +137,6 @@ class TorusCharacter(NamedTuple):
 
     coords: tuple[tuple[int, AffineForm], ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
     def render(self) -> str:
         parts = []
         for k, form in self.coords:
@@ -154,21 +144,23 @@ class TorusCharacter(NamedTuple):
             parts.append(f"{chi}nu^({form.render()})")
         return "(" + ", ".join(parts) + ")"
 
-    def value_key(self, s0: Q, cls: CharClass) -> tuple:
-        """Hashable value of the character at s = s0 up to class reduction.
+    def reduced(self, cls: CharClass) -> tuple[tuple[int, int, int, int], ...]:
+        """Per coordinate the chi power reduced in the class ``cls`` and the
+        exponent's integers (A, B, D): what ``value_key`` reads at a point."""
+        return tuple((reduce_power(cls, k), *form.ints) for k, form in self.coords)
 
-        One (chi power, n, m) triple per coordinate: the reduced power and
-        the exponent n/m in lowest terms, m > 0.  Two characters are equal
-        at s0 exactly when these keys agree; used for same-target grouping
-        of constant-term summands, and rendered by ``render_value``.
-        """
-        p, q = s0.numerator, s0.denominator
-        out = []
-        for k, (_, _, (A, B, D)) in self.coords:
-            n, m = A * p + B * q, D * q
-            g = gcd(n, m)
-            out.append((reduce_power(cls, k), n // g, m // g))
-        return tuple(out)
+
+def value_key(coords: tuple[tuple[int, int, int, int], ...], s0: Q) -> tuple:
+    """Value at s = s0 of a character's ``reduced`` coordinates: one (chi
+    power, n, m) per coordinate, n/m in lowest terms, m > 0.  Two characters
+    are equal at s0 exactly when these keys agree."""
+    p, q = s0.numerator, s0.denominator
+    out = []
+    for k, A, B, D in coords:
+        n, m = A * p + B * q, D * q
+        g = gcd(n, m)
+        out.append((k, n // g, m // g))
+    return tuple(out)
 
 
 def render_value(key: tuple) -> str:
@@ -215,7 +207,7 @@ def weyl_act(w: WeylElement, lam: TorusCharacter) -> TorusCharacter:
     Defined so that (w.lam) o (w.coroot) = lam o coroot: coordinate i is
     carried to coordinate w(i), with a sign flip inverting the character.
     """
-    out: list[tuple[int, AffineForm]] = [None] * lam.rank  # type: ignore[list-item]
+    out: list[tuple[int, AffineForm]] = [None] * len(lam.coords)  # type: ignore[list-item]
     for i, (k, f) in enumerate(lam.coords):
         j = w.perm[i]
         if w.signs[i] == 1:
@@ -239,9 +231,11 @@ _CASES = {
 COSET_REPS = {case: tuple(SP4.coset_reps([keep])) for case, (_, keep) in _CASES.items()}
 
 # the target of each summand, w applied to the inducing character; it does
-# not depend on s, so the eight are built here once
+# not depend on s, so the eight are built here once, and reduced per class
 TARGETS = {case: {w: weyl_act(w, lam) for w in COSET_REPS[case]}
            for case, (lam, _) in _CASES.items()}
+REDUCED_TARGETS = {(case, w, cls): t.reduced(cls) for case, ts in TARGETS.items()
+                   for w, t in ts.items() for cls in CharClass}
 
 
 def _unknown_case(case: str) -> ValueError:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .characters import CharClass
 from .constant_term import factor_expression
 from .germs import order_at
-from .normfactor import LExpression
+from .normfactor import Canonical
 from .numerics import (
     completed_dirichlet, completed_zeta, estimate_order, eval_expression, gamma,
     table_for_modulus, zeta_direct, zeta_em,
@@ -217,7 +217,7 @@ def oracle_grid() -> list[tuple[str, str, CharClass, int | None, Q, int]]:
     return rows
 
 
-def _expression_for(case: str, element: str, cls: CharClass) -> LExpression:
+def _expression_for(case: str, element: str, cls: CharClass) -> Canonical:
     """The engine's memoized canonical factor of the named element."""
     return factor_expression(case, SP4.element_by_name(element), cls)
 
@@ -232,7 +232,7 @@ def check_order_oracle() -> list[CheckResult]:
     known: dict = {}
     for case, element, cls, modulus, s0, expected in oracle_grid():
         expr = _expression_for(case, element, cls)
-        symbolic = order_at(expr, cls, s0)
+        symbolic = order_at(expr, s0)
         tbl = table_for_modulus(modulus) if modulus else None
         est = estimate_order(expr, cls, s0, tbl, known)
         ok = (symbolic.is_known and symbolic.base == expected

@@ -11,13 +11,15 @@ place may carry is read from ``localrules.LOCAL_CLASSES``: a profile is
 checked against it per place kind when it is built, and a report per
 global class, each class as a ``CharClass`` member.
 
-Each summand's ``TermReport`` holds its parts, each computed once: the
-factor, its order and leading term, each place's pole and action rows
-(none for the identity) and the target.  Group signs, singleton groups
-and image labels read those reports and look nothing up again.  A member
-of a group is its common factor times a (strip-free) remainder, so each
-of the 14 groups of several members is built once (``_group_jets``): the
-common factor's order and every remainder's jet, which a sum signs and adds.
+A summand's factor and target are compiled once per (case, w, class)
+(``factor_expression``, ``REDUCED_TARGETS``).  Its ``TermReport`` holds
+its parts, each computed once: the factor, its order and leading term
+(atoms built only for a live singleton group), each place's pole and
+action rows (none for the identity) and the target's value.  Group
+signs, singleton groups and image labels read those reports and look
+nothing up again.  Each of the 14 groups of several members is built
+once (``_group_jets``): its common factor's order and every (strip-free)
+remainder's jet, which a sum signs and adds.
 """
 
 from __future__ import annotations
@@ -27,17 +29,18 @@ from functools import cache
 from typing import NamedTuple
 
 from .characters import (
-    TARGETS, CharClass, coset_representatives, lambda_for_case, power_class, render_value,
+    REDUCED_TARGETS, CharClass, coset_representatives, lambda_for_case, power_class,
+    render_value, value_key,
 )
 from .germs import (
-    FormalScalar, IndeterminateLeading, OrderValue, Series, StripDep, germ_at,
-    known_part_series, order_at, sum_series,
+    IndeterminateLeading, Leading, OrderValue, Series, StripDep, germ_at, known_part_series,
+    order_at, sum_series,
 )
 from .localrules import (
     ARCH, CHOICES, ISO, KERNEL, LOCAL_CLASSES, PLACE_CLASSES, ActionRule, PoleRule, RuleTable,
     UncoveredKey, default_rules,
 )
-from .normfactor import LExpression, LSymbol, canonicalize, inverse_norm_factor
+from .normfactor import Canonical, LSymbol, canonicalize, inverse_norm_factor
 from .roots import WeylElement
 
 
@@ -46,8 +49,8 @@ class ProfileError(ValueError):
 
 
 @cache
-def factor_expression(case: str, w: WeylElement, cls: CharClass) -> LExpression:
-    """Canonicalized inverse normalizing factor, memoized per (case, w, class)."""
+def factor_expression(case: str, w: WeylElement, cls: CharClass) -> Canonical:
+    """Inverse normalizing factor, compiled for the class, memoized per (case, w, class)."""
     lam = lambda_for_case(case)
     return canonicalize(inverse_norm_factor(lam, w), cls)
 
@@ -113,12 +116,9 @@ class PlaceProfile(_ProfileFields):
 # ---------------------------------------------------------------------------
 
 def _by_target(terms: list[TermReport]) -> list[list[TermReport]]:
-    """Partition of the summands by the value of their targets at the point.
-
-    Two summands can only cancel when the Weyl images of the inducing
-    character agree at the point (after class reduction of chi powers).
-    Groups keep representative order (by length) within and between them.
-    """
+    """Partition of the summands by their targets' values at the point (after
+    class reduction of chi powers): only summands of one target can cancel.
+    Groups keep representative order (by length) within and between them."""
     buckets: dict[tuple, list] = {}
     for t in terms:
         buckets.setdefault(t.value, []).append(t)
@@ -135,7 +135,6 @@ def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
     the profile's choices meet in the pole rows.
     """
     expr = factor_expression(case, w, cls)
-    target = TARGETS[case][w]
     rows, actions, local, found = [], [], 0, {}
     for kind, local_class, choice in () if w.is_identity() else profile.places:
         got = found.get((kind, local_class))
@@ -146,9 +145,9 @@ def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
         rows.append(got[0])
         actions.append(got[1])
         local += got[0].order_for(choice)
-    factor_order, leading = germ_at(expr, cls, s0)
+    factor_order, leading = germ_at(expr, s0)
     return TermReport(w, expr, factor_order, leading, local, tuple(rows), tuple(actions),
-                      target.value_key(s0, cls))
+                      value_key(REDUCED_TARGETS[case, w, cls], s0))
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +156,9 @@ def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
 
 class TermReport(NamedTuple):
     w: WeylElement
-    expr: LExpression
+    expr: Canonical
     factor_order: OrderValue
-    leading: FormalScalar | None   # the factor's leading coefficient; None if strip-conditional
+    leading: Leading | None        # the factor's leading coefficient; None if strip-conditional
     local_order: int
     rows: tuple[PoleRule, ...]     # each place's pole row, in place order; () for the identity
     actions: tuple[ActionRule | None, ...]  # each place's action row; () for the identity
@@ -278,12 +277,12 @@ def _group_jets(case: str, members: tuple[WeylElement, ...], cls: CharClass,
     """The common factor's order and each member's remainder jet (its exponent
     map less the common map), keyed on Weyl elements, never on expressions
     (whose hashes walk every ``Fraction``)."""
-    maps = [dict(factor_expression(case, w, cls).factors) for w in members]
+    exprs = [factor_expression(case, w, cls) for w in members]
+    maps = [dict(x.factors) for x in exprs]
     common = _common_factor(maps)
-    return order_at(LExpression.build(common), cls, s0), tuple(
-        known_part_series(LExpression.build(
-            {sym: e - common.get(sym, 0) for sym, e in d.items()}), cls, s0)
-        for d in maps)
+    return order_at(exprs[0].part(common), s0), tuple(
+        known_part_series(x.part({sym: e - common.get(sym, 0) for sym, e in d.items()}), s0)
+        for x, d in zip(exprs, maps))
 
 
 def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0: Q):
@@ -340,7 +339,7 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
 
     if len(terms) == 1:
         (t,) = terms
-        leading = t.leading.render() if t.leading is not None else None
+        leading = t.leading.scalar().render() if t.leading is not None else None
         return GroupReport(terms, t.order, leading, cancelled=False,
                            note="; ".join(notes))
 
@@ -532,9 +531,5 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
     combined, pole, vanishes = _combine_orders(groups)
     image = describe_image(case, profile, s0, groups, vanishes)
     notes = [g.note for g in groups if g.note]
-    return ConstantTermReport(
-        case=case, char_class=cls, s0=s0, profile=profile,
-        terms=terms, groups=groups,
-        combined_order=combined, pole_order=pole,
-        vanishes_at_point=vanishes, image=image, notes=notes,
-    )
+    return ConstantTermReport(case, cls, s0, profile, terms, groups, combined, pole, vanishes,
+                              image, notes)

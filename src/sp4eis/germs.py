@@ -4,11 +4,10 @@ Orders of vanishing are computed exactly from a few completed-L facts,
 stated once as ``ZETA_POLE_RESIDUES`` and ``OPEN_STRIP``.  Only
 ``_classify`` tests a point against them: it places one symbol in the
 strip, at a zeta pole, or at a nonzero value.  It decides in integers: at
-s0 = p/q in lowest terms a symbol's argument (A, B, D) is the integer
+s0 = p/q in lowest terms a symbol's argument (A*s + B)/D is the integer
 n = A*p + B*q over m = D*q > 0, so the strip is 0 < n < m, a pole has
 n/m among the residue table's keys, and a value is oriented left of 1/2
-when 2n < m.  Expressions are canonical, so a symbol is of the trivial
-class exactly when its chi-power is 0.  The facts are:
+when 2n < m.  The facts are:
 
 * the completed zeta function has simple poles at arguments 0 and 1 with
   residues -1 and +1, no zeros outside the open strip (0,1), and unknown
@@ -19,42 +18,35 @@ class exactly when its chi-power is 0.  The facts are:
   trivial character, and satisfy eps(u)*eps(1-u) = 1 for self-dual
   characters (a consequence of applying the functional equation twice).
 
-Leading coefficients are tracked as formal products of named atoms with
-rational coefficients.  An atom is its name: a (kind, data) tuple whose
-data are the strings the rendered term shows, so atoms hash, compare and
-sort as plain tuples.  ``_value_atoms`` is the one orientation table for
-a nonzero value: zeta reflected to u >= 1/2, self-dual L and epsilon left
-of 1/2 sent through the functional equation; its argument strings come
-from ``ratio_str``, which prints n/m as ``str(Fraction)`` does.  A
-``Fraction`` is built only for a value a report keeps: a ``StripDep``
-point and a zeta residue over the slope.  First-order jets, Laurent
-series of exactly two coefficients over this scalar ring, drive
-cancellation detection in sums of germs.  Two atoms that are not plainly
-nonzero carry a nonzeroness assertion that the numeric layer
-cross-checks: the shared constant Laurent coefficient of completed zeta
-at its poles, and the derivative of a quadratic completed L at 0.
+The engine walks expressions compiled for their class
+(``normfactor.Canonical``): one integer record per symbol, its class None
+exactly when its chi power is 0, and the class's self-duality, read once
+per expression.  ``germ_at`` walks the records once, each symbol
+``_classify``-ed once, to the order and, for a strip-free expression, a
+``Leading`` whose atoms are built only when a report reads it;
+``order_at`` is its order.  A ``Fraction`` is built only for a value a
+report keeps: a ``StripDep`` point and a zeta residue over the slope.
 
-A single expression needs only its leading term.  ``germ_at`` gives its
-order and leading coefficient from one integer walk over the symbols
-(``_walk``, each symbol ``_classify``-ed once), then value atoms only if
-no strip symbol was met; ``order_at`` is the walk for the order alone
-(a group's common factor).  Neither builds a ``Series``.
+Leading coefficients are rational combinations of products of atoms.  An
+atom is its name, a (kind, data) tuple of the strings its render shows,
+so atoms hash, compare and sort as plain tuples.  ``_value_atoms`` is the
+one orientation table for a nonzero value: zeta reflected to u >= 1/2,
+self-dual L and epsilon left of 1/2 sent through the functional
+equation.  Two atoms that are not plainly nonzero carry a nonzeroness
+assertion that the numeric layer cross-checks: the shared constant
+Laurent coefficient of completed zeta at its poles, and the derivative
+of a quadratic completed L at 0.
 
 Series serve signed sums only.  A ``Series`` is a first-order jet: an
 order and exactly two coefficients, which its constructor enforces.
-``symbol_series`` expands one symbol (refusing strip symbols): coefficient
-0 is the head ``germ_at`` multiplies, coefficient 1 the zeta constant at a
-pole and otherwise the slope times one derivative rule.  The rule
-differentiates the value in the orientation ``_value_atoms`` gives it, at
-the same argument n/m: a derivative atom at u, reflected with a sign for
-zeta left of 1/2, and right of 1/2 for a self-dual class the derivative of
-eps(1-u)^-1 or of eps(1-u) L(1-u), with derivative atoms at 1-u.
-``known_part_series`` expands one expression and ``sum_series`` adds
-expansions, each with its sign +1 or -1; the product and the inverse of
-jets, which only ``known_part_series`` uses, and the signed sum are exact
-to first order.  Every group sum the engine meets has a formally nonzero
-leading term within two coefficients; a sum that cancels through both is
-a floor past them.
+``symbol_series`` expands one symbol record (refusing strip symbols):
+coefficient 0 is the head ``germ_at`` multiplies, coefficient 1 the zeta
+constant at a pole and otherwise the slope times the derivative of the
+value in the orientation ``_value_atoms`` gives it.  ``known_part_series``
+multiplies one expression's jets and ``sum_series`` adds signed jets,
+exactly to first order.  Every group sum the engine meets has a formally
+nonzero leading term within two coefficients; a sum that cancels through
+both is a floor past them.
 """
 
 from __future__ import annotations
@@ -63,11 +55,8 @@ from fractions import Fraction as Q
 from typing import Iterable, NamedTuple, Sequence
 
 from .characters import CharClass, ratio_str
-from .normfactor import EPS, LExpression, LSymbol
+from .normfactor import EPS, Canonical, SymbolRecord
 
-# The completed-L facts: completed zeta's simple poles (integer arguments)
-# with their residues, and the open strip of unknown orders.  Only
-# ``_classify`` tests a point against them.
 ZETA_POLE_RESIDUES = {0: -1, 1: 1}
 OPEN_STRIP = (0, 1)
 
@@ -92,9 +81,7 @@ class DegenerateSymbol(GermError):
 # formal scalars: rational combinations of monomials in named atoms
 # ---------------------------------------------------------------------------
 
-# An atom is its name: (kind, data), each datum the string its render
-# shows -- a class value, an argument.  Atoms sort as plain tuples.
-Atom = tuple[str, tuple[str, ...]]
+Atom = tuple[str, tuple[str, ...]]  # (kind, data): a class value, an argument
 
 # Lam^(1)(u), Lhat[c]^(1)(u) and eps[c]^(1)(u) are first Taylor
 # coefficients, f'(u), of the completed zeta, L or epsilon at u; Lam_c is
@@ -108,11 +95,6 @@ _ATOM_FORMATS = {
     "epsv": "eps[{0}]({1})",
     "epsder": "eps[{0}]^(1)({1})",
 }
-
-
-def _render_atom(atom: Atom) -> str:
-    kind, data = atom
-    return _ATOM_FORMATS[kind].format(*data)
 
 
 def _known_nonzero(atom: Atom) -> bool:
@@ -134,7 +116,7 @@ def _mod2(atom: Atom) -> bool:
 # exponent is 0 and every ``_mod2`` exponent is 1.
 Monomial = tuple[tuple[Atom, int], ...]
 
-_RATIONAL_ONE = Q(1)  # the head of an empty product, built once for ``germ_at``
+_RATIONAL_ONE = Q(1)  # the residue product of no pole, built once for ``Leading``
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -251,7 +233,8 @@ class FormalScalar:
             return "0"
         parts = []
         for m, c in sorted(self.terms.items()):
-            factors = [_render_atom(a) + (f"^{e}" if e != 1 else "") for a, e in m]
+            factors = [_ATOM_FORMATS[kind].format(*data) + (f"^{e}" if e != 1 else "")
+                       for (kind, data), e in m]
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -260,13 +243,7 @@ class FormalScalar:
                 parts.append("-" + "*".join(factors))
             else:
                 parts.append(f"{c}*" + "*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FormalScalar({self.render()})"
+        return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -427,27 +404,53 @@ def _classify(kind: str, power: int, A: int, n: int, m: int) -> str:
     return "value"
 
 
-def _value_atoms(kind: str, c: CharClass | None, real: bool, n: int, m: int) -> Monomial:
-    """Monomial of a symbol's nonzero value at u = n/m (m > 0), oriented by
-    the functional equation, for a class ``c`` (``None``: trivial)
-    that is self-dual when ``real``.
+def _value_atoms(exps: dict[Atom, int], kind: str, c: CharClass | None, real: bool,
+                 n: int, m: int, e: int) -> None:
+    """Add to ``exps`` e times the atoms of a symbol's value at u = n/m
+    (m > 0), of class ``c`` (``None``: trivial), self-dual when ``real``.
 
     A zeta value reflects to u >= 1/2 and a trivial epsilon is 1.  Left of
     1/2 a self-dual class rewrites L(u) = eps(1-u) L(1-u) and
     eps(u) = eps(1-u)^-1; every other value is one atom at u.
     """
     if c is None:
-        return () if kind == EPS else ((("zval", (ratio_str(max(n, m - n), m),)), 1),)
-    if real and 2 * n < m:
-        v = (c, ratio_str(m - n, m))
         if kind == EPS:
-            return ((("epsv", v), -1),)
-        return ((("epsv", v), 1), (("lval", v), 1))
-    return ((("epsv" if kind == EPS else "lval", (c, ratio_str(n, m))), 1),)
+            return
+        atom = ("zval", (ratio_str(max(n, m - n), m),))
+    elif real and 2 * n < m:
+        v = (c, ratio_str(m - n, m))
+        atom = ("epsv", v)
+        if kind == EPS:
+            e = -e
+        else:
+            lval = ("lval", v)
+            exps[lval] = exps.get(lval, 0) + e
+    else:
+        atom = ("epsv" if kind == EPS else "lval", (c, ratio_str(n, m)))
+    exps[atom] = exps.get(atom, 0) + e
 
 
-def symbol_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
-    """First-order Laurent jet of one canonical symbol around s0 (non-strip only).
+class Leading(NamedTuple):
+    """A strip-free expression's leading coefficient as its walk left it: the
+    residues over their slopes, num/den, and each value's (kind, c, n, m, e)."""
+
+    num: int
+    den: int
+    real: bool
+    values: tuple[tuple[str, CharClass | None, int, int, int], ...]
+
+    def scalar(self) -> FormalScalar:
+        """The coefficient: the atom exponents add, normalized once at the end."""
+        exps: dict[Atom, int] = {}
+        for kind, c, n, m, e in self.values:
+            _value_atoms(exps, kind, c, self.real, n, m, e)
+        coeff = _RATIONAL_ONE if self.num == self.den == 1 else Q(self.num, self.den)
+        return FormalScalar({_mono_normalize(exps): coeff})
+
+
+def symbol_series(sym: SymbolRecord, real: bool, s0: Q) -> Series:
+    """First-order Laurent jet of one compiled symbol around s0 (non-strip
+    only), for a class that is self-dual when ``real``.
 
     Coefficient 0 is the head ``germ_at`` multiplies.  At a zeta pole the
     jet is the residue over the slope a, then the constant ``Lam_c``: the
@@ -455,16 +458,15 @@ def symbol_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
     at 0 is -1/x + c + O(x) with the same c.  Any other value has its
     ``_value_atoms``, then a times the derivative of that orientation.
     """
-    kind, (a, _, (A, B, D)), power = sym
+    kind, power, A, B, D, _, c, name = sym
     n, m = A * s0.numerator + B * s0.denominator, D * s0.denominator
     site = _classify(kind, power, A, n, m)
     if site == "strip":
-        raise StripOrderUnknown(f"symbol {sym.render()} has strip argument {ratio_str(n, m)}")
+        raise StripOrderUnknown(f"symbol {name} has strip argument {ratio_str(n, m)}")
     if site == "pole":
-        return Series(-1, (FormalScalar.monomial((), ZETA_POLE_RESIDUES[n // m] / a),
+        return Series(-1, (FormalScalar.monomial((), Q(ZETA_POLE_RESIDUES[n // m] * D, A)),
                            FormalScalar.atom(("zconst", ()))))
-    c, real = (cls if power else None), cls.is_real
-    u, v = ratio_str(n, m), ratio_str(m - n, m)
+    a, u, v = Q(A, D), ratio_str(n, m), ratio_str(m - n, m)
     if c is None:
         # a trivial epsilon is 1; the zeta derivative reflects to u >= 1/2 with a sign
         if kind == EPS:
@@ -486,74 +488,50 @@ def symbol_series(sym: LSymbol, cls: CharClass, s0: Q) -> Series:
             lder, lval = ("lder", (c, v)), ("lval", (c, u))
             der = (FormalScalar.monomial(((e, -1), (lder, 1)), -a)
                    + FormalScalar.monomial(((e, 1), (lval, 1), (epsder, 1)), -a))
-    return Series(0, (FormalScalar.monomial(_value_atoms(kind, c, real, n, m)), der))
+    return Series(0, (Leading(1, 1, real, ((kind, c, n, m, 1),)).scalar(), der))
 
 
-def _walk(expr: LExpression, s0: Q):
-    """The order's base, strip dependencies, residue product num/den and
-    value symbols (kind, chi-power, n, m, exponent) of a canonical expression."""
+def germ_at(expr: Canonical, s0: Q) -> tuple[OrderValue, Leading | None]:
+    """Order of vanishing (negative for poles) and leading coefficient of
+    the compiled expression at s = s0.
+
+    A strip symbol contributes an unknown order (a ``StripDep``), completed
+    zeta at one of its poles -1 and its residue over the slope, and every
+    other symbol (epsilon factors included) is finite and nonzero.  The
+    leading coefficient, the product of the symbols' heads (coefficient 0
+    of their ``symbol_series``), is ``None`` when the order is conditional.
+    """
     p, q = s0.numerator, s0.denominator
     base, num, den = 0, 1, 1
     deps: list[StripDep] = []
     values = []
-    for sym, e in expr.factors:
-        kind, (_, _, (A, B, D)), power = sym
+    for kind, power, A, B, D, e, c, name in expr.symbols:
         n, m = A * p + B * q, D * q
         site = _classify(kind, power, A, n, m)
         if site == "value":
-            values.append((kind, power, n, m, e))
+            values.append((kind, c, n, m, e))
         elif site == "pole":
             base -= e
             r = ZETA_POLE_RESIDUES[n // m] * D  # residue over the slope A/D: r/A
             num, den = (num * r ** e, den * A ** e) if e > 0 else (num * A ** -e, den * r ** -e)
         else:
-            deps.append(StripDep(sym.render(), Q(n, m), e))
-    return base, deps, num, den, values
-
-
-def order_at(expr: LExpression, cls: CharClass, s0: Q) -> OrderValue:
-    """Order of vanishing of the expression at s = s0 (negative for poles).
-
-    ``expr`` is ``canonicalize(expr, cls)``-canonical.  A strip symbol
-    contributes an unknown order (a ``StripDep``), completed zeta at one
-    of its poles -1, and every other symbol (epsilon factors included) is
-    finite and nonzero.
-    """
-    base, deps, _, _, _ = _walk(expr, s0)
-    return OrderValue.conditional(base, deps)
-
-
-def known_part_series(expr: LExpression, cls: CharClass, s0: Q) -> Series:
-    """First-order jet of the expression: the product of its symbols' jets."""
-    out = Series(0, (FormalScalar.monomial(()), FormalScalar()))
-    for sym, e in expr.factors:
-        out = out * symbol_series(sym, cls, s0).power(e)
-    return out
-
-
-def germ_at(expr: LExpression, cls: CharClass, s0: Q) -> tuple[OrderValue, FormalScalar | None]:
-    """Order (as ``order_at``) and leading coefficient of the expression at s0.
-
-    ``expr`` is ``canonicalize(expr, cls)``-canonical.  Every symbol is
-    classified first; the leading coefficient is ``None`` when a strip
-    symbol leaves the order conditional, and no value atom is built then.
-    Otherwise each symbol's head is the coefficient 0 of its
-    ``symbol_series``, a nonzero monomial: a zeta pole gives its residue
-    over the argument's slope, any other symbol its ``_value_atoms``.  The
-    leading coefficient is the product of the heads: the residues multiply
-    in integers and the atom exponents add, and the monomial is normalized
-    once at the end.
-    """
-    base, deps, num, den, values = _walk(expr, s0)
+            deps.append(StripDep(name, Q(n, m), e))
     if deps:
         return OrderValue.conditional(base, deps), None
-    real = cls.is_real
-    exps: dict[Atom, int] = {}
-    for kind, power, n, m, e in values:
-        for a, k in _value_atoms(kind, cls if power else None, real, n, m):
-            exps[a] = exps.get(a, 0) + k * e
-    coeff = _RATIONAL_ONE if num == den == 1 else Q(num, den)
-    return OrderValue.known(base), FormalScalar({_mono_normalize(exps): coeff})
+    return OrderValue.known(base), Leading(num, den, expr.real, tuple(values))
+
+
+def order_at(expr: Canonical, s0: Q) -> OrderValue:
+    """Order of vanishing of the compiled expression at s = s0: ``germ_at``'s."""
+    return germ_at(expr, s0)[0]
+
+
+def known_part_series(expr: Canonical, s0: Q) -> Series:
+    """First-order jet of the compiled expression: the product of its symbols' jets."""
+    out = Series(0, (FormalScalar.monomial(()), FormalScalar()))
+    for sym in expr.symbols:
+        out = out * symbol_series(sym, expr.real, s0).power(sym[5])
+    return out
 
 
 def sum_series(terms: list[tuple[Series, int]]) -> tuple[OrderValue, FormalScalar | None]:

@@ -9,7 +9,9 @@ where (k, e) is the composition of the inducing character with the coroot.
 ``inverse_norm_factor`` sums their exponents in one symbol -> exponent
 map and builds the expression once: the nonzero exponents, sorted
 deterministically for rendering.  The product has no constant, so an
-expression is its exponent map and nothing more.
+expression is its exponent map and nothing more.  ``canonicalize``
+puts one in the canonical form of a class and compiles it for the point
+engine (``germs``) into a ``Canonical``, fixed once per class.
 """
 
 from __future__ import annotations
@@ -55,10 +57,7 @@ class LExpression(NamedTuple):
         den = [(s, -e) for s, e in self.factors if e < 0]
 
         def side(items: list[tuple[LSymbol, int]]) -> str:
-            parts = []
-            for sym, e in items:
-                parts.append(sym.render() + (f"^{e}" if e > 1 else ""))
-            return "*".join(parts)
+            return "*".join(sym.render() + (f"^{e}" if e > 1 else "") for sym, e in items)
 
         num_s = side(num) if num else "1"
         if not den:
@@ -85,8 +84,40 @@ def inverse_norm_factor(lam: TorusCharacter, w: WeylElement) -> LExpression:
     return LExpression.build(d)
 
 
-def canonicalize(expr: LExpression, cls: CharClass) -> LExpression:
-    """Class-aware canonical form.
+# (kind, chi power, A, B, D, exponent, class or None, rendered symbol): the
+# argument is (A*s + B)/D, and the class None for chi power 0 (trivial)
+SymbolRecord = tuple[str, int, int, int, int, int, "CharClass | None", str]
+
+
+class Canonical(NamedTuple):
+    """An expression compiled for one class: its factors, a ``SymbolRecord``
+    each and whether the class is self-dual."""
+
+    factors: tuple[tuple[LSymbol, int], ...]
+    symbols: tuple[SymbolRecord, ...]
+    real: bool
+
+    @staticmethod
+    def of(expr: LExpression, cls: CharClass) -> "Canonical":
+        """Compile the expression as it stands, for the class ``cls``."""
+        return Canonical(expr.factors, tuple(
+            (sym.kind, sym.power, *sym.arg.ints, e, cls if sym.power else None, sym.render())
+            for sym, e in expr.factors), cls.is_real)
+
+    def part(self, exps: dict[LSymbol, int]) -> "Canonical":
+        """The product of the symbols of ``exps``, some of this expression's,
+        to its exponents (0 drops a symbol), compiled for the same class."""
+        kept = [(sym, rec[:5] + (exps[sym],) + rec[6:])
+                for (sym, _), rec in zip(self.factors, self.symbols) if exps.get(sym)]
+        return Canonical(tuple((sym, rec[5]) for sym, rec in kept),
+                         tuple(rec for _, rec in kept), self.real)
+
+    def render(self) -> str:
+        return LExpression(self.factors).render()
+
+
+def canonicalize(expr: LExpression, cls: CharClass) -> Canonical:
+    """Class-aware canonical form, compiled for the class.
 
     Chi powers are reduced (chi^2 collapses for quadratic classes) and
     epsilon symbols of the resulting trivial character are dropped, since
@@ -100,4 +131,4 @@ def canonicalize(expr: LExpression, cls: CharClass) -> LExpression:
             continue
         key = LSymbol(sym.kind, sym.arg, k)
         d[key] = d.get(key, 0) + e
-    return LExpression.build(d)
+    return Canonical.of(LExpression.build(d), cls)

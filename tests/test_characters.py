@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from sp4eis.characters import (
     TARGETS, AffineForm, CharClass, compose_coroot, heisenberg_lambda, lambda_for_case,
-    power_class, ratio_str, reduce_power, render_value, siegel_lambda, weyl_act,
+    power_class, ratio_str, reduce_power, render_value, siegel_lambda, value_key, weyl_act,
 )
 from sp4eis.roots import SP4
 from test_roots import product
@@ -57,9 +57,9 @@ def test_long_element_fixes_lambda_at_zero_for_quadratic():
     lam = heisenberg_lambda()
     c1 = SYS.element_by_name("sc2s")
     moved = weyl_act(c1, lam)
-    assert moved.value_key(Q(0), QU) == lam.value_key(Q(0), QU)
-    assert moved.value_key(Q(0), OT) != lam.value_key(Q(0), OT)
-    assert moved.value_key(Q(1), QU) != lam.value_key(Q(1), QU)
+    assert value_key(moved.reduced(QU), Q(0)) == value_key(lam.reduced(QU), Q(0))
+    assert value_key(moved.reduced(OT), Q(0)) != value_key(lam.reduced(OT), Q(0))
+    assert value_key(moved.reduced(QU), Q(1)) != value_key(lam.reduced(QU), Q(1))
 
 
 def test_weyl_act_is_group_action():
@@ -147,12 +147,12 @@ def test_value_key_equality_is_fraction_equality(case, cls, s0):
 
     targets = list(TARGETS[case].values())
     for t1 in targets:
-        key = t1.value_key(s0, cls)
+        key = value_key(t1.reduced(cls), s0)
         chi = {0: "", 1: "chi*"}
         assert render_value(key) == "(" + ", ".join(
             f"{chi.get(k, f'chi^{k}*')}nu^{v}" for k, v in fraction_key(t1)) + ")"
         for t2 in targets:
-            assert (key == t2.value_key(s0, cls)) == (fraction_key(t1) == fraction_key(t2))
+            assert (key == value_key(t2.reduced(cls), s0)) == (fraction_key(t1) == fraction_key(t2))
 
 
 def test_affine_render():

@@ -213,6 +213,27 @@ def test_one_symbol_walk_per_summand(monkeypatch, case, s0, cls):
                            for t in report.terms for sym, _ in t.expr.factors)
 
 
+@pytest.mark.parametrize("case, s0, cls", [
+    ("siegel", Q(1, 2), QU),
+    ("heisenberg", Q(0), TR),
+    ("heisenberg", Q(7, 5), OT),
+])
+def test_no_self_duality_read_at_a_point(monkeypatch, case, s0, cls):
+    """A class's self-duality is read when a factor is compiled, never at a
+    point: one report, its group jets included, reads ``is_real`` zero times."""
+    for w in coset_representatives(case):
+        constant_term.factor_expression(case, w, cls)  # compiled before the count
+    constant_term._group_jets.cache_clear()  # the report builds its group jets
+    reads = []
+    is_real = CharClass.is_real
+    monkeypatch.setattr(CharClass, "is_real",
+                        property(lambda c: reads.append(c) or is_real.fget(c)))
+    report = eisenstein_order(case, SPH, s0, cls)
+    assert any(len(g.members) > 1 for g in report.groups) == (s0.denominator < 5)
+    assert reads == []
+    assert cls.is_real == (cls is not OT) and reads == [cls]  # the count sees a read
+
+
 # ---------------------------------------------------------------------------
 # combined reports
 # ---------------------------------------------------------------------------

@@ -31,13 +31,15 @@ from pathlib import Path
 import pytest
 
 from sp4eis import germs
-from sp4eis.characters import COSET_REPS, TARGETS, CharClass, power_class, reduce_power
+from sp4eis.characters import (
+    COSET_REPS, TARGETS, CharClass, power_class, reduce_power, value_key,
+)
 from sp4eis.constant_term import (
     PlaceProfile, _common_factor, _group_jets, eisenstein_order, evaluate_group, term_report,
 )
 from sp4eis.germs import known_part_series, order_at, sum_series
 from sp4eis.localrules import ARCH, ActionRule, Condition, default_rules
-from sp4eis.normfactor import EPS, LExpression
+from sp4eis.normfactor import EPS, Canonical, LExpression
 from sp4eis.numerics import completed_dirichlet, completed_zeta, table_for_modulus
 from test_germs import full_depth_sum, inverse, multiply
 
@@ -107,7 +109,7 @@ def remainders(case: str, cls: CharClass, s0: Q, members: tuple):
 def group_sums(case: str, cls: CharClass, s0: Q, members: tuple) -> list[tuple[str, ...]]:
     """One pinned row per weight vector, through ``evaluate_group``."""
     terms, common, rems = remainders(case, cls, s0, members)
-    common_order = order_at(common, cls, s0)
+    common_order = order_at(Canonical.of(common, cls), s0)
     rows = []
     for weights in WEIGHTS:
         weighted = [t._replace(actions=(weight_row(case, t.w, members[0], wt),))
@@ -128,7 +130,7 @@ def group_sums(case: str, cls: CharClass, s0: Q, members: tuple) -> list[tuple[s
 def depth_used(rems: list, weights: tuple, cls: CharClass, s0: Q) -> int | None:
     """The fewest coefficients at which the weighted sum shows a leading term:
     its exponent less the lowest order of the jets, plus one."""
-    jets = [known_part_series(e, cls, s0) for e in rems]
+    jets = [known_part_series(Canonical.of(e, cls), s0) for e in rems]
     order, lead = sum_series(list(zip(jets, weights)))
     return None if lead is None else order.base - min(j.ord for j in jets) + 1
 
@@ -144,7 +146,7 @@ def test_groups_are_the_fourteen_pairs():
     assert not any(cls is CharClass.OTHER for _, cls, _, _ in found)
     # the engine's grouping key agrees: members share it, no other summand does
     for case, cls, s0, members in found:
-        keys = {w: TARGETS[case][w].value_key(s0, cls) for w in COSET_REPS[case]}
+        keys = {w: value_key(TARGETS[case][w].reduced(cls), s0) for w in COSET_REPS[case]}
         inside = {keys[w] for w in members}
         assert len(inside) == 1
         assert all(keys[w] not in inside for w in COSET_REPS[case] if w not in members)
@@ -156,7 +158,7 @@ def test_remainders_are_strip_free_and_every_sum_has_a_leading_term():
         _, _, rems = remainders(case, cls, s0, members)
         for rem in rems:
             assert all(e in (1, -1) for _, e in rem.factors), rem.render()
-            assert order_at(rem, cls, s0).is_known, rem.render()
+            assert order_at(Canonical.of(rem, cls), s0).is_known, rem.render()
         for weights in WEIGHTS:
             depth = depth_used(rems, weights, cls, s0)
             assert depth is not None, (case, cls, s0, weights)
@@ -195,8 +197,8 @@ def test_group_jet_cache_holds_the_fourteen_groups_unaltered():
     for case, cls, s0, members in groups():
         common_order, jets = _group_jets(case, members, cls, s0)
         _, common, rems = remainders(case, cls, s0, members)
-        fresh = [known_part_series(r, cls, s0) for r in rems]
-        assert common_order == order_at(common, cls, s0)
+        fresh = [known_part_series(Canonical.of(r, cls), s0) for r in rems]
+        assert common_order == order_at(Canonical.of(common, cls), s0)
         assert [(j.ord, [c.render() for c in j.coeffs]) for j in jets] == \
             [(f.ord, [c.render() for c in f.coeffs]) for f in fresh]
     assert _group_jets.cache_info().currsize == 14

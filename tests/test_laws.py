@@ -109,7 +109,7 @@ def test_global_functional_equation():
                 for s0 in POINTS:
                     here = eisenstein_order(case, profile, s0, cls).combined_order
                     there = eisenstein_order(case, profile, -s0, cls).combined_order
-                    c = order_at(factor, cls, s0)
+                    c = order_at(factor, s0)
                     kinds = {here.kind, there.kind, c.kind}
                     if kinds == {"known"}:
                         assert here.base == c.base + there.base, (case, cls, arch, s0)

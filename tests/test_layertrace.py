@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 from sp4eis.characters import CharClass
-from sp4eis.normfactor import LExpression
+from sp4eis.normfactor import Canonical, LExpression
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -72,9 +72,9 @@ def test_tracer_installs_on_every_name_and_restores_each_original():
         for (owner, name), original in zip(hooks, hook_originals):
             assert owner.__dict__[name] is not original, f"{owner.__name__}.{name} not counted"
         # a by-name import is wrapped too: constant_term binds order_at itself
-        expr = LExpression.build({})
-        germs.order_at(expr, CharClass.TRIVIAL, Q(0))
-        constant_term.order_at(expr, CharClass.TRIVIAL, Q(0))
+        expr = Canonical.of(LExpression.build({}), CharClass.TRIVIAL)
+        germs.order_at(expr, Q(0))
+        constant_term.order_at(expr, Q(0))
         assert tracer.ncalls["germs.order_at"] == 2
         germs.FormalScalar.monomial(())
         assert tracer.counters["germs.scalar_new"] == 1

@@ -110,6 +110,16 @@ def test_kernel_values_replay_pins():
     assert not mismatches, mismatches[:10]
 
 
+def test_real_points_pin_a_positive_zero_imaginary_part():
+    """A real point gives a float, whose imaginary part the regenerator
+    writes as ``0x0.0p+0``; a pin with any other text there would be
+    rewritten at an unchanged engine."""
+    odd = [line for line in PINS.read_text(encoding="utf-8").splitlines()
+           if not line.startswith("#") and line.split("\t")[2] == "0.0"
+           and line.split("\t")[4] != "0x0.0p+0"]
+    assert not odd, odd[:5]
+
+
 def test_real_points_give_floats_and_complex_points_complex():
     tbl = table_for_modulus(5)
     kernels = (gamma, zeta_em, completed_zeta, zeta_direct, lambda s: hurwitz_zeta(s, 0.25),

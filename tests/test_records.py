@@ -14,9 +14,9 @@ import pytest
 
 from sp4eis.characters import AffineForm, CharClass
 from sp4eis.constant_term import Place, PlaceProfile, ProfileError
-from sp4eis.germs import OrderValue, StripDep
+from sp4eis.germs import Leading, OrderValue, StripDep
 from sp4eis.localrules import Condition, default_rules
-from sp4eis.normfactor import L, LExpression, LSymbol
+from sp4eis.normfactor import L, LExpression, LSymbol, canonicalize
 from sp4eis.numerics import DirichletTable, table_for_modulus
 from sp4eis.roots import SP4, WeylElement
 
@@ -30,6 +30,8 @@ RECORDS = [
     (FORM, "a", Q(0)),
     (SYMBOL, "power", 0),
     (LExpression(((SYMBOL, 1),)), "factors", ()),
+    (canonicalize(LExpression(((SYMBOL, 1),)), CharClass.QUADRATIC), "real", False),
+    (Leading(1, 2, True, (("L", None, 3, 2, 1),)), "values", ()),
     (DEP, "coeff", -1),
     (OrderValue.conditional(1, (DEP,)), "base", 0),
     (Place("arch", CharClass.TRIVIAL), "choice", "steinberg"),
