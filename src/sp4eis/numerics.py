@@ -410,9 +410,12 @@ def eval_expression(expr: LExpression, cls: CharClass, s: complex,
     equation ratios, never through this path).
 
     ``known`` maps (effective class, Dirichlet table or None, argument) to
-    a completed value already computed.  It is read and filled in place,
-    so a caller evaluating many expressions near the same points computes
-    each completed value once; the caller decides how long it lives.
+    a completed value already computed.  A completed zeta value is keyed
+    on its argument reflected to Re >= 1/2, where ``completed_zeta``
+    evaluates it, so s and 1 - s share one entry.  ``known`` is read and
+    filled in place, so a caller evaluating many expressions near the
+    same points computes each completed value once; the caller decides
+    how long it lives.
     """
     if known is None:
         known = {}
@@ -430,6 +433,8 @@ def eval_expression(expr: LExpression, cls: CharClass, s: complex,
         else:
             raise NotEvaluable(f"no numeric stand-in for class {eff}")
         arg = A / D * s + B / D  # A / D rounds once, to float(Fraction(A, D))
+        if tbl is None and arg.real < 0.5:
+            arg = 1.0 - arg  # the point completed_zeta reflects to
         key = (eff, tbl, arg)
         value = known.get(key)  # a completed value is never None
         if value is None:

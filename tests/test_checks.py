@@ -42,7 +42,7 @@ CALLS = {
     "check_functional_equation": (0, 16, 0),
     "check_quadratic_derivative": (0, 2, 0),
     "check_parity_cancellation": (6, 9, 0),
-    "check_order_oracle": (113, 31, 0),
+    "check_order_oracle": (107, 31, 0),
 }
 
 

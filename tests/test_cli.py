@@ -1,6 +1,5 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
-import hashlib
 import importlib.resources
 import json
 import os
@@ -11,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import pins
 from sp4eis.cli import main
+from sp4eis.numerics import QUADRATIC_DISCRIMINANTS
 from sp4eis.scenario import ScenarioError, scenario_from_dict
 
 SCENARIO = """\
@@ -50,72 +51,55 @@ def test_weyl_text(capsys):
     assert "sc2s" in out and "length=3" in out
 
 
-# sha256 of `sp4eis weyl --case all --full --json`: coset tables, negative
-# root sets, targets and the whole group, pinned byte for byte
-WEYL_FULL_SHA256 = "195ec2005718397f58623756fceeb8b5b4d46decb3ecbf73238fb1208d5567b2"
-
-
-def test_weyl_json_deterministic(capsys):
-    _, out1 = run(capsys, "weyl", "--case", "all", "--full", "--json")
-    _, out2 = run(capsys, "weyl", "--case", "all", "--full", "--json")
-    assert out1 == out2
-    assert hashlib.sha256(out1.encode("utf-8")).hexdigest() == WEYL_FULL_SHA256
-    data = json.loads(out1)
-    assert [r["name"] for r in data["cases"]["siegel"]] == ["id", "c2", "sc2", "c2sc2"]
-    assert len(data["group"]) == 8
-
-
-# sha256 of `sp4eis numcheck --modulus Q --json`: every check name, pass
-# flag, measured value and bound, pinned byte for byte
-NUMCHECK_SHA256 = {
-    3: "955d45b6751f7642c09ae106c04c9ebd07f0457fb87f7d353de4787ef36b8067",
-    4: "591b2c7a0b555c61cf0cdd0ffaaaedbf9be99d3cecee6ced8fbb358b34ceb5cd",
-    5: "bd6b58d9309226b2ce0ff16f8f59ece704f921ea6bcb8b898e40b2e25ded6d0f",
-    7: "6822d01f260c90e011e68fdc0e012556fa2985a59ad5216c113badaac7bc1fa5",
-    8: "8ab01536454935b56811dcb43d2febbd2982329b10dc08906da8ce26c8a6ee65",
-    11: "791d395ca59108a569889e4f4dba05e78ec8b527960fa563695a679462a39666",
-    12: "6d5e26b1486cff4ae23224e783061b5774636eaf9a56ed8b3ca49fce8208c99e",
-}
-
-
-@pytest.mark.parametrize("modulus", sorted(NUMCHECK_SHA256))
-def test_numcheck_json_pinned(capsys, modulus):
-    code, out = run(capsys, "numcheck", "--modulus", str(modulus), "--json")
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NUMCHECK_SHA256[modulus]
-
-
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
-# sha256 of stdout for the outputs no other pin covers: the text of every
+# stdout pinned byte for byte by its sha256 in data/cli_pins.tsv: the Weyl
+# tables and group, every conductor's numcheck --json (check names, pass
+# flags, values and bounds), and what no other pin covers: the text of each
 # subcommand (siegel_strip_window.toml renders a strip-conditional order,
 # `0 -ord[L(s+3/2,1) at 1/2]`) and normfactor --json
-OUTPUT_SHA256 = {
-    "poles --scenario heisenberg_poles.toml":
-        "857d74cec3afad884ae274aced4a1c9aa66af04f1d14df1cd55d7f95467c6778",
-    "poles --scenario heisenberg_steinberg_tower.toml":
-        "0810f5b8fbfe20badcfc7c7fb30204b1f399b39f03834200654441efea6f38ef",
-    "poles --scenario siegel_half_quadratic.toml":
-        "9812f97c7618685ad9f61ac7417a598d9a896dcf0da944e0ef7351a955ea5449",
-    "poles --scenario siegel_strip_window.toml":
-        "c5c0ab38b2ac4fad29de96d6782d712f574b1e4b01268c6216dbf64f70e961aa",
-    "verify": "49dd7de03f8285d30c8fc3cd7a4215e760f46fb287e83409ec1c8f8bfbef69cd",
-    "weyl --full": "e8fb3f20eed0b88c6fd537ed9568e4d29a98e07722c50717c27109a1bd9ebc73",
-    "numcheck --modulus 4": "32e07f504e61957cf8d3c634cd019d857f84b3e7c7eb6d28f354c9acca405aaf",
-    "normfactor --case siegel --w c2sc2s --char-class quadratic --json":
-        "a4f13a3de27862f61a7248d3703a59d156c9235889dcd6b394bd409190becdcb",
-}
+WEYL_FULL = "weyl --case all --full --json"
+NUMCHECK = {m: f"numcheck --modulus {m} --json" for m in sorted(QUADRATIC_DISCRIMINANTS)}
+OUTPUTS = (*(f"poles --scenario {p.name}" for p in sorted(SCENARIOS.glob("*.toml"))),
+           "verify", "weyl --full", "numcheck --modulus 4",
+           "normfactor --case siegel --w c2sc2s --char-class quadratic --json")
 
 
 def _argv(command: str) -> list[str]:
     return [str(SCENARIOS / a) if a.endswith(".toml") else a for a in command.split()]
 
 
-@pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
-def test_output_pinned(capsys, command):
-    code, out = run(capsys, *_argv(command))
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_SHA256[command]
+STORE = pins.Store(pins.DATA / "cli_pins.tsv", "command\tsha256 of stdout", 1,
+                   lambda: [(c, pins.cli_sha256(_argv(c)))
+                            for c in (WEYL_FULL, *NUMCHECK.values(), *OUTPUTS)])
+
+
+def pinned(command: str) -> str:
+    return dict(pins.read(STORE.path))[command]
+
+
+def test_cli_outputs_replay_pins():
+    pins.replay(STORE)
+
+
+def test_weyl_json_deterministic(capsys):
+    _, out1 = run(capsys, *WEYL_FULL.split())
+    _, out2 = run(capsys, *WEYL_FULL.split())
+    assert out1 == out2
+    assert pins.sha256(out1) == pinned(WEYL_FULL)
+    data = json.loads(out1)
+    assert [r["name"] for r in data["cases"]["siegel"]] == ["id", "c2", "sc2", "c2sc2"]
+    assert len(data["group"]) == 8
+
+
+@pytest.mark.parametrize("modulus", NUMCHECK)
+def test_numcheck_json_pinned(modulus):
+    assert pins.cli_sha256(_argv(NUMCHECK[modulus])) == pinned(NUMCHECK[modulus])
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_output_pinned(command):
+    assert pins.cli_sha256(_argv(command)) == pinned(command)
 
 
 @pytest.mark.parametrize("command", [
@@ -241,7 +225,7 @@ def test_numcheck_scenario_excludes_modulus(tmp_path, capsys):
     for argv in (["--scenario", str(p)], []):
         code, out = run(capsys, "numcheck", *argv, "--json")
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NUMCHECK_SHA256[4]
+        assert pins.sha256(out) == pinned(NUMCHECK[4])
 
 
 def test_empty_s0_is_refused(tmp_path, capsys):
@@ -572,7 +556,7 @@ def test_cli_and_theorems_imports_leave_out_dataclasses():
 def test_python_m_sp4eis_runs_main_and_returns_its_exit_code():
     done = _fresh_python("-m", "sp4eis", "numcheck", "--modulus", "4", "--json")
     assert done.returncode == 0, done.stderr
-    assert hashlib.sha256(done.stdout.encode("utf-8")).hexdigest() == NUMCHECK_SHA256[4]
+    assert pins.sha256(done.stdout) == pinned(NUMCHECK[4])
     done = _fresh_python("-m", "sp4eis", "verify", "XX")
     assert (done.returncode, done.stdout) == (2, "")
     assert "error: argument theorem: unknown theorem id 'XX'" in done.stderr

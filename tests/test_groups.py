@@ -11,10 +11,8 @@ factor.
 
 ``data/group_sums.tsv`` pins ``evaluate_group`` on each group for every
 weight vector in {+1, -1}^2: the common factor's order, the order of the
-remainders' sum, the leading term and the cancellation flag.  Regenerate
-the file only when outputs change on purpose:
-
-    PYTHONPATH=src python tests/test_groups.py
+remainders' sum, the leading term and the cancellation flag.  ``pins.py``
+replays the store and regenerates it when outputs change on purpose.
 
 A contour oracle checks every sum numerically: its Laurent coefficients,
 taken by the trapezoidal rule on a small circle around s0 (Trefethen and
@@ -26,10 +24,10 @@ import cmath
 import json
 from fractions import Fraction as Q
 from itertools import product
-from pathlib import Path
 
 import pytest
 
+import pins
 from sp4eis import germs
 from sp4eis.characters import (
     COSET_REPS, TARGETS, CharClass, power_class, reduce_power, value_key,
@@ -43,7 +41,6 @@ from sp4eis.normfactor import EPS, Canonical, LExpression
 from sp4eis.numerics import completed_dirichlet, completed_zeta, table_for_modulus
 from test_germs import full_depth_sum, inverse, multiply
 
-PINS = Path(__file__).resolve().parent / "data" / "group_sums.tsv"
 GLOBAL_CLASSES = (CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER)
 WEIGHTS = tuple(product((1, -1), repeat=2))
 PROFILE = PlaceProfile.spherical()
@@ -166,16 +163,15 @@ def test_remainders_are_strip_free_and_every_sum_has_a_leading_term():
     assert max(depths) == 2
 
 
-def pinned_rows() -> list[tuple[str, ...]]:
-    return [tuple(line.split("\t"))
-            for line in PINS.read_text(encoding="utf-8").splitlines()
-            if line and not line.startswith("#")]
+STORE = pins.Store(pins.DATA / "group_sums.tsv",
+                   "case\tclass\ts0\tmembers\tweights\tcommon-factor order\tsum order"
+                   "\tleading\tcancelled", 5,
+                   lambda: [row for group in groups() for row in group_sums(*group)])
 
 
 def test_group_sums_replay_pins():
-    got = [row for group in groups() for row in group_sums(*group)]
-    assert len(got) == 56
-    assert got == pinned_rows()
+    assert len(pins.read(STORE.path)) == 56
+    pins.replay(STORE)
 
 
 def test_group_jet_cache_holds_the_fourteen_groups_unaltered():
@@ -191,9 +187,8 @@ def test_group_jet_cache_holds_the_fourteen_groups_unaltered():
     after = _group_jets.cache_info()
     assert (after.currsize, after.hits - before.hits, after.misses) == (14, 14, before.misses)
     # no replay alters a cached jet
-    pinned = pinned_rows()
     for _ in range(2):
-        assert [row for group in groups() for row in group_sums(*group)] == pinned
+        pins.replay(STORE)
     for case, cls, s0, members in groups():
         common_order, jets = _group_jets(case, members, cls, s0)
         _, common, rems = remainders(case, cls, s0, members)
@@ -300,11 +295,3 @@ def test_contour_oracle_agrees_with_every_group_sum(character):
                 (where, laurent(g, order), sum_lead.render(), lead)
             checked += 1
     assert checked == count
-
-
-if __name__ == "__main__":
-    lines = ["# case\tclass\ts0\tmembers\tweights\tcommon-factor order\tsum order"
-             "\tleading\tcancelled"]
-    lines += ["\t".join(row) for group in groups() for row in group_sums(*group)]
-    PINS.parent.mkdir(exist_ok=True)
-    PINS.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -6,8 +6,8 @@ the shifts in ``SHIFTS`` and ``completed_dirichlet`` for every built-in
 conductor, at the points of ``points()``: (1/8)Z in [-2, 12], the points
 ``estimate_order`` reads for each ``oracle_grid`` row (s0 plus each
 ``DELTA_LADDER`` offset), and a few complex points of the mpmath grid.  A
-point where a function meets a pole is not pinned; there it must raise
-:class:`PoleProximity`.
+point where a function meets a pole is not pinned: there it raises
+:class:`PoleProximity`, the one exception ``evaluate`` lets through.
 
 A real point is evaluated in float arithmetic and any other point in
 complex arithmetic.  With zero imaginary parts both perform the same IEEE
@@ -15,24 +15,21 @@ operations, so every value must match its pin exactly, except at an
 integer real point: there a complex power ``x ** n`` with integral
 |n| <= 100 is computed by repeated multiplication, while the float power
 calls libm ``pow``, so the two may differ in the last bits.  At integer
-points each part may therefore differ from its pin by at most 4 ulp.
-
-Regenerate the file only when values change on purpose:
-
-    PYTHONPATH=src python tests/test_numerics_pins.py
+points each part may therefore differ from its pin by at most 4 ulp, and
+such a pin is kept (``holds``).  ``pins.py`` replays the store and
+regenerates it when values change on purpose.
 """
 
 import math
 from fractions import Fraction as Q
-from pathlib import Path
 
+import pins
 from sp4eis.checks import oracle_grid
 from sp4eis.numerics import (
     DELTA_LADDER, QUADRATIC_DISCRIMINANTS, PoleProximity, completed_dirichlet, completed_zeta,
     dirichlet_l, gamma, hurwitz_zeta, table_for_modulus, zeta_direct, zeta_em,
 )
 
-PINS = Path(__file__).resolve().parent / "data" / "numerics_pins.tsv"
 SHIFTS = (Q(1, 12), Q(1, 3), Q(1, 2), Q(3, 4), Q(1))
 # points of the GRID in test_numerics_mpmath.py, off the real axis
 COMPLEX_POINTS = (complex(-2.0, 20.0), complex(-1.25, -6.0), complex(0.3, 1.5),
@@ -61,62 +58,41 @@ def points() -> list[complex]:
     return list(dict.fromkeys(out))
 
 
-def key(name: str, s: complex) -> tuple[str, str, str]:
-    return name, repr(s.real), repr(s.imag)
-
-
 def evaluate() -> dict:
     """Key -> kernel value at every point that is not a pole."""
     out = {}
     for name, f in functions().items():
         for s in points():
             try:
-                out[key(name, s)] = complex(f(s))
+                out[name, repr(s.real), repr(s.imag)] = complex(f(s))
             except PoleProximity:
                 pass
     return out
 
 
-def _agrees(got: float, pinned: float, integer_point: bool) -> bool:
-    if got == pinned:
-        return True
-    return integer_point and abs(got - pinned) <= ULPS_AT_INTEGERS * math.ulp(pinned)
+def holds(old: pins.Row, new: pins.Row) -> bool:
+    """Whether a pinned row still holds for a new value at its key: each
+    part equal, or within ``ULPS_AT_INTEGERS`` ulp at an integer real point."""
+    ulps = ULPS_AT_INTEGERS if float(old[2]) == 0 and float(old[1]).is_integer() else 0
+    pairs = [(float.fromhex(got), float.fromhex(pin)) for got, pin in zip(new[3:], old[3:])]
+    return all(got == pin or abs(got - pin) <= ulps * math.ulp(pin) for got, pin in pairs)
+
+
+STORE = pins.Store(pins.DATA / "numerics_pins.tsv",
+                   "function\tRe s\tIm s\tfloat.hex(Re value)\tfloat.hex(Im value)", 3,
+                   lambda: [k + (v.real.hex(), v.imag.hex()) for k, v in evaluate().items()],
+                   holds)
 
 
 def test_kernel_values_replay_pins():
-    pinned = {}
-    for line in PINS.read_text(encoding="utf-8").splitlines():
-        if line and not line.startswith("#"):
-            *k, re_hex, im_hex = line.split("\t")
-            pinned[tuple(k)] = complex(float.fromhex(re_hex), float.fromhex(im_hex))
-    got = evaluate()
-    assert list(got) == list(pinned)
-    fs = functions()
-    for s in points():
-        for name in fs:
-            if key(name, s) not in got:
-                try:
-                    fs[name](s)
-                except PoleProximity:
-                    continue
-                raise AssertionError(f"{name} at {s} is neither pinned nor a pole")
-    mismatches = []
-    for k, value in got.items():
-        s = complex(float(k[1]), float(k[2]))
-        integer_point = s.imag == 0 and s.real == int(s.real)
-        if not (_agrees(value.real, pinned[k].real, integer_point)
-                and _agrees(value.imag, pinned[k].imag, integer_point)):
-            mismatches.append((k, pinned[k], value))
-    assert not mismatches, mismatches[:10]
+    pins.replay(STORE)
 
 
 def test_real_points_pin_a_positive_zero_imaginary_part():
-    """A real point gives a float, whose imaginary part the regenerator
-    writes as ``0x0.0p+0``; a pin with any other text there would be
-    rewritten at an unchanged engine."""
-    odd = [line for line in PINS.read_text(encoding="utf-8").splitlines()
-           if not line.startswith("#") and line.split("\t")[2] == "0.0"
-           and line.split("\t")[4] != "0x0.0p+0"]
+    """A real point gives a float, whose imaginary part the store writes as
+    ``0x0.0p+0``; ``holds`` would keep any other zero there, so this
+    holds the file to what the engine gives."""
+    odd = [row for row in pins.read(STORE.path) if row[2] == "0.0" and row[4] != "0x0.0p+0"]
     assert not odd, odd[:5]
 
 
@@ -128,10 +104,3 @@ def test_real_points_give_floats_and_complex_points_complex():
         for s in (2.5, 3, Q(7, 2), complex(2.5, 0.0)):
             assert type(f(s)) is float, (f, s)
         assert type(f(complex(2.5, 1e-3))) is complex, f
-
-
-if __name__ == "__main__":
-    lines = ["# function\tRe s\tIm s\tfloat.hex(Re value)\tfloat.hex(Im value)"]
-    lines += ["\t".join(k + (v.real.hex(), v.imag.hex())) for k, v in evaluate().items()]
-    PINS.parent.mkdir(exist_ok=True)
-    PINS.write_text("\n".join(lines) + "\n", encoding="utf-8")
