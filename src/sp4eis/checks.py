@@ -10,8 +10,8 @@ order at more than thirty points.
 
 Each family call evaluates each completed value once: the families take
 their values through memos made for that call (``functools.cache`` of a
-value function, or the ``known`` mapping of ``eval_expression``), and
-nothing outlives the call.
+value function, passed on to ``eval_expression`` where a check evaluates
+expressions), and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -164,14 +164,14 @@ def check_parity_cancellation(modulus: int) -> list[CheckResult]:
     expression values are faithful.  The two factors share completed
     values, each computed once.
     """
-    tbl = table_for_modulus(modulus)
+    zeta = cache(completed_zeta)
+    lval = cache(partial(completed_dirichlet, table_for_modulus(modulus)))
     sc2 = _expression_for("siegel", "sc2", QU)
     c2sc2 = _expression_for("siegel", "c2sc2", QU)
-    known: dict = {}
     vals = {}
     for d in (1e-3, 1e-4, 1e-5):
-        a = eval_expression(sc2, QU, 0.5 + d, tbl, known)
-        b = eval_expression(c2sc2, QU, 0.5 + d, tbl, known)
+        a = eval_expression(sc2, 0.5 + d, zeta, lval)
+        b = eval_expression(c2sc2, 0.5 + d, zeta, lval)
         vals[d] = (a + b, a - b)
     even_slope = math.log(abs(vals[1e-3][0]) / abs(vals[1e-5][0])) / math.log(1e2)
     odd_small = abs(vals[1e-5][1])
@@ -226,15 +226,17 @@ def check_order_oracle() -> list[CheckResult]:
     """Slope-fitted against symbolic order on every row of ``oracle_grid``.
 
     Rows near the same point share completed values, each computed once
-    per call.
+    per call: one memo of completed zeta, one per conductor of the grid.
     """
     out = []
-    known: dict = {}
-    for case, element, cls, modulus, s0, expected in oracle_grid():
+    grid = oracle_grid()
+    zeta = cache(completed_zeta)
+    lvals = {m: cache(partial(completed_dirichlet, table_for_modulus(m)))
+             for m in {row[3] for row in grid} - {None}}
+    for case, element, cls, modulus, s0, expected in grid:
         expr = _expression_for(case, element, cls)
         symbolic = order_at(expr, s0)
-        tbl = table_for_modulus(modulus) if modulus else None
-        est = estimate_order(expr, cls, s0, tbl, known)
+        est = estimate_order(expr, s0, zeta, lvals.get(modulus))
         ok = (symbolic.is_known and symbolic.base == expected
               and est.fitted == expected and est.residual < 0.05)
         name = f"order-{case[:4]}-{element}-{cls[:4]}-at-{s0}"

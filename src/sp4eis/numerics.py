@@ -32,10 +32,10 @@ repeated multiplication and float arithmetic by libm ``pow``: at an
 integer s a value may differ in the last bits (at most 4 ulp).
 
 Each family of the battery (``checks``) evaluates each completed value
-once per call: ``eval_expression`` and ``estimate_order`` share a
-caller-owned mapping of the values already computed, keyed on (class,
-table, point), and the other checks keep theirs for the call; nothing
-outlives the call.  What is built once are constants: the tail weights,
+once per call: ``eval_expression`` and ``estimate_order`` take their
+completed values through the caller's functions, which ``checks`` makes
+``functools.cache`` memos for the call; nothing outlives the call.  What
+is built once are constants: the tail weights,
 the partial-sum bases n + a with x = ZETA_N + a and log x, for zeta and
 for each table's residues, and the bases of ``zeta_direct``.
 
@@ -51,10 +51,10 @@ import cmath
 import math
 from fractions import Fraction as Q
 from functools import cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .characters import CharClass, power_class
-from .normfactor import EPS, LExpression
+from .characters import CharClass
+from .normfactor import EPS, Canonical
 
 IM_LIMIT = 20.0
 RE_MIN = -2.0
@@ -329,27 +329,13 @@ class DirichletTable(NamedTuple):
     (d|.) of a fundamental discriminant d, so every table is real,
     primitive and nontrivial by construction.  ``parity`` is 0 (even) for
     d > 0 and 1 (odd) for d < 0.  ``residues`` pairs chi(a) with
-    ``_bases(a / q)`` for each residue a with chi(a) != 0; it follows from
-    the other fields, so equality, hashing and repr read only those (a
-    table is hashed at every ``known`` lookup of ``eval_expression``).
+    ``_bases(a / q)`` for each residue a with chi(a) != 0.
     """
 
     modulus: int
     values: tuple[int, ...]
     parity: int
     residues: tuple[tuple[int, _Bases], ...]
-
-    def __eq__(self, other):
-        return type(other) is DirichletTable and self[:3] == other[:3]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:3])
-
-    def __repr__(self) -> str:
-        return f"DirichletTable(modulus={self.modulus}, values={self.values}, parity={self.parity})"
 
 
 # fundamental discriminant of the real primitive character of each built-in conductor
@@ -399,47 +385,34 @@ def completed_dirichlet(tbl: DirichletTable, s: complex) -> float | complex:
 # numeric evaluation of canonical expressions and order estimation
 # ---------------------------------------------------------------------------
 
-def eval_expression(expr: LExpression, cls: CharClass, s: complex,
-                    table: DirichletTable | None = None,
-                    known: dict | None = None) -> complex:
-    """Numeric value of a canonical L-expression at a complex point.
+Completed = Callable[[float | complex], float | complex]
 
-    chi is realized as the trivial character or through ``table``; epsilon
-    symbols evaluate to 1 (entire and nonvanishing, so pole orders are
-    unaffected; identities involving epsilon are checked via functional-
-    equation ratios, never through this path).
 
-    ``known`` maps (effective class, Dirichlet table or None, argument) to
-    a completed value already computed.  A completed zeta value is keyed
-    on its argument reflected to Re >= 1/2, where ``completed_zeta``
-    evaluates it, so s and 1 - s share one entry.  ``known`` is read and
-    filled in place, so a caller evaluating many expressions near the
-    same points computes each completed value once; the caller decides
-    how long it lives.
+def eval_expression(expr: Canonical, s: complex, zeta: Completed,
+                    lval: Completed | None = None) -> complex:
+    """Numeric value of a compiled L-expression at a complex point.
+
+    A symbol of class None (a trivial power of chi) is read through
+    ``zeta`` at its argument reflected to Re >= 1/2, where
+    ``completed_zeta`` evaluates it, so s and 1 - s share one value; a
+    quadratic one through ``lval``, the completed L-function of chi, and
+    any other raises :class:`NotEvaluable`.  Epsilon symbols evaluate to
+    1 (entire and nonvanishing, so pole orders are unaffected; identities
+    involving epsilon are checked via functional-equation ratios, never
+    through this path).  A caller that passes memos evaluates each
+    completed value once, and decides how long they live.
     """
-    if known is None:
-        known = {}
     out = 1 + 0j
-    for (kind, (_, _, (A, B, D)), power), e in expr.factors:
+    for kind, _, A, B, D, e, c, _ in expr.symbols:
         if kind == EPS:
             continue
-        eff = power_class(cls, power)
-        if eff is CharClass.TRIVIAL:
-            tbl = None
-        elif eff is CharClass.QUADRATIC:
-            if table is None:
-                raise NotEvaluable("a Dirichlet table is needed for quadratic classes")
-            tbl = table
-        else:
-            raise NotEvaluable(f"no numeric stand-in for class {eff}")
         arg = A / D * s + B / D  # A / D rounds once, to float(Fraction(A, D))
-        if tbl is None and arg.real < 0.5:
-            arg = 1.0 - arg  # the point completed_zeta reflects to
-        key = (eff, tbl, arg)
-        value = known.get(key)  # a completed value is never None
-        if value is None:
-            value = known[key] = (completed_zeta(arg) if tbl is None
-                                  else completed_dirichlet(tbl, arg))
+        if c is None:
+            value = zeta(1.0 - arg if arg.real < 0.5 else arg)  # as completed_zeta reflects
+        elif c is CharClass.QUADRATIC and lval is not None:
+            value = lval(arg)
+        else:
+            raise NotEvaluable(f"no completed L-function given for class {c}")
         out *= value ** e
     return out
 
@@ -450,20 +423,19 @@ class OrderEstimate(NamedTuple):
     residual: float
 
 
-def estimate_order(expr: LExpression, cls: CharClass, s0: Q,
-                   table: DirichletTable | None = None,
-                   known: dict | None = None) -> OrderEstimate:
+def estimate_order(expr: Canonical, s0: Q, zeta: Completed,
+                   lval: Completed | None = None) -> OrderEstimate:
     """Least-squares slope of log|f| against log(delta) at s0 + DELTA_LADDER.
 
     The fitted integer is the nearest integer to the slope; the residual
     (distance to it) must stay below 0.05 for an estimate to count as
-    unambiguous at double precision.  ``known`` is passed on to
-    :func:`eval_expression`.
+    unambiguous at double precision.  ``zeta`` and ``lval`` are passed on
+    to :func:`eval_expression`.
     """
     xs, ys = [], []
     for d in DELTA_LADDER:
         try:
-            m = abs(eval_expression(expr, cls, float(s0) + d, table, known))
+            m = abs(eval_expression(expr, float(s0) + d, zeta, lval))
         except OverflowError:  # a float power past the range raises, not inf
             m = math.inf
         if not (1e-280 < m < 1e280):

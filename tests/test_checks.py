@@ -80,3 +80,17 @@ def test_each_family_evaluates_each_value_once(monkeypatch, modulus):
         repeats = [c for i, c in enumerate(calls) if c in calls[:i]]
         assert not repeats, (name, repeats)
         assert tuple(sum(c[0] == f for c in calls) for f in VALUES) == CALLS[name], name
+
+
+def test_no_dirichlet_table_is_hashed_or_compared(monkeypatch):
+    # the battery takes its L-values through one memo per conductor, keyed
+    # on the point alone, so a table is never a key
+    calls = []
+    for name in ("__hash__", "__eq__"):
+        def counted(*args, name=name, f=getattr(numerics.DirichletTable, name)):
+            calls.append(name)
+            return f(*args)
+        monkeypatch.setattr(numerics.DirichletTable, name, counted)
+    for modulus in sorted(numerics.QUADRATIC_DISCRIMINANTS):
+        checks.run_numeric_checks(modulus)
+    assert not calls

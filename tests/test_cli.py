@@ -15,6 +15,8 @@ from sp4eis.cli import main
 from sp4eis.numerics import QUADRATIC_DISCRIMINANTS
 from sp4eis.scenario import ScenarioError, scenario_from_dict
 
+SHIPPED_RULES = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
+
 SCENARIO = """\
 # pole scan for the Siegel family at its half-integer point
 case = "siegel"
@@ -263,9 +265,7 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert code == 0
     assert "PASS H+ overall" in out
     # a corrupted rule table makes verification fail with exit code 1
-    import importlib.resources
-    text = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
-    bad = text.replace(
+    bad = SHIPPED_RULES.replace(
         "pole|heisenberg|s,c2s,sc2s|nonarch|trivial|eq:-2|1|st_gl2|steinberg|",
         "pole|heisenberg|s,c2s,sc2s|nonarch|trivial|eq:-3|1|st_gl2|steinberg|")
     p = tmp_path / "bad_rules.txt"
@@ -334,8 +334,6 @@ WRONG_TYPES = {
     "place_unknown_key.toml": '[[places]]\nkind = "arch"\nclas = "sgn"\n',
 }
 
-
-SHIPPED_RULES = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
 
 # rule tables with one malformed field: condition points with a zero
 # denominator, a misspelt parity, an unknown condition kind, a misspelt
@@ -465,14 +463,13 @@ def test_unknown_weyl_word_is_a_usage_error(capsys):
 def test_misspelt_rule_token_exit_2(tmp_path, capsys):
     # with 'steinbreg' the arch Steinberg row matched no choice, so the pole
     # at -4 silently became order 0 and the run exited 0
-    import importlib.resources
-    text = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
     row = "pole|heisenberg|s,c2s,sc2s|arch|trivial|int:0:even:lt-1|1|arch_nonlanglands|" \
         "steinberg|"
-    assert row in text
-    lineno = text[:text.index(row)].count("\n") + 1
+    assert row in SHIPPED_RULES
+    lineno = SHIPPED_RULES[:SHIPPED_RULES.index(row)].count("\n") + 1
     p = tmp_path / "typo_rules.txt"
-    p.write_text(text.replace(row, row.replace("|steinberg|", "|steinbreg|")), encoding="utf-8")
+    p.write_text(SHIPPED_RULES.replace(row, row.replace("|steinberg|", "|steinbreg|")),
+                 encoding="utf-8")
     code = main(["poles", "--case", "heisenberg", "--s0", "-4",
                  "--place", "arch:trivial:steinberg", "--rules", str(p)])
     captured = capsys.readouterr()
@@ -501,12 +498,10 @@ def test_carrier_meets_the_finite_place_pole(capsys):
 def test_indeterminate_leading_exit_2(tmp_path, capsys):
     # a local pole on one member of the Siegel pair at 1/2 but not on the
     # other leaves the pair's cancellation unanalyzed
-    import importlib.resources
-    text = importlib.resources.files("sp4eis").joinpath("data/local_rules.txt").read_text()
     catch_all = "pole|siegel|c2,sc2,c2sc2|*|*|always|0|||holomorphic otherwise\n"
-    assert catch_all in text
+    assert catch_all in SHIPPED_RULES
     p = tmp_path / "uneven_rules.txt"
-    p.write_text(text.replace(
+    p.write_text(SHIPPED_RULES.replace(
         catch_all, "pole|siegel|c2sc2|arch|sgn|eq:1/2|1|st_sl2|t1|uneven\n" + catch_all),
         encoding="utf-8")
     code = main(["poles", "--case", "siegel", "--char-class", "quadratic", "--s0", "1/2",

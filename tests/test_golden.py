@@ -5,7 +5,9 @@ The references under ``perfbench/refs/`` are read, never written:
 * ``sweep.tsv``: one report digest (or typed-error class) per point of
   case x class x choice x s0, s0 in (1/8)Z within [-6, 6];
 * ``grids.json``: one report digest per theorem-grid row, the sha256 of
-  ``verify --json`` and of ``poles --scenario F --json`` per scenario.
+  ``verify --json`` and of ``poles --scenario F --json`` per scenario;
+* ``numeric.json``: for each built-in conductor, the ``[check, ok]`` pairs
+  of each family call ``[family, arg]`` of its numeric battery.
 
 Digests and typed-error classes are those of ``pins.py``.
 """
@@ -14,6 +16,8 @@ import json
 from pathlib import Path
 
 import pins
+from sp4eis import checks
+from sp4eis.numerics import QUADRATIC_DISCRIMINANTS
 from sp4eis.theorems import theorem_ids, verify_theorem
 from test_offgrid import outcome
 
@@ -47,3 +51,12 @@ def test_cli_outputs_replay_reference():
     for path in scenarios:
         assert pins.cli_sha256(["poles", "--scenario", str(path), "--json"]) == \
             ref["poles_json_sha256"][path.name], path.name
+
+
+def test_numeric_battery_replays_reference():
+    ref = json.loads((REFS / "numeric.json").read_text(encoding="utf-8"))
+    assert sorted(map(int, ref)) == sorted(QUADRATIC_DISCRIMINANTS)
+    for modulus, calls in ref.items():
+        for family, arg, expected in calls:
+            result = getattr(checks, family)(*([] if arg is None else [arg]))
+            assert [[r.name, r.ok] for r in result] == expected, (modulus, family, arg)

@@ -2,13 +2,14 @@
 
 import math
 from fractions import Fraction as Q
+from functools import cache, partial
 
 import pytest
 
 from sp4eis import numerics
 from sp4eis.characters import AffineForm, CharClass, coset_representatives, heisenberg_lambda
 from sp4eis.constant_term import factor_expression
-from sp4eis.normfactor import L, LExpression, LSymbol, canonicalize, inverse_norm_factor
+from sp4eis.normfactor import L, Canonical, LExpression, LSymbol, canonicalize, inverse_norm_factor
 from sp4eis.numerics import (
     IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_MIN, ZETA_M, NotEvaluable,
     NumericsError, PoleProximity, _em_coefficients, bernoulli_numbers, completed_dirichlet,
@@ -179,9 +180,9 @@ def test_trivial_zero_points_rejected():
 def test_estimate_order_basic():
     lam = heisenberg_lambda()
     rc1 = canonicalize(inverse_norm_factor(lam, SYS.element_by_name("c1")), TR)
-    est = estimate_order(rc1, TR, Q(2))
+    est = estimate_order(rc1, Q(2), completed_zeta)
     assert est.fitted == -1 and est.residual < 0.05
-    est = estimate_order(rc1, TR, Q(5))
+    est = estimate_order(rc1, Q(5), completed_zeta)
     assert est.fitted == 0 and est.residual < 0.05
 
 
@@ -189,19 +190,20 @@ def test_estimate_order_basic():
 def test_estimate_order_refuses_magnitudes_out_of_range(k):
     # zeta(s)^k near s = 1: past 1e280, past float range (k = 400), or
     # underflowing to 0, each is a NumericsError
-    expr = LExpression.build({LSymbol(L, AffineForm.of(1, 0), 0): k})
+    expr = Canonical.of(LExpression.build({LSymbol(L, AffineForm.of(1, 0), 0): k}), TR)
     with pytest.raises(NumericsError):
-        estimate_order(expr, TR, Q(1))
+        estimate_order(expr, Q(1), completed_zeta)
 
 
 def test_eval_expression_needs_table_for_quadratic():
     lam = heisenberg_lambda()
     rc1 = canonicalize(inverse_norm_factor(lam, SYS.element_by_name("c1")), QU)
+    lval = partial(completed_dirichlet, table_for_modulus(4))
     with pytest.raises(NotEvaluable):
-        eval_expression(rc1, QU, 2.0)
+        eval_expression(rc1, 2.0, completed_zeta)
     with pytest.raises(NotEvaluable):
-        eval_expression(canonicalize(rc1, OT), OT, 2.0, table_for_modulus(4))
-    v = eval_expression(rc1, QU, 2.0, table_for_modulus(4))
+        eval_expression(canonicalize(rc1, OT), 2.0, completed_zeta, lval)
+    v = eval_expression(rc1, 2.0, completed_zeta, lval)
     assert abs(v) > 0
 
 
@@ -212,36 +214,41 @@ def _quadratic_factors():
 
 
 def test_shared_values_keep_tables_apart():
-    # one mapping for two conductors at one point: a key without the
-    # table would hand mod-4 values to the mod-5 evaluations
-    known: dict = {}
+    # one zeta memo for two conductors at one point and an L memo each:
+    # each conductor's values are its own, and they differ, so a memo
+    # shared between the conductors would hand mod-4 values to mod 5
+    zeta = cache(completed_zeta)
     s = 2.3 + 0.4j
     exprs = _quadratic_factors()
     assert exprs
+    values = {}
     for q in (4, 5):
-        tbl = table_for_modulus(q)
-        for expr in exprs:
-            assert eval_expression(expr, QU, s, tbl, known) == eval_expression(expr, QU, s, tbl)
-    assert {key[1].modulus for key in known if key[1] is not None} == {4, 5}
+        lval = partial(completed_dirichlet, table_for_modulus(q))
+        memo = cache(lval)
+        values[q] = [eval_expression(expr, s, zeta, memo) for expr in exprs]
+        assert values[q] == [eval_expression(expr, s, completed_zeta, lval) for expr in exprs]
+    assert all(a != b for a, b in zip(values[4], values[5]))
 
 
-def test_shared_values_are_computed_once(monkeypatch):
+def test_shared_values_are_computed_once():
     calls = []
 
-    def counted(fn):
-        def wrapper(*args):
-            calls.append(args)
-            return fn(*args)
+    def counted(name, fn):
+        def wrapper(s):
+            calls.append((name, s))
+            return fn(s)
         return wrapper
 
-    monkeypatch.setattr(numerics, "completed_zeta", counted(completed_zeta))
-    monkeypatch.setattr(numerics, "completed_dirichlet", counted(completed_dirichlet))
-    tbl = table_for_modulus(4)
-    exprs = _quadratic_factors()
-    known: dict = {}
-    first = [estimate_order(expr, QU, Q(5, 2), tbl, known) for expr in exprs]
+    lval = partial(completed_dirichlet, table_for_modulus(4))
+    zeta, memo = cache(counted("zeta", completed_zeta)), cache(counted("L", lval))
+    rows = [(expr, s0) for expr in _quadratic_factors() for s0 in (Q(5, 2), Q(-1, 2))]
+    first = [estimate_order(expr, s0, zeta, memo) for expr, s0 in rows]
     assert calls and len(calls) == len(set(calls))  # no argument evaluated twice
+    # zeta values left of 1/2 are asked for at the point completed_zeta
+    # reflects to, so s and 1 - s share one value
+    assert all(s.real >= 0.5 for name, s in calls if name == "zeta")
     before = len(calls)
-    again = [estimate_order(expr, QU, Q(5, 2), tbl, known) for expr in exprs]
+    again = [estimate_order(expr, s0, zeta, memo) for expr, s0 in rows]
     assert len(calls) == before
-    assert again == first == [estimate_order(expr, QU, Q(5, 2), tbl) for expr in exprs]
+    assert again == first == [estimate_order(expr, s0, completed_zeta, lval)
+                              for expr, s0 in rows]

@@ -1,9 +1,9 @@
 """The package's records: immutable, and equal on the fields that define them.
 
 The records are NamedTuples or ``__slots__`` classes.  Those that serve as
-cache keys (``factor_expression``, ``_group_jets``, ``eval_expression``'s
-``known`` map) must not change after they are built, and a field that
-follows from the others takes no part in equality or hashing.  A rule
+cache keys (``factor_expression``, ``_group_jets``) must not change after
+they are built, and a field that follows from the others takes no part in
+equality or hashing.  A rule
 row compares on all its fields, the line it was read from included.
 """
 
@@ -17,7 +17,7 @@ from sp4eis.constant_term import Place, PlaceProfile, ProfileError
 from sp4eis.germs import Leading, OrderValue, StripDep
 from sp4eis.localrules import Condition, default_rules
 from sp4eis.normfactor import L, LExpression, LSymbol, canonicalize
-from sp4eis.numerics import DirichletTable, table_for_modulus
+from sp4eis.numerics import table_for_modulus
 from sp4eis.roots import SP4, WeylElement
 
 RULES = default_rules()
@@ -78,11 +78,3 @@ def test_an_affine_form_carries_its_integers():
             assert d == lcm(a.denominator, b.denominator)
             assert form == AffineForm(a, b) and hash(form) == hash(AffineForm(a, b))
 
-
-def test_a_dirichlet_table_compares_without_its_residues():
-    table = table_for_modulus(5)
-    bare = DirichletTable(table.modulus, table.values, table.parity, ())
-    assert bare == table and hash(bare) == hash(table)
-    assert {bare: 1}[table] == 1
-    assert table != table_for_modulus(8)
-    assert "residues" not in repr(table)
