@@ -14,8 +14,9 @@ global class, each class as a ``CharClass`` member.
 A summand's factor and target are compiled once per (case, w, class)
 (``factor_expression``, ``REDUCED_TARGETS``).  Its ``TermReport`` holds
 its parts, each computed once: the factor, its order and leading term
-(atoms built only for a live singleton group), each place's pole and
-action rows (none for the identity) and the target's value.  Group
+(kept unrendered in the report; built and rendered when ``leading`` or
+``to_json`` reads it), each place's pole and action rows (none for the
+identity) and the target's value.  Group
 signs, singleton groups and image labels read those reports and look
 nothing up again.  Each of the 14 groups of several members is built
 once (``_group_jets``): its common factor's order and every (strip-free)
@@ -33,8 +34,8 @@ from .characters import (
     render_value, value_key,
 )
 from .germs import (
-    IndeterminateLeading, Leading, OrderValue, Series, StripDep, germ_at, known_part_series,
-    order_at, sum_series,
+    FormalScalar, IndeterminateLeading, Leading, OrderValue, Series, StripDep, germ_at,
+    known_part_series, order_at, sum_series,
 )
 from .localrules import (
     ARCH, CHOICES, ISO, KERNEL, LOCAL_CLASSES, PLACE_CLASSES, ActionRule, PoleRule, RuleTable,
@@ -158,7 +159,7 @@ class TermReport(NamedTuple):
     w: WeylElement
     expr: Canonical
     factor_order: OrderValue
-    leading: Leading | None        # the factor's leading coefficient; None if strip-conditional
+    leading: Leading | None        # the factor's leading term, unbuilt; None if strip-conditional
     local_order: int
     rows: tuple[PoleRule, ...]     # each place's pole row, in place order; () for the identity
     actions: tuple[ActionRule | None, ...]  # each place's action row; () for the identity
@@ -188,10 +189,15 @@ class TermReport(NamedTuple):
 class GroupReport(NamedTuple):
     terms: list[TermReport]        # the members' reports, shortest first
     order: OrderValue | None       # None when the group is killed by a kernel
-    leading: str | None
+    lead: Leading | FormalScalar | None  # unrendered: a singleton's Leading or a certified sum's
     cancelled: bool                # a pole/leading actually cancelled in the sum
     weights: tuple[int, ...] = ()  # each member's sign, +1 or -1; () for a live singleton
     note: str = ""
+
+    @property
+    def leading(self) -> str | None:
+        """The leading coefficient rendered, each time it is read."""
+        return None if self.lead is None else self.lead.render()
 
     @property
     def members(self) -> list[str]:
@@ -203,7 +209,7 @@ class GroupReport(NamedTuple):
             out["kernel_killed"] = True
         else:
             out["order"] = self.order.to_json()
-            if self.leading is not None:
+            if self.lead is not None:
                 out["leading"] = self.leading
         if self.weights:
             out["weights"] = {t.w.name: str(w) for t, w in zip(self.terms, self.weights)}
@@ -339,9 +345,7 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
 
     if len(terms) == 1:
         (t,) = terms
-        leading = t.leading.scalar().render() if t.leading is not None else None
-        return GroupReport(terms, t.order, leading, cancelled=False,
-                           note="; ".join(notes))
+        return GroupReport(terms, t.order, t.leading, cancelled=False, note="; ".join(notes))
 
     if len({t.local_order for t in terms}) != 1:
         raise IndeterminateLeading(
@@ -352,9 +356,8 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
     order, lead = sum_series(list(zip(jets, weights)))
     cancelled = common_order.base + order.base > min(t.factor_order.base for t in terms)
     total = (common_order + order).shifted(-shared_local)
-    leading = lead.render() if lead is not None and order.is_known else None
-    return GroupReport(terms, total, leading, cancelled=cancelled, weights=weights,
-                       note="; ".join(notes))
+    return GroupReport(terms, total, lead if order.is_known else None, cancelled=cancelled,
+                       weights=weights, note="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,9 @@ class Leading(NamedTuple):
         coeff = _RATIONAL_ONE if self.num == self.den == 1 else Q(self.num, self.den)
         return FormalScalar({_mono_normalize(exps): coeff})
 
+    def render(self) -> str:
+        return self.scalar().render()
+
 
 def symbol_series(sym: SymbolRecord, real: bool, s0: Q) -> Series:
     """First-order Laurent jet of one compiled symbol around s0 (non-strip

@@ -99,7 +99,11 @@ class Canonical(NamedTuple):
 
     @staticmethod
     def of(expr: LExpression, cls: CharClass) -> "Canonical":
-        """Compile the expression as it stands, for the class ``cls``."""
+        """Compile the expression as it stands, for the class ``cls``; its
+        chi powers must already be reduced for the class (``canonicalize``)."""
+        for sym, _ in expr.factors:
+            if reduce_power(cls, sym.power) != sym.power:
+                raise ValueError(f"{sym.render()} has a chi power not reduced for class {cls}")
         return Canonical(expr.factors, tuple(
             (sym.kind, sym.power, *sym.arg.ints, e, cls if sym.power else None, sym.render())
             for sym, e in expr.factors), cls.is_real)

@@ -1,10 +1,14 @@
 """Constant-term assembly: grouping, term orders, combined reports."""
 
+import json
+import sys
 from collections import Counter
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import pins
 from sp4eis import constant_term, germs
 from sp4eis.characters import CharClass
 from sp4eis.constant_term import (
@@ -18,6 +22,7 @@ TR, QU, OT, SGN = (CharClass.TRIVIAL, CharClass.QUADRATIC,
                    CharClass.OTHER, CharClass.SGN)
 SPH = PlaceProfile.spherical()
 RULES = default_rules()
+GRIDS_REF = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "grids.json"
 
 
 def names(groups):
@@ -232,6 +237,69 @@ def test_no_self_duality_read_at_a_point(monkeypatch, case, s0, cls):
     assert any(len(g.members) > 1 for g in report.groups) == (s0.denominator < 5)
     assert reads == []
     assert cls.is_real == (cls is not OT) and reads == [cls]  # the count sees a read
+
+
+def count_coefficient_builds(monkeypatch) -> dict[str, list]:
+    """Record each ``Leading.scalar`` call (by its caller's name) and each
+    ``FormalScalar.render`` call from now on."""
+    calls: dict[str, list] = {"scalar": [], "render": []}
+    scalar, render = germs.Leading.scalar, germs.FormalScalar.render
+
+    def counted_scalar(self):
+        calls["scalar"].append(sys._getframe(1).f_code.co_name)
+        return scalar(self)
+
+    def counted_render(self):
+        calls["render"].append(self)
+        return render(self)
+
+    monkeypatch.setattr(germs.Leading, "scalar", counted_scalar)
+    monkeypatch.setattr(germs.FormalScalar, "render", counted_render)
+    return calls
+
+
+# a point of singleton groups, two of certified several-member groups, one
+# with a floor-only (at-least) group and a grid row with a kernel-killed group
+COEFFICIENT_POINTS = [
+    ("heisenberg", SPH, Q(2), TR),
+    ("heisenberg", SPH, Q(0), TR),
+    ("siegel", SPH, Q(1, 2), QU),
+    ("siegel", SPH, Q(0), TR),
+    ("heisenberg", PlaceProfile((arch(), nonarch(TR, "steinberg"), nonarch(TR, "steinberg"))),
+     Q(0), TR),
+]
+
+
+def test_the_point_path_renders_no_coefficient(monkeypatch):
+    """A report keeps each group's leading coefficient unrendered: building
+    it renders none, and serializing it renders each group's once."""
+    calls = count_coefficient_builds(monkeypatch)
+    kinds = set()
+    for case, profile, s0, cls in COEFFICIENT_POINTS:
+        calls["scalar"].clear()
+        calls["render"].clear()
+        report = eisenstein_order(case, profile, s0, cls)
+        assert calls["render"] == [], (case, s0)
+        if all(len(g.members) == 1 for g in report.groups):
+            assert calls["scalar"] == [], (case, s0)
+        kinds |= {"killed" if g.order is None else
+                  (len(g.members) > 1, g.order.kind) for g in report.groups}
+        out = report.to_json()
+        assert len(calls["render"]) == sum("leading" in g for g in out["groups"]), (case, s0)
+        assert all(g.leading == g.to_json().get("leading") for g in report.groups)
+    assert {(False, "known"), (True, "known"), (True, "at-least"), "killed"} <= kinds
+
+
+def test_verify_renders_no_coefficient(monkeypatch):
+    """``verify`` computes every order, vanishing flag and image label
+    without rendering a coefficient; ``Leading.scalar`` runs only for the
+    heads of the group jets, which ``symbol_series`` builds."""
+    constant_term._group_jets.cache_clear()  # the run builds its group jets
+    calls = count_coefficient_builds(monkeypatch)
+    digest = pins.cli_sha256(["verify", "--json"])
+    assert calls["render"] == []
+    assert calls["scalar"] == ["symbol_series"] * 13
+    assert digest == json.loads(GRIDS_REF.read_text(encoding="utf-8"))["verify_json_sha256"]
 
 
 # ---------------------------------------------------------------------------

@@ -563,7 +563,7 @@ def test_floor_leading_terms_at_zero(case, cls, group, weights, want_order, want
     (lsym(1, 0), QU, Q(3)),               # self-dual L right of 1/2
     (lsym(1, 0, 1, EPS), QU, Q(1, 4)),    # eps left of 1/2
     (lsym(1, 0, 1, EPS), QU, Q(7, 4)),    # eps right of 1/2
-    (lsym(1, 0, 1, EPS), TR, Q(1)),       # trivial eps
+    (lsym(1, 0, 0, EPS), TR, Q(1)),       # trivial eps
 ])
 def test_symbol_series_has_the_requested_depth(sym, cls, s0):
     # every jet is first-order: two coefficients

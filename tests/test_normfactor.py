@@ -5,12 +5,14 @@ import pytest
 from sp4eis.characters import (
     AffineForm, CharClass, compose_coroot, heisenberg_lambda, siegel_lambda,
 )
-from sp4eis.normfactor import EPS, L, LExpression, LSymbol, canonicalize, inverse_norm_factor
+from sp4eis.normfactor import (
+    EPS, L, Canonical, LExpression, LSymbol, canonicalize, inverse_norm_factor,
+)
 from sp4eis.roots import SP4
 from test_germs import multiply
 
 SYS = SP4
-TR, QU = CharClass.TRIVIAL, CharClass.QUADRATIC
+TR, QU, OT = CharClass.TRIVIAL, CharClass.QUADRATIC, CharClass.OTHER
 
 GOLDEN = {
     ("heisenberg", "sc2s"):
@@ -88,6 +90,17 @@ def test_quadratic_class_reduces_squares():
     expr = canonicalize(inverse_norm_factor(_lambda("siegel"), w), QU)
     assert expr.render() == \
         "L(2s,1)*L(s+1/2,chi) / (L(2s+1,1)*L(s+3/2,chi)*eps(s+3/2,chi))"
+
+
+def test_compiling_refuses_an_unreduced_chi_power():
+    """``Canonical.of`` compiles an expression as it stands, so a chi power
+    its class reduces would be recorded as L(s, chi): it is refused, and
+    ``canonicalize`` reduces it first."""
+    expr = LExpression.build({LSymbol(L, AffineForm.of(1, 0), 2): 1})
+    with pytest.raises(ValueError, match=r"L\(s,chi\^2\)"):
+        Canonical.of(expr, QU)
+    assert canonicalize(expr, QU).symbols == ((L, 0, 1, 0, 1, 1, None, "L(s,1)"),)
+    assert Canonical.of(expr, OT).symbols == ((L, 2, 1, 0, 1, 1, OT, "L(s,chi^2)"),)
 
 
 def test_render_with_powers_and_scalar():
