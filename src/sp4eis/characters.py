@@ -14,8 +14,8 @@ place may carry is stated once, in ``localrules.LOCAL_CLASSES``.
 
 ``COSET_REPS`` holds the four Weyl elements of each case's constant term
 and ``TARGETS`` the character each one carries the inducing character
-to.  Neither depends on s, so both are built once at import, and so is
-``REDUCED_TARGETS``, each target compiled per class.  Points are read as
+to.  Neither depends on s, so both are built once at import; a target
+is compiled per class by ``TorusCharacter.reduced``.  Points are read as
 integers: at s0 = p/q in lowest terms (q > 0) an ``AffineForm`` a*s + b,
 which carries (A, B, D) with a = A/D and b = B/D, is the integer
 n = A*p + B*q over m = D*q > 0, not reduced, and ``ratio_str`` prints n/m
@@ -234,8 +234,6 @@ COSET_REPS = {case: tuple(SP4.coset_reps([keep])) for case, (_, keep) in _CASES.
 # not depend on s, so the eight are built here once, and reduced per class
 TARGETS = {case: {w: weyl_act(w, lam) for w in COSET_REPS[case]}
            for case, (lam, _) in _CASES.items()}
-REDUCED_TARGETS = {(case, w, cls): t.reduced(cls) for case, ts in TARGETS.items()
-                   for w, t in ts.items() for cls in CharClass}
 
 
 def _unknown_case(case: str) -> ValueError:

@@ -11,16 +11,17 @@ place may carry is read from ``localrules.LOCAL_CLASSES``: a profile is
 checked against it per place kind when it is built, and a report per
 global class, each class as a ``CharClass`` member.
 
-A summand's factor and target are compiled once per (case, w, class)
-(``factor_expression``, ``REDUCED_TARGETS``).  Its ``TermReport`` holds
-its parts, each computed once: the factor, its order and leading term
-(kept unrendered in the report; built and rendered when ``leading`` or
-``to_json`` reads it), each place's pole and action rows (none for the
-identity) and the target's value.  Group
-signs, singleton groups and image labels read those reports and look
-nothing up again.  Each of the 14 groups of several members is built
-once (``_group_jets``): its common factor's order and every (strip-free)
-remainder's jet, which a sum signs and adds.
+Each (case, class) has one table of its four summands, compiled once in
+coset (length) order (``summands``): element, name, identity flag,
+factor and reduced target; ``factor_expression`` reads its factors.  A
+report walks the table, and each summand's ``TermReport`` holds its
+parts, each computed once: the factor, its order and leading term (kept
+unrendered; built and rendered when ``leading`` or ``to_json`` reads
+it), each place's pole and action rows (none for the identity) and the
+target's value.  Group signs, singleton groups and image labels read
+those reports and look nothing up again.  Each of the 14 groups of
+several members is built once (``_group_jets``): its common factor's
+order and every (strip-free) remainder's jet, which a sum signs and adds.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from functools import cache
 from typing import NamedTuple
 
 from .characters import (
-    REDUCED_TARGETS, CharClass, coset_representatives, lambda_for_case, power_class,
-    render_value, value_key,
+    TARGETS, CharClass, coset_representatives, lambda_for_case, power_class, render_value,
+    value_key,
 )
 from .germs import (
     FormalScalar, IndeterminateLeading, Leading, OrderValue, Series, StripDep, germ_at,
@@ -49,11 +50,32 @@ class ProfileError(ValueError):
     """Invalid place profile."""
 
 
+class Summand(NamedTuple):
+    """One summand of a case's constant term, compiled for a class."""
+
+    w: WeylElement
+    name: str
+    identity: bool
+    factor: Canonical              # the inverse normalizing factor
+    target: tuple                  # the target's ``reduced`` coordinates, read by ``value_key``
+
+
 @cache
+def summands(case: str, cls: CharClass) -> tuple[Summand, ...]:
+    """The case's four summands compiled for the class, in coset (length) order."""
+    return tuple(Summand(w, w.name, w.is_identity(),
+                         canonicalize(inverse_norm_factor(lambda_for_case(case), w), cls),
+                         TARGETS[case][w].reduced(cls)) for w in coset_representatives(case))
+
+
+def summand(case: str, w: WeylElement, cls: CharClass) -> Summand:
+    """The compiled summand of ``w``, one of the case's coset representatives."""
+    return summands(case, cls)[coset_representatives(case).index(w)]
+
+
 def factor_expression(case: str, w: WeylElement, cls: CharClass) -> Canonical:
-    """Inverse normalizing factor, compiled for the class, memoized per (case, w, class)."""
-    lam = lambda_for_case(case)
-    return canonicalize(inverse_norm_factor(lam, w), cls)
+    """Inverse normalizing factor of ``w``, compiled for the class: its summand's."""
+    return summand(case, w, cls).factor
 
 
 class Place(NamedTuple):
@@ -126,29 +148,29 @@ def _by_target(terms: list[TermReport]) -> list[list[TermReport]]:
     return list(buckets.values())
 
 
-def term_report(case: str, profile: PlaceProfile, w: WeylElement, s0: Q,
-                cls: CharClass, rules: RuleTable) -> TermReport:
-    """One constant-term summand at s = s0, each of its parts computed once.
+def term_report(case: str, profile: PlaceProfile, compiled: Summand, s0: Q,
+                rules: RuleTable) -> TermReport:
+    """One compiled summand at s = s0, each of its parts computed once.
 
     Each place's pole and action rows are looked up here, once per
     distinct (kind, class) of the profile's places; the identity carries
     no operator, so it has none.  The local order is the sum of the orders
     the profile's choices meet in the pole rows.
     """
-    expr = factor_expression(case, w, cls)
+    w, name, identity, expr, target = compiled
     rows, actions, local, found = [], [], 0, {}
-    for kind, local_class, choice in () if w.is_identity() else profile.places:
+    for kind, local_class, choice in () if identity else profile.places:
         got = found.get((kind, local_class))
         if got is None:  # the first place of its (kind, class)
             got = found[kind, local_class] = (
-                rules.local_pole(case, w.name, kind, local_class, s0),
-                rules.action_rule(case, w.name, kind, local_class, s0))
+                rules.local_pole(case, name, kind, local_class, s0),
+                rules.action_rule(case, name, kind, local_class, s0))
         rows.append(got[0])
         actions.append(got[1])
         local += got[0].order_for(choice)
     factor_order, leading = germ_at(expr, s0)
     return TermReport(w, expr, factor_order, leading, local, tuple(rows), tuple(actions),
-                      value_key(REDUCED_TARGETS[case, w, cls], s0))
+                      value_key(target, s0))
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +211,17 @@ class TermReport(NamedTuple):
 class GroupReport(NamedTuple):
     terms: list[TermReport]        # the members' reports, shortest first
     order: OrderValue | None       # None when the group is killed by a kernel
-    lead: Leading | FormalScalar | None  # unrendered: a singleton's Leading or a certified sum's
+    lead: Leading | FormalScalar | None  # unrendered: see ``leading``
     cancelled: bool                # a pole/leading actually cancelled in the sum
     weights: tuple[int, ...] = ()  # each member's sign, +1 or -1; () for a live singleton
     note: str = ""
 
     @property
     def leading(self) -> str | None:
-        """The leading coefficient rendered, each time it is read."""
+        """The leading coefficient rendered, each time it is read.  For a live
+        singleton it is its whole factor's (``lead`` is the ``Leading``); for a
+        certified sum of several members it is only the remainders' sum's
+        (``sum_series``): the common factor's coefficient is not multiplied in."""
         return None if self.lead is None else self.lead.render()
 
     @property
@@ -303,11 +328,8 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
     with weight +1) and for the base summand; any other gap fails loudly.
     """
     base = terms[0]
-    relative_to = "-" if base.w.is_identity() else base.w.name
-    weights: list[int] = []
-    notes: list[str] = []
-    kernel = False
-    defaulted = False
+    relative_to = base.w.name if base.w.length else "-"  # the identity alone has length 0
+    weights, notes, kernel, defaulted = [], [], False, False
     for t in terms:
         weight = 1
         is_base = t is base
@@ -316,8 +338,7 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
                 row = None
             if row is None:
                 if p.choice == "spherical" or is_base:
-                    if not is_base:
-                        defaulted = True
+                    defaulted = defaulted or not is_base
                     continue
                 raise UncoveredKey(
                     f"no action rule for {case}/{t.w.name} at s={s0} covering choice {p.choice!r}")
@@ -339,13 +360,13 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
                    s0: Q, cls: CharClass) -> GroupReport:
     """Order (and leading, when certified) of one same-target group."""
     weights, kernel, notes = _group_weights(case, terms, profile, s0)
+    note = "; ".join(notes) if notes else ""
     if kernel:
-        return GroupReport(terms, None, None, cancelled=False, weights=weights,
-                           note="; ".join(notes))
+        return GroupReport(terms, None, None, False, weights, note)
 
     if len(terms) == 1:
         (t,) = terms
-        return GroupReport(terms, t.order, t.leading, cancelled=False, note="; ".join(notes))
+        return GroupReport(terms, t.order, t.leading, False, (), note)
 
     if len({t.local_order for t in terms}) != 1:
         raise IndeterminateLeading(
@@ -356,8 +377,7 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
     order, lead = sum_series(list(zip(jets, weights)))
     cancelled = common_order.base + order.base > min(t.factor_order.base for t in terms)
     total = (common_order + order).shifted(-shared_local)
-    return GroupReport(terms, total, lead if order.is_known else None, cancelled=cancelled,
-                       weights=weights, note="; ".join(notes))
+    return GroupReport(terms, total, lead if order.is_known else None, cancelled, weights, note)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +413,6 @@ def _combine_orders(groups: list[GroupReport]) -> tuple[OrderValue, int | None, 
     return OrderValue.at_least(min(floors)), (0 if min(floors) > 0 else None), vanishes
 
 
-def _render_exponent(n: int, m: int) -> str:
-    return f"nu^{n}" if m == 1 else f"nu^({n}/{m})"
-
-
 def _chi_prefix(k: int, cls: CharClass) -> str:
     return "" if power_class(cls, k) is CharClass.TRIVIAL else "chi*"
 
@@ -421,15 +437,9 @@ def langlands_label(term: TermReport, cls: CharClass) -> str:
         else:
             gl1.append((-n, m, -k))
     gl1.sort(key=lambda t: Q(t[0], t[1]), reverse=True)
-    parts = [f"{_chi_prefix(k, cls)}{_render_exponent(n, m)}" for n, m, k in gl1]
-    if temperate:
-        k = temperate[0]
-        if power_class(cls, k) is CharClass.TRIVIAL:
-            tail = "nu^0x1"
-        else:
-            tail = "T1"
-        return "L(" + ",".join(parts) + ";" + tail + ")"
-    return "L(" + ",".join(parts) + ";1)"
+    parts = [_chi_prefix(k, cls) + (f"nu^{n}" if m == 1 else f"nu^({n}/{m})") for n, m, k in gl1]
+    tail = ("T1" if _chi_prefix(temperate[0], cls) else "nu^0x1") if temperate else "1"
+    return "L(" + ",".join(parts) + ";" + tail + ")"
 
 
 def choice_label(case: str, place: Place, s0: Q, token: str, longest: TermReport, i: int) -> str:
@@ -441,7 +451,7 @@ def choice_label(case: str, place: Place, s0: Q, token: str, longest: TermReport
         return "spherical"
     if token in ("t1", "t2"):
         n = token[1]
-        if s0 == Q(-1, 2):
+        if s0.denominator == 2 and s0.numerator == -1:
             return f"T{n}"
         prefix = "" if case == "heisenberg" else "chi*"
         return f"L({prefix}nu^1;T{n})"
@@ -467,7 +477,7 @@ def choice_label(case: str, place: Place, s0: Q, token: str, longest: TermReport
     return f"maxsub(nu^({-s0})1_GL2x1)"
 
 
-def describe_image(case: str, profile: PlaceProfile, s0: Q,
+def describe_image(case: str, profile: PlaceProfile, s0: Q, terms: list[TermReport],
                    groups: list[GroupReport], vanishes: bool) -> list[ImageEntry]:
     """Label-level image description per ramified place.
 
@@ -482,11 +492,16 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
     """
     if vanishes:
         return []
-    longest = max((t for g in groups for t in g.terms), key=lambda t: t.w.length)
-    live = [g for g in groups if g.order is not None]
-    floor = min(g.order.base for g in live)
-    leaders = [g for g in live if g.order.base == floor]
-    id_leads = any(g.terms[0].w.is_identity() for g in leaders)
+    # the summands come in length order, so the longest is the last, and
+    # so is each group's longest member; the identity opens the first group,
+    # which no kernel kills (the rule loader puts kernels on bases only)
+    longest = terms[-1]
+    floor = lead = None
+    for g in groups:
+        if g.order is not None and (lead is None or g.order.base < floor or (
+                g.order.base == floor and g.terms[-1].w.length > lead.w.length)):
+            floor, lead = g.order.base, g.terms[-1]
+    id_leads = groups[0].order.base == floor
     if id_leads and all(p.choice == "spherical" for p in profile.places):
         return [ImageEntry("all", "full-induced", "embedding",
                            "identity summand uncancelled: whole module embeds")]
@@ -494,7 +509,6 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q,
     # a chosen constituent spans itself; when non-identity summands carry the
     # pole (or leading term), a spherical place spans the image of the
     # spherical vector under the longest of them
-    lead = max((t for g in leaders for t in g.terms), key=lambda t: t.w.length)
     entries: list[ImageEntry] = []
     for i, p in enumerate(profile.places):
         if id_leads or p.choice != "spherical":
@@ -529,10 +543,10 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
             raise ProfileError(f"a {cls} global character cannot have local class "
                                f"{p.local_class} ({p.kind} place)")
     rules = rules or default_rules()
-    terms = [term_report(case, profile, w, s0, cls, rules) for w in coset_representatives(case)]
+    terms = [term_report(case, profile, t, s0, rules) for t in summands(case, cls)]
     groups = [evaluate_group(case, ts, profile, s0, cls) for ts in _by_target(terms)]
     combined, pole, vanishes = _combine_orders(groups)
-    image = describe_image(case, profile, s0, groups, vanishes)
+    image = describe_image(case, profile, s0, terms, groups, vanishes)
     notes = [g.note for g in groups if g.note]
     return ConstantTermReport(case, cls, s0, profile, terms, groups, combined, pole, vanishes,
                               image, notes)

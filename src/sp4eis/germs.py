@@ -327,7 +327,7 @@ class OrderValue(NamedTuple):
 
     @staticmethod
     def known(n: int) -> "OrderValue":
-        return OrderValue("known", n)
+        return _KNOWN.get(n) or OrderValue("known", n)
 
     @staticmethod
     def at_least(n: int) -> "OrderValue":
@@ -350,7 +350,7 @@ class OrderValue(NamedTuple):
         return self.base > 0
 
     def shifted(self, n: int) -> "OrderValue":
-        return OrderValue(self.kind, self.base + n, self.deps)
+        return OrderValue(self.kind, self.base + n, self.deps) if n else self
 
     def __add__(self, other: "OrderValue") -> "OrderValue":
         base = self.base + other.base
@@ -376,6 +376,9 @@ class OrderValue(NamedTuple):
         if self.deps:
             out["deps"] = [d.to_json() for d in self.deps]
         return out
+
+
+_KNOWN = {n: OrderValue("known", n) for n in range(-6, 7)}  # the orders a report meets, built once
 
 
 # ---------------------------------------------------------------------------

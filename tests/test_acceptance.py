@@ -17,7 +17,7 @@ from sp4eis.checks import (
     check_functional_equation, check_order_oracle, check_reflection, oracle_grid,
 )
 from sp4eis.constant_term import (
-    Place, PlaceProfile, evaluate_group, eisenstein_order, term_report,
+    Place, PlaceProfile, evaluate_group, eisenstein_order, summand, term_report,
 )
 from sp4eis.germs import OrderValue, germ_at, order_at
 from sp4eis.localrules import default_rules
@@ -177,13 +177,15 @@ def test_criterion_6_cancellations():
     (pair,) = [[SYS.element_by_name(name) for name in g.members]
                for g in spherical.groups if len(g.members) == 2]
     odd = PlaceProfile((Place("arch", TR), Place("nonarch", QU, "t2")))
-    g_odd = evaluate_group("siegel", [term_report("siegel", odd, w, Q(1, 2), QU, rules)
-                                      for w in pair], odd, Q(1, 2), QU)
+    g_odd = evaluate_group("siegel", [term_report("siegel", odd, summand("siegel", w, QU),
+                                                  Q(1, 2), rules) for w in pair],
+                           odd, Q(1, 2), QU)
     assert g_odd.order == OrderValue.known(0) and g_odd.cancelled
     even = PlaceProfile((Place("arch", TR), Place("nonarch", QU, "t2"),
                          Place("nonarch", QU, "t2")))
-    g_even = evaluate_group("siegel", [term_report("siegel", even, w, Q(1, 2), QU, rules)
-                                       for w in pair], even, Q(1, 2), QU)
+    g_even = evaluate_group("siegel", [term_report("siegel", even, summand("siegel", w, QU),
+                                                   Q(1, 2), rules) for w in pair],
+                            even, Q(1, 2), QU)
     assert g_even.order == OrderValue.known(-1)
     # the vanishing of the bracket is exact of order one
     f = AffineForm.of

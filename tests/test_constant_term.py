@@ -12,10 +12,11 @@ import pins
 from sp4eis import constant_term, germs
 from sp4eis.characters import CharClass
 from sp4eis.constant_term import (
-    Place, PlaceProfile, ProfileError, coset_representatives, eisenstein_order, term_report,
+    Place, PlaceProfile, ProfileError, coset_representatives, eisenstein_order, summand,
+    term_report,
 )
 from sp4eis.localrules import RuleTable, default_rules
-from sp4eis.roots import SP4
+from sp4eis.roots import SP4, WeylElement
 
 SYS = SP4
 TR, QU, OT, SGN = (CharClass.TRIVIAL, CharClass.QUADRATIC,
@@ -132,18 +133,19 @@ def test_groups_siegel():
 
 def test_term_order_examples():
     c1 = SYS.element_by_name("sc2s")
-    ov = term_report("heisenberg", SPH, c1, Q(2), TR, RULES).order
+    ov = term_report("heisenberg", SPH, summand("heisenberg", c1, TR), Q(2), RULES).order
     assert ov.is_known and ov.base == -1
-    ov = term_report("heisenberg", SPH, SYS.element_by_name("id"), Q(7, 5), TR, RULES).order
+    ov = term_report("heisenberg", SPH, summand("heisenberg", SYS.element_by_name("id"), TR),
+                     Q(7, 5), RULES).order
     assert ov.is_known and ov.base == 0
     prof = PlaceProfile((arch(), nonarch(TR, "steinberg"), nonarch(TR, "steinberg")))
-    ov = term_report("heisenberg", prof, c1, Q(-2), TR, RULES).order
+    ov = term_report("heisenberg", prof, summand("heisenberg", c1, TR), Q(-2), RULES).order
     assert ov.is_known and ov.base == 1 - 2  # factor zero minus two local poles
 
 
 def test_term_order_propagates_strip():
     c1 = SYS.element_by_name("sc2s")
-    ov = term_report("heisenberg", SPH, c1, Q(-3, 2), TR, RULES).order
+    ov = term_report("heisenberg", SPH, summand("heisenberg", c1, TR), Q(-3, 2), RULES).order
     assert not ov.is_known
     assert ov.deps[0].coeff == -1
 
@@ -237,6 +239,30 @@ def test_no_self_duality_read_at_a_point(monkeypatch, case, s0, cls):
     assert any(len(g.members) > 1 for g in report.groups) == (s0.denominator < 5)
     assert reads == []
     assert cls.is_real == (cls is not OT) and reads == [cls]  # the count sees a read
+
+
+@pytest.mark.parametrize("profile, s0", [
+    (SPH, Q(7, 3)),  # a generic point: four singleton groups
+    # the grids row "s=-2 trivial, 5 twisted-Steinberg place(s)"
+    (PlaceProfile((arch(),) + (nonarch(TR, "steinberg"),) * 5), Q(-2)),
+])
+def test_point_walk_reads_the_compiled_summands(monkeypatch, profile, s0):
+    """Once warm, a report walks its (case, class) table of compiled summands:
+    it hashes no Weyl element and asks ``factor_expression`` for nothing."""
+    eisenstein_order("heisenberg", profile, s0, TR)  # warm
+    hashes, lookups = [], []
+    weyl_hash, factor_expression = WeylElement.__hash__, constant_term.factor_expression
+    monkeypatch.setattr(WeylElement, "__hash__", lambda w: hashes.append(w) or weyl_hash(w))
+    monkeypatch.setattr(constant_term, "factor_expression",
+                        lambda *key: lookups.append(key) or factor_expression(*key))
+    report = eisenstein_order("heisenberg", profile, s0, TR)
+    assert [g.members for g in report.groups] == [["id"], ["s"], ["c2s"], ["sc2s"]]
+    assert (hashes, lookups) == ([], [])
+    # the patches count: a hash and a lookup are seen
+    w = coset_representatives("heisenberg")[1]
+    hash(w)
+    constant_term.factor_expression("heisenberg", w, TR)
+    assert (hashes, lookups) == ([w], [("heisenberg", w, TR)])
 
 
 def count_coefficient_builds(monkeypatch) -> dict[str, list]:

@@ -33,9 +33,10 @@ from sp4eis.characters import (
     COSET_REPS, TARGETS, CharClass, power_class, reduce_power, value_key,
 )
 from sp4eis.constant_term import (
-    PlaceProfile, _common_factor, _group_jets, eisenstein_order, evaluate_group, term_report,
+    PlaceProfile, _common_factor, _group_jets, eisenstein_order, evaluate_group, summand,
+    term_report,
 )
-from sp4eis.germs import known_part_series, order_at, sum_series
+from sp4eis.germs import germ_at, known_part_series, order_at, sum_series
 from sp4eis.localrules import ARCH, ActionRule, Condition, default_rules
 from sp4eis.normfactor import EPS, Canonical, LExpression
 from sp4eis.numerics import completed_dirichlet, completed_zeta, table_for_modulus
@@ -98,7 +99,8 @@ def weight_row(case: str, w, base, weight: int) -> ActionRule:
 
 
 def remainders(case: str, cls: CharClass, s0: Q, members: tuple):
-    terms = [term_report(case, PROFILE, w, s0, cls, default_rules()) for w in members]
+    terms = [term_report(case, PROFILE, summand(case, w, cls), s0, default_rules())
+             for w in members]
     common = LExpression.build(_common_factor([dict(t.expr.factors) for t in terms]))
     return terms, common, [multiply(t.expr, inverse(common)) for t in terms]
 
@@ -197,6 +199,23 @@ def test_group_jet_cache_holds_the_fourteen_groups_unaltered():
         assert [(j.ord, [c.render() for c in j.coeffs]) for j in jets] == \
             [(f.ord, [c.render() for c in f.coeffs]) for f in fresh]
     assert _group_jets.cache_info().currsize == 14
+
+
+def test_several_member_leading_is_the_remainders_sum():
+    """A singleton's ``leading`` is its whole factor's coefficient; a group of
+    several members reads the coefficient of its remainders' sum only.  At
+    heisenberg 0, trivial class, the group [s, c2s] has the common factor
+    1/L(s+2,1), whose coefficient is not multiplied in: a change that does
+    multiply it in moves this test, the group-sum pins and report digests."""
+    case, cls, s0 = "heisenberg", CharClass.TRIVIAL, Q(0)
+    (g,) = [g for g in eisenstein_order(case, PROFILE, s0, cls).groups
+            if g.members == ["s", "c2s"]]
+    _, common, rems = remainders(case, cls, s0, tuple(t.w for t in g.terms))
+    _, lead = sum_series([(known_part_series(Canonical.of(r, cls), s0), w)
+                          for r, w in zip(rems, g.weights)])
+    assert g.leading == lead.render() == "2*Lam_c"
+    whole = germ_at(Canonical.of(common, cls), s0)[1].scalar() * lead
+    assert whole.render() == "2*Lam_c*Lam(2)^-1" != g.leading
 
 
 # ---------------------------------------------------------------------------

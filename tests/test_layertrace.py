@@ -4,7 +4,9 @@
 name.  A rename in the package would break ``perfbench/run.py --trace 1``
 without failing anything else, so this installs the tracer on the
 current package, checks that every span and counter hook took hold, and
-checks that ``uninstall`` puts back each original object.
+checks that ``uninstall`` puts back each original object.  It also counts
+the spans of the point walk per report, so that no speed change can stop
+a layer from being called unnoticed.
 """
 
 import importlib
@@ -13,7 +15,10 @@ import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
+
 from sp4eis.characters import CharClass
+from sp4eis.constant_term import Place, PlaceProfile
 from sp4eis.normfactor import Canonical, LExpression
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -85,3 +90,39 @@ def test_tracer_installs_on_every_name_and_restores_each_original():
     assert after.keys() == before.keys()
     moved = [key for key, value in before.items() if after[key] is not value]
     assert not moved
+
+
+TR, QU = CharClass.TRIVIAL, CharClass.QUADRATIC
+
+
+@pytest.mark.parametrize("case, places, s0, cls", [
+    # a sweep point: one real place
+    ("siegel", (Place("arch", TR, "t1"),), Q(5, 8), QU),
+    # the grids row "s=-2 trivial, 5 twisted-Steinberg place(s)"
+    ("heisenberg", (Place("arch", TR),) + (Place("nonarch", TR, "steinberg"),) * 5, Q(-2), TR),
+    # two groups of two members each
+    ("heisenberg", (Place("arch", TR),), Q(0), TR),
+])
+def test_point_walk_calls_every_traced_layer(case, places, s0, cls):
+    """A warm report calls ``germ_at`` once per summand, each rule lookup once
+    per non-identity summand and distinct (kind, class) of the places,
+    ``evaluate_group`` once per group and ``describe_image`` once."""
+    lt = _layertrace()
+    from sp4eis import constant_term
+
+    profile = PlaceProfile(places)
+    tracer = lt.Tracer()
+    tracer.install()
+    try:
+        constant_term.eisenstein_order(case, profile, s0, cls)  # builds any group jets
+        before = dict(tracer.ncalls)
+        report = constant_term.eisenstein_order(case, profile, s0, cls)
+        calls = {name: n - before.get(name, 0) for name, n in tracer.ncalls.items()}
+    finally:
+        tracer.uninstall()
+    distinct = len({(p.kind, p.local_class) for p in places})
+    assert any(len(g.members) > 1 for g in report.groups) == (s0 == 0)
+    assert [calls.get(name, 0) for name in (
+        "germs.germ_at", "localrules.local_pole", "localrules.action_rule",
+        "constant_term.evaluate_group", "constant_term.describe_image",
+    )] == [4, 3 * distinct, 3 * distinct, len(report.groups), 1]
