@@ -57,9 +57,17 @@ def test_zeta_closed_forms():
 
 def test_zeta_direct_agrees():
     for s in (2.5, 3.0, 3.5 + 1.0j, 4.0):
-        assert abs(zeta_direct(s) - zeta_em(s)) < 1e-10
+        assert abs(zeta_direct(s) - zeta_em(s)) < 1e-13
     with pytest.raises(NumericsError):
         zeta_direct(1.0)
+
+
+def test_zeta_direct_refuses_points_past_the_imaginary_limit():
+    # its truncation bound is proved only for |Im s| <= IM_LIMIT
+    assert type(zeta_direct(complex(3.0, IM_LIMIT))) is complex
+    for s in (complex(3.0, IM_LIMIT + 0.5), complex(3.0, -IM_LIMIT - 0.5)):
+        with pytest.raises(NumericsError):
+            zeta_direct(s)
 
 
 def test_hurwitz():

@@ -5,7 +5,9 @@ The grid covers the documented accuracy domain -2 <= Re s <= 12,
 tolerances are the module docstring's: 1e-10 relative for completed zeta
 and for Hurwitz zeta right of Re s = 1/2, 1e-8 for completed Dirichlet
 values.  The Lanczos gamma is held to 1e-12
-(its worst error on this grid is about 1.5e-13).
+(its worst error on this grid is about 1.5e-13).  ``zeta_direct``, the
+independent check, is held to 1e-14 on its own domain Re s > 3/2,
+|Im s| <= 20: its corners and edges, (1/8)Z, and seeded points.
 
 Left of Re s = 1/2 the Dirichlet reference is mpmath's value at 1 - s:
 a real primitive character has root number 1, so its completed L-function
@@ -14,11 +16,14 @@ without reflecting, and mpmath's Hurwitz zeta is slow at negative real
 part.
 """
 
+import math
+import random
+
 import pytest
 
 from sp4eis.numerics import (
-    QUADRATIC_DISCRIMINANTS, completed_dirichlet, completed_zeta, gamma, hurwitz_zeta,
-    table_for_modulus,
+    IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_LIMIT, completed_dirichlet, completed_zeta, gamma,
+    hurwitz_zeta, table_for_modulus, zeta_direct,
 )
 
 mp = pytest.importorskip("mpmath")
@@ -75,3 +80,16 @@ def test_hurwitz_zeta_matches_mpmath(a):
     for s in GRID:
         if s.real >= 0.5:
             assert _rel(hurwitz_zeta(s, a), mp.zeta(mp.mpc(s), mp.mpf(a))) < 1e-10, (a, s)
+
+
+def test_zeta_direct_matches_mpmath():
+    low = math.nextafter(1.5, 2.0)  # the domain is open at Re s = 3/2
+    points = [complex(re, im) for re in (low, RE_LIMIT) for im in (-IM_LIMIT, IM_LIMIT)]
+    points += [complex(low, IM_LIMIT * k / 20) for k in range(-20, 21)]
+    points += [complex(low + k / 8, im) for k in range(1, 84) for im in (-IM_LIMIT, IM_LIMIT)]
+    points += [k / 8 for k in range(13, 97)]  # real points, in float arithmetic
+    rng = random.Random(20000101)
+    points += [complex(rng.uniform(low, RE_LIMIT), rng.uniform(-IM_LIMIT, IM_LIMIT))
+               for _ in range(100)]
+    for s in points:
+        assert _rel(zeta_direct(s), mp.zeta(mp.mpc(s))) <= 1e-14, s

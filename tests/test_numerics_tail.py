@@ -7,9 +7,10 @@ stop: the same operations in the same order.  Values are compared by
 ``repr``, so a sign flip of a zero shows too.
 
 The stop is exact only while consecutive tail terms shrink fast enough on
-the whole accuracy domain; the last test pins that ratio bound, so a
-change of ``ZETA_N``, ``IM_LIMIT``, ``RE_MIN`` or ``RE_LIMIT`` that breaks
-the proof fails here.
+the whole accuracy domain; a test pins that ratio bound, so a change of
+``ZETA_N``, ``IM_LIMIT``, ``RE_MIN`` or ``RE_LIMIT`` that breaks the proof
+fails here.  The last test pins the truncation bound of ``zeta_direct``'s
+alternating series in the same way, for ``ETA_TERMS`` and ``IM_LIMIT``.
 """
 
 import math
@@ -18,8 +19,8 @@ from fractions import Fraction as Q
 
 from sp4eis import numerics
 from sp4eis.numerics import (
-    DIRECT_TERMS, IM_LIMIT, POLE_TOL, QUADRATIC_DISCRIMINANTS, RE_LIMIT, RE_MIN, ZETA_M, ZETA_N,
-    _em_coefficients, dirichlet_l, hurwitz_zeta, table_for_modulus, zeta_direct,
+    ETA_TERMS, IM_LIMIT, POLE_TOL, QUADRATIC_DISCRIMINANTS, RE_LIMIT, RE_MIN, ZETA_M, ZETA_N,
+    _em_coefficients, dirichlet_l, gamma, hurwitz_zeta, table_for_modulus,
 )
 
 SEED = 20150601
@@ -58,16 +59,6 @@ def _reference_dirichlet_l(tbl, s):
         if chi:
             total += chi * _reference_regular(s, a / q)
     return numerics._exp(-s * math.log(q)) * total
-
-
-def _reference_zeta_direct(s):
-    s = numerics._point(s)
-    total = 0.0
-    for n in range(1, DIRECT_TERMS):
-        total += n ** (-s)
-    total += DIRECT_TERMS ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * DIRECT_TERMS ** (-s)
-    return total
 
 
 def _outcome(f, *args):
@@ -113,16 +104,6 @@ def test_early_stop_matches_full_tail_bit_for_bit():
     assert not mismatches, mismatches[:10]
 
 
-def test_zeta_direct_matches_its_reference_bit_for_bit():
-    rng = random.Random(SEED)
-    points = [2.5, 3.0, 3.5 + 1.0j, 4.0, complex(1.75, -IM_LIMIT)]  # the battery's, then an edge
-    points += [Q(k, 8) for k in range(16, 97)]  # (1/8)Z in [2, 12]
-    points += [complex(rng.uniform(1.6, RE_LIMIT), rng.uniform(-IM_LIMIT, IM_LIMIT))
-               for _ in range(4)]
-    for s in points:
-        assert repr(zeta_direct(s)) == repr(_reference_zeta_direct(s)), s
-
-
 def test_tail_terms_shrink_by_a_tenth_on_the_domain():
     # |t_(k+1) / t_k| = |b_(k+1) / b_k| |s + 2k - 1| |s + 2k| / x^2 with
     # x = ZETA_N + a > ZETA_N.  Each |s + c| is convex in s, so its largest
@@ -135,3 +116,21 @@ def test_tail_terms_shrink_by_a_tenth_on_the_domain():
         growth = max(abs(s + 2 * k - 1) for s in corners) * max(abs(s + 2 * k) for s in corners)
         worst = max(worst, abs(b[k] / b[k - 1]) * growth / ZETA_N ** 2)
     assert worst < 0.1, worst
+
+
+def test_eta_series_truncation_stays_below_rounding_on_the_domain():
+    # Borwein (2000, Algorithm 2) bounds the error of zeta_direct's n-term
+    # series at s = sigma + it, sigma >= 1/2, by
+    # 3 (1 + 2|t|) / ((3 + sqrt 8)^n |Gamma(s)| |1 - 2^(1-s)|).  Relaxed to
+    # |1 - 2^(1-s)| >= 1 - 2^(1-sigma), it grows with |t| (|Gamma| falls as
+    # |t| grows) and falls as sigma grows past 3/2 (Re digamma > 0 there),
+    # so on Re s > 3/2, |t| <= IM_LIMIT its largest value sits on the edges
+    # Re s = 3/2 and |Im s| = IM_LIMIT, at their corner.
+    def bound(s):
+        t = abs(s.imag)
+        return 3 * (1 + 2 * t) / ((3 + math.sqrt(8)) ** ETA_TERMS * abs(gamma(s))
+                                  * (1 - 2 ** (1 - s.real)))
+    edges = [complex(1.5, IM_LIMIT * k / 100) for k in range(-100, 101)]
+    edges += [complex(1.5 + k / 8, im) for k in range(8 * 11) for im in (-IM_LIMIT, IM_LIMIT)]
+    worst = max(bound(s) for s in edges)
+    assert worst < 2 ** -53, worst
