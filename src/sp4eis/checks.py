@@ -69,7 +69,7 @@ def check_zeta_closed_forms() -> list[CheckResult]:
     worst = 0.0
     for s in (2.5, 3.0, 3.5 + 1.0j, 4.0):
         worst = max(worst, abs(zeta_direct(s) - zeta(s)))
-    out.append(_res("direct-series-vs-euler-maclaurin", worst, 1e-10))
+    out.append(_res("direct-series-vs-euler-maclaurin", worst, 1e-13))
     return out
 
 

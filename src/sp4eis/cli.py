@@ -177,7 +177,7 @@ def cmd_poles(args) -> Output:
                      f"pole order {pole}{cond}"
                      + (" constant term vanishes at the point" if r.vanishes_at_point else ""))
         for t in r.terms:
-            lines.append(f"  {t.w.name:6} factor {t.expr.render()}")
+            lines.append(f"  {t.summand.name:6} factor {t.summand.factor.render()}")
             lines.append(f"         order {t.order.render()}  target {t.target}")
         for e in r.image:
             lines.append(f"  image at {e.place}: {e.label} ({e.structure})"

@@ -12,16 +12,19 @@ checked against it per place kind when it is built, and a report per
 global class, each class as a ``CharClass`` member.
 
 Each (case, class) has one table of its four summands, compiled once in
-coset (length) order (``summands``): element, name, identity flag,
-factor and reduced target; ``factor_expression`` reads its factors.  A
-report walks the table, and each summand's ``TermReport`` holds its
-parts, each computed once: the factor, its order and leading term (kept
+coset (length) order (``summands``); past it a summand is its row: name,
+length (0 only for the identity), factor and reduced target.  A report
+walks the table, and each summand's ``TermReport`` holds its row and its
+parts, each computed once: the factor's order and leading term (kept
 unrendered; built and rendered when ``leading`` or ``to_json`` reads
 it), each place's pole and action rows (none for the identity) and the
 target's value.  Group signs, singleton groups and image labels read
 those reports and look nothing up again.  Each of the 14 groups of
-several members is built once (``_group_jets``): its common factor's
-order and every (strip-free) remainder's jet, which a sum signs and adds.
+several members is built once (``_group_jets``, keyed on case, member
+names, class and point): its common factor's order and every
+(strip-free) remainder's jet, which a sum signs and adds.
+``factor_expression`` is the one lookup by Weyl element, for callers
+outside the point walk.
 """
 
 from __future__ import annotations
@@ -51,11 +54,10 @@ class ProfileError(ValueError):
 
 
 class Summand(NamedTuple):
-    """One summand of a case's constant term, compiled for a class."""
+    """One summand of a case's constant term, compiled for a class: a table row."""
 
-    w: WeylElement
-    name: str
-    identity: bool
+    name: str                      # its Weyl element's name
+    length: int                    # its Weyl element's length; 0 for the identity
     factor: Canonical              # the inverse normalizing factor
     target: tuple                  # the target's ``reduced`` coordinates, read by ``value_key``
 
@@ -63,19 +65,16 @@ class Summand(NamedTuple):
 @cache
 def summands(case: str, cls: CharClass) -> tuple[Summand, ...]:
     """The case's four summands compiled for the class, in coset (length) order."""
-    return tuple(Summand(w, w.name, w.is_identity(),
+    return tuple(Summand(w.name, w.length,
                          canonicalize(inverse_norm_factor(lambda_for_case(case), w), cls),
                          TARGETS[case][w].reduced(cls)) for w in coset_representatives(case))
 
 
-def summand(case: str, w: WeylElement, cls: CharClass) -> Summand:
-    """The compiled summand of ``w``, one of the case's coset representatives."""
-    return summands(case, cls)[coset_representatives(case).index(w)]
-
-
 def factor_expression(case: str, w: WeylElement, cls: CharClass) -> Canonical:
-    """Inverse normalizing factor of ``w``, compiled for the class: its summand's."""
-    return summand(case, w, cls).factor
+    """Inverse normalizing factor of ``w``, compiled for the class: its summand's.
+    The one lookup by element (a report walks ``summands``); an element that is
+    no coset representative of the case raises ``ValueError``."""
+    return summands(case, cls)[coset_representatives(case).index(w)].factor
 
 
 class Place(NamedTuple):
@@ -157,9 +156,9 @@ def term_report(case: str, profile: PlaceProfile, compiled: Summand, s0: Q,
     no operator, so it has none.  The local order is the sum of the orders
     the profile's choices meet in the pole rows.
     """
-    w, name, identity, expr, target = compiled
+    name, length, expr, target = compiled
     rows, actions, local, found = [], [], 0, {}
-    for kind, local_class, choice in () if identity else profile.places:
+    for kind, local_class, choice in profile.places if length else ():
         got = found.get((kind, local_class))
         if got is None:  # the first place of its (kind, class)
             got = found[kind, local_class] = (
@@ -169,7 +168,7 @@ def term_report(case: str, profile: PlaceProfile, compiled: Summand, s0: Q,
         actions.append(got[1])
         local += got[0].order_for(choice)
     factor_order, leading = germ_at(expr, s0)
-    return TermReport(w, expr, factor_order, leading, local, tuple(rows), tuple(actions),
+    return TermReport(compiled, factor_order, leading, local, tuple(rows), tuple(actions),
                       value_key(target, s0))
 
 
@@ -178,8 +177,7 @@ def term_report(case: str, profile: PlaceProfile, compiled: Summand, s0: Q,
 # ---------------------------------------------------------------------------
 
 class TermReport(NamedTuple):
-    w: WeylElement
-    expr: Canonical
+    summand: Summand               # its row of the (case, class) table
     factor_order: OrderValue
     leading: Leading | None        # the factor's leading term, unbuilt; None if strip-conditional
     local_order: int
@@ -198,9 +196,9 @@ class TermReport(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "w": self.w.name,
-            "length": self.w.length,
-            "factor": self.expr.render(),
+            "w": self.summand.name,
+            "length": self.summand.length,
+            "factor": self.summand.factor.render(),
             "factor_order": self.factor_order.to_json(),
             "local_order": self.local_order,
             "order": self.order.to_json(),
@@ -226,7 +224,7 @@ class GroupReport(NamedTuple):
 
     @property
     def members(self) -> list[str]:
-        return [t.w.name for t in self.terms]
+        return [t.summand.name for t in self.terms]
 
     def to_json(self) -> dict:
         out: dict = {"members": self.members, "cancelled": self.cancelled}
@@ -237,7 +235,7 @@ class GroupReport(NamedTuple):
             if self.lead is not None:
                 out["leading"] = self.leading
         if self.weights:
-            out["weights"] = {t.w.name: str(w) for t, w in zip(self.terms, self.weights)}
+            out["weights"] = {t.summand.name: str(w) for t, w in zip(self.terms, self.weights)}
         if self.note:
             out["note"] = self.note
         return out
@@ -267,7 +265,6 @@ class ConstantTermReport(NamedTuple):
     pole_order: int | None          # None when only conditional poles exist
     vanishes_at_point: bool
     image: list[ImageEntry]
-    notes: list[str]
 
     def to_json(self) -> dict:
         return {
@@ -285,7 +282,7 @@ class ConstantTermReport(NamedTuple):
                 "vanishes_at_point": self.vanishes_at_point,
             },
             "image": [e.to_json() for e in self.image],
-            "notes": self.notes,
+            "notes": [g.note for g in self.groups if g.note],
         }
 
 
@@ -303,12 +300,12 @@ def _common_factor(maps: list[dict[LSymbol, int]]) -> dict[LSymbol, int]:
 
 
 @cache
-def _group_jets(case: str, members: tuple[WeylElement, ...], cls: CharClass,
+def _group_jets(case: str, members: tuple[str, ...], cls: CharClass,
                 s0: Q) -> tuple[OrderValue, tuple[Series, ...]]:
     """The common factor's order and each member's remainder jet (its exponent
-    map less the common map), keyed on Weyl elements, never on expressions
-    (whose hashes walk every ``Fraction``)."""
-    exprs = [factor_expression(case, w, cls) for w in members]
+    map less the common map), keyed on the members' names in table order,
+    never on expressions (whose hashes walk every ``Fraction``)."""
+    exprs = [t.factor for t in summands(case, cls) if t.name in members]
     maps = [dict(x.factors) for x in exprs]
     common = _common_factor(maps)
     return order_at(exprs[0].part(common), s0), tuple(
@@ -328,7 +325,7 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
     with weight +1) and for the base summand; any other gap fails loudly.
     """
     base = terms[0]
-    relative_to = base.w.name if base.w.length else "-"  # the identity alone has length 0
+    relative_to = base.summand.name if base.summand.length else "-"
     weights, notes, kernel, defaulted = [], [], False, False
     for t in terms:
         weight = 1
@@ -340,8 +337,8 @@ def _group_weights(case: str, terms: list[TermReport], profile: PlaceProfile, s0
                 if p.choice == "spherical" or is_base:
                     defaulted = defaulted or not is_base
                     continue
-                raise UncoveredKey(
-                    f"no action rule for {case}/{t.w.name} at s={s0} covering choice {p.choice!r}")
+                raise UncoveredKey(f"no action rule for {case}/{t.summand.name} at s={s0} "
+                                   f"covering choice {p.choice!r}")
             value = row.action_for(p.choice)
             if value == KERNEL:
                 kernel = True
@@ -373,7 +370,7 @@ def evaluate_group(case: str, terms: list[TermReport], profile: PlaceProfile,
             "grouped summands carry different local pole orders; cancellation not analyzed")
     shared_local = terms[0].local_order
 
-    common_order, jets = _group_jets(case, tuple(t.w for t in terms), cls, s0)
+    common_order, jets = _group_jets(case, tuple(t.summand.name for t in terms), cls, s0)
     order, lead = sum_series(list(zip(jets, weights)))
     cancelled = common_order.base + order.base > min(t.factor_order.base for t in terms)
     total = (common_order + order).shifted(-shared_local)
@@ -499,7 +496,7 @@ def describe_image(case: str, profile: PlaceProfile, s0: Q, terms: list[TermRepo
     floor = lead = None
     for g in groups:
         if g.order is not None and (lead is None or g.order.base < floor or (
-                g.order.base == floor and g.terms[-1].w.length > lead.w.length)):
+                g.order.base == floor and g.terms[-1].summand.length > lead.summand.length)):
             floor, lead = g.order.base, g.terms[-1]
     id_leads = groups[0].order.base == floor
     if id_leads and all(p.choice == "spherical" for p in profile.places):
@@ -547,6 +544,5 @@ def eisenstein_order(case: str, profile: PlaceProfile, s0: Q, cls: CharClass,
     groups = [evaluate_group(case, ts, profile, s0, cls) for ts in _by_target(terms)]
     combined, pole, vanishes = _combine_orders(groups)
     image = describe_image(case, profile, s0, terms, groups, vanishes)
-    notes = [g.note for g in groups if g.note]
     return ConstantTermReport(case, cls, s0, profile, terms, groups, combined, pole, vanishes,
-                              image, notes)
+                              image)

@@ -30,9 +30,11 @@ a row that restates them: the identity carries no operator (no row names
 it), ``carrier`` meets every pole and ``spherical`` none (no pole row
 lists either), a kernel sits on a base.
 
-Also exposed: the SL2/GL2 reducibility predicates that govern where local
-poles may occur (a pole at a negative parameter requires the corresponding
-local induced representation to be reducible).
+``sl2_reducible`` and ``gl2_reducible`` are no engine API: nothing here
+reads them.  They are the reference that ``tests/test_localrules.py``
+checks the pole rows against (a pole at a negative parameter requires the
+corresponding local induced representation to be reducible), kept in
+``KEPT`` of ``tests/test_api_surface.py``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import pins
 from sp4eis import constant_term, germs
 from sp4eis.characters import CharClass
 from sp4eis.constant_term import (
-    Place, PlaceProfile, ProfileError, coset_representatives, eisenstein_order, summand,
+    Place, PlaceProfile, ProfileError, coset_representatives, eisenstein_order, summands,
     term_report,
 )
 from sp4eis.localrules import RuleTable, default_rules
@@ -37,6 +37,12 @@ def groups_at(case, s0, cls):
 
 def gset(*parts):
     return {frozenset(p) for p in parts}
+
+
+def row(case, name, cls):
+    """The named element's compiled summand: its row of the table."""
+    (t,) = [t for t in summands(case, cls) if t.name == name]
+    return t
 
 
 def arch(cls=TR, choice="spherical"):
@@ -132,20 +138,19 @@ def test_groups_siegel():
 # ---------------------------------------------------------------------------
 
 def test_term_order_examples():
-    c1 = SYS.element_by_name("sc2s")
-    ov = term_report("heisenberg", SPH, summand("heisenberg", c1, TR), Q(2), RULES).order
+    c1 = row("heisenberg", "sc2s", TR)
+    ov = term_report("heisenberg", SPH, c1, Q(2), RULES).order
     assert ov.is_known and ov.base == -1
-    ov = term_report("heisenberg", SPH, summand("heisenberg", SYS.element_by_name("id"), TR),
-                     Q(7, 5), RULES).order
+    ov = term_report("heisenberg", SPH, row("heisenberg", "id", TR), Q(7, 5), RULES).order
     assert ov.is_known and ov.base == 0
     prof = PlaceProfile((arch(), nonarch(TR, "steinberg"), nonarch(TR, "steinberg")))
-    ov = term_report("heisenberg", prof, summand("heisenberg", c1, TR), Q(-2), RULES).order
+    ov = term_report("heisenberg", prof, c1, Q(-2), RULES).order
     assert ov.is_known and ov.base == 1 - 2  # factor zero minus two local poles
 
 
 def test_term_order_propagates_strip():
-    c1 = SYS.element_by_name("sc2s")
-    ov = term_report("heisenberg", SPH, summand("heisenberg", c1, TR), Q(-3, 2), RULES).order
+    c1 = row("heisenberg", "sc2s", TR)
+    ov = term_report("heisenberg", SPH, c1, Q(-3, 2), RULES).order
     assert not ov.is_known
     assert ov.deps[0].coeff == -1
 
@@ -217,7 +222,7 @@ def test_one_symbol_walk_per_summand(monkeypatch, case, s0, cls):
     report = eisenstein_order(case, SPH, s0, cls)
     assert all(len(g.members) == 1 for g in report.groups)
     assert seen == Counter((sym.kind, sym.power, sym.arg.ints[0], sym.arg.a * s0 + sym.arg.b)
-                           for t in report.terms for sym, _ in t.expr.factors)
+                           for t in report.terms for sym, _ in t.summand.factor.factors)
 
 
 @pytest.mark.parametrize("case, s0, cls", [
@@ -241,22 +246,31 @@ def test_no_self_duality_read_at_a_point(monkeypatch, case, s0, cls):
     assert cls.is_real == (cls is not OT) and reads == [cls]  # the count sees a read
 
 
-@pytest.mark.parametrize("profile, s0", [
-    (SPH, Q(7, 3)),  # a generic point: four singleton groups
+@pytest.mark.parametrize("case, profile, s0, cls, groups", [
+    # a generic point: four singleton groups
+    ("heisenberg", SPH, Q(7, 3), TR, [["id"], ["s"], ["c2s"], ["sc2s"]]),
     # the grids row "s=-2 trivial, 5 twisted-Steinberg place(s)"
-    (PlaceProfile((arch(),) + (nonarch(TR, "steinberg"),) * 5), Q(-2)),
+    ("heisenberg", PlaceProfile((arch(),) + (nonarch(TR, "steinberg"),) * 5), Q(-2), TR,
+     [["id"], ["s"], ["c2s"], ["sc2s"]]),
+    # points with groups of several members, whose jets the group memo holds
+    ("heisenberg", SPH, Q(0), TR, [["id", "sc2s"], ["s", "c2s"]]),
+    ("siegel", SPH, Q(0), TR, [["id", "c2sc2"], ["c2", "sc2"]]),
+    ("siegel", SPH, Q(1, 2), QU, [["id"], ["c2"], ["sc2", "c2sc2"]]),
 ])
-def test_point_walk_reads_the_compiled_summands(monkeypatch, profile, s0):
-    """Once warm, a report walks its (case, class) table of compiled summands:
-    it hashes no Weyl element and asks ``factor_expression`` for nothing."""
-    eisenstein_order("heisenberg", profile, s0, TR)  # warm
+def test_point_walk_reads_the_compiled_summands(monkeypatch, case, profile, s0, cls, groups):
+    """Once warm, a report walks its (case, class) table of compiled summands
+    and reads its groups' jets from a memo keyed on member names: building
+    and serializing it hashes no Weyl element and asks ``factor_expression``
+    for nothing."""
+    eisenstein_order(case, profile, s0, cls)  # warm
     hashes, lookups = [], []
     weyl_hash, factor_expression = WeylElement.__hash__, constant_term.factor_expression
     monkeypatch.setattr(WeylElement, "__hash__", lambda w: hashes.append(w) or weyl_hash(w))
     monkeypatch.setattr(constant_term, "factor_expression",
                         lambda *key: lookups.append(key) or factor_expression(*key))
-    report = eisenstein_order("heisenberg", profile, s0, TR)
-    assert [g.members for g in report.groups] == [["id"], ["s"], ["c2s"], ["sc2s"]]
+    report = eisenstein_order(case, profile, s0, cls)
+    report.to_json()
+    assert [g.members for g in report.groups] == groups
     assert (hashes, lookups) == ([], [])
     # the patches count: a hash and a lookup are seen
     w = coset_representatives("heisenberg")[1]
@@ -429,7 +443,7 @@ def test_siegel_center_vanishes_for_spherical():
     point; the engine records the default +1 weight it used."""
     r = eisenstein_order("siegel", SPH, Q(0), TR)
     assert r.vanishes_at_point
-    assert any("no action row" in n for n in r.notes)
+    assert any("no action row" in n for n in r.to_json()["notes"])
 
 
 def test_coset_representatives_per_case():
@@ -439,3 +453,14 @@ def test_coset_representatives_per_case():
         ["id", "c2", "sc2", "c2sc2"]
     with pytest.raises(ValueError):
         coset_representatives("x")
+
+
+def test_factor_expression_refuses_an_element_outside_the_cosets():
+    """``factor_expression``, the one lookup by element, reads the summand of
+    a coset representative of the case and refuses any other element."""
+    c2 = SYS.element_by_name("c2")
+    assert constant_term.factor_expression("siegel", c2, TR) is row("siegel", "c2", TR).factor
+    with pytest.raises(ValueError):
+        constant_term.factor_expression("heisenberg", c2, TR)
+    with pytest.raises(ValueError):
+        constant_term.factor_expression("siegel", SYS.element_by_name("c2sc2s"), QU)

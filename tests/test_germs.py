@@ -522,7 +522,7 @@ def test_group_sum_matches_full_depth():
             exprs = [factor_expression(case, w, cls) for w in group]
             rems = over_common_factor(exprs)
             orders = [order_at(Canonical.of(r, cls), s0).base for r in rems]
-            _, jets = _group_jets(case, tuple(group), cls, s0)
+            _, jets = _group_jets(case, tuple(w.name for w in group), cls, s0)
             for signs in itertools.product((Q(1), Q(-1)), repeat=len(group) - 1):
                 weights = (Q(1),) + signs
                 lazy_order, lazy_lead = deepening_sum(list(zip(rems, weights)), cls, s0)

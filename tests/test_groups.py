@@ -33,7 +33,7 @@ from sp4eis.characters import (
     COSET_REPS, TARGETS, CharClass, power_class, reduce_power, value_key,
 )
 from sp4eis.constant_term import (
-    PlaceProfile, _common_factor, _group_jets, eisenstein_order, evaluate_group, summand,
+    PlaceProfile, _common_factor, _group_jets, eisenstein_order, evaluate_group, summands,
     term_report,
 )
 from sp4eis.germs import germ_at, known_part_series, order_at, sum_series
@@ -90,33 +90,42 @@ def groups() -> list[tuple[str, CharClass, Q, tuple]]:
     return out
 
 
-def weight_row(case: str, w, base, weight: int) -> ActionRule:
-    """An action row giving one member of the group with base ``base`` a
-    fixed weight on every choice; it names the base ("-" for the identity)."""
-    relative_to = "base" if w == base else "-" if base.is_identity() else base.name
-    return ActionRule(case, w.name, relative_to, ARCH, ("*",),
+def weight_row(case: str, t, base, weight: int) -> ActionRule:
+    """An action row giving the summand ``t`` of the group with base summand
+    ``base`` a fixed weight on every choice; it names the base ("-" for the
+    identity)."""
+    relative_to = "base" if t == base else "-" if base.length == 0 else base.name
+    return ActionRule(case, t.name, relative_to, ARCH, ("*",),
                       Condition("always"), (("any", "+1" if weight > 0 else "-1"),), "weight")
 
 
-def remainders(case: str, cls: CharClass, s0: Q, members: tuple):
-    terms = [term_report(case, PROFILE, summand(case, w, cls), s0, default_rules())
-             for w in members]
-    common = LExpression.build(_common_factor([dict(t.expr.factors) for t in terms]))
-    return terms, common, [multiply(t.expr, inverse(common)) for t in terms]
+def names(members: tuple) -> tuple[str, ...]:
+    """The members' names: the group memo's key."""
+    return tuple(w.name for w in members)
+
+
+def remainders(case: str, cls: CharClass, s0: Q, members: tuple[str, ...]):
+    """The named members' reports, common factor and remainders over it."""
+    terms = [term_report(case, PROFILE, t, s0, default_rules())
+             for t in summands(case, cls) if t.name in members]
+    factors = [t.summand.factor for t in terms]
+    common = LExpression.build(_common_factor([dict(x.factors) for x in factors]))
+    return terms, common, [multiply(x, inverse(common)) for x in factors]
 
 
 def group_sums(case: str, cls: CharClass, s0: Q, members: tuple) -> list[tuple[str, ...]]:
     """One pinned row per weight vector, through ``evaluate_group``."""
-    terms, common, rems = remainders(case, cls, s0, members)
+    terms, common, rems = remainders(case, cls, s0, names(members))
     common_order = order_at(Canonical.of(common, cls), s0)
     rows = []
     for weights in WEIGHTS:
-        weighted = [t._replace(actions=(weight_row(case, t.w, members[0], wt),))
+        weighted = [t._replace(actions=(weight_row(case, t.summand, terms[0].summand, wt),))
                     for t, wt in zip(terms, weights)]
         report = evaluate_group(case, weighted, PROFILE, s0, cls)
         order, _ = full_depth_sum(list(zip(rems, weights)), cls, s0)
         assert report.weights == weights
-        assert report.to_json()["weights"] == {t.w.name: str(wt) for t, wt in zip(terms, weights)}
+        assert report.to_json()["weights"] == {t.summand.name: str(wt)
+                                               for t, wt in zip(terms, weights)}
         assert report.order == common_order + order
         rows.append((case, cls.value, str(s0), ",".join(w.name for w in members),
                      ",".join(f"{wt:+d}" for wt in weights),
@@ -154,7 +163,7 @@ def test_groups_are_the_fourteen_pairs():
 def test_remainders_are_strip_free_and_every_sum_has_a_leading_term():
     depths = []
     for case, cls, s0, members in groups():
-        _, _, rems = remainders(case, cls, s0, members)
+        _, _, rems = remainders(case, cls, s0, names(members))
         for rem in rems:
             assert all(e in (1, -1) for _, e in rem.factors), rem.render()
             assert order_at(Canonical.of(rem, cls), s0).is_known, rem.render()
@@ -185,15 +194,15 @@ def test_group_jet_cache_holds_the_fourteen_groups_unaltered():
     # the keys are the groups: looking each one up adds no entry
     before = _group_jets.cache_info()
     for case, cls, s0, members in groups():
-        _group_jets(case, members, cls, s0)
+        _group_jets(case, names(members), cls, s0)
     after = _group_jets.cache_info()
     assert (after.currsize, after.hits - before.hits, after.misses) == (14, 14, before.misses)
     # no replay alters a cached jet
     for _ in range(2):
         pins.replay(STORE)
     for case, cls, s0, members in groups():
-        common_order, jets = _group_jets(case, members, cls, s0)
-        _, common, rems = remainders(case, cls, s0, members)
+        common_order, jets = _group_jets(case, names(members), cls, s0)
+        _, common, rems = remainders(case, cls, s0, names(members))
         fresh = [known_part_series(Canonical.of(r, cls), s0) for r in rems]
         assert common_order == order_at(Canonical.of(common, cls), s0)
         assert [(j.ord, [c.render() for c in j.coeffs]) for j in jets] == \
@@ -210,7 +219,7 @@ def test_several_member_leading_is_the_remainders_sum():
     case, cls, s0 = "heisenberg", CharClass.TRIVIAL, Q(0)
     (g,) = [g for g in eisenstein_order(case, PROFILE, s0, cls).groups
             if g.members == ["s", "c2s"]]
-    _, common, rems = remainders(case, cls, s0, tuple(t.w for t in g.terms))
+    _, common, rems = remainders(case, cls, s0, tuple(g.members))
     _, lead = sum_series([(known_part_series(Canonical.of(r, cls), s0), w)
                           for r, w in zip(rems, g.weights)])
     assert g.leading == lead.render() == "2*Lam_c"
@@ -300,7 +309,7 @@ def test_contour_oracle_agrees_with_every_group_sum(character):
     for case, gcls, s0, members in groups():
         if gcls is not cls:
             continue
-        _, _, rems = remainders(case, cls, s0, members)
+        _, _, rems = remainders(case, cls, s0, names(members))
         values = [[expression_value(r, cls, tbl, float(s0) + z) for z in CIRCLE] for r in rems]
         for weights in WEIGHTS:
             sum_order, sum_lead = full_depth_sum(list(zip(rems, weights)), cls, s0)

@@ -1,6 +1,6 @@
 """Model-free laws the engine's answers must obey, checked exhaustively.
 
-Both rest on one fact: the long coset element w_P (the last coset
+Laws A and B rest on one fact: the long coset element w_P (the last coset
 representative: ``sc2s`` for Heisenberg, ``c2sc2`` for Siegel) maps
 lambda(s, chi) to lambda(-s, chi^-1), and chi^-1 has the class of chi.
 
@@ -18,15 +18,25 @@ decomposition and Eisenstein series*, 1995).
 
 Both are consistency laws, not independent values: a defect that is the
 same at s0 and -s0 passes them.
+
+Law C, an unramified spherical place is invisible: a place outside the
+ramified set S is spherical (the ``PlaceProfile`` docstring), so naming one
+in S, as ``nonarch:trivial:spherical``, changes no order, sign, note or
+refusal; the image only gains that place's entry.
 """
 
 from collections import Counter
 from fractions import Fraction as Q
 
 from sp4eis.characters import COSET_REPS, CharClass
-from sp4eis.constant_term import PlaceProfile, eisenstein_order, factor_expression
+from sp4eis.constant_term import (
+    Place, PlaceProfile, ProfileError, eisenstein_order, factor_expression,
+)
 from sp4eis.germs import order_at
-from sp4eis.localrules import ARCH, KERNEL, LOCAL_CLASSES, NONARCH, PLACE_CLASSES, default_rules
+from sp4eis.localrules import (
+    ARCH, CHOICES, KERNEL, LOCAL_CLASSES, NONARCH, PLACE_CLASSES, UncoveredKey, UnknownChoice,
+    default_rules,
+)
 
 POINTS = [Q(k, 8) for k in range(-48, 49)]  # (1/8)Z in [-6, 6]
 HALF_POINTS = [Q(k, 2) for k in range(-12, 13)]  # (1/2)Z in [-6, 6]
@@ -116,3 +126,47 @@ def test_global_functional_equation():
                     seen[next(k for k in ("at-least", "conditional", "known") if k in kinds)] += 1
     # a point the law cannot decide is counted, so a skip that grows fails here
     assert seen == {"known": 957, "conditional": 204, "at-least": 3}
+
+
+def outcome(case: str, profile: PlaceProfile, s0: Q, cls: CharClass):
+    """The report, or the class of the typed refusal."""
+    try:
+        return eisenstein_order(case, profile, s0, cls)
+    except (UncoveredKey, UnknownChoice, ProfileError) as exc:
+        return type(exc)
+
+
+def test_an_unramified_spherical_place_is_invisible():
+    """Every profile of one real place, each allowed class and choice, on
+    (1/2)Z in [-6, 6]: appending ``nonarch:trivial:spherical`` leaves terms,
+    groups, combined order, pole order, vanishing flag and notes as they
+    were, and a refusal the same refusal; the image gains the new place's
+    entry wherever it lists its places one by one."""
+    unramified = Place(NONARCH, CharClass.TRIVIAL)
+    seen = Counter()
+    for case in sorted(COSET_REPS):
+        for cls, by_kind in LOCAL_CLASSES.items():
+            for arch_class in by_kind[ARCH]:
+                for choice in CHOICES:
+                    real = Place(ARCH, arch_class, choice)
+                    for s0 in HALF_POINTS:
+                        key = (case, cls, real, s0)
+                        before = outcome(case, PlaceProfile((real,)), s0, cls)
+                        after = outcome(case, PlaceProfile((real, unramified)), s0, cls)
+                        refused = isinstance(before, type)
+                        assert isinstance(after, type) == refused, key
+                        if refused:
+                            assert after is before, key
+                            seen["refused"] += 1
+                            continue
+                        # "combined" holds the order, pole order and vanishing flag
+                        old, new = before.to_json(), after.to_json()
+                        for field in ("terms", "groups", "combined", "notes"):
+                            assert new[field] == old[field], (key, field)
+                        per_place = before.image and before.image[0].place != "all"
+                        assert after.image[:len(before.image)] == before.image, key
+                        assert [e.place for e in after.image[len(before.image):]] == \
+                            ([1] if per_place else []), key
+                        seen["report"] += 1
+    # every input is counted, so a loop that shrinks fails here
+    assert seen == {"report": 1747, "refused": 53}

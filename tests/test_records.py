@@ -1,10 +1,12 @@
 """The package's records: immutable, and equal on the fields that define them.
 
 The records are NamedTuples or ``__slots__`` classes.  Those that serve as
-cache keys (``factor_expression``, ``_group_jets``) must not change after
-they are built, and a field that follows from the others takes no part in
-equality or hashing.  A rule
-row compares on all its fields, the line it was read from included.
+cache keys must not change after they are built: the Weyl element and class
+of ``factor_expression``'s key (case, element, class), and the class and
+point of the group memo ``_group_jets``, keyed on (case, member names,
+class, point).  A field that follows from the others takes no part in
+equality or hashing.  A rule row compares on all its fields, the line it
+was read from included.
 """
 
 from fractions import Fraction as Q
