@@ -12,12 +12,13 @@ data, JSON and messages take it as it is.  A plain string is no member:
 profile or a report is built a class must be a member.  Which class a
 place may carry is stated once, in ``localrules.LOCAL_CLASSES``.
 
-``COSET_REPS`` holds the four Weyl elements of each case's constant term
-and ``TARGETS`` the character each one carries the inducing character
-to.  Neither depends on s, so both are built once at import; a target
-is compiled per class by ``TorusCharacter.reduced``.  Points are read as
-integers: at s0 = p/q in lowest terms (q > 0) an ``AffineForm`` a*s + b,
-which carries (A, B, D) with a = A/D and b = B/D, is the integer
+``CASES`` names the two cases, ``COSET_REPS`` holds the four Weyl
+elements of each case's constant term and ``TARGETS`` the character each
+one carries the inducing character to.  None depends on s, so all are
+built once at import; a target is compiled per class by
+``TorusCharacter.reduced``.  Points are read as integers: at s0 = p/q in
+lowest terms (q > 0) an ``AffineForm`` a*s + b, whose ``ints`` are
+(A, B, D) with a = A/D and b = B/D, is the integer
 n = A*p + B*q over m = D*q > 0, not reduced, and ``ratio_str`` prints n/m
 as ``str(Fraction)`` does.  ``value_key`` evaluates a compiled target
 once per point into the tuple that groups the summands and renders
@@ -83,27 +84,24 @@ def ratio_str(n: int, m: int) -> str:
     return str(n // g) if g == m else f"{n // g}/{m // g}"
 
 
-class _AffineFields(NamedTuple):
+def _chi_power(k: int) -> str:
+    """chi^k as the factor before a rendered coordinate's nu: none for k = 0."""
+    return {0: "", 1: "chi*"}.get(k, f"chi^{k}*")
+
+
+class AffineForm(NamedTuple):
+    """Exact affine form a*s + b; forms order as their (a, b) tuples."""
+
     a: Q
     b: Q
-    ints: tuple[int, int, int]
 
-
-class AffineForm(_AffineFields):
-    """Exact affine form a*s + b.
-
-    ``ints`` is (A, B, D) with a = A/D, b = B/D and D > 0 the least common
-    denominator, computed when the form is built.  It follows from (a, b),
-    so equality and hashing over all three fields are equality and hashing
-    on (a, b).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: Q, b: Q) -> "AffineForm":
+    @property
+    def ints(self) -> tuple[int, int, int]:
+        """(A, B, D) with a = A/D, b = B/D and D > 0 the least common
+        denominator: the integers a compiled target is read with."""
+        a, b = self.a, self.b
         d = lcm(a.denominator, b.denominator)
-        return tuple.__new__(cls, (a, b, (a.numerator * (d // a.denominator),
-                                          b.numerator * (d // b.denominator), d)))
+        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
 
     @staticmethod
     def of(a: int | str | Q, b: int | str | Q) -> "AffineForm":
@@ -128,9 +126,6 @@ class AffineForm(_AffineFields):
             return head
         return f"{head}+{self.b}" if self.b > 0 else f"{head}{self.b}"
 
-    def sort_key(self) -> tuple:
-        return (self.a, self.b)
-
 
 class TorusCharacter(NamedTuple):
     """Per-coordinate (chi power, affine exponent) data."""
@@ -138,11 +133,8 @@ class TorusCharacter(NamedTuple):
     coords: tuple[tuple[int, AffineForm], ...]
 
     def render(self) -> str:
-        parts = []
-        for k, form in self.coords:
-            chi = {0: "", 1: "chi*"}.get(k, f"chi^{k}*")
-            parts.append(f"{chi}nu^({form.render()})")
-        return "(" + ", ".join(parts) + ")"
+        return "(" + ", ".join(f"{_chi_power(k)}nu^({form.render()})"
+                               for k, form in self.coords) + ")"
 
     def reduced(self, cls: CharClass) -> tuple[tuple[int, int, int, int], ...]:
         """Per coordinate the chi power reduced in the class ``cls`` and the
@@ -165,11 +157,7 @@ def value_key(coords: tuple[tuple[int, int, int, int], ...], s0: Q) -> tuple:
 
 def render_value(key: tuple) -> str:
     """A ``value_key`` rendered as the character at its point."""
-    parts = []
-    for k, n, m in key:
-        chi = {0: "", 1: "chi*"}.get(k, f"chi^{k}*")
-        parts.append(f"{chi}nu^{ratio_str(n, m)}")
-    return "(" + ", ".join(parts) + ")"
+    return "(" + ", ".join(f"{_chi_power(k)}nu^{ratio_str(n, m)}" for k, n, m in key) + ")"
 
 
 def heisenberg_lambda() -> TorusCharacter:
@@ -226,6 +214,8 @@ _CASES = {
     "heisenberg": (heisenberg_lambda(), _ALPHA2),
     "siegel": (siegel_lambda(), _ALPHA1),
 }
+# the case names, in the order the CLI lists them and offers them as choices
+CASES = tuple(_CASES)
 
 # the four Weyl elements of each case's constant term, by length
 COSET_REPS = {case: tuple(SP4.coset_reps([keep])) for case, (_, keep) in _CASES.items()}
@@ -237,7 +227,7 @@ TARGETS = {case: {w: weyl_act(w, lam) for w in COSET_REPS[case]}
 
 
 def _unknown_case(case: str) -> ValueError:
-    return ValueError(f"unknown case {case!r} (expected 'heisenberg' or 'siegel')")
+    return ValueError(f"unknown case {case!r} (expected {' or '.join(map(repr, CASES))})")
 
 
 def lambda_for_case(case: str) -> TorusCharacter:

@@ -29,7 +29,7 @@ import os
 import re
 import sys
 
-from .characters import TARGETS, coset_representatives, lambda_for_case, parse_class
+from .characters import CASES, TARGETS, coset_representatives, lambda_for_case, parse_class
 from .checks import run_numeric_checks
 from .constant_term import ProfileError, eisenstein_order
 from .germs import IndeterminateLeading
@@ -71,7 +71,7 @@ def _emit(args, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_weyl(args) -> Output:
-    cases = ["heisenberg", "siegel"] if args.case == "all" else [args.case]
+    cases = CASES if args.case == "all" else [args.case]
     payload = {"schema": "sp4eis-weyl/1", "cases": {}}
     lines = []
     for case in cases:
@@ -236,12 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weyl", help="coset tables, negative sets, lengths")
-    p.add_argument("--case", choices=["heisenberg", "siegel", "all"], default="all")
+    p.add_argument("--case", choices=[*CASES, "all"], default="all")
     p.add_argument("--full", action="store_true", help="also list the full Weyl group")
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("normfactor", help="inverse normalizing factor of one element")
-    p.add_argument("--case", choices=["heisenberg", "siegel"], required=True)
+    p.add_argument("--case", choices=CASES, required=True)
     p.add_argument("--w", required=True, type=_weyl_element,
                    help="element name (id, s, c2, sc2, c2s, c2sc2, sc2s, c2sc2s) "
                         "or alias (c1, sc1, c1s, 1, e)")
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="TOML scenario file")
     # the inline profile options default to None, so that _scenario_from_args
     # can tell which were given; --s0 and --place add to earlier uses
-    p.add_argument("--case", choices=["heisenberg", "siegel"])
+    p.add_argument("--case", choices=CASES)
     p.add_argument("--char-class")
     p.add_argument("--s0", nargs="*", action="extend", help="rational points, e.g. 2 -1/2")
     p.add_argument("--place", nargs="*", action="extend",

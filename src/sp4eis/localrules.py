@@ -53,7 +53,7 @@ ISO = "iso"
 KERNEL = "kernel"
 
 # names of the three elements per case that carry an operator (not the identity)
-_ELEMENT_NAMES = {case: tuple(w.name for w in reps if not w.is_identity())
+_ELEMENT_NAMES = {case: tuple(w.name for w in reps if w.length)
                   for case, reps in COSET_REPS.items()}
 
 # section-choice tokens: the constituent a place's section is taken in

@@ -37,7 +37,7 @@ class LSymbol(NamedTuple):
         return f"{self.kind}({self.arg.render()},{chi})"
 
     def sort_key(self) -> tuple:
-        return (0 if self.kind == L else 1, self.power, self.arg.sort_key())
+        return (0 if self.kind == L else 1, self.power, self.arg)
 
 
 class LExpression(NamedTuple):

@@ -8,12 +8,13 @@ coordinates) and ``c2`` (sign flip of the second coordinate).  The group is
 the breadth-first closure of the identity under left multiplication by the
 generators (``_product``), whose first word to reach an element is a
 shortest, hence reduced, one.  It has eight elements, is built once, as the
-shared instance :data:`SP4`, and is looked up by element name.
+shared instance :data:`SP4`, and is looked up by element name.  An element
+is a plain (perm, signs, word) record.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 RootVector = tuple[int, ...]
 
@@ -26,63 +27,38 @@ def is_negative(v: RootVector) -> bool:
     raise ValueError("zero vector has no sign")
 
 
-class WeylElement:
+class WeylElement(NamedTuple):
     """Signed permutation in normal form plus a canonical reduced word.
 
     ``perm`` and ``signs`` encode the action on basis vectors:
     ``w(e_i) = signs[i] * e_{perm[i]}`` (0-indexed).  ``word`` is the
     canonical reduced word over the simple reflections, each entry a
-    generator name such as ``"s"`` or ``"c2"``.  Equality and hashing read
-    the normal form only, so ``sc2s`` and any other expression of the same
-    signed permutation compare equal.  ``name``, ``length``, the identity
-    flag and the hash are computed once, when the element is built, and
-    no attribute can be set afterwards.
+    generator name such as ``"s"`` or ``"c2"``.  Only :class:`CRootSystem`
+    builds elements, one per normal form, so comparing the three fields
+    compares normal forms.
     """
 
-    __slots__ = ("perm", "signs", "word", "name", "length", "_identity", "_hash")
-
-    def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...], word: tuple[str, ...]):
-        for attr, value in (
-            ("perm", perm), ("signs", signs), ("word", word),
-            ("name", "".join(word) if word else "id"), ("length", len(word)),
-            ("_identity", perm == tuple(range(len(perm))) and all(s == 1 for s in signs)),
-            ("_hash", hash((perm, signs))),
-        ):
-            object.__setattr__(self, attr, value)
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"WeylElement is immutable: cannot set {attr!r}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"WeylElement is immutable: cannot delete {attr!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.perm == other.perm and self.signs == other.signs
-
-    def __hash__(self) -> int:
-        return self._hash
+    perm: tuple[int, ...]
+    signs: tuple[int, ...]
+    word: tuple[str, ...]
 
     @property
-    def rank(self) -> int:
-        return len(self.perm)
+    def name(self) -> str:
+        return "".join(self.word) if self.word else "id"
 
-    def is_identity(self) -> bool:
-        return self._identity
+    @property
+    def length(self) -> int:
+        return len(self.word)
 
     def apply(self, v: RootVector) -> RootVector:
         """Signed-permutation action on a coordinate vector of any numbers."""
-        out = [0] * self.rank
+        out = [0] * len(self.perm)
         for i, c in enumerate(v):
             out[self.perm[i]] += self.signs[i] * c
         return tuple(out)
 
     def sort_key(self) -> tuple:
         return (self.length, self.word, self.perm, self.signs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WeylElement({self.name})"
 
 
 def _product(w1: WeylElement, w2: WeylElement) -> tuple[tuple[int, ...], tuple[int, ...]]:

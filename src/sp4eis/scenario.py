@@ -31,7 +31,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 from typing import NamedTuple
 
-from .characters import CharClass, parse_class
+from .characters import CASES, CharClass, parse_class
 from .constant_term import Place, PlaceProfile
 from .localrules import LOCAL_CLASSES
 
@@ -100,7 +100,7 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
         case = data["case"]
     except KeyError:
         raise ScenarioError(f"{source}: missing required key 'case'") from None
-    if case not in ("heisenberg", "siegel"):
+    if case not in CASES:
         raise ScenarioError(f"{source}: unknown case {case!r}")
     cls = _class(data.get("char_class", "trivial"), source)
     if cls not in LOCAL_CLASSES:

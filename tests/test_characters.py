@@ -75,7 +75,7 @@ def test_weyl_act_compatible_with_coroots():
     lam = heisenberg_lambda()
     positive = SYS.negative_set(SYS.elements()[-1])  # the longest element
     for w in SYS.elements():
-        (winv,) = [v for v in SYS.elements() if product(w, v).is_identity()]
+        (winv,) = [v for v in SYS.elements() if product(w, v).length == 0]
         for alpha in positive:
             lhs = compose_coroot(weyl_act(w, lam), SYS.coroot(alpha))
             rhs = compose_coroot(lam, SYS.coroot(winv.apply(alpha)))

@@ -58,7 +58,7 @@ def eps_reduced(expr: LExpression, cls: CharClass) -> LExpression:
     d: dict[LSymbol, int] = {}
     for sym, e in expr.factors:
         refl = LSymbol(EPS, one_minus(sym.arg), -sym.power)
-        if sym.kind == EPS and (sym.arg.sort_key(), sym.power) < (refl.arg.sort_key(), refl.power):
+        if sym.kind == EPS and (sym.arg, sym.power) < (refl.arg, refl.power):
             sym, e = refl, -e
         d[sym] = d.get(sym, 0) + e
     return canonicalize(LExpression.build(d), cls)

@@ -1,12 +1,12 @@
 """The package's records: immutable, and equal on the fields that define them.
 
-The records are NamedTuples or ``__slots__`` classes.  Those that serve as
-cache keys must not change after they are built: the Weyl element and class
-of ``factor_expression``'s key (case, element, class), and the class and
-point of the group memo ``_group_jets``, keyed on (case, member names,
-class, point).  A field that follows from the others takes no part in
-equality or hashing.  A rule row compares on all its fields, the line it
-was read from included.
+The records are NamedTuples.  Those that serve as cache keys must not
+change after they are built: the class of the summand table ``summands``,
+keyed on (case, class), and the class and point of the group memo
+``_group_jets``, keyed on (case, member names, class, point).  A value
+that follows from the fields, such as an affine form's integers, is a
+property and takes no part in equality or hashing.  A rule row compares on
+all its fields, the line it was read from included.
 """
 
 from fractions import Fraction as Q
@@ -20,7 +20,7 @@ from sp4eis.germs import Leading, OrderValue, StripDep
 from sp4eis.localrules import Condition, default_rules
 from sp4eis.normfactor import L, LExpression, LSymbol, canonicalize
 from sp4eis.numerics import table_for_modulus
-from sp4eis.roots import SP4, WeylElement
+from sp4eis.roots import SP4
 
 RULES = default_rules()
 FORM = AffineForm.of(Q(1, 2), Q(-3, 4))
@@ -61,14 +61,6 @@ def test_a_profile_is_checked_when_it_is_built():
         PlaceProfile((Place("nonarch", CharClass.TRIVIAL),))
     with pytest.raises(ProfileError, match="unknown section choice"):
         PlaceProfile((Place("arch", CharClass.TRIVIAL, "bogus"),))
-
-
-def test_a_weyl_element_is_equal_to_any_other_word_for_it():
-    w = SP4.element_by_name("sc2s")
-    other = WeylElement(w.perm, w.signs, ("s", "s", *w.word))  # s*s is the identity
-    assert other == w and hash(other) == hash(w)
-    assert (other.name, other.length) == ("sssc2s", 5)
-    assert other != SP4.element_by_name("c2sc2")
 
 
 def test_an_affine_form_carries_its_integers():

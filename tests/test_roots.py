@@ -5,8 +5,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from sp4eis.characters import TARGETS
-from sp4eis.roots import SP4, WeylElement, is_negative
+from sp4eis.characters import COSET_REPS, TARGETS
+from sp4eis.roots import SP4, is_negative
 
 SYS = SP4
 
@@ -85,14 +85,14 @@ def test_group_order_and_axioms():
     assert len(elements) == 8
     s = SYS.element_by_name("s")
     c2 = SYS.element_by_name("c2")
-    assert product(s, s).is_identity()
-    assert product(c2, c2).is_identity()
+    assert product(s, s).length == 0
+    assert product(c2, c2).length == 0
     # braid relation: s*c2 has order 4
     sc2 = product(s, c2)
     power = sc2
     orders = []
     for k in range(1, 5):
-        orders.append(power.is_identity())
+        orders.append(power.length == 0)
         power = product(power, sc2)
     assert orders == [False, False, False, True]
 
@@ -104,15 +104,19 @@ def test_words_reproduce_normal_form():
 
 
 def test_an_element_is_its_normal_form():
-    # the word plays no part in equality or hashing, so any word finds the
-    # element, also as a key of the per-case target tables
-    for w in SYS.elements():
-        other = WeylElement(w.perm, w.signs, ("x",))
-        assert other == w and hash(other) == hash(w)
-        for targets in TARGETS.values():
-            if w in targets:
-                assert targets[other] is targets[w]
-    assert sum(w in targets for targets in TARGETS.values() for w in SYS.elements()) == 8
+    # elements compare on all three fields, so equality is normal-form
+    # equality only while the closure builds one element per normal form
+    elements = SYS.elements()
+    assert len({(w.perm, w.signs) for w in elements}) == 8
+    for w in elements:
+        assert SYS.element_by_name(w.name) is w
+    assert sum(w in targets for targets in TARGETS.values() for w in elements) == 8
+
+
+def test_the_case_tables_hold_the_groups_own_elements():
+    own = {id(w) for w in SYS.elements()}
+    assert all(id(w) in own for reps in COSET_REPS.values() for w in reps)
+    assert all(id(w) in own for targets in TARGETS.values() for w in targets)
 
 
 def test_negative_sets_match_brute_force():
@@ -138,7 +142,7 @@ def test_c1_aliases():
 def test_inverse_negative_set_relation():
     # negatives of the inverse are the negated images of the negatives
     for w in SYS.elements():
-        (winv,) = [v for v in SYS.elements() if product(w, v).is_identity()]
+        (winv,) = [v for v in SYS.elements() if product(w, v).length == 0]
         lhs = set(SYS.negative_set(winv))
         rhs = {tuple(-c for c in w.apply(a)) for a in SYS.negative_set(w)}
         assert lhs == rhs
