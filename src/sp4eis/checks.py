@@ -76,16 +76,18 @@ def check_zeta_closed_forms() -> list[CheckResult]:
 def check_reflection() -> list[CheckResult]:
     """Lam(s) = Lam(1 - s) with both sides computed, not reflected.
 
+    The grid is s = x + it for x = 0.1, ..., 0.9 and t in 0, +-2.5, +-5.
     ``completed_zeta`` reflects Re s < 1/2 to 1 - s itself, so the left
-    point is evaluated here from pi^(-s/2) Gamma(s/2) zeta(s) directly
-    (``zeta_em`` is valid down to Re s = -2).  On Re s = 1/2 the left
-    point is 1 - s, the complex conjugate of s.  Grid points with equal
-    left points (0.4 + it and 0.6 - it) are compared once.
+    point, s or 1 - s, whichever has Re < 1/2 or lies on Re s = 1/2, is
+    evaluated here from pi^(-s/2) Gamma(s/2) zeta(s) directly (``zeta_em``
+    is valid down to Re s = -2).  The left points are built from exact
+    tenths, x = 0.1, ..., 0.5 with each t, so grid points with equal left
+    points (0.3 + it and 0.7 - it, or 0.5 + it and 0.5 - it) are
+    compared once: 25 points.
     """
     lam = cache(completed_zeta)
-    lefts = dict.fromkeys(s if s.real < 0.5 else 1 - s
-                          for s in (re10 / 10 + 1j * im for re10 in range(1, 10)
-                                    for im in (0.0, 2.5, -2.5, 5.0, -5.0)))
+    lefts = [complex(re10 / 10, im) for re10 in range(1, 6)
+             for im in (0.0, 2.5, -2.5, 5.0, -5.0)]
     worst = 0.0
     for left in lefts:
         a = math.pi ** (-left / 2) * gamma(left / 2) * zeta_em(left)

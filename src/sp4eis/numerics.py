@@ -117,6 +117,8 @@ _LOG_PI = math.log(math.pi)
 
 def _point(s: complex) -> float | complex:
     """s as a float when its imaginary part is zero, else as a complex."""
+    if isinstance(s, float):
+        return s
     s = complex(s)
     return s.real if s.imag == 0 else s
 
@@ -440,6 +442,13 @@ def eval_expression(expr: Canonical, s: complex, zeta: Completed,
     return out
 
 
+# log(delta) over DELTA_LADDER, its deviations from their mean and the sum
+# of their squares: the x side of every slope fit
+_LOG_DELTAS = tuple(math.log(d) for d in DELTA_LADDER)
+_LOG_DELTA_DEVIATIONS = tuple(x - sum(_LOG_DELTAS) / len(_LOG_DELTAS) for x in _LOG_DELTAS)
+_LOG_DELTA_SXX = sum(dx ** 2 for dx in _LOG_DELTA_DEVIATIONS)
+
+
 class OrderEstimate(NamedTuple):
     slope: float
     fitted: int
@@ -455,21 +464,18 @@ def estimate_order(expr: Canonical, s0: Q, zeta: Completed,
     unambiguous at double precision.  ``zeta`` and ``lval`` are passed on
     to :func:`eval_expression`.
     """
-    xs, ys = [], []
+    s = float(s0)
+    ys = []
     for d in DELTA_LADDER:
         try:
-            m = abs(eval_expression(expr, float(s0) + d, zeta, lval))
+            m = abs(eval_expression(expr, s + d, zeta, lval))
         except OverflowError:  # a float power past the range raises, not inf
             m = math.inf
         if not (1e-280 < m < 1e280):
             raise NumericsError(f"magnitude {m} out of range at delta={d}")
-        xs.append(math.log(d))
         ys.append(math.log(m))
-    n = len(xs)
-    xbar = sum(xs) / n
-    ybar = sum(ys) / n
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / \
-        sum((x - xbar) ** 2 for x in xs)
+    ybar = sum(ys) / len(ys)
+    slope = sum(dx * (y - ybar) for dx, y in zip(_LOG_DELTA_DEVIATIONS, ys)) / _LOG_DELTA_SXX
     fitted = round(slope)
     return OrderEstimate(slope, int(fitted), abs(slope - fitted))
 

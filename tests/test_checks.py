@@ -36,7 +36,7 @@ VALUES = ("completed_zeta", "completed_dirichlet", "zeta_em")
 # the battery of every conductor makes the same calls
 CALLS = {
     "check_zeta_closed_forms": (1, 0, 6),
-    "check_reflection": (25, 0, 40),
+    "check_reflection": (25, 0, 25),
     "check_residues": (3, 0, 0),
     "check_cancellation_limits": (6, 0, 0),
     "check_functional_equation": (0, 16, 0),
