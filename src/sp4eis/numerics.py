@@ -3,7 +3,8 @@
 Completed zeta and the completed Dirichlet L-functions of the seven
 built-in real primitive characters (conductors 3, 4, 5, 7, 8, 11 and 12,
 each the Kronecker symbol of its fundamental discriminant) are evaluated
-with Euler-Maclaurin summation (plain and Hurwitz) and a Lanczos gamma;
+with Euler-Maclaurin summation (plain and Hurwitz) and a gamma that is
+``math.gamma`` on the real axis and a Lanczos sum off it;
 pole orders of canonical L-expressions are estimated from the slope
 of log|f| against log(delta) on a fixed ladder.  Everything the germ layer
 asserts symbolically (residues, cancellation limits, the epsilon-pair
@@ -25,13 +26,13 @@ least 10 significant digits, completed Dirichlet values for moduli up to
 stays below 2^-53 there; the rest is rounding).
 
 A real point is evaluated in float arithmetic, any other in complex
-arithmetic, by the same code (``_point``; only exp and sin pick ``math``
-or ``cmath``).  With zero imaginary parts CPython's complex power of a
-positive base, division, exp and sin do the IEEE operations of the float
-ones on the real parts, so the bits agree.  The exception is a power with
-an integral exponent |n| <= 100, which complex arithmetic computes by
-repeated multiplication and float arithmetic by libm ``pow``: at an
-integer s a value may differ in the last bits (at most 4 ulp).
+arithmetic (``_point``).  The Euler-Maclaurin and Borwein sums are one
+code for both; only exp picks ``math`` or ``cmath``.  Two kernels take
+another formula on a float: ``gamma`` returns ``math.gamma`` (good to a
+few ulp, where the Lanczos sum reflected near a pole loses up to 4e-12),
+and (exp(w) - 1)/w at |w| < 1/2 is ``math.expm1(w) / w`` in place of an
+18-term Taylor series (``_phi_expm1``).  So a value on the axis is close
+to, not bit-equal with, the complex branch's value at the same point.
 
 Each family of the battery (``checks``) evaluates each completed value
 once per call: ``eval_expression`` and ``estimate_order`` take their
@@ -82,20 +83,26 @@ class NotEvaluable(NumericsError):
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and Lanczos gamma
+# Bernoulli numbers and gamma
 # ---------------------------------------------------------------------------
 
 def bernoulli_numbers(count: int) -> list[Q]:
-    """B_0 .. B_{count-1} as exact rationals (B_1 = -1/2 convention)."""
-    out: list[Q] = []
-    for m in range(count):
-        if m == 0:
-            out.append(Q(1))
-            continue
-        acc = Q(0)
-        for j in range(m):
-            acc += Q(math.comb(m + 1, j)) * out[j]
-        out.append(-acc / (m + 1))
+    """B_0 .. B_{count-1} as exact rationals (B_1 = -1/2 convention).
+
+    The even ones come from the integer tangent numbers T_k, by
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); T_1 .. T_n are built in
+    place from (k-1)! (R. P. Brent and D. Harvey, *Fast computation of
+    Bernoulli, tangent and secant numbers*, 2011, Algorithm TangentNumbers).
+    The odd ones past B_1 are 0.
+    """
+    n = max(count - 1, 0) // 2  # the largest k with 2k < count
+    tangent = [0] + [math.factorial(k - 1) for k in range(1, n + 1)]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    out = [Q(1), Q(-1, 2)][:count] + [Q(0)] * max(count - 2, 0)
+    for k in range(1, n + 1):
+        out[2 * k] = Q((-1) ** (k - 1) * 2 * k * tangent[k], 4 ** k * (4 ** k - 1))
     return out
 
 
@@ -127,22 +134,23 @@ def _exp(w: complex) -> complex:
     return cmath.exp(w) if isinstance(w, complex) else math.exp(w)
 
 
-def _sin(w: complex) -> complex:
-    return cmath.sin(w) if isinstance(w, complex) else math.sin(w)
-
-
 def gamma(z: complex) -> float | complex:
-    """Lanczos approximation, reflected for Re(z) < 1/2; a float for a real z.
+    """Gamma of z; a float for a real z, by ``math.gamma``.
 
-    The sum is taken once, at z or at the reflected point 1 - z (whose
+    A complex z takes the Lanczos approximation, reflected for Re(z) < 1/2:
+    the sum is taken once, at z or at the reflected point 1 - z (whose
     real part is at least 1/2), with its terms written out in index order.
+    Within ``GAMMA_POLE_TOL`` of a pole either branch raises
+    :class:`PoleProximity`.
     """
     z = _point(z)
     reflect = z.real < 0.5
+    if reflect and abs(z.imag) < GAMMA_POLE_TOL and abs(z.real - round(z.real)) < GAMMA_POLE_TOL \
+            and round(z.real) <= 0:
+        raise PoleProximity(f"gamma pole at z={z}")
+    if isinstance(z, float):
+        return math.gamma(z)
     if reflect:
-        if abs(z.imag) < GAMMA_POLE_TOL and abs(z.real - round(z.real)) < GAMMA_POLE_TOL \
-                and round(z.real) <= 0:
-            raise PoleProximity(f"gamma pole at z={z}")
         w = 1.0 - z - 1.0  # (1 - z) - 1 rounds twice, as the sum at 1 - z did; not -z
     else:
         w = z - 1.0
@@ -150,8 +158,8 @@ def gamma(z: complex) -> float | complex:
     x = (c0 + c1 / (w + 1) + c2 / (w + 2) + c3 / (w + 3) + c4 / (w + 4)
          + c5 / (w + 5) + c6 / (w + 6) + c7 / (w + 7) + c8 / (w + 8))
     t = w + _LANCZOS_G + 0.5
-    g = _SQRT_2PI * t ** (w + 0.5) * _exp(-t) * x
-    return math.pi / (_sin(math.pi * z) * g) if reflect else g
+    g = _SQRT_2PI * t ** (w + 0.5) * cmath.exp(-t) * x
+    return math.pi / (cmath.sin(math.pi * z) * g) if reflect else g
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +174,11 @@ def _em_coefficients() -> tuple[float, ...]:
 
 
 def _phi_expm1(w: complex) -> complex:
-    """(exp(w) - 1) / w, stable near w = 0."""
+    """(exp(w) - 1) / w, stable near w = 0: for |w| < 0.5 by ``math.expm1``
+    on a float w and by the Taylor series on a complex one."""
     if abs(w) < 0.5:
+        if isinstance(w, float):
+            return math.expm1(w) / w if w else 1.0
         term = 1.0
         total = 1.0
         for k in range(2, 20):
@@ -300,9 +311,9 @@ def completed_zeta(s: complex) -> float | complex:
     """pi^(-s/2) Gamma(s/2) zeta(s); reflected for Re(s) < 1/2.
 
     The completed function satisfies Lam(s) = Lam(1-s) exactly; building
-    the reflection in keeps gamma arguments in the Lanczos sweet spot and
-    makes the symmetry exact by construction.  Simple poles at 0 and 1.
-    A float for a real s, a complex otherwise.
+    the reflection in keeps gamma arguments at real part >= 1/4, away from
+    its poles, and makes the symmetry exact by construction.  Simple poles
+    at 0 and 1.  A float for a real s, a complex otherwise.
     """
     s = _point(s)
     if abs(s) < POLE_TOL or abs(s - 1.0) < POLE_TOL:

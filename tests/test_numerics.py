@@ -7,11 +7,12 @@ from functools import cache, partial
 import pytest
 
 from sp4eis import numerics
+from sp4eis.checks import oracle_grid
 from sp4eis.characters import AffineForm, CharClass, coset_representatives, heisenberg_lambda
 from sp4eis.constant_term import factor_expression
 from sp4eis.normfactor import L, Canonical, LExpression, LSymbol, canonicalize, inverse_norm_factor
 from sp4eis.numerics import (
-    IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_MIN, ZETA_M, NotEvaluable,
+    DELTA_LADDER, IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_MIN, ZETA_M, NotEvaluable,
     NumericsError, PoleProximity, _em_coefficients, bernoulli_numbers, completed_dirichlet,
     completed_zeta, dirichlet_l, estimate_order, eval_expression, gamma, hurwitz_zeta,
     kronecker_symbol, table_for_modulus, zeta_direct, zeta_em,
@@ -29,6 +30,26 @@ def test_bernoulli():
     assert b[0] == 1 and b[1] == Q(-1, 2) and b[2] == Q(1, 6)
     assert b[4] == Q(-1, 30) and b[6] == Q(1, 42) and b[8] == Q(-1, 30)
     assert b[3] == 0 and b[5] == 0
+
+
+def test_bernoulli_matches_the_binomial_recurrence():
+    # the textbook recurrence sum_(j<=m) C(m+1, j) B_j = 0, in exact fractions
+    def recurrence(count):
+        out = []
+        for m in range(count):
+            if m == 0:
+                out.append(Q(1))
+                continue
+            acc = Q(0)
+            for j in range(m):
+                acc += Q(math.comb(m + 1, j)) * out[j]
+            out.append(-acc / (m + 1))
+        return out
+
+    for count in range(62):
+        b = bernoulli_numbers(count)
+        assert b == recurrence(count), count
+        assert all(type(x) is Q for x in b), count
 
 
 def test_em_coefficients_are_the_bernoulli_weights():
@@ -192,6 +213,24 @@ def test_estimate_order_basic():
     assert est.fitted == -1 and est.residual < 0.05
     est = estimate_order(rc1, Q(5), completed_zeta)
     assert est.fitted == 0 and est.residual < 0.05
+
+
+@pytest.mark.parametrize("row", oracle_grid(), ids=lambda r: f"{r[0]}-{r[1]}-{r[2].value}-{r[4]}")
+def test_estimate_order_is_the_textbook_least_squares_fit(row):
+    # the fit written out from the ladder points, every sum taken in place
+    case, element, cls, modulus, s0, _ = row
+    expr = factor_expression(case, SYS.element_by_name(element), cls)
+    lval = partial(completed_dirichlet, table_for_modulus(modulus)) if modulus else None
+    xs = [math.log(d) for d in DELTA_LADDER]
+    ys = [math.log(abs(eval_expression(expr, float(s0) + d, completed_zeta, lval)))
+          for d in DELTA_LADDER]
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / \
+        sum((x - xbar) ** 2 for x in xs)
+    fitted = round(slope)
+    expected = numerics.OrderEstimate(slope, fitted, abs(slope - fitted))
+    assert repr(estimate_order(expr, s0, completed_zeta, lval)) == repr(expected)
 
 
 @pytest.mark.parametrize("k", [145, -145, -400, 400])

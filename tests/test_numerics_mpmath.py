@@ -4,8 +4,9 @@ The grid covers the documented accuracy domain -2 <= Re s <= 12,
 |Im s| <= 20, stepping around the gamma poles on the real axis.  The
 tolerances are the module docstring's: 1e-10 relative for completed zeta
 and for Hurwitz zeta right of Re s = 1/2, 1e-8 for completed Dirichlet
-values.  The Lanczos gamma is held to 1e-12
-(its worst error on this grid is about 1.5e-13).  ``zeta_direct``, the
+values.  ``gamma`` is held to 1e-12: off the real axis it is a Lanczos
+sum, whose worst error on this grid is about 1.5e-13, and on it
+``math.gamma``.  ``zeta_direct``, the
 independent check, is held to 1e-14 on its own domain Re s > 3/2,
 |Im s| <= 20: its corners and edges, (1/8)Z, and seeded points.
 

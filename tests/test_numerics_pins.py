@@ -10,9 +10,11 @@ point where a function meets a pole is not pinned: there it raises
 :class:`PoleProximity`, the one exception ``evaluate`` lets through.
 
 A real point is evaluated in float arithmetic and any other point in
-complex arithmetic.  With zero imaginary parts both perform the same IEEE
-operations, so every value must match its pin exactly, except at an
-integer real point: there a complex power ``x ** n`` with integral
+complex arithmetic.  The float branch takes ``math.gamma``, and
+``math.expm1`` for (exp(w) - 1)/w at |w| < 1/2, where the complex branch
+takes the Lanczos sum and a Taylor series; the last two tests hold the
+branches to one function.  Every value must match its pin exactly, except
+at an integer real point: there a complex power ``x ** n`` with integral
 |n| <= 100 is computed by repeated multiplication, while the float power
 calls libm ``pow``, so the two may differ in the last bits.  At integer
 points each part may therefore differ from its pin by at most 4 ulp, and
@@ -27,7 +29,8 @@ import pins
 from sp4eis.checks import oracle_grid
 from sp4eis.numerics import (
     DELTA_LADDER, QUADRATIC_DISCRIMINANTS, PoleProximity, completed_dirichlet, completed_zeta,
-    dirichlet_l, gamma, hurwitz_zeta, table_for_modulus, zeta_direct, zeta_em,
+    _phi_expm1, dirichlet_l, gamma, hurwitz_zeta, table_for_modulus,
+    zeta_direct, zeta_em,
 )
 
 SHIFTS = (Q(1, 12), Q(1, 3), Q(1, 2), Q(3, 4), Q(1))
@@ -104,3 +107,32 @@ def test_real_points_give_floats_and_complex_points_complex():
         for s in (2.5, 3, Q(7, 2), complex(2.5, 0.0)):
             assert type(f(s)) is float, (f, s)
         assert type(f(complex(2.5, 1e-3))) is complex, f
+
+
+def test_real_gamma_is_the_complex_branch_on_the_axis():
+    """``math.gamma`` on a float against the Lanczos branch just above the
+    axis.  Left of 1/2 the Lanczos branch reflects through sin(pi z), and
+    the rounding of pi z costs it |pi z cot(pi z)| ulp near a pole (about
+    4e-12 at z = -0.99999), so that condition number widens the bound."""
+    for s in points():
+        x = s.real
+        if s.imag:
+            continue
+        try:
+            real = gamma(x)
+        except PoleProximity:
+            continue
+        cond = abs(math.pi * x / math.tan(math.pi * x)) if x < 0.5 else 0.0
+        bound = (1e-13 + cond * 2 ** -52) * abs(real)
+        assert abs(gamma(complex(x, 1e-300)).real - real) <= bound, x
+
+
+def test_real_phi_expm1_is_the_complex_branch_on_the_axis():
+    # math.expm1 on a float, the Taylor series on a complex |w| < 0.5, and
+    # exp(w) - 1 on either past it
+    for w in (0.0, 1e-300, -1e-12, 1e-8, 0.1, -0.3, 0.4999999, -0.49999, 0.5, -0.5,
+              0.5000001, -0.75, 2.0, -7.4, 7.4, 30.0):
+        real = _phi_expm1(w)
+        on_axis = _phi_expm1(complex(w, 0.0))
+        assert type(real) is float and on_axis.imag == 0, w
+        assert abs(on_axis.real - real) <= 2e-15 * abs(real), w
