@@ -8,10 +8,11 @@ limits backing the germ knowledge base, and an order oracle comparing the
 slope-fitted order of every canonical factor against the exact symbolic
 order at more than thirty points.
 
-Each family call evaluates each completed value once: the families take
-their values through memos made for that call (``functools.cache`` of a
-value function, passed on to ``eval_expression`` where a check evaluates
-expressions), and nothing outlives the call.
+Each family call evaluates each completed value once: a family that
+meets a point more than once takes its values through memos made for
+that call (``functools.cache`` of a value function, passed on to
+``eval_expression`` where a check evaluates expressions), and nothing
+outlives the call.
 """
 
 from __future__ import annotations
@@ -77,21 +78,20 @@ def check_reflection() -> list[CheckResult]:
     """Lam(s) = Lam(1 - s) with both sides computed, not reflected.
 
     The grid is s = x + it for x = 0.1, ..., 0.9 and t in 0, +-2.5, +-5.
-    ``completed_zeta`` reflects Re s < 1/2 to 1 - s itself, so the left
-    point, s or 1 - s, whichever has Re < 1/2 or lies on Re s = 1/2, is
-    evaluated here from pi^(-s/2) Gamma(s/2) zeta(s) directly (``zeta_em``
-    is valid down to Re s = -2).  The left points are built from exact
-    tenths, x = 0.1, ..., 0.5 with each t, so grid points with equal left
-    points (0.3 + it and 0.7 - it, or 0.5 + it and 0.5 - it) are
+    ``completed_zeta`` reflects Re s < 1/2 to 1 - s itself, so each grid
+    point is compared at its left point, s or 1 - s with real part at most
+    1/2, evaluated here from pi^(-s/2) Gamma(s/2) zeta(s) directly
+    (``zeta_em`` is valid down to Re s = -2).  The left points are built
+    from exact tenths, x = 0.1, ..., 0.5 with each t, so grid points that
+    share one (0.3 + it and 0.7 - it, or 0.5 + it and 0.5 - it) are
     compared once: 25 points.
     """
-    lam = cache(completed_zeta)
     lefts = [complex(re10 / 10, im) for re10 in range(1, 6)
              for im in (0.0, 2.5, -2.5, 5.0, -5.0)]
     worst = 0.0
     for left in lefts:
         a = math.pi ** (-left / 2) * gamma(left / 2) * zeta_em(left)
-        b = lam(1 - left)
+        b = completed_zeta(1 - left)
         worst = max(worst, abs(a - b) / max(abs(a), 1e-30))
     return [_res("completed-zeta-reflection-grid", worst, 1e-9)]
 
