@@ -21,9 +21,16 @@ x^(1-s) tail term grow together and cancel, so digits are lost fast
 ``completed_zeta`` reflects Re s < 1/2 to 1 - s, so it covers
 -11 <= Re s <= 12.  In the domain completed zeta is good to at
 least 10 significant digits, completed Dirichlet values for moduli up to
-12 to at least 8.  The independent ``zeta_direct`` covers Re s > 3/2 and
-|Im s| <= 20, where it is good to 1e-14 relative (its truncation error
-stays below 2^-53 there; the rest is rounding).
+12 to at least 8, except beside the trivial zero of L(s, chi) that meets
+a pole of its gamma factor: s = -2 for an even chi (conductors 5, 8, 12),
+s = -1 for an odd one (3, 4, 7, 11).  The completed value stays finite
+there, but the Euler-Maclaurin sum for L cancels to a value of size
+~|s - zero| while its rounding error does not shrink, so within 0.05 of
+that zero the relative error is bounded only by 2e-9 / |s - zero|
+(4.1e-5 at s = -1.99999 for conductor 12, the worst pinned point).  The
+independent ``zeta_direct`` covers Re s > 3/2 and |Im s| <= 20, where
+it is good to 1e-14 relative (its truncation error stays below 2^-53
+there; the rest is rounding).
 
 A real point is evaluated in float arithmetic, any other in complex
 arithmetic (``_point``).  The Euler-Maclaurin and Borwein sums are one

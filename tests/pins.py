@@ -62,14 +62,11 @@ def cli_sha256(argv: list[str]) -> str:
 
 
 class Store(NamedTuple):
-    """A pin file, its header, its key width and its rows.  ``keep(old, new)``,
-    when given, says whether an old row still holds where the new row's
-    text differs; the render then keeps the old row."""
+    """A pin file, its header, its key width and its rows."""
     path: Path
     header: str
     keys: int
     rows: Callable[[], list[Row]]
-    keep: Callable[[Row, Row], bool] | None = None
 
 
 def read(path: Path) -> list[Row]:
@@ -79,14 +76,8 @@ def read(path: Path) -> list[Row]:
 
 
 def render(store: Store) -> str:
-    """The store's text now: the header, then every row, a kept old row in
-    place of its new text."""
-    old = {row[:store.keys]: row for row in read(store.path)} if store.keep else {}
-    lines = ["# " + store.header]
-    for row in store.rows():
-        prior = old.get(row[:store.keys])
-        lines.append("\t".join(prior if prior and store.keep(prior, row) else row))
-    return "\n".join(lines) + "\n"
+    """The store's text now: the header, then every row the code computes."""
+    return "\n".join(["# " + store.header, *map("\t".join, store.rows())]) + "\n"
 
 
 def moved(store: Store, old: str, new: str) -> str:

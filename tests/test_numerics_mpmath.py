@@ -4,8 +4,10 @@ The grid covers the documented accuracy domain -2 <= Re s <= 12,
 |Im s| <= 20, stepping around the gamma poles on the real axis.  The
 tolerances are the module docstring's: 1e-10 relative for completed zeta
 and for Hurwitz zeta right of Re s = 1/2, 1e-8 for completed Dirichlet
-values.  ``gamma`` is held to 1e-12: off the real axis it is a Lanczos
-sum, whose worst error on this grid is about 1.5e-13, and on it
+values, or 2e-9 / |s - zero| within 0.05 of the trivial zero that meets
+a gamma pole, where the grid takes the real pinned points within 0.05 of
+s = -1 and -2.  ``gamma`` is held to 1e-12: off the real axis it is a
+Lanczos sum, whose worst error on this grid is about 1.5e-13, and on it
 ``math.gamma``.  ``zeta_direct``, the
 independent check, is held to 1e-14 on its own domain Re s > 3/2,
 |Im s| <= 20: its corners and edges, (1/8)Z, and seeded points.
@@ -26,6 +28,7 @@ from sp4eis.numerics import (
     IM_LIMIT, QUADRATIC_DISCRIMINANTS, RE_LIMIT, completed_dirichlet, completed_zeta, gamma,
     hurwitz_zeta, table_for_modulus, zeta_direct,
 )
+from test_numerics_pins import points
 
 mp = pytest.importorskip("mpmath")
 
@@ -66,13 +69,16 @@ def test_completed_zeta_matches_mpmath():
 @pytest.mark.parametrize("q", sorted(QUADRATIC_DISCRIMINANTS))
 def test_completed_dirichlet_matches_mpmath(q):
     tbl = table_for_modulus(q)
-    for s in GRID:
+    zero = -1.0 if tbl.parity else -2.0  # the trivial zero that meets a gamma pole
+    near = [s for s in points() if not s.imag and min(abs(s.real + 1), abs(s.real + 2)) <= 0.05]
+    for s in GRID + near:
         if _on_gamma_pole((s + tbl.parity) / 2):
             continue
         u = mp.mpc(s) if s.real >= 0.5 else 1 - mp.mpc(s)
         z = (u + tbl.parity) / 2
         ref = (mp.mpf(q) / mp.pi) ** z * mp.gamma(z) * mp.dirichlet(u, list(tbl.values))
-        assert _rel(completed_dirichlet(tbl, s), ref) < 1e-8, (q, s)
+        d = abs(s - zero)
+        assert _rel(completed_dirichlet(tbl, s), ref) < (2e-9 / d if d <= 0.05 else 1e-8), (q, s)
 
 
 @pytest.mark.parametrize("a", [1 / 12, 1 / 3, 1 / 2, 3 / 4, 1.0])
